@@ -37,7 +37,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .constants import ConstantSpec
+from .constants import _FAMILIES, ConstantSpec
 from .experiments import (
     SharpnessReport,
     cesaro_sharpness_sweep,
@@ -68,7 +68,6 @@ from .weights import parse_weight_spec
 
 __all__ = ["main", "run"]
 
-_CONSTANT_FAMILIES = ("lebesgue", "morrey", "log-moment", "cesaro-lebesgue", "cesaro-log")
 _OPERATORS = ("hardy", "cesaro", "hardy-comm", "cesaro-comm", "rl", "weyl")
 _NORMS = ("lp", "morrey", "cmo")
 _EXPERIMENTS = ("lebesgue", "morrey", "commutator", "cesaro")
@@ -122,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             metavar="Q", help="symbol exponents q_i")
 
     sp = sub.add_parser("constant", help="compute a sharp constant")
-    sp.add_argument("family", choices=_CONSTANT_FAMILIES)
+    sp.add_argument("family", choices=tuple(_FAMILIES))
     sp.add_argument("--weight", required=True, help="weight spec")
     exponents(sp, q=True)
     sp.add_argument("--axes", type=int, nargs="+", default=None,
@@ -275,6 +274,21 @@ def _record(args, result, error_estimate, converged, verdict=None) -> dict:
     }
 
 
+def _emit_quadrature(args, res: QuadratureResult) -> int:
+    _emit(_record(args, _quadrature_dict(res), res.abs_error_estimate, res.converged))
+    return 0
+
+
+def _emit_report(args, rep: SharpnessReport) -> int:
+    record = _record(args, _report_dict(rep), None, True, rep.verdict)
+    rows = [
+        (p, v, rep.sweep_errors[i] if i < len(rep.sweep_errors) else None)
+        for i, (p, v) in enumerate(rep.sweep)
+    ]
+    _emit(record, rows, args.csv)
+    return 0 if rep.passed() else 1
+
+
 def _parse_weight(args):
     weight = parse_weight_spec(args.weight, default_m=getattr(args, "m", None))
     if getattr(args, "m", None) is not None and weight.arity != args.m:
@@ -296,12 +310,7 @@ def _cmd_constant(args) -> int:
         args.shift,
         args.truncation,
     )
-    res = spec.compute(tol=args.tol, seed=args.seed)
-    record = _record(
-        args, _quadrature_dict(res), res.abs_error_estimate, res.converged
-    )
-    _emit(record)
-    return 0
+    return _emit_quadrature(args, spec.compute(tol=args.tol, seed=args.seed))
 
 
 def _cmd_apply(args) -> int:
@@ -324,11 +333,7 @@ def _cmd_apply(args) -> int:
             "cesaro-comm": cesaro_commutator_apply,
         }[args.operator]
         res = apply_fn(req)
-    record = _record(
-        args, _quadrature_dict(res), res.abs_error_estimate, res.converged
-    )
-    _emit(record)
-    return 0
+    return _emit_quadrature(args, res)
 
 
 def _cmd_norm(args) -> int:
@@ -361,13 +366,10 @@ def _cmd_sharpness(args) -> int:
     config = _config_from_args(args)
     eps = tuple(args.eps) if args.eps else None
     workers = _workers()
-    if args.experiment == "lebesgue":
-        rep = lebesgue_sharpness_sweep(
-            weight, config, eps or (1e-1, 1e-2, 1e-3, 1e-4),
-            tol=args.experiment_tol or 2e-2, quad_tol=args.tol, workers=workers,
-        )
-    elif args.experiment == "cesaro":
-        rep = cesaro_sharpness_sweep(
+    if args.experiment in ("lebesgue", "cesaro"):
+        sweep = (lebesgue_sharpness_sweep if args.experiment == "lebesgue"
+                 else cesaro_sharpness_sweep)
+        rep = sweep(
             weight, config, eps or (1e-1, 1e-2, 1e-3, 1e-4),
             tol=args.experiment_tol or 2e-2, quad_tol=args.tol, workers=workers,
         )
@@ -379,22 +381,13 @@ def _cmd_sharpness(args) -> int:
         rep = commutator_pointwise_check(
             weight, config, tol=args.experiment_tol or 1e-6, quad_tol=args.tol
         )
-    record = _record(args, _report_dict(rep), None, True, rep.verdict)
-    rows = [
-        (p, v, rep.sweep_errors[i] if i < len(rep.sweep_errors) else None)
-        for i, (p, v) in enumerate(rep.sweep)
-    ]
-    _emit(record, rows, args.csv)
-    return 0 if rep.passed() else 1
+    return _emit_report(args, rep)
 
 
 def _cmd_counterexample(args) -> int:
     rep = counterexample_report(args.alpha, args.n, args.p, tuple(args.delta),
                                 quad_tol=args.tol)
-    record = _record(args, _report_dict(rep), None, True, rep.verdict)
-    rows = [(p, v, None) for p, v in rep.sweep]
-    _emit(record, rows, args.csv)
-    return 0 if rep.passed() else 1
+    return _emit_report(args, rep)
 
 
 def _cmd_oscillation(args) -> int:
@@ -403,13 +396,7 @@ def _cmd_oscillation(args) -> int:
         weight, tuple(args.axes), tuple(args.r), tol=args.decay_tol,
         quad_tol=max(args.tol, 1e-10), workers=_workers(),
     )
-    record = _record(args, _report_dict(rep), None, True, rep.verdict)
-    rows = [
-        (p, v, rep.sweep_errors[i] if i < len(rep.sweep_errors) else None)
-        for i, (p, v) in enumerate(rep.sweep)
-    ]
-    _emit(record, rows, args.csv)
-    return 0 if rep.passed() else 1
+    return _emit_report(args, rep)
 
 
 _HANDLERS = {

@@ -4,13 +4,13 @@ Every constant in this package is a cube integral of the form
 
     int_{(0,1)^m} prod_i t_i**e_i * w(t) * prod_{i in E} log(shift/t_i) dt
 
-for a family-specific exponent vector:
+for a family-specific exponent vector, read from one family table:
 
 * ``lebesgue_constant``:        e_i = -n/p_i        (L^p operator norm)
 * ``morrey_constant``:          e_i = n*lambda_i    (central Morrey norm)
 * ``log_moment_constant``:      e_i = n*lambda_i, log factors on E
 * ``cesaro_lebesgue_constant``: e_i = -n(1 - 1/p_i)
-* ``cesaro_log_constant``:      e_i = -n*lambda_i - n, log factors on all axes
+* ``cesaro_log_constant``:      e_i = -n*lambda_i - n, log(2/t_i) on all axes
 
 A per-axis exponent at or below -1 (after adding the weight's endpoint
 exponent) makes the integral diverge; such calls return a structured
@@ -32,17 +32,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import (
-    CornerBehavior,
-    EndpointBehavior,
-    QuadratureResult,
-    gamma,
-    integrate_halfline,
-    integrate_unit_cube,
-    integrate_unit_interval,
-)
+from .numerics import EndpointBehavior, QuadratureResult, integrate_unit_cube
 from .spaces import ExponentConfig
-from .weights import Weight
+from .weights import (
+    Weight,
+    _integrate_in_s,
+    _log_t,
+    _weighted,
+    constant_weight,
+    counterexample_weight,
+    riemann_liouville_weight,
+)
 
 __all__ = [
     "ConstantSpec",
@@ -56,6 +56,16 @@ __all__ = [
 ]
 
 _BORDER_EPS = 1e-12
+
+# family -> (per-axis exponent e_i(n, p_i, lambda_i), log axes, log shift);
+# "given" log axes and a None shift are the caller's
+_FAMILIES = {
+    "lebesgue": (lambda n, p, lam: -n / p, "none", 1.0),
+    "morrey": (lambda n, p, lam: n * lam, "none", 1.0),
+    "log-moment": (lambda n, p, lam: n * lam, "given", None),
+    "cesaro-lebesgue": (lambda n, p, lam: -n * (1.0 - 1.0 / p), "none", 1.0),
+    "cesaro-log": (lambda n, p, lam: -n * lam - n, "all", 2.0),
+}
 
 
 def weighted_moment(
@@ -105,38 +115,23 @@ def weighted_moment(
 def _log_factors(ts, ss, log_axes, log_shift):
     acc = None
     for i in log_axes:
-        # log(c/t) = log(c) - log(t), with log(t) = log1p(-s) exact near 1
-        term = math.log(log_shift) - np.log1p(-ss[i - 1])
+        term = math.log(log_shift) - _log_t(ts[i - 1], ss[i - 1])
         acc = term if acc is None else acc * term
     return acc
 
 
 def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol, seed=0):
     m = weight.arity
-    w_pair = weight.pair
 
-    def integrand_pair(ts, ss):
+    def factor(ts, ss):
         acc = ts[0] ** exponents[0]
-        for t, e in zip(ts[1:], exponents[1:]):
-            acc = acc * t**e
-        acc = acc * w_pair(ts, ss)
+        for i in range(1, m):
+            acc = acc * ts[i] ** exponents[i]
         if log_axes:
             acc = acc * _log_factors(ts, ss, log_axes, log_shift)
         return acc
 
-    corner = None
-    if weight.corner is not None:
-        w_smooth = weight.corner.smooth_factor
-
-        def smooth(*ss):
-            acc = w_smooth(*ss)
-            for s, e in zip(ss, exponents):
-                acc = acc * (1.0 - s) ** e
-            if log_axes:
-                acc = acc * _log_factors(None, ss, log_axes, log_shift)
-            return acc
-
-        corner = CornerBehavior(weight.corner.exponent, smooth)
+    integrand_pair, corner = _weighted(weight, factor)
 
     # under truncation the zero end is outside the domain, so its declared
     # exponent is irrelevant (and may be <= -1 for deliberately divergent
@@ -202,6 +197,7 @@ def _log_substituted_moment(weight, exponent, with_log, log_shift, truncation, t
             vals = vals * (shift_log + s)
         return vals
 
+    tail = None
     if truncation == 0.0:
         if rate < -_BORDER_EPS:
             return QuadratureResult.divergent(
@@ -213,31 +209,8 @@ def _log_substituted_moment(weight, exponent, with_log, log_shift, truncation, t
                 return QuadratureResult.divergent(
                     f"substituted tail exponent {tail:g} is not integrable"
                 )
-            return integrate_halfline(
-                integrand,
-                tol=tol,
-                zero_exponent=lf.zero_exponent,
-                tail_exponent=tail,
-                breakpoints=[1.0],
-            )
-        return integrate_halfline(
-            integrand,
-            tol=tol,
-            zero_exponent=lf.zero_exponent,
-            breakpoints=[1.0],
-        )
-
-    s_max = math.log(1.0 / truncation)
-
-    def scaled(u):
-        return integrand(s_max * u) * s_max
-
-    return integrate_unit_interval(
-        scaled,
-        EndpointBehavior(lf.zero_exponent, 0.0),
-        tol=tol,
-        breakpoints=[1.0 / s_max] if s_max > 1.0 else (),
-    )
+    s_max = math.log(1.0 / truncation) if truncation > 0.0 else math.inf
+    return _integrate_in_s(lf, integrand, 0.0, s_max, tol, [1.0], tail)
 
 
 def _check_arity(weight: Weight, config: ExponentConfig) -> None:
@@ -245,6 +218,26 @@ def _check_arity(weight: Weight, config: ExponentConfig) -> None:
         raise ValueError(
             f"weight arity {weight.arity} does not match config m={config.m}"
         )
+
+
+def _family_exponents(family: str, config: ExponentConfig) -> list[float]:
+    exponent = _FAMILIES[family][0]
+    return [exponent(config.n, p, lam) for p, lam in zip(config.p_i, config.lambda_i)]
+
+
+def _family_constant(family, weight, config, truncation, tol, seed, log_axes=(), log_shift=1.0):
+    """The moment of `family`, with the log axes and shift of its table row."""
+    _check_arity(weight, config)
+    _, axes, shift = _FAMILIES[family]
+    return weighted_moment(
+        weight,
+        _family_exponents(family, config),
+        log_axes={"none": (), "given": log_axes, "all": range(1, config.m + 1)}[axes],
+        log_shift=log_shift if shift is None else shift,
+        truncation=truncation,
+        tol=tol,
+        seed=seed,
+    )
 
 
 def lebesgue_constant(
@@ -255,9 +248,7 @@ def lebesgue_constant(
     seed: int = 0,
 ) -> QuadratureResult:
     """L^p-product operator norm: int prod t_i**(-n/p_i) w(t) dt."""
-    _check_arity(weight, config)
-    e = [-config.n / p for p in config.p_i]
-    return weighted_moment(weight, e, truncation=truncation, tol=tol, seed=seed)
+    return _family_constant("lebesgue", weight, config, truncation, tol, seed)
 
 
 def morrey_constant(
@@ -268,9 +259,7 @@ def morrey_constant(
     seed: int = 0,
 ) -> QuadratureResult:
     """Central-Morrey operator norm: int prod t_i**(n*lambda_i) w(t) dt."""
-    _check_arity(weight, config)
-    e = [config.n * lam for lam in config.lambda_i]
-    return weighted_moment(weight, e, truncation=truncation, tol=tol, seed=seed)
+    return _family_constant("morrey", weight, config, truncation, tol, seed)
 
 
 def log_moment_constant(
@@ -288,11 +277,8 @@ def log_moment_constant(
     plain log moment, shift 2 the shifted one; a single axis gives the
     mixed moments that appear in the bilinear expansion.
     """
-    _check_arity(weight, config)
-    e = [config.n * lam for lam in config.lambda_i]
-    return weighted_moment(
-        weight, e, log_axes=log_axes, log_shift=log_shift,
-        truncation=truncation, tol=tol, seed=seed,
+    return _family_constant(
+        "log-moment", weight, config, truncation, tol, seed, log_axes, log_shift
     )
 
 
@@ -304,9 +290,7 @@ def cesaro_lebesgue_constant(
     seed: int = 0,
 ) -> QuadratureResult:
     """Cesaro-side L^p operator norm: int prod t_i**(-n(1-1/p_i)) w(t) dt."""
-    _check_arity(weight, config)
-    e = [-config.n * (1.0 - 1.0 / p) for p in config.p_i]
-    return weighted_moment(weight, e, truncation=truncation, tol=tol, seed=seed)
+    return _family_constant("cesaro-lebesgue", weight, config, truncation, tol, seed)
 
 
 def cesaro_log_constant(
@@ -317,17 +301,16 @@ def cesaro_log_constant(
     seed: int = 0,
 ) -> QuadratureResult:
     """Cesaro commutator constant: int prod t_i**(-n*lambda_i-n) w log(2/t_i)."""
-    _check_arity(weight, config)
-    e = [-config.n * lam - config.n for lam in config.lambda_i]
-    return weighted_moment(
-        weight,
-        e,
-        log_axes=range(1, config.m + 1),
-        log_shift=2.0,
-        truncation=truncation,
-        tol=tol,
-        seed=seed,
-    )
+    return _family_constant("cesaro-log", weight, config, truncation, tol, seed)
+
+
+# kind -> (the weight whose `closed_forms` holds it, built from alpha;
+# whether the kind takes p; whether it takes alpha)
+_CLOSED_FORMS = {
+    "hardy": (lambda alpha: constant_weight(1.0), True, False),
+    "riemann_liouville": (riemann_liouville_weight, True, True),
+    "counterexample_A": (lambda alpha: counterexample_weight(alpha, 1, 2.0), False, True),
+}
 
 
 def closed_form(kind: str, *, p: Optional[float] = None,
@@ -335,26 +318,18 @@ def closed_form(kind: str, *, p: Optional[float] = None,
     """Exact reference values for the classically known cases.
 
     kinds: ``hardy`` -> p/(p-1); ``riemann_liouville`` ->
-    Gamma(1-1/p)/Gamma(1+alpha-1/p); ``counterexample_A`` -> 2/alpha.
+    Gamma(1-1/p)/Gamma(1+alpha-1/p); ``counterexample_A`` -> 2/alpha,
+    each the ``lebesgue_constant`` entry of its weight's `closed_forms`.
     """
-    if kind == "hardy":
-        if p is None or not p > 1.0:
-            raise ValueError("hardy closed form requires p > 1")
-        return p / (p - 1.0)
-    if kind == "riemann_liouville":
-        if p is None or not p > 1.0:
-            raise ValueError("riemann_liouville closed form requires p > 1")
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ValueError("riemann_liouville closed form requires alpha in (0,1)")
-        return gamma(1.0 - 1.0 / p) / gamma(1.0 + alpha - 1.0 / p)
-    if kind == "counterexample_A":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ValueError("counterexample_A closed form requires alpha in (0,1)")
-        return 2.0 / alpha
-    raise ValueError(f"unknown closed form kind {kind!r}")
-
-
-_FAMILIES = ("lebesgue", "morrey", "log-moment", "cesaro-lebesgue", "cesaro-log")
+    if kind not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form kind {kind!r}")
+    build, takes_p, takes_alpha = _CLOSED_FORMS[kind]
+    if takes_p and (p is None or not p > 1.0):
+        raise ValueError(f"{kind} closed form requires p > 1")
+    if takes_alpha and (alpha is None or not 0.0 < alpha < 1.0):
+        raise ValueError(f"{kind} closed form requires alpha in (0,1)")
+    value = build(alpha).closed_forms["lebesgue_constant"]
+    return value(p) if takes_p else value
 
 
 @dataclass(frozen=True)
@@ -370,29 +345,13 @@ class ConstantSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
+            raise ValueError(f"family must be one of {tuple(_FAMILIES)}")
         _check_arity(self.weight, self.config)
         if self.family == "log-moment" and not self.log_axes:
             raise ValueError("log-moment family requires at least one log axis")
 
     def compute(self, tol: float = 1e-10, seed: int = 0) -> QuadratureResult:
-        if self.family == "lebesgue":
-            return lebesgue_constant(
-                self.weight, self.config, self.truncation, tol, seed
-            )
-        if self.family == "morrey":
-            return morrey_constant(
-                self.weight, self.config, self.truncation, tol, seed
-            )
-        if self.family == "log-moment":
-            return log_moment_constant(
-                self.weight, self.config, self.log_axes, self.log_shift,
-                self.truncation, tol, seed,
-            )
-        if self.family == "cesaro-lebesgue":
-            return cesaro_lebesgue_constant(
-                self.weight, self.config, self.truncation, tol, seed
-            )
-        return cesaro_log_constant(
-            self.weight, self.config, self.truncation, tol, seed
+        return _family_constant(
+            self.family, self.weight, self.config, self.truncation, tol, seed,
+            self.log_axes, self.log_shift,
         )

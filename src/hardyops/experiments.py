@@ -36,13 +36,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import reduce
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import (
-    cesaro_lebesgue_constant,
-    closed_form,
+    _family_constant,
+    _family_exponents,
     lebesgue_constant,
     log_moment_constant,
     morrey_constant,
@@ -66,7 +68,7 @@ from .spaces import (
     power,
     unit_sphere_volume,
 )
-from .weights import Weight, counterexample_weight
+from .weights import Weight, _weighted, counterexample_weight
 
 __all__ = [
     "SharpnessReport",
@@ -112,16 +114,6 @@ class SharpnessReport:
 
     def passed(self) -> bool:
         return self.verdict == SHARP_CONFIRMED
-
-
-def _moment_on_box(
-    weight: Weight,
-    exponents: Sequence[float],
-    cut: float,
-    tol: float,
-) -> QuadratureResult:
-    """int over (cut,1)^m of prod t_i**e_i * w(t)."""
-    return weighted_moment(weight, exponents, truncation=cut, tol=tol)
 
 
 def _richardson(entries: Sequence[tuple[float, float]], kappa: float) -> float:
@@ -177,6 +169,51 @@ def _sweep_report(
                            sweep_errors=errors)
 
 
+def _sharpness_sweep(
+    family: str,
+    cut_of: Callable[[float], float],
+    note: str,
+    weight: Weight,
+    config: ExponentConfig,
+    eps_sequence: Sequence[float],
+    tol: float,
+    quad_tol: float,
+    workers: int,
+) -> SharpnessReport:
+    """Lower-bound sweep against the `family` constant.
+
+    For each eps the extremal family gives the bound ``c**(p_m eps/p) *
+    int_{(c,1)^m} prod t_i**(e_i - eps_i) w dt`` with the family's
+    exponents e_i, eps_i = (p_m/p_i) eps and the cut c = cut_of(eps).
+    """
+    if weight.arity != config.m:
+        raise ValueError("weight arity does not match config")
+    if any(not 0.0 < e < 0.5 for e in eps_sequence):
+        raise ValueError("eps values must lie in (0, 1/2)")
+    target = _family_constant(family, weight, config, 0.0, quad_tol, 0)
+    p, p_m = config.p, config.p_i[-1]
+    exponents = _family_exponents(family, config)
+
+    def point(eps):
+        cut = cut_of(eps)
+        expo = [e - (p_m / pi) * eps for e, pi in zip(exponents, config.p_i)]
+        res = weighted_moment(weight, expo, truncation=cut, tol=quad_tol)
+        prefactor = cut ** (p_m * eps / p)
+        return (
+            (eps, prefactor * res.value, res.converged),
+            prefactor * res.abs_error_estimate,
+        )
+
+    results = _ordered_map(point, sorted(eps_sequence, reverse=True), workers)
+    entries = [r[0] for r in results]
+    errors = [r[1] for r in results]
+    # the domain-truncation deficit scales like eps**(1 + e_i + beta0_i)
+    # per axis (the shift and prefactor contribute ~ eps log eps)
+    kappa = min(1.0 + e + b.exponent_at_zero for e, b in zip(exponents, weight.behaviors))
+    kappa = min(max(kappa, 0.05), 1.0)
+    return _sweep_report(target, entries, kappa, tol, note, errors)
+
+
 def lebesgue_sharpness_sweep(
     weight: Weight,
     config: ExponentConfig,
@@ -191,35 +228,10 @@ def lebesgue_sharpness_sweep(
     ``(sqrt(2) eps/2)**(p_m eps/p) * int_{(c,1)^m} prod t**(-n/p_i-eps_i)
     w dt`` with c = sqrt(2) eps / 2 and eps_i = (p_m/p_i) eps.
     """
-    if weight.arity != config.m:
-        raise ValueError("weight arity does not match config")
-    if any(not 0.0 < e < 0.5 for e in eps_sequence):
-        raise ValueError("eps values must lie in (0, 1/2)")
-    target = lebesgue_constant(weight, config, tol=quad_tol)
-    n, p, p_m = config.n, config.p, config.p_i[-1]
-
-    def point(eps):
-        eps_i = [(p_m / pi) * eps for pi in config.p_i]
-        cut = math.sqrt(2.0) * eps / 2.0
-        expo = [-n / pi - ei for pi, ei in zip(config.p_i, eps_i)]
-        res = _moment_on_box(weight, expo, cut, quad_tol)
-        prefactor = cut ** (p_m * eps / p)
-        return (
-            (eps, prefactor * res.value, res.converged),
-            prefactor * res.abs_error_estimate,
-        )
-
-    results = _ordered_map(point, sorted(eps_sequence, reverse=True), workers)
-    entries = [r[0] for r in results]
-    errors = [r[1] for r in results]
-    # the domain-truncation deficit scales like eps**(1 + e_i + beta0_i)
-    # per axis (the shift and prefactor contribute ~ eps log eps)
-    kappa = min(
-        1.0 + (-n / pi) + b.exponent_at_zero
-        for pi, b in zip(config.p_i, weight.behaviors)
+    return _sharpness_sweep(
+        "lebesgue", lambda eps: math.sqrt(2.0) * eps / 2.0, "",
+        weight, config, eps_sequence, tol, quad_tol, workers,
     )
-    kappa = min(max(kappa, 0.05), 1.0)
-    return _sweep_report(target, entries, kappa, tol, "", errors)
 
 
 def cesaro_sharpness_sweep(
@@ -238,33 +250,11 @@ def cesaro_sharpness_sweep(
     t**(-n(1-1/p_i)-eps_i) w dt``.  The construction is a reconstruction
     (no closed extremal family is classical here) and the report says so.
     """
-    if weight.arity != config.m:
-        raise ValueError("weight arity does not match config")
-    if any(not 0.0 < e < 0.5 for e in eps_sequence):
-        raise ValueError("eps values must lie in (0, 1/2)")
-    note = "extremal family reconstructed by duality from the Hardy-side sweep"
-    target = cesaro_lebesgue_constant(weight, config, tol=quad_tol)
-    n, p, p_m = config.n, config.p, config.p_i[-1]
-
-    def point(eps):
-        eps_i = [(p_m / pi) * eps for pi in config.p_i]
-        expo = [-n * (1.0 - 1.0 / pi) - ei for pi, ei in zip(config.p_i, eps_i)]
-        res = _moment_on_box(weight, expo, eps, quad_tol)
-        prefactor = eps ** (p_m * eps / p)
-        return (
-            (eps, prefactor * res.value, res.converged),
-            prefactor * res.abs_error_estimate,
-        )
-
-    results = _ordered_map(point, sorted(eps_sequence, reverse=True), workers)
-    entries = [r[0] for r in results]
-    errors = [r[1] for r in results]
-    kappa = min(
-        1.0 - n * (1.0 - 1.0 / pi) + b.exponent_at_zero
-        for pi, b in zip(config.p_i, weight.behaviors)
+    return _sharpness_sweep(
+        "cesaro-lebesgue", lambda eps: eps,
+        "extremal family reconstructed by duality from the Hardy-side sweep",
+        weight, config, eps_sequence, tol, quad_tol, workers,
     )
-    kappa = min(max(kappa, 0.05), 1.0)
-    return _sweep_report(target, entries, kappa, tol, note, errors)
 
 
 def _power_morrey_closed(lam: float, p: float, n: int) -> float:
@@ -393,7 +383,7 @@ def counterexample_report(
     weight = counterexample_weight(alpha, n, p)
     config = ExponentConfig(n, (p,))
     a_res = lebesgue_constant(weight, config, tol=quad_tol)
-    a_closed = closed_form("counterexample_A", alpha=alpha)
+    a_closed = weight.closed_forms["lebesgue_constant"]
     details = [f"plain moment {a_res.value:.10g} vs closed {a_closed:.10g}"]
     if not a_res.converged or abs(a_res.value - a_closed) / a_closed > 1e-6:
         return SharpnessReport(
@@ -459,20 +449,17 @@ def oscillation_decay_check(
     rs = sorted(float(r) for r in r_sequence)
     if rs[0] <= 0:
         raise ValueError("r values must be positive")
-    w_pair = weight.pair
 
     def point(r):
-        def integrand_pair(ts, ss, _r=r):
-            acc = w_pair(ts, ss)
-            for i in axes:
-                acc = acc * np.sin(math.pi * _r * ts[i - 1])
-            return acc
+        def factor(ts, ss):
+            return reduce(mul, (np.sin(math.pi * r * ts[i - 1]) for i in axes))
 
+        integrand_pair, corner = _weighted(weight, factor)
         return r, integrate_unit_cube(
             None,
             weight.behaviors,
             tol=quad_tol,
-            corner=weight.corner,
+            corner=corner,
             uniform_panels=max(8, int(math.ceil(r))),
             f_pair=integrand_pair,
         )
@@ -505,10 +492,20 @@ def oscillation_decay_check(
 # ---------------------------------------------------------------------------
 
 
-def _radial_pairing(outer: RadialFunction, inner_values, nodes, weights, n: int) -> float:
-    wn = unit_sphere_volume(n)
+def _radial_pairing(outer, inner, apply, weight, n, lo, tail, edges, quad_tol) -> float:
+    """<outer, A inner> = w_n int_lo^inf outer(r) (A inner)(r) r^(n-1) dr.
+
+    The outer integral is a fixed graded rule pinned at the support
+    `edges`; the values of A come from the pointwise `apply`.
+    """
+    bps = [x for x in edges if lo < x < math.inf]
+    nodes, weights = _halfline_nodes(lo, tail, 20, 14, bps)
+    inner_values = np.array(
+        [apply(OperatorRequest(weight, (inner,), float(r), n, tol=quad_tol)).value
+         for r in nodes]
+    )
     vals = outer.fn(nodes) * inner_values * nodes ** (n - 1)
-    return wn * float(vals @ weights)
+    return unit_sphere_volume(n) * float(vals @ weights)
 
 
 def _halfline_nodes(
@@ -569,15 +566,7 @@ def duality_check(
     # <g, H_w f>: the averaging window empties below f's lower edge, so
     # the integrand is supported on r > max(g_lo, f_lo)
     lo = max(g_lo, f_lo, 1e-12)
-    bps = [x for x in (f_lo, f_hi, g_hi) if lo < x < math.inf]
-    r1, w1 = _halfline_nodes(lo, tail, 20, 14, bps)
-    hv = np.array(
-        [
-            hardy_apply(OperatorRequest(weight, (f,), float(r), n, tol=quad_tol)).value
-            for r in r1
-        ]
-    )
-    lhs = _radial_pairing(g, hv, r1, w1, n)
+    lhs = _radial_pairing(g, f, hardy_apply, weight, n, lo, tail, (f_lo, f_hi, g_hi), quad_tol)
 
     # <f, G_w g>: supported on f's support; the Cesaro window kinks at
     # g's edges.  G_w g keeps g's power tail while int t^(-a-n) w
@@ -586,13 +575,5 @@ def duality_check(
         raise ValueError("Cesaro average of g diverges pointwise; pairing ill-posed")
     tail = fa + ga_ + n - 1.0
     lo = max(f_lo, 1e-12)
-    bps = [x for x in (g_lo, g_hi, f_hi) if lo < x < math.inf]
-    r2, w2 = _halfline_nodes(lo, tail, 20, 14, bps)
-    gv = np.array(
-        [
-            cesaro_apply(OperatorRequest(weight, (g,), float(r), n, tol=quad_tol)).value
-            for r in r2
-        ]
-    )
-    rhs = _radial_pairing(f, gv, r2, w2, n)
+    rhs = _radial_pairing(f, g, cesaro_apply, weight, n, lo, tail, (g_lo, g_hi, f_hi), quad_tol)
     return lhs, rhs

@@ -136,25 +136,9 @@ class QuadratureResult:
 # gamma function
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's tabulation).
-# Relative error is a few 1e-15 over the positive real axis, comfortably
-# below the 1e-12 this package relies on for weight normalizations.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma function on the positive real axis.
+    """Gamma function on the positive real axis (`math.gamma`).
 
     Raises ValueError for x <= 0 (poles and the negative axis are not
     supported; nothing here needs them).
@@ -162,15 +146,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +334,11 @@ def integrate_unit_interval(
     """
     behavior = behavior or EndpointBehavior()
     umap = _UnitMap(behavior)
+    fp = f_pair if f_pair is not None else (lambda t, s: f(t))
 
-    if f_pair is not None:
-
-        def F(u: np.ndarray) -> np.ndarray:
-            t, s, dt = umap.forward(u)
-            return np.asarray(f_pair(t, s), dtype=float) * dt
-
-    else:
-
-        def F(u: np.ndarray) -> np.ndarray:
-            t, _, dt = umap.forward(u)
-            return np.asarray(f(t), dtype=float) * dt
+    def F(u: np.ndarray) -> np.ndarray:
+        t, s, dt = umap.forward(u)
+        return np.asarray(fp(t, s), dtype=float) * dt
 
     edges = {0.0, 0.5, 1.0}
     for bp in breakpoints:

@@ -24,22 +24,16 @@ through the quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import reduce
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import (
-    CornerBehavior,
-    EndpointBehavior,
-    QuadratureResult,
-    gamma,
-    integrate_halfline,
-    integrate_unit_cube,
-    integrate_unit_interval,
-)
+from .numerics import EndpointBehavior, QuadratureResult, gamma, integrate_unit_cube
 from .spaces import RadialFunction
-from .weights import Weight
+from .weights import Weight, _integrate_in_s, _weighted
 
 __all__ = [
     "OperatorRequest",
@@ -77,7 +71,7 @@ class OperatorRequest:
             raise ValueError("dimension n must be >= 1")
 
 
-class _Axis:
+class _Axis(NamedTuple):
     """Integration data for one t_i axis: box edges, exponents, kinks.
 
     `certain` marks exponents derived from a descriptor; only those are
@@ -86,52 +80,39 @@ class _Axis:
     quadrature non-convergence instead).
     """
 
-    def __init__(self, lo, hi, zero_exp, one_exp, breakpoints=(), certain=True):
-        self.lo = lo
-        self.hi = hi
-        self.zero_exp = zero_exp
-        self.one_exp = one_exp
-        self.breakpoints = tuple(breakpoints)
-        self.certain = certain
+    lo: float
+    hi: float
+    zero_exp: float
+    one_exp: float
+    breakpoints: tuple = ()
+    certain: bool = True
 
 
-def _hardy_axis(f: RadialFunction, r: float, weight_beh: EndpointBehavior) -> _Axis:
-    """Support and endpoint exponents of t -> f(t r) against the weight axis."""
-    d = f.descriptor
-    if d is None:
-        return _Axis(
-            0.0,
-            1.0,
-            weight_beh.exponent_at_zero,
-            weight_beh.exponent_at_one,
-            tuple(b / r for b in f.breakpoints if 0.0 < b / r < 1.0),
-        )
-    lo = min(d.r_min / r, 1.0)
-    hi = min(d.r_max / r, 1.0)
-    zero = weight_beh.exponent_at_zero + (d.exponent if lo == 0.0 else 0.0)
-    return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
+def _pull(r: float, cesaro: bool):
+    """x -> the t whose argument (t r, or r/t on the Cesaro side) is x."""
+    if cesaro:
+        return lambda x: r / x if x > 0.0 else math.inf
+    return lambda x: x / r
 
 
-def _cesaro_axis(
-    f: RadialFunction, r: float, n: int, weight_beh: EndpointBehavior
+def _axis(
+    f: RadialFunction, r: float, n: float, weight_beh: EndpointBehavior, cesaro: bool
 ) -> _Axis:
-    """Support and exponents of t -> f(r/t) t^-n against the weight axis."""
+    """Support and exponents of t -> f(t r), or f(r/t) t^-n, on the weight axis."""
+    pull = _pull(r, cesaro)
     d = f.descriptor
     if d is None:
-        # unknown decay of f at infinity: hint the raw t^-n growth capped
-        # at an integrable exponent, and let the quadrature decide
-        bps = tuple(r / b for b in f.breakpoints if 0.0 < r / b < 1.0)
-        return _Axis(
-            0.0,
-            1.0,
-            max(weight_beh.exponent_at_zero - n, -0.9),
-            weight_beh.exponent_at_one,
-            bps,
-            certain=False,
-        )
-    lo = min(r / d.r_max, 1.0)  # r/t < r_max  <=>  t > r/r_max
-    hi = min(r / d.r_min, 1.0) if d.r_min > 0.0 else 1.0
-    zero = weight_beh.exponent_at_zero + (-d.exponent - n if lo == 0.0 else 0.0)
+        bps = tuple(pull(b) for b in f.breakpoints if 0.0 < pull(b) < 1.0)
+        if cesaro:
+            # unknown decay of f at infinity: hint the raw t^-n growth capped
+            # at an integrable exponent, and let the quadrature decide
+            zero = max(weight_beh.exponent_at_zero - n, -0.9)
+            return _Axis(0.0, 1.0, zero, weight_beh.exponent_at_one, bps, certain=False)
+        return _Axis(0.0, 1.0, weight_beh.exponent_at_zero, weight_beh.exponent_at_one, bps)
+    # r/t < r_max  <=>  t > r/r_max on the Cesaro side
+    lo, hi = sorted(min(pull(b), 1.0) for b in (d.r_min, d.r_max))
+    f_exp = (-d.exponent - n if cesaro else d.exponent) if lo == 0.0 else 0.0
+    zero = weight_beh.exponent_at_zero + f_exp
     return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
 
 
@@ -155,43 +136,13 @@ def _integrate_log_axis(weight: Weight, ax: _Axis, factor, tol: float) -> Quadra
         return factor(t) * lf.branch(s) * np.exp(-decay * s)
 
     bps = [1.0] + [-math.log(b) for b in ax.breakpoints if 0.0 < b < 1.0]
-    if s_hi == math.inf:
-
-        def shifted(u):
-            return g(u + s_lo)
-
-        return integrate_halfline(
-            shifted,
-            tol=tol,
-            zero_exponent=lf.zero_exponent if s_lo == 0.0 else 0.0,
-            breakpoints=[b - s_lo for b in bps if b > s_lo],
-        )
-
-    span = s_hi - s_lo
-
-    def scaled(u):
-        return g(s_lo + span * u) * span
-
-    return integrate_unit_interval(
-        scaled,
-        EndpointBehavior(lf.zero_exponent if s_lo == 0.0 else 0.0, 0.0),
-        tol=tol,
-        breakpoints=[(b - s_lo) / span for b in bps if s_lo < b < s_hi],
-    )
+    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps)
 
 
 def _integrate_axes(
-    weight: Weight,
-    axes: Sequence[_Axis],
-    factor,
-    factor_near_one,
-    tol: float,
+    weight: Weight, axes: Sequence[_Axis], factor, tol: float
 ) -> QuadratureResult:
-    """Integrate factor(t) * w(t) over the product of axis boxes.
-
-    `factor_near_one(s...)` evaluates factor at t = 1 - s for the corner
-    route (None disables corner handling even if the weight has one).
-    """
+    """Integrate factor(t) * w(t) over the product of axis boxes."""
     for ax in axes:
         if ax.lo >= ax.hi:
             return QuadratureResult(0.0, 0.0, 1, True, "empty support")
@@ -202,20 +153,7 @@ def _integrate_axes(
     if weight.arity == 1 and weight.log_form is not None:
         return _integrate_log_axis(weight, axes[0], factor, tol)
 
-    w_pair = weight.pair
-
-    def integrand_pair(ts, ss):
-        return factor(*ts) * w_pair(ts, ss)
-
-    corner = None
-    if weight.corner is not None and factor_near_one is not None:
-        w_smooth = weight.corner.smooth_factor
-
-        def smooth(*ss):
-            return factor_near_one(*ss) * w_smooth(*ss)
-
-        corner = CornerBehavior(weight.corner.exponent, smooth)
-
+    integrand_pair, corner = _weighted(weight, lambda ts, ss: factor(*ts))
     behaviors = [EndpointBehavior(ax.zero_exp, ax.one_exp) for ax in axes]
     box = ([ax.lo for ax in axes], [ax.hi for ax in axes])
     if all(ax.lo == 0.0 and ax.hi == 1.0 for ax in axes):
@@ -231,17 +169,45 @@ def _integrate_axes(
     )
 
 
-def _symbol_factor(symbols, r, arguments):
-    """prod_i (b_i(r) - b_i(argument_i)) as a pointwise array factor."""
+def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureResult:
+    """Shared body of the Hardy and Cesaro averages and their commutators.
+
+    The two sides differ in the argument map (t r or r/t), the t^-n
+    factor and the axis supports; a commutator multiplies in the symbol
+    product ``prod_i (b_i(r) - b_i(argument_i))`` and pins its kinks.
+    """
+    if commutator and req.symbols is None:
+        raise ValueError("commutator evaluation requires symbols")
+    if not commutator and req.symbols is not None:
+        side = "cesaro" if cesaro else "hardy"
+        raise ValueError(f"symbols present; use {side}_commutator_apply")
+    r, n = req.radius, req.n
+    arg = (lambda t: r / t) if cesaro else (lambda t: t * r)
+    pull = _pull(r, cesaro)
+    axes = [
+        _axis(f, r, n, b, cesaro) for f, b in zip(req.functions, req.weight.behaviors)
+    ]
+    if commutator:
+        axes = [
+            ax._replace(breakpoints=ax.breakpoints + tuple(
+                pull(x) for x in b.breakpoints if ax.lo < pull(x) < ax.hi
+            ))
+            for ax, b in zip(axes, req.symbols)
+        ]
+
+    def term(f, t):
+        return f.fn(arg(t)) * t ** (-float(n)) if cesaro else f.fn(arg(t))
 
     def factor(*ts):
-        acc = None
-        for b, arg in zip(symbols, arguments):
-            diff = b.fn(np.asarray(r, dtype=float)) - b.fn(arg(*ts))
-            acc = diff if acc is None else acc * diff
+        acc = reduce(mul, map(term, req.functions, ts))
+        if commutator:
+            acc = acc * reduce(mul, (
+                b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))
+                for b, t in zip(req.symbols, ts)
+            ))
         return acc
 
-    return factor
+    return _integrate_axes(req.weight, axes, factor, req.tol)
 
 
 def hardy_apply(req: OperatorRequest) -> QuadratureResult:
@@ -249,26 +215,7 @@ def hardy_apply(req: OperatorRequest) -> QuadratureResult:
 
     Returns ``int prod_i f_i(t_i r) w(t) dt`` over the unit cube.
     """
-    if req.symbols is not None:
-        raise ValueError("symbols present; use hardy_commutator_apply")
-    r = req.radius
-    axes = [
-        _hardy_axis(f, r, b) for f, b in zip(req.functions, req.weight.behaviors)
-    ]
-
-    def factor(*ts):
-        acc = req.functions[0].fn(ts[0] * r)
-        for f, t in zip(req.functions[1:], ts[1:]):
-            acc = acc * f.fn(t * r)
-        return acc
-
-    def factor_near_one(*ss):
-        acc = req.functions[0].fn((1.0 - ss[0]) * r)
-        for f, s in zip(req.functions[1:], ss[1:]):
-            acc = acc * f.fn((1.0 - s) * r)
-        return acc
-
-    return _integrate_axes(req.weight, axes, factor, factor_near_one, req.tol)
+    return _apply(req, cesaro=False, commutator=False)
 
 
 def cesaro_apply(req: OperatorRequest) -> QuadratureResult:
@@ -276,98 +223,61 @@ def cesaro_apply(req: OperatorRequest) -> QuadratureResult:
 
     Returns ``int prod_i f_i(r/t_i) t_i^-n w(t) dt`` over the unit cube.
     """
-    if req.symbols is not None:
-        raise ValueError("symbols present; use cesaro_commutator_apply")
-    r, n = req.radius, req.n
-    axes = [
-        _cesaro_axis(f, r, n, b)
-        for f, b in zip(req.functions, req.weight.behaviors)
-    ]
-
-    def factor(*ts):
-        acc = req.functions[0].fn(r / ts[0]) * ts[0] ** (-float(n))
-        for f, t in zip(req.functions[1:], ts[1:]):
-            acc = acc * f.fn(r / t) * t ** (-float(n))
-        return acc
-
-    def factor_near_one(*ss):
-        acc = None
-        for f, s in zip(req.functions, ss):
-            t = 1.0 - s
-            term = f.fn(r / t) * t ** (-float(n))
-            acc = term if acc is None else acc * term
-        return acc
-
-    return _integrate_axes(req.weight, axes, factor, factor_near_one, req.tol)
+    return _apply(req, cesaro=True, commutator=False)
 
 
 def hardy_commutator_apply(req: OperatorRequest) -> QuadratureResult:
     """Hardy average with symbol factors prod_i (b_i(r) - b_i(t_i r))."""
-    if req.symbols is None:
-        raise ValueError("commutator evaluation requires symbols")
-    r = req.radius
-    axes = []
-    for f, b, wb in zip(req.functions, req.symbols, req.weight.behaviors):
-        ax = _hardy_axis(f, r, wb)
-        sym_bps = tuple(x / r for x in b.breakpoints if ax.lo < x / r < ax.hi)
-        axes.append(_Axis(ax.lo, ax.hi, ax.zero_exp, ax.one_exp,
-                          ax.breakpoints + sym_bps, ax.certain))
-
-    def plain(*ts):
-        acc = req.functions[0].fn(ts[0] * r)
-        for f, t in zip(req.functions[1:], ts[1:]):
-            acc = acc * f.fn(t * r)
-        return acc
-
-    args = [
-        (lambda *ts, _i=i: ts[_i] * r) for i in range(len(req.functions))
-    ]
-    sym = _symbol_factor(req.symbols, r, args)
-
-    def factor(*ts):
-        return plain(*ts) * sym(*ts)
-
-    def factor_near_one(*ss):
-        ts = tuple(1.0 - s for s in ss)
-        return plain(*ts) * sym(*ts)
-
-    return _integrate_axes(req.weight, axes, factor, factor_near_one, req.tol)
+    return _apply(req, cesaro=False, commutator=True)
 
 
 def cesaro_commutator_apply(req: OperatorRequest) -> QuadratureResult:
     """Cesaro average with symbol factors prod_i (b_i(r) - b_i(r/t_i))."""
-    if req.symbols is None:
-        raise ValueError("commutator evaluation requires symbols")
-    r, n = req.radius, req.n
-    axes = []
-    for f, b, wb in zip(req.functions, req.symbols, req.weight.behaviors):
-        ax = _cesaro_axis(f, r, n, wb)
-        sym_bps = tuple(
-            r / x for x in b.breakpoints if ax.lo < r / x < ax.hi
+    return _apply(req, cesaro=True, commutator=True)
+
+
+def _fractional_apply(
+    alpha: float, f: RadialFunction, x: float, tol: float, right: bool
+) -> QuadratureResult:
+    """Shared body of the left- and right-sided fractional integrals.
+
+    Both become ``x**(a-k)/Gamma(a) * int_0^1 f(arg(u)) (1-u)**(a-1)
+    u**(-k) du`` with arg(u) = x u, k = 0 on the left and arg(u) = x/u,
+    k = a on the right.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    if not x > 0.0:
+        raise ValueError("x must be positive")
+    ga = gamma(alpha)
+    ax = _axis(f, x, 0, EndpointBehavior(0.0, alpha - 1.0), right)
+    if ax.lo >= ax.hi:
+        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
+    # the u**(-a) of the right side is part of the integrand at u = 0
+    zero_exp = ax.zero_exp - alpha if right else ax.zero_exp
+    if not zero_exp > -1.0:
+        return QuadratureResult.divergent(
+            "input tail not integrable against the kernel" if right
+            else "input not integrable at the origin"
         )
-        axes.append(_Axis(ax.lo, ax.hi, ax.zero_exp, ax.one_exp,
-                          ax.breakpoints + sym_bps, ax.certain))
 
-    def plain(*ts):
-        acc = None
-        for f, t in zip(req.functions, ts):
-            term = f.fn(r / t) * t ** (-float(n))
-            acc = term if acc is None else acc * term
-        return acc
+    def integrand_pair(ts, ss):
+        u = ts[0]
+        val = f.fn(x / u if right else x * u) * ss[0] ** (alpha - 1.0)
+        return (val * u ** (-alpha) if right else val) / ga
 
-    args = [
-        (lambda *ts, _i=i: r / ts[_i]) for i in range(len(req.functions))
-    ]
-    sym = _symbol_factor(req.symbols, r, args)
-
-    def factor(*ts):
-        return plain(*ts) * sym(*ts)
-
-    def factor_near_one(*ss):
-        ts = tuple(1.0 - s for s in ss)
-        return plain(*ts) * sym(*ts)
-
-    return _integrate_axes(req.weight, axes, factor, factor_near_one, req.tol)
+    res = integrate_unit_cube(
+        None,
+        [EndpointBehavior(zero_exp, ax.one_exp)],
+        tol=tol,
+        box=([ax.lo], [ax.hi]) if (ax.lo, ax.hi) != (0.0, 1.0) else None,
+        axis_breakpoints=[ax.breakpoints],
+        f_pair=integrand_pair,
+    )
+    scale = x ** (alpha - 1.0) if right else x**alpha
+    return replace(
+        res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale
+    )
 
 
 def riemann_liouville_apply(
@@ -379,42 +289,7 @@ def riemann_liouville_apply(
     value satisfies ``I_a f(x) = x**a * (Hardy average with the
     fractional weight)``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    ga = gamma(alpha)
-    d = f.descriptor
-    lo, hi, zero_exp = 0.0, 1.0, 0.0
-    bps: tuple[float, ...] = tuple(b / x for b in f.breakpoints if 0.0 < b / x < 1.0)
-    if d is not None:
-        lo, hi = min(d.r_min / x, 1.0), min(d.r_max / x, 1.0)
-        zero_exp = d.exponent if lo == 0.0 else 0.0
-        bps = ()
-    if lo >= hi:
-        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
-    if not zero_exp > -1.0:
-        return QuadratureResult.divergent("input not integrable at the origin")
-
-    def integrand_pair(ts, ss):
-        return f.fn(x * ts[0]) * ss[0] ** (alpha - 1.0) / ga
-
-    res = integrate_unit_cube(
-        None,
-        [EndpointBehavior(zero_exp, alpha - 1.0 if hi == 1.0 else 0.0)],
-        tol=tol,
-        box=([lo], [hi]) if (lo, hi) != (0.0, 1.0) else None,
-        axis_breakpoints=[bps],
-        f_pair=integrand_pair,
-    )
-    scale = x**alpha
-    return QuadratureResult(
-        res.value * scale,
-        res.abs_error_estimate * scale,
-        res.evaluations,
-        res.converged,
-        res.diagnosis,
-    )
+    return _fractional_apply(alpha, f, x, tol, right=False)
 
 
 def weyl_apply(
@@ -429,42 +304,4 @@ def weyl_apply(
     so that ``(.)**(1-a) J_a f`` is the Cesaro average with the
     complementary fractional weight.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    ga = gamma(alpha)
-    d = f.descriptor
-    lo, hi, zero_extra = 0.0, 1.0, 0.0
-    bps: tuple[float, ...] = tuple(x / b for b in f.breakpoints if 0.0 < x / b < 1.0)
-    if d is not None:
-        lo = min(x / d.r_max, 1.0)
-        hi = min(x / d.r_min, 1.0) if d.r_min > 0.0 else 1.0
-        zero_extra = -d.exponent if lo == 0.0 else 0.0
-        bps = ()
-    if lo >= hi:
-        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
-    zero_exp = zero_extra - alpha
-    if not zero_exp > -1.0:
-        return QuadratureResult.divergent("input tail not integrable against the kernel")
-
-    def integrand_pair(ts, ss):
-        u = ts[0]
-        return f.fn(x / u) * ss[0] ** (alpha - 1.0) * u ** (-alpha) / ga
-
-    res = integrate_unit_cube(
-        None,
-        [EndpointBehavior(zero_exp, alpha - 1.0 if hi == 1.0 else 0.0)],
-        tol=tol,
-        box=([lo], [hi]) if (lo, hi) != (0.0, 1.0) else None,
-        axis_breakpoints=[bps],
-        f_pair=integrand_pair,
-    )
-    scale = x ** (alpha - 1.0)
-    return QuadratureResult(
-        res.value * scale,
-        res.abs_error_estimate * scale,
-        res.evaluations,
-        res.converged,
-        res.diagnosis,
-    )
+    return _fractional_apply(alpha, f, x, tol, right=True)

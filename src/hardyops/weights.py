@@ -1,10 +1,17 @@
 """Weight functions on the open unit cube, with singularity metadata.
 
-A `Weight` bundles a nonnegative vectorized evaluator on ``(0,1)**m``
+A `Weight` bundles one nonnegative vectorized evaluator on ``(0,1)**m``
 with the machine-readable facts the quadrature layer needs: per-axis
 endpoint exponents, an optional corner singularity at ``(1,...,1)``, and
 an optional logarithmic substitution form for weights whose natural
 variable is ``s = log(1/t)``.
+
+The evaluator is in pair form, ``pair(ts, ss)``: it receives the nodes
+together with their complements ``ss = 1 - ts`` (the quadrature maps
+form both exactly) and takes every quantity from the side that is
+exact, ``t`` where ``t <= 1/2`` and ``s`` above, so no value loses
+precision next to either endpoint.  Calling a weight on plain
+coordinates forms the complements first.
 
 Constructors cover the families used throughout the package:
 
@@ -23,12 +30,21 @@ Euclidean; the choice is recorded in the label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .numerics import CornerBehavior, EndpointBehavior, gamma
+from .numerics import (
+    CornerBehavior,
+    EndpointBehavior,
+    QuadratureResult,
+    _euclid_arrays,
+    gamma,
+    integrate_halfline,
+    integrate_unit_interval,
+)
 
 __all__ = [
     "Weight",
@@ -58,34 +74,57 @@ class LogSubstitution:
     tail_exponent: float
 
 
+def _integrate_in_s(
+    lf: LogSubstitution, g, s_lo: float, s_hi: float, tol: float,
+    breakpoints: Sequence[float], tail_exponent: Optional[float] = None,
+) -> QuadratureResult:
+    """int_{s_lo}^{s_hi} g(s) ds for an integrand in the log variable of `lf`.
+
+    `s_hi` may be infinite; `lf.zero_exponent` describes g at s = 0.
+    """
+    zero = lf.zero_exponent if s_lo == 0.0 else 0.0
+    if s_hi == math.inf:
+        return integrate_halfline(
+            lambda u: g(u + s_lo),
+            tol=tol,
+            zero_exponent=zero,
+            tail_exponent=tail_exponent,
+            breakpoints=[b - s_lo for b in breakpoints if b > s_lo],
+        )
+    span = s_hi - s_lo
+    return integrate_unit_interval(
+        lambda u: g(s_lo + span * u) * span,
+        EndpointBehavior(zero, 0.0),
+        tol=tol,
+        breakpoints=[(b - s_lo) / span for b in breakpoints if s_lo < b < s_hi],
+    )
+
+
 @dataclass(frozen=True)
 class Weight:
     """Nonnegative weight on (0,1)**m with declared endpoint behavior.
 
-    `fn_pair(ts, ss)` evaluates the weight from nodes and their exact
-    complements ``ss = 1 - ts``; weights singular at t = 1 provide it so
-    quadrature keeps full precision arbitrarily close to that endpoint.
+    `pair(ts, ss)` is the only evaluator.  It receives the nodes and
+    their complements ``ss = 1 - ts`` and reads each quantity from the
+    exact side: from ``t`` where ``t <= 1/2``, from ``s`` above (for
+    example ``log t`` is ``log(t)`` on the left half and ``log1p(-s)``
+    on the right), so quadrature keeps full precision arbitrarily close
+    to both endpoints.  ``w(*ts)`` forms ``ss`` itself.
     """
 
     arity: int
-    fn: Callable[..., np.ndarray]
+    pair: Callable[[tuple, tuple], np.ndarray]
     behaviors: tuple[EndpointBehavior, ...]
     label: str
     closed_forms: Mapping[str, object] = field(default_factory=dict)
     corner: Optional[CornerBehavior] = None
     log_form: Optional[LogSubstitution] = None
-    fn_pair: Optional[Callable[[tuple, tuple], np.ndarray]] = None
 
     def __call__(self, *ts) -> np.ndarray:
         if len(ts) != self.arity:
             raise TypeError(f"{self.label} takes {self.arity} coordinates, got {len(ts)}")
-        return self.fn(*(np.asarray(t, dtype=float) for t in ts))
-
-    @property
-    def pair(self) -> Callable[[tuple, tuple], np.ndarray]:
-        if self.fn_pair is not None:
-            return self.fn_pair
-        return lambda ts, ss: self.fn(*ts)
+        ts = tuple(np.asarray(t, dtype=float) for t in ts)
+        return self.pair(ts, tuple(1.0 - t for t in ts))
 
     def __post_init__(self):
         if self.arity < 1:
@@ -102,36 +141,78 @@ class Weight:
         grids = list(np.meshgrid(*([pts] * min(self.arity, 3))))
         if self.arity > 3:
             grids += [np.full_like(grids[0], 0.5)] * (self.arity - 3)
-        vals = self.fn(*grids)
+        vals = self(*grids)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{self.label}: non-finite value on probe grid")
         if np.any(vals < 0):
             raise ValueError(f"{self.label}: negative value on probe grid")
 
 
-def _euclid(*vs) -> np.ndarray:
-    acc = vs[0] * vs[0]
-    for v in vs[1:]:
-        acc = acc + v * v
-    return np.sqrt(acc)
+class _Complements:
+    """The complements 1 - ss, one axis at a time, so no slab is held twice."""
+
+    def __init__(self, ss):
+        self.ss = ss
+
+    def __getitem__(self, i):
+        return 1.0 - self.ss[i]
+
+
+def _weighted(weight: Weight, factor) -> tuple:
+    """The pair integrand ``factor(ts, ss) * w`` and its corner form.
+
+    The corner route evaluates the same factor at ``t = 1 - s``, so an
+    integrand never loses its factor inside the corner box; there `ts`
+    supports indexing and unpacking, not slicing.
+    """
+    w_pair = weight.pair
+    corner = None
+    if weight.corner is not None:
+        w_smooth = weight.corner.smooth_factor
+
+        def smooth(*ss):
+            return factor(_Complements(ss), ss) * w_smooth(*ss)
+
+        corner = CornerBehavior(weight.corner.exponent, smooth)
+    return (lambda ts, ss: factor(ts, ss) * w_pair(ts, ss)), corner
+
+
+def _check_order(alpha: float, m: int) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 0.0 < alpha < m:
+        raise ValueError(f"alpha must lie in (0,{m}), got {alpha}")
+
+
+def _log_t(t, s) -> np.ndarray:
+    """log t from the exact side: log(t) for t <= 1/2, log1p(-s) above."""
+    with np.errstate(divide="ignore"):
+        return np.where(t <= 0.5, np.log(t), np.log1p(-s))
 
 
 def constant_weight(c: float, m: int = 1) -> Weight:
-    """w == c on (0,1)**m; all endpoint exponents are 0."""
+    """w == c on (0,1)**m; all endpoint exponents are 0.
+
+    For m = 1 the Hardy constant c p/(p-1) is stored in `closed_forms`
+    as a function of p.
+    """
     if c < 0:
         raise ValueError("constant weight must be nonnegative")
     if m < 1:
         raise ValueError("m must be >= 1")
     c = float(c)
 
-    def fn(*ts):
-        return np.full(np.broadcast_shapes(*(np.shape(t) for t in ts)), c)
+    def lebesgue_closed_form(p: float) -> float:
+        if not p > 1.0:
+            raise ValueError("p must exceed 1")
+        return c * p / (p - 1.0)
 
     return Weight(
         arity=m,
-        fn=fn,
+        pair=lambda ts, ss: np.full(np.broadcast_shapes(*map(np.shape, ts)), c),
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"const:{c:g}",
+        closed_forms={"lebesgue_constant": lebesgue_closed_form} if m == 1 else {},
     )
 
 
@@ -142,12 +223,8 @@ def riemann_liouville_weight(alpha: float) -> Weight:
     fractional-averaging constant Gamma(1-1/p) / Gamma(1+a-1/p) (n = 1),
     stored in `closed_forms` as a function of p.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_order(alpha, 1)
     ga = gamma(alpha)
-
-    def fn(t):
-        return (1.0 - t) ** (alpha - 1.0) / ga
 
     def lebesgue_closed_form(p: float) -> float:
         if not p > 1.0:
@@ -156,11 +233,10 @@ def riemann_liouville_weight(alpha: float) -> Weight:
 
     return Weight(
         arity=1,
-        fn=fn,
+        pair=lambda ts, ss: ss[0] ** (alpha - 1.0) / ga,
         behaviors=(EndpointBehavior(0.0, alpha - 1.0),),
         label=f"rl:{alpha:g}",
         closed_forms={"lebesgue_constant": lebesgue_closed_form},
-        fn_pair=lambda ts, ss: ss[0] ** (alpha - 1.0) / ga,
     )
 
 
@@ -173,42 +249,24 @@ def multilinear_riesz_weight(alpha: float, m: int) -> Weight:
     corner are flat, so the declared axis exponents are 0 and the
     corner is carried separately.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 < alpha < m:
-        raise ValueError(f"alpha must lie in (0,{m}), got {alpha}")
+    _check_order(alpha, m)
     if m == 1:
-        w = riemann_liouville_weight(alpha)
-        return Weight(
-            arity=1,
-            fn=w.fn,
-            behaviors=w.behaviors,
-            label=f"riesz:{alpha:g}:1",
-            closed_forms=w.closed_forms,
-            fn_pair=w.fn_pair,
-        )
+        return replace(riemann_liouville_weight(alpha), label=f"riesz:{alpha:g}:1")
     ga = gamma(alpha)
     expo = alpha - float(m)
-
-    def fn(*ts):
-        return _euclid(*(1.0 - t for t in ts)) ** expo / ga
-
     corner = None
     if expo < 0.0:
-
-        def smooth(*ss):
-            # w(1-s) * |s|**(m-a) is exactly 1/Gamma(a)
-            return np.full(np.broadcast_shapes(*(np.shape(s) for s in ss)), 1.0 / ga)
-
-        corner = CornerBehavior(expo, smooth)
+        # w(1-s) * |s|**(m-a) is exactly 1/Gamma(a)
+        corner = CornerBehavior(
+            expo, lambda *ss: np.full(np.broadcast_shapes(*map(np.shape, ss)), 1.0 / ga)
+        )
 
     return Weight(
         arity=m,
-        fn=fn,
+        pair=lambda ts, ss: _euclid_arrays(ss) ** expo / ga,
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"riesz:{alpha:g}:{m} (euclidean)",
         corner=corner,
-        fn_pair=lambda ts, ss: _euclid(*ss) ** expo / ga,
     )
 
 
@@ -220,12 +278,8 @@ def weyl_weight(alpha: float) -> Weight:
     the Beta closed form Gamma(1+1/p-a) / Gamma(1+1/p), stored in
     `closed_forms` as a function of p.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_order(alpha, 1)
     ga = gamma(alpha)
-
-    def fn(t):
-        return (1.0 / t - 1.0) ** (alpha - 1.0) / ga
 
     def cesaro_closed_form(p: float) -> float:
         if not p > 1.0:
@@ -234,11 +288,11 @@ def weyl_weight(alpha: float) -> Weight:
 
     return Weight(
         arity=1,
-        fn=fn,
+        # 1/t - 1 = s/t
+        pair=lambda ts, ss: (ss[0] / ts[0]) ** (alpha - 1.0) / ga,
         behaviors=(EndpointBehavior(1.0 - alpha, alpha - 1.0),),
         label=f"weyl:{alpha:g}",
         closed_forms={"cesaro_lebesgue_constant": cesaro_closed_form},
-        fn_pair=lambda ts, ss: (ss[0] / ts[0]) ** (alpha - 1.0) / ga,
     )
 
 
@@ -249,47 +303,27 @@ def multilinear_cesaro_weight(alpha: float, m: int) -> Weight:
     (1/t - 1 ~ 1 - t there); near any t_i = 0 the norm blows up, so the
     weight vanishes like t_i**(m-a) per axis.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 < alpha < m:
-        raise ValueError(f"alpha must lie in (0,{m}), got {alpha}")
+    _check_order(alpha, m)
     if m == 1:
-        w = weyl_weight(alpha)
-        return Weight(
-            arity=1,
-            fn=w.fn,
-            behaviors=w.behaviors,
-            label=f"cesaro:{alpha:g}:1",
-            closed_forms=w.closed_forms,
-            fn_pair=w.fn_pair,
-        )
+        return replace(weyl_weight(alpha), label=f"cesaro:{alpha:g}:1")
     ga = gamma(alpha)
     expo = alpha - float(m)
-
-    def fn(*ts):
-        return _euclid(*(1.0 / t - 1.0 for t in ts)) ** expo / ga
-
-    def fn_pair(ts, ss):
-        # 1/t - 1 = s/t, formed from the exact complement
-        return _euclid(*(s / t for s, t in zip(ss, ts))) ** expo / ga
-
     corner = None
     if expo < 0.0:
 
         def smooth(*ss):
             # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0
-            ratio = _euclid(*ss) / _euclid(*(s / (1.0 - s) for s in ss))
+            ratio = _euclid_arrays(ss) / _euclid_arrays([s / (1.0 - s) for s in ss])
             return ratio ** (-expo) / ga
 
         corner = CornerBehavior(expo, smooth)
 
     return Weight(
         arity=m,
-        fn=fn,
+        pair=lambda ts, ss: _euclid_arrays([s / t for s, t in zip(ss, ts)]) ** expo / ga,
         behaviors=(EndpointBehavior(float(m) - alpha, 0.0),) * m,
         label=f"cesaro:{alpha:g}:{m} (euclidean)",
         corner=corner,
-        fn_pair=fn_pair,
     )
 
 
@@ -307,8 +341,7 @@ def counterexample_weight(alpha: float, n: int, p: float) -> Weight:
     in `closed_forms`, while the corresponding log moment diverges like
     ``(log 1/delta)**(1-a)`` under truncation at delta.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_order(alpha, 1)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not p > 1.0:
@@ -322,19 +355,13 @@ def counterexample_weight(alpha: float, n: int, p: float) -> Weight:
             hi = s ** (-1.0 - alpha)
         return np.where(s == 0.0, 0.0, np.where(s <= 1.0, lo, hi))
 
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        s = -np.log(t)
-        return np.exp(-s * rate) * branch(s)
-
-    def fn_pair(ts, ss):
-        # log(1/t) = -log1p(-s): exact however close t is to 1
-        s_log = -np.log1p(-np.asarray(ss[0], dtype=float))
+    def pair(ts, ss):
+        s_log = -_log_t(ts[0], ss[0])
         return np.exp(-s_log * rate) * branch(s_log)
 
     return Weight(
         arity=1,
-        fn=fn,
+        pair=pair,
         behaviors=(EndpointBehavior(rate, alpha - 1.0),),
         label=f"counter:{alpha:g}:{n}:{p:g}",
         closed_forms={"lebesgue_constant": 2.0 / alpha},
@@ -344,7 +371,6 @@ def counterexample_weight(alpha: float, n: int, p: float) -> Weight:
             zero_exponent=alpha - 1.0,
             tail_exponent=-1.0 - alpha,
         ),
-        fn_pair=fn_pair,
     )
 
 

@@ -1,10 +1,13 @@
 """Sharp-constant quadratures against closed forms and identities."""
 
+import json
 import math
 
 import pytest
 
+from hardyops.cli import run
 from hardyops.constants import (
+    _FAMILIES,
     ConstantSpec,
     cesaro_lebesgue_constant,
     cesaro_log_constant,
@@ -256,3 +259,37 @@ class TestConstantSpec:
     def test_log_moment_dispatch(self):
         spec = ConstantSpec(ONE, cfg(1, 3.0, lam=(-0.25,)), "log-moment", (1,), 1.0)
         assert spec.compute().value == pytest.approx(16.0 / 9.0, rel=1e-10)
+
+
+# family -> (exponent e for n = 1, p = 4, lambda = -1/8; log shift or None)
+FAMILY_CLOSED_FORMS = {
+    "lebesgue": (-0.25, None),
+    "morrey": (-0.125, None),
+    "log-moment": (-0.125, 2.0),
+    "cesaro-lebesgue": (-0.75, None),
+    "cesaro-log": (-0.875, 2.0),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_family_table_matches_beta_closed_forms(family, capsys):
+    # const:1 at m = 1: int t**e dt = B(e+1, 1), and
+    # int t**e log(c/t) dt = log(c) B + B**2
+    assert set(FAMILY_CLOSED_FORMS) == set(_FAMILIES)
+    e, shift = FAMILY_CLOSED_FORMS[family]
+    beta = math.gamma(e + 1.0) / math.gamma(e + 2.0)
+    exact = beta if shift is None else math.log(shift) * beta + beta * beta
+    slack = 4.0 * math.ulp(exact)
+    axes = (1,) if family == "log-moment" else ()
+    res = ConstantSpec(ONE, cfg(1, 4.0, lam=(-0.125,)), family, axes, 2.0).compute()
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error_estimate + slack
+
+    argv = ["constant", family, "--weight", "const:1", "--p", "4", "--lambda", "-0.125"]
+    if family == "log-moment":
+        argv += ["--axes", "1", "--shift", "2"]
+    assert run(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["converged"]
+    assert rec["result"]["value"] == res.value
+    assert abs(rec["result"]["value"] - exact) <= rec["error_estimate"] + slack
