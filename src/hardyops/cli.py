@@ -373,14 +373,10 @@ def _cmd_sharpness(args) -> int:
             weight, config, eps or (1e-1, 1e-2, 1e-3, 1e-4),
             tol=args.experiment_tol or 2e-2, quad_tol=args.tol, workers=workers,
         )
-    elif args.experiment == "morrey":
-        rep = morrey_sharpness_check(
-            weight, config, tol=args.experiment_tol or 1e-6, quad_tol=args.tol
-        )
     else:
-        rep = commutator_pointwise_check(
-            weight, config, tol=args.experiment_tol or 1e-6, quad_tol=args.tol
-        )
+        check = (morrey_sharpness_check if args.experiment == "morrey"
+                 else commutator_pointwise_check)
+        rep = check(weight, config, tol=args.experiment_tol or 1e-6, quad_tol=args.tol)
     return _emit_report(args, rep)
 
 
@@ -417,10 +413,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         argv = _merge_params_file(argv)
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import (
+    _check_arity,
     _family_constant,
     _family_exponents,
     lebesgue_constant,
@@ -64,6 +65,7 @@ from .operators import (
 from .spaces import (
     ExponentConfig,
     RadialFunction,
+    _power_morrey_norm,
     log_radial,
     power,
     unit_sphere_volume,
@@ -116,6 +118,12 @@ class SharpnessReport:
         return self.verdict == SHARP_CONFIRMED
 
 
+def _inconclusive(target: float, sweep, note: str, **extra) -> SharpnessReport:
+    """A report whose limit and gap are unknown (NaN)."""
+    return SharpnessReport(target, tuple(sweep), math.nan, math.nan, INCONCLUSIVE, note,
+                           **extra)
+
+
 def _richardson(entries: Sequence[tuple[float, float]], kappa: float) -> float:
     """Limit of value(eps) = L - C eps**kappa from the two smallest eps."""
     (e1, v1), (e2, v2) = sorted(entries)[:2]
@@ -136,10 +144,8 @@ def _sweep_report(
     sweep = tuple((e, v) for e, v, _ in entries)
     errors = tuple(errors)
     if not target.converged or target.diagnosis is not None:
-        return SharpnessReport(
-            target.value, sweep, math.nan, math.nan, INCONCLUSIVE,
-            note or "target constant did not converge", sweep_errors=errors,
-        )
+        return _inconclusive(target.value, sweep, note or "target constant did not converge",
+                             sweep_errors=errors)
     tval = target.value
     if tval == 0.0:
         ok = all(v == 0.0 for _, v, _ in entries)
@@ -148,10 +154,8 @@ def _sweep_report(
             SHARP_CONFIRMED if ok else VIOLATED, note, sweep_errors=errors,
         )
     if any(not conv for _, _, conv in entries):
-        return SharpnessReport(
-            tval, sweep, math.nan, math.nan, INCONCLUSIVE,
-            note or "a sweep point did not converge", sweep_errors=errors,
-        )
+        return _inconclusive(tval, sweep, note or "a sweep point did not converge",
+                             sweep_errors=errors)
     if any(v > tval * (1.0 + _OVERSHOOT) for _, v, _ in entries):
         return SharpnessReport(
             tval, sweep, math.nan, math.inf, VIOLATED,
@@ -186,8 +190,7 @@ def _sharpness_sweep(
     int_{(c,1)^m} prod t_i**(e_i - eps_i) w dt`` with the family's
     exponents e_i, eps_i = (p_m/p_i) eps and the cut c = cut_of(eps).
     """
-    if weight.arity != config.m:
-        raise ValueError("weight arity does not match config")
+    _check_arity(weight, config)
     if any(not 0.0 < e < 0.5 for e in eps_sequence):
         raise ValueError("eps values must lie in (0, 1/2)")
     target = _family_constant(family, weight, config, 0.0, quad_tol, 0)
@@ -257,9 +260,30 @@ def cesaro_sharpness_sweep(
     )
 
 
-def _power_morrey_closed(lam: float, p: float, n: int) -> float:
-    wn = unit_sphere_volume(n)
-    return (wn / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
+def _power_family(apply, weight, config, target, radii, quad_tol, as_ratio, symbols=None):
+    """Values of `apply` on the powers ``r**(n lambda_i)``, over ``r**(n lambda)``.
+
+    For balanced exponents ``ratio(v)`` scales v by the quotient of the
+    closed-form Morrey norms (else `ratio` is None); the entries hold
+    ``ratio(v)`` when `as_ratio`.  Returns ``(entries, ratio, report)``,
+    `report` being the inconclusive one when a quadrature did not converge.
+    """
+    n, ratio = config.n, None
+    if config.balanced:
+        numer = _power_morrey_norm(config.lam, config.p, n)
+        denom = math.prod(
+            _power_morrey_norm(lam, p, n) for lam, p in zip(config.lambda_i, config.p_i)
+        )
+        ratio = lambda v: v * numer / denom
+    funcs = tuple(power(n * lam) for lam in config.lambda_i)
+    entries, ok = [], target.converged
+    for r in radii:
+        res = apply(OperatorRequest(weight, funcs, r, n, symbols=symbols, tol=quad_tol))
+        ok = ok and res.converged
+        value = res.value / r ** (n * config.lam)
+        entries.append((r, ratio(value) if as_ratio else value))
+    report = None if ok else _inconclusive(target.value, entries, "quadrature did not converge")
+    return entries, ratio, report
 
 
 def morrey_sharpness_check(
@@ -275,31 +299,16 @@ def morrey_sharpness_check(
     norm ratio computed through the operator quadrature and closed-form
     norms must coincide with the Morrey constant.
     """
-    if weight.arity != config.m:
-        raise ValueError("weight arity does not match config")
+    _check_arity(weight, config)
     config.require_strict_morrey()
     if not config.balanced:
         raise ValueError(
             "morrey sharpness requires the balanced exponents lambda_i p_i all equal"
         )
     target = morrey_constant(weight, config, tol=quad_tol)
-    funcs = tuple(power(config.n * lam) for lam in config.lambda_i)
-    numer_factor = _power_morrey_closed(config.lam, config.p, config.n)
-    denom = 1.0
-    for lam, p in zip(config.lambda_i, config.p_i):
-        denom *= _power_morrey_closed(lam, p, config.n)
-    entries = []
-    ok = True
-    for r in radii:
-        res = hardy_apply(OperatorRequest(weight, funcs, r, config.n, tol=quad_tol))
-        ok = ok and res.converged
-        ratio = (res.value / r ** (config.n * config.lam)) * numer_factor / denom
-        entries.append((r, ratio))
-    if not target.converged or not ok:
-        return SharpnessReport(
-            target.value, tuple(entries), math.nan, math.nan, INCONCLUSIVE,
-            "quadrature did not converge",
-        )
+    entries, _, report = _power_family(hardy_apply, weight, config, target, radii, quad_tol, True)
+    if report is not None:
+        return report
     gap = max(abs(v - target.value) / target.value for _, v in entries)
     verdict = SHARP_CONFIRMED if gap <= tol else INCONCLUSIVE
     if any(v > target.value * (1.0 + max(_OVERSHOOT, tol)) for _, v in entries):
@@ -324,37 +333,22 @@ def commutator_pointwise_check(
     the identity is checked across the given radii, and (when balanced)
     the Morrey norm ratio must equal the same constant.
     """
-    if weight.arity != config.m:
-        raise ValueError("weight arity does not match config")
+    _check_arity(weight, config)
     config.require_strict_morrey()
     target = log_moment_constant(weight, config, range(1, config.m + 1), 1.0,
                                  tol=quad_tol)
-    funcs = tuple(power(config.n * lam) for lam in config.lambda_i)
     symbols = tuple(log_radial() for _ in range(config.m))
-    entries = []
-    ok = True
-    details = []
-    for r in radii:
-        res = hardy_commutator_apply(
-            OperatorRequest(weight, funcs, r, config.n, symbols=symbols,
-                            tol=quad_tol)
-        )
-        ok = ok and res.converged
-        entries.append((r, res.value / r ** (config.n * config.lam)))
-    if not target.converged or not ok:
-        return SharpnessReport(
-            target.value, tuple(entries), math.nan, math.nan, INCONCLUSIVE,
-            "quadrature did not converge",
-        )
+    entries, ratio, report = _power_family(
+        hardy_commutator_apply, weight, config, target, radii, quad_tol, False, symbols
+    )
+    if report is not None:
+        return report
     gap = max(abs(v - target.value) / target.value for _, v in entries)
-    if config.balanced:
-        numer_factor = _power_morrey_closed(config.lam, config.p, config.n)
-        denom = 1.0
-        for lam, p in zip(config.lambda_i, config.p_i):
-            denom *= _power_morrey_closed(lam, p, config.n)
-        ratio = entries[-1][1] * numer_factor / denom
-        gap = max(gap, abs(ratio - target.value) / target.value)
-        details.append(f"balanced norm ratio {ratio:.12g}")
+    details = []
+    if ratio is not None:
+        balanced = ratio(entries[-1][1])
+        gap = max(gap, abs(balanced - target.value) / target.value)
+        details.append(f"balanced norm ratio {balanced:.12g}")
     verdict = SHARP_CONFIRMED if gap <= tol else INCONCLUSIVE
     return SharpnessReport(
         target.value, tuple(entries), entries[-1][1], gap, verdict,
@@ -398,10 +392,8 @@ def counterexample_report(
         b_res = log_moment_constant(weight, config, (1,), 1.0, truncation=d,
                                     tol=quad_tol)
         if not b_res.converged:
-            return SharpnessReport(
-                a_closed, tuple(entries), math.nan, math.nan, INCONCLUSIVE,
-                "truncated log moment did not converge", tuple(details),
-            )
+            return _inconclusive(a_closed, entries, "truncated log moment did not converge",
+                                 details=tuple(details))
         c_val = a_res.value * math.log(2.0) + b_res.value
         big_s = math.log(1.0 / d)
         law = (
@@ -468,10 +460,8 @@ def oscillation_decay_check(
     errors = []
     for r, res in _ordered_map(point, rs, workers):
         if not res.converged:
-            return SharpnessReport(
-                0.0, tuple(entries), math.nan, math.nan, INCONCLUSIVE,
-                f"oscillatory quadrature did not converge at r={r:g}",
-            )
+            return _inconclusive(
+                0.0, entries, f"oscillatory quadrature did not converge at r={r:g}")
         entries.append((r, abs(res.value)))
         errors.append(res.abs_error_estimate)
     decreasing = all(
@@ -499,7 +489,8 @@ def _radial_pairing(outer, inner, apply, weight, n, lo, tail, edges, quad_tol) -
     `edges`; the values of A come from the pointwise `apply`.
     """
     bps = [x for x in edges if lo < x < math.inf]
-    nodes, weights = _halfline_nodes(lo, tail, 20, 14, bps)
+    # a product with bounded support (tail -inf) needs no grading at inf
+    nodes, weights = _halfline_nodes(lo, -2.0 if tail == -math.inf else tail, 20, 14, bps)
     inner_values = np.array(
         [apply(OperatorRequest(weight, (inner,), float(r), n, tol=quad_tol)).value
          for r in nodes]
@@ -537,43 +528,46 @@ def duality_check(
 
     Computed with nested quadrature: the outer radial integral is a
     fixed graded rule, the inner operator values come from the standard
-    pointwise applies.  Inputs must be cutoff powers (their support
+    pointwise applies.  Inputs must be piecewise powers (their support
     edges pin the outer panels) or decay fast enough for the products
-    to be integrable.
+    to be integrable; a non-integrable pairing raises ValueError.
     """
     if weight.arity != 1:
         raise ValueError("the adjoint pairing is a unary-weight identity")
     beta0 = weight.behaviors[0].exponent_at_zero
 
-    def power_exp(h: RadialFunction) -> float:
-        return h.descriptor.exponent if h.descriptor is not None else -10.0
+    def support(h: RadialFunction) -> tuple[float, float, float]:
+        d = h.descriptor
+        return (-10.0, 0.0, math.inf) if d is None else (d.exponent, d.r_min, d.r_max)
 
-    def edges(h: RadialFunction) -> tuple[float, float]:
-        if h.descriptor is None:
-            return 0.0, math.inf
-        return h.descriptor.r_min, h.descriptor.r_max
+    (fa, f_lo, f_hi), (ga_, g_lo, g_hi) = support(f), support(g)
+    # decay exponents at r = inf; past a finite support edge nothing is left
+    ft = fa if f_hi == math.inf else -math.inf
+    gt = ga_ if g_hi == math.inf else -math.inf
 
-    f_lo, f_hi = edges(f)
-    g_lo, g_hi = edges(g)
-    fa, ga_ = power_exp(f), power_exp(g)
-
-    # H_w f inherits f's power tail only while the weight moment int t^a w
+    # H_w f inherits f's tail only while the weight moment int t^a w
     # converges at 0; past that the truncated moment takes over and the
     # average decays like r**(-1-beta0)
-    h_tail = fa if fa + 1.0 + beta0 > 0.0 else -(1.0 + beta0)
-    tail = ga_ + h_tail + n - 1.0
+    h_tail = ft if ft + 1.0 + beta0 > 0.0 else -(1.0 + beta0)
+    lhs_tail, rhs_tail = gt + h_tail + n - 1.0, ft + gt + n - 1.0
+    # both pairings, and G_w g itself (an integral out to u = r/t = inf
+    # of a term decaying like u**(a+n-beta0-2)), must decay faster than 1/r
+    for tail in (lhs_tail, gt + n - beta0 - 2.0, rhs_tail):
+        if not tail < -1.0:
+            raise ValueError(
+                f"pairing is not integrable: tail exponent {tail:g} "
+                f"(f ~ r**{fa:g}, g ~ r**{ga_:g})"
+            )
 
     # <g, H_w f>: the averaging window empties below f's lower edge, so
     # the integrand is supported on r > max(g_lo, f_lo)
     lo = max(g_lo, f_lo, 1e-12)
-    lhs = _radial_pairing(g, f, hardy_apply, weight, n, lo, tail, (f_lo, f_hi, g_hi), quad_tol)
+    lhs = _radial_pairing(g, f, hardy_apply, weight, n, lo, lhs_tail, (f_lo, f_hi, g_hi),
+                          quad_tol)
 
     # <f, G_w g>: supported on f's support; the Cesaro window kinks at
-    # g's edges.  G_w g keeps g's power tail while int t^(-a-n) w
-    # converges at 0 (otherwise the pairing itself is ill-posed).
-    if not -ga_ - n + beta0 > -1.0:
-        raise ValueError("Cesaro average of g diverges pointwise; pairing ill-posed")
-    tail = fa + ga_ + n - 1.0
+    # g's edges, and G_w g vanishes for r >= g_hi
     lo = max(f_lo, 1e-12)
-    rhs = _radial_pairing(f, g, cesaro_apply, weight, n, lo, tail, (g_lo, g_hi, f_hi), quad_tol)
+    rhs = _radial_pairing(f, g, cesaro_apply, weight, n, lo, rhs_tail, (g_lo, g_hi, f_hi),
+                          quad_tol)
     return lhs, rhs

@@ -737,7 +737,6 @@ def integrate_unit_cube(
     box: Optional[tuple[Sequence[float], Sequence[float]]] = None,
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
     f_pair: Optional[Callable[[tuple, tuple], np.ndarray]] = None,
-    interior_singularity: bool = False,
 ) -> QuadratureResult:
     """Integrate f over (0,1)**m with per-axis endpoint powers.
 
@@ -759,13 +758,8 @@ def integrate_unit_cube(
     interior kinks, one list per axis; `uniform_panels` enforces at
     least that many equal panels per axis, for integrands with interior
     oscillation of known scale.  Integrands that blow up on an interior
-    manifold are out of contract and must be declared via
-    `interior_singularity`, which is rejected here.
+    manifold are out of contract.
     """
-    if interior_singularity:
-        raise ValueError(
-            "interior (diagonal) singularities are not supported by this rule"
-        )
     m = len(behaviors)
     if m < 1:
         raise ValueError("need at least one axis")

@@ -316,6 +316,20 @@ def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
     return (wn * max(res.value, 0.0)) ** (1.0 / p)
 
 
+def _ball_integral(
+    g: Callable[[np.ndarray], np.ndarray], n: int, radius: float,
+    breakpoints: Sequence[float] = (), behavior: Optional[EndpointBehavior] = None,
+):
+    """int_0^1 g(R u) u^(n-1) du, with the radii `breakpoints` pinned at u = b/R."""
+    return integrate_unit_interval(
+        lambda u: g(radius * u) * u ** (n - 1),
+        behavior,
+        tol=1e-13,
+        rtol=1e-11,
+        breakpoints=[b / radius for b in breakpoints if 0.0 < b < radius],
+    )
+
+
 def _ball_average(
     f: RadialFunction, p: float, n: int, radius: float, force_quadrature: bool = False
 ) -> float:
@@ -327,23 +341,15 @@ def _ball_average(
         mass = _power_mass(p * d.exponent + n, d.r_min, min(d.r_max, radius))
         return math.inf if math.isinf(mass) else n * mass / radius**n
 
-    def integrand(u):
-        r = radius * u
-        return np.abs(f.fn(r)) ** p * u ** (n - 1)
-
     # descriptor, when present, still informs the endpoint exponent hint
     zero_exp = 0.0
     if d is not None and d.r_min == 0.0:
         zero_exp = min(p * d.exponent + n - 1.0, 0.0)
         if zero_exp <= -1.0:
             return math.inf
-    bps = [b / radius for b in f.breakpoints if 0.0 < b < radius]
-    res = integrate_unit_interval(
-        integrand,
+    res = _ball_integral(
+        lambda r: np.abs(f.fn(r)) ** p, n, radius, f.breakpoints,
         EndpointBehavior(zero_exp, 0.0),
-        tol=1e-13,
-        rtol=1e-11,
-        breakpoints=bps,
     )
     if not res.converged and res.abs_error_estimate > 1e-6 * max(abs(res.value), 1.0):
         return math.inf
@@ -391,6 +397,12 @@ def _grid_sup(bracket: Callable[[float], float]) -> float:
     return best
 
 
+def _power_morrey_norm(lam: float, p: float, n: int) -> float:
+    """Central Morrey norm of r**(n*lam): (w_n/n)**(-lam) (1 + lam p)**(-1/p)."""
+    wn = unit_sphere_volume(n)
+    return (wn / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
+
+
 def central_morrey_norm(
     f: RadialFunction, p: float, lam: float, n: int, method: str = "auto"
 ) -> float:
@@ -417,8 +429,7 @@ def central_morrey_norm(
             return math.inf  # bracket ~ R^(a - n lam) is unbounded on one side
         if 1.0 + lam * p <= 0.0:
             return math.inf  # boundary lam = -1/p: r^(-n/p) is not p-integrable
-        wn = unit_sphere_volume(n)
-        return (wn / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
+        return _power_morrey_norm(lam, p, n)
     force = method == "grid"
     return _grid_sup(lambda R: _morrey_bracket(f, p, lam, n, R, force))
 
@@ -434,19 +445,6 @@ def central_morrey_profile(
     ]
 
 
-def _radial_ball_mean(b: RadialFunction, n: int, radius: float) -> float:
-    """b_B = (n / R^n) int_0^R b(r) r^(n-1) dr."""
-
-    def integrand(u):
-        return b.fn(radius * u) * u ** (n - 1)
-
-    bps = [x / radius for x in b.breakpoints if 0.0 < x < radius]
-    res = integrate_unit_interval(
-        integrand, tol=1e-13, rtol=1e-11, breakpoints=bps
-    )
-    return n * res.value
-
-
 def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     """Central mean oscillation norm, sup over origin-centered balls.
 
@@ -457,24 +455,16 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     if not q > 1.0:
         raise ValueError("q must exceed 1")
     if b.kind == "log":
-        kink = math.exp(-1.0 / n)
-
-        def integrand(u):
-            return u ** (n - 1) * np.abs(np.log(u) + 1.0 / n) ** q
-
-        res = integrate_unit_interval(
-            integrand, tol=1e-13, rtol=1e-11, breakpoints=[kink]
+        res = _ball_integral(
+            lambda r: np.abs(np.log(r) + 1.0 / n) ** q, n, 1.0, [math.exp(-1.0 / n)]
         )
         return (n * res.value) ** (1.0 / q)
 
     def bracket(radius: float) -> float:
-        mean = _radial_ball_mean(b, n, radius)
-
-        def integrand(u):
-            return np.abs(b.fn(radius * u) - mean) ** q * u ** (n - 1)
-
-        bps = [x / radius for x in b.breakpoints if 0.0 < x < radius]
-        res = integrate_unit_interval(integrand, tol=1e-13, rtol=1e-11, breakpoints=bps)
+        mean = n * _ball_integral(b.fn, n, radius, b.breakpoints).value  # ball mean b_B
+        res = _ball_integral(
+            lambda r: np.abs(b.fn(r) - mean) ** q, n, radius, b.breakpoints
+        )
         return (n * max(res.value, 0.0)) ** (1.0 / q)
 
     return _grid_sup(bracket)

@@ -15,7 +15,7 @@ from hardyops.experiments import (
     oscillation_decay_check,
 )
 from hardyops.numerics import gamma
-from hardyops.spaces import ExponentConfig, cutoff_power
+from hardyops.spaces import ExponentConfig, cutoff_power, indicator_ball
 from hardyops.weights import (
     constant_weight,
     multilinear_riesz_weight,
@@ -94,6 +94,14 @@ class TestCommutatorCheck:
         assert rep.target == pytest.approx((64.0 / 49.0) ** 2, rel=1e-9)
         assert rep.relative_gap <= 1e-6
         assert len(rep.sweep) == 3  # three decades of radius
+        assert len(rep.details) == 1
+        assert rep.details[0].startswith("balanced norm ratio")
+
+    def test_unbalanced_has_no_norm_ratio(self):
+        rep = commutator_pointwise_check(ONE2, cfg(1, 4.0, 4.0, lam=(-0.125, -0.1)))
+        assert rep.verdict == SHARP_CONFIRMED
+        assert rep.details == ()
+        assert rep.target == pytest.approx(1.612496850572565, rel=1e-12)
 
     def test_fractional_weight_m1(self):
         rep = commutator_pointwise_check(
@@ -104,6 +112,12 @@ class TestCommutatorCheck:
     def test_strictness_enforced(self):
         with pytest.raises(ValueError):
             commutator_pointwise_check(ONE2, cfg(1, 4.0, 4.0))
+
+
+@pytest.mark.parametrize("check", [morrey_sharpness_check, commutator_pointwise_check])
+def test_arity_mismatch_names_both_numbers(check):
+    with pytest.raises(ValueError, match="arity 2 does not match config m=1"):
+        check(ONE2, cfg(1, 4.0, lam=(-0.125,)))
 
 
 class TestCounterexampleReport:
@@ -213,6 +227,29 @@ class TestDuality:
     def test_arity_validated(self):
         with pytest.raises(ValueError):
             duality_check(ONE2, cutoff_power(-0.8, 1.0), cutoff_power(-0.8, 0.5))
+
+    @pytest.mark.parametrize(
+        "f, g, exact, tol",
+        [
+            # <1_{r<2}, H r**-0.75 1_{r>1}> = 2 int_1^2 4 (r**-0.75 - 1/r) dr
+            (cutoff_power(-0.75, 1.0), indicator_ball(2.0),
+             32.0 * (2.0**0.25 - 1.0) - 8.0 * math.log(2.0), 1e-10),
+            # H 1_{r<1} = min(r, 1)/r and G 1_{r<2} = log(2/r) on r < 2
+            (indicator_ball(1.0), indicator_ball(2.0), 2.0 * (1.0 + math.log(2.0)), 1e-8),
+            # H 1_{r<1} = 1/r past r = 1, and G g = sqrt(2) on r < 2
+            (indicator_ball(1.0), cutoff_power(-0.5, 2.0), 2.0 * math.sqrt(2.0), 1e-7),
+        ],
+    )
+    def test_compact_support_pairings(self, f, g, exact, tol):
+        # a finite support edge of the outer product hides the power tail
+        lhs, rhs = duality_check(ONE, f, g)
+        assert abs(lhs - exact) <= tol
+        assert abs(rhs - exact) <= tol
+
+    def test_divergent_pairing_names_exponents(self):
+        msg = r"tail exponent -0\.75 \(f ~ r\*\*-0\.5, g ~ r\*\*-0\.25\)"
+        with pytest.raises(ValueError, match=msg):
+            duality_check(ONE, cutoff_power(-0.5, 1.0), cutoff_power(-0.25, 1.0))
 
 
 class TestSweepWorkers:

@@ -196,14 +196,6 @@ class TestUnitCube:
         r2 = integrate_unit_cube(f, beh, seed=2, budget=4096, tol=1e-2)
         assert r1.value != r2.value
 
-    def test_interior_singularity_flag_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_unit_cube(
-                lambda a, b: a + b,
-                [EndpointBehavior()] * 2,
-                interior_singularity=True,
-            )
-
 
 class TestErrorEstimateSoundness:
     """True error within 10x the reported estimate on the example set."""
