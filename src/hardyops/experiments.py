@@ -447,12 +447,14 @@ def oscillation_decay_check(
             return reduce(mul, (np.sin(math.pi * r * ts[i - 1]) for i in axes))
 
         integrand_pair, corner = _weighted(weight, factor)
+        # only the oscillating axes need panels on the scale 1/r
+        panels = max(8, int(math.ceil(r)))
         return r, integrate_unit_cube(
             None,
             weight.behaviors,
             tol=quad_tol,
             corner=corner,
-            uniform_panels=max(8, int(math.ceil(r))),
+            uniform_panels=[panels if i in axes else 0 for i in range(1, m + 1)],
             f_pair=integrand_pair,
         )
 

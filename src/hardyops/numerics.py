@@ -28,9 +28,14 @@ repeated calls are bit-identical.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
-endpoints (after the same substitutions), escalated through two or three
-refinement levels; the reported error is the difference between the last
-two levels.  For ``m >= 4`` it switches to Latin-hypercube Monte Carlo in
+endpoints (after the same substitutions).  Each axis climbs its own
+ladder of refinement rungs (dimension-adaptive, after Gerstner and
+Griebel): a step raises each axis one rung on its own, the changes
+estimate the per-axis errors, and only the axes whose change exceeds
+their share of the tolerance go up.  The reported value comes from the
+grid one rung finer on every axis that still changed, and the reported
+error is the sum of the changes, never below the rounding error of the
+sum.  For ``m >= 4`` it switches to Latin-hypercube Monte Carlo in
 the substituted coordinates, which plays the role of importance sampling:
 the map density matches the declared endpoint powers, so the weighted
 integrand is bounded and the estimator has finite variance.
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -439,20 +444,32 @@ def _axis_rule(
     return t, s, uw * dt
 
 
-_TENSOR_LEVELS = {
+# per-axis rung ladders (depth, order), coarse to fine, by dimension m
+_AXIS_RUNGS = {
     1: ((16, 12), (24, 16), (30, 20)),
-    2: ((14, 12), (20, 16), (26, 20)),
-    3: ((8, 8), (12, 10), (15, 12)),
+    2: ((8, 8), (14, 12), (20, 16), (26, 20)),
+    3: ((4, 6), (8, 8), (12, 10), (15, 12)),
 }
+
+# nodes per m = 3 slab: a slab's temporaries (2 MiB each) stay on the heap
+# of a warm process and are reused from slab to slab; 8 MiB and larger
+# ones are mapped and faulted in again on every slab
+_SLAB_NODES = 2**18
+
+# the error estimate never goes below this many ulps of the absolute sum
+_ROUNDING_ULPS = 4
 
 
 def _tensor_value(
     fp: Callable[[tuple, tuple], np.ndarray],
     rules: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[float, int]:
+) -> tuple[float, float, int]:
     """Weighted tensor sum of a pair-form integrand fp(ts, ss).
 
-    Evaluated in slabs to bound memory for m = 3.
+    Returns the sum, the sum of absolute terms (the scale of its rounding
+    error) and the node count.  The contractions stay on the calling
+    thread, and m = 3 is evaluated in slabs of the first axis to bound
+    memory.
     """
     m = len(rules)
     nodes = [r[0] for r in rules]
@@ -460,32 +477,43 @@ def _tensor_value(
     weights = [r[2] for r in rules]
     if m == 1:
         vals = np.asarray(fp((nodes[0],), (comps[0],)), dtype=float)
-        _check_finite(vals, "axis 1")
-        return float(vals @ weights[0]), nodes[0].size
-    if m == 2:
+        value = float(vals @ weights[0])
+        mass = float(np.abs(vals) @ weights[0])
+        count = vals.size
+    elif m == 2:
         ts = (nodes[0][:, None], nodes[1][None, :])
         ss = (comps[0][:, None], comps[1][None, :])
         vals = np.asarray(fp(ts, ss), dtype=float)
-        _check_finite(vals, "unit square")
-        return float(weights[0] @ vals @ weights[1]), vals.size
-    # m == 3: loop chunks of the first axis
-    total = 0.0
-    count = 0
-    shape23 = (1, nodes[1].size, nodes[2].size)
-    t2 = np.broadcast_to(nodes[1][None, :, None], shape23)
-    t3 = np.broadcast_to(nodes[2][None, None, :], shape23)
-    s2 = np.broadcast_to(comps[1][None, :, None], shape23)
-    s3 = np.broadcast_to(comps[2][None, None, :], shape23)
-    w23 = weights[1][:, None] * weights[2][None, :]
-    chunk = max(1, int(2**22 / (nodes[1].size * nodes[2].size)))
-    for start in range(0, nodes[0].size, chunk):
-        t1 = nodes[0][start : start + chunk][:, None, None]
-        s1 = comps[0][start : start + chunk][:, None, None]
-        vals = np.asarray(fp((t1, t2, t3), (s1, s2, s3)), dtype=float)
-        _check_finite(vals, "unit cube")
-        count += vals.size
-        total += float(weights[0][start : start + chunk] @ (vals * w23).sum(axis=(1, 2)))
-    return total, count
+        # einsum and numpy's own sums keep the contraction off the BLAS
+        # threads
+        rows = np.einsum("ij,j->i", vals, weights[1])
+        abs_rows = np.einsum("ij,j->i", np.abs(vals), weights[1])
+        value = float((weights[0] * rows).sum())
+        mass = float((weights[0] * abs_rows).sum())
+        count = vals.size
+    else:
+        value = mass = 0.0
+        count = 0
+        shape23 = (1, nodes[1].size, nodes[2].size)
+        t2 = np.broadcast_to(nodes[1][None, :, None], shape23)
+        t3 = np.broadcast_to(nodes[2][None, None, :], shape23)
+        s2 = np.broadcast_to(comps[1][None, :, None], shape23)
+        s3 = np.broadcast_to(comps[2][None, None, :], shape23)
+        w23 = weights[1][:, None] * weights[2][None, :]
+        chunk = max(1, _SLAB_NODES // (nodes[1].size * nodes[2].size))
+        for start in range(0, nodes[0].size, chunk):
+            t1 = nodes[0][start : start + chunk][:, None, None]
+            s1 = comps[0][start : start + chunk][:, None, None]
+            vals = np.asarray(fp((t1, t2, t3), (s1, s2, s3)), dtype=float)
+            count += vals.size
+            w1 = weights[0][start : start + chunk]
+            value += float(w1 @ np.einsum("ijk,jk->i", vals, w23))
+            mass += float(w1 @ np.einsum("ijk,jk->i", np.abs(vals), w23))
+    # rule weights are positive: the absolute sum is finite exactly when
+    # every integrand value is
+    if not math.isfinite(mass):
+        raise QuadratureError(f"integrand returned a non-finite value (m = {m} grid)")
+    return value, mass, count
 
 
 def _tensor_integrate(
@@ -494,36 +522,93 @@ def _tensor_integrate(
     tol: float,
     rtol: float,
     budget: int,
-    uniform_panels: int,
+    uniform_panels: Sequence[int],
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
 ) -> QuadratureResult:
+    """Tensor rule escalated one axis at a time (dimension-adaptive).
+
+    Every axis sits on a rung of `_AXIS_RUNGS[m]`.  A step evaluates, for
+    each axis below the top rung, the grid with that axis one rung up;
+    the change d_i is that axis's error estimate (an axis on its top rung
+    keeps its last one).  Once sum(d_i) meets the goal, the value comes
+    from the grid one rung up on every axis whose d_i is more than
+    rounding noise, with sum(d_i) as its estimate, floored at the
+    rounding error of that grid's sum.  Otherwise the axes whose d_i
+    exceeds goal / m go one rung up and the step repeats.  With m = 1
+    this is plain level escalation: the finer value, with its difference
+    to the coarser one as the estimate.
+    """
     m = len(behaviors)
     bps = axis_breakpoints or [()] * m
-    levels = _TENSOR_LEVELS[m]
-    prev = None
-    value = math.nan
-    err = math.inf
+    ladder = _AXIS_RUNGS[m]
+    top = len(ladder) - 1
+    axis_rules: dict[tuple[int, int], tuple] = {}
+    grids: dict[tuple[int, ...], tuple[float, float]] = {}
     used = 0
-    converged = False
-    for depth, order in levels:
-        rules = [
-            _axis_rule(b, depth, order, uniform_panels, bp)
-            for b, bp in zip(behaviors, bps)
-        ]
-        cost = 1
-        for r in rules:
-            cost *= r[0].size
-        if used > 0 and used + cost > budget:
-            break
-        value, n = _tensor_value(fp, rules)
+
+    def grid(level):
+        """(value, absolute sum) on a rung vector; None when over budget."""
+        nonlocal used
+        known = grids.get(level)
+        if known is not None:
+            return known
+        rules = []
+        for i, k in enumerate(level):
+            rule = axis_rules.get((i, k))
+            if rule is None:
+                depth, order = ladder[k]
+                rule = axis_rules[i, k] = _axis_rule(
+                    behaviors[i], depth, order, uniform_panels[i], bps[i]
+                )
+            rules.append(rule)
+        if used > 0 and used + math.prod([r[0].size for r in rules]) > budget:
+            return None
+        value, mass, n = _tensor_value(fp, rules)
         used += n
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(tol, rtol * abs(value)):
-                converged = True
+        grids[level] = (value, mass)
+        return grids[level]
+
+    def up(level, axes):
+        return tuple([k + 1 if i in axes else k for i, k in enumerate(level)])
+
+    level = final = (0,) * m
+    deltas = [math.inf] * m
+    converged = False
+    grid(level)
+    while True:
+        base = grids[level][0]
+        tested = [i for i in range(m) if level[i] < top]
+        finer = []
+        for i in tested:
+            g = grid(up(level, (i,)))
+            if g is None:
                 break
-        prev = value
-    return QuadratureResult(value, err if math.isfinite(err) else abs(value), used, converged)
+            finer.append(abs(g[0]))
+            deltas[i] = abs(g[0] - base)
+        if len(finer) < len(tested):
+            break  # budget spent
+        goal = max(tol, rtol * min(finer, default=abs(base)))
+        if math.fsum(deltas) <= goal:
+            converged = True
+            # an axis whose d_i is rounding noise gains nothing one rung up;
+            # when every axis is, the last test grid (already summed) serves
+            noise = _ROUNDING_ULPS * math.ulp(grids[level][1])
+            moved = up(level, [i for i in tested if deltas[i] > noise] or tested[-1:])
+            if grid(moved) is not None:
+                final = moved
+            break
+        raised = up(level, [i for i in tested if deltas[i] > goal / m])
+        if raised == level or grid(raised) is None:
+            break
+        level = final = raised
+    value, mass = grids[final]
+    estimate = math.fsum(deltas)
+    if not math.isfinite(estimate):
+        estimate = abs(value)
+    estimate = max(estimate, _ROUNDING_ULPS * math.ulp(mass))
+    if converged:
+        converged = estimate <= max(tol, rtol * abs(value))
+    return QuadratureResult(value, estimate, used, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +763,11 @@ def _integrate_with_corner(
             return smooth * unit_norm**ce * rho ** (ce + m - 1) * 0.5
 
         beh = [EndpointBehavior(ce + m - 1.0, 0.0)] + [EndpointBehavior()] * (m - 1)
+        # the Duffy coordinates mix the axes: every one takes the finest count
         parts.append(
-            _tensor_integrate(piece, beh, sub_tol, rtol, budget, uniform_panels)
+            _tensor_integrate(
+                piece, beh, sub_tol, rtol, budget, [max(uniform_panels)] * m
+            )
         )
 
     value = math.fsum(p.value for p in parts)
@@ -733,7 +821,7 @@ def integrate_unit_cube(
     budget: Optional[int] = None,
     seed: int = 0,
     corner: Optional[CornerBehavior] = None,
-    uniform_panels: int = 0,
+    uniform_panels: Union[int, Sequence[int]] = 0,
     box: Optional[tuple[Sequence[float], Sequence[float]]] = None,
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
     f_pair: Optional[Callable[[tuple, tuple], np.ndarray]] = None,
@@ -742,10 +830,10 @@ def integrate_unit_cube(
 
     f receives m broadcastable arrays.  For m <= 3 the deterministic
     tensor rule is used (per-axis substitutions, geometrically graded
-    panels, level escalation for the error estimate); `corner` routes an
-    additional (1,...,1) singularity through a Duffy split.  For m >= 4
-    a seeded Latin-hypercube Monte Carlo estimate is returned; two calls
-    with identical arguments are bit-identical.
+    panels, per-axis rung escalation for the error estimate); `corner`
+    routes an additional (1,...,1) singularity through a Duffy split.
+    For m >= 4 a seeded Latin-hypercube Monte Carlo estimate is
+    returned; two calls with identical arguments are bit-identical.
 
     `f_pair(ts, ss)`, when supplied, replaces f and receives both the
     nodes and their exact complements ``ss = 1 - ts``: integrands
@@ -756,13 +844,21 @@ def integrate_unit_cube(
     `box = (lows, highs)` restricts integration to a sub-box (useful for
     integrands supported there); `axis_breakpoints` pins panel edges at
     interior kinks, one list per axis; `uniform_panels` enforces at
-    least that many equal panels per axis, for integrands with interior
-    oscillation of known scale.  Integrands that blow up on an interior
-    manifold are out of contract.
+    least that many equal panels on an axis, for integrands with interior
+    oscillation of known scale: one count per axis, or an int for every
+    axis.  Inside the corner box of a `corner` integrand every axis takes
+    the largest count, because the Duffy coordinates mix the axes.
+    Integrands that blow up on an interior manifold are out of contract.
     """
     m = len(behaviors)
     if m < 1:
         raise ValueError("need at least one axis")
+    if isinstance(uniform_panels, int):
+        uniform_panels = [uniform_panels] * m
+    elif len(uniform_panels) != m:
+        raise ValueError(
+            f"uniform_panels has {len(uniform_panels)} counts for {m} axes"
+        )
     fp = f_pair if f_pair is not None else (lambda ts, ss: f(*ts))
     if box is not None:
         fp, behaviors, corner, axis_breakpoints = _apply_box(

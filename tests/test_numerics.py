@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hardyops
 from hardyops.numerics import (
     CornerBehavior,
     EndpointBehavior,
@@ -179,6 +180,43 @@ class TestUnitCube:
         )
         assert res.value == pytest.approx((0.75 * 0.5) * 0.5, abs=1e-13)
 
+    def test_anisotropic_m3_refines_only_the_singular_axis(self):
+        # (t1^(-1/2) + t1^(-1/6)) cos(t2) exp(t3): the t1^(-1/6) remainder
+        # needs fine rungs on axis 1, the smooth axes are exact early
+        exact = 3.2 * math.sin(1.0) * (math.e - 1.0)
+        res = integrate_unit_cube(
+            lambda a, b, c: (a**-0.5 + a ** (-1.0 / 6.0)) * np.cos(b) * np.exp(c),
+            [EndpointBehavior(-0.5, 0), EndpointBehavior(), EndpointBehavior()],
+        )
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate
+        # isotropic escalation through (8,8)^3 and (12,10)^3 took 26,048,000
+        assert res.evaluations < 26_048_000 / 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_interior_non_finite_rejected(self, m, bad):
+        def f(*ts):
+            return np.where((ts[0] > 0.3) & (ts[0] < 0.4), bad, sum(ts))
+
+        with pytest.raises(QuadratureError):
+            integrate_unit_cube(f, [EndpointBehavior()] * m)
+
+    def test_uniform_panels_per_axis(self):
+        f = lambda a, b: np.sin(20.0 * math.pi * a) ** 2 * b
+        beh = [EndpointBehavior(), EndpointBehavior()]
+        shared = integrate_unit_cube(f, beh, uniform_panels=20)
+        listed = integrate_unit_cube(f, beh, uniform_panels=[20, 20])
+        assert listed == shared  # an int means the same count on every axis
+        lean = integrate_unit_cube(f, beh, uniform_panels=[20, 0])
+        assert lean.value == pytest.approx(0.25, abs=err_bound(lean))
+        assert lean.evaluations < shared.evaluations
+        with pytest.raises(ValueError, match="2 counts for 3 axes"):
+            integrate_unit_cube(
+                lambda a, b, c: a * b * c, [EndpointBehavior()] * 3,
+                uniform_panels=[4, 4],
+            )
+
     def test_monte_carlo_deterministic(self):
         f = lambda a, b, c, d: a**-0.5 * b**-0.5 * c**-0.5 * d**-0.5
         beh = [EndpointBehavior(-0.5, 0)] * 4
@@ -195,6 +233,37 @@ class TestUnitCube:
         r1 = integrate_unit_cube(f, beh, seed=1, budget=4096, tol=1e-2)
         r2 = integrate_unit_cube(f, beh, seed=2, budget=4096, tol=1e-2)
         assert r1.value != r2.value
+
+
+# mpmath values of the corner-weight constants, to 20 significant digits
+CORNER_CALIBRATION = [
+    ("lebesgue_constant", "riesz:1.5:2", (4.0, 4.0), 2.3154492100245666234),
+    ("lebesgue_constant", "riesz:2.5:3", (6.0, 6.0, 6.0), 1.3248105784677356524),
+    ("cesaro_lebesgue_constant", "cesaro:1.5:2", (4.0, 4.0), 3.4506299587874616234),
+]
+
+
+class TestCornerCalibration:
+    """The Duffy corner route against independent high-precision values."""
+
+    @pytest.mark.parametrize("family, spec, p, exact", CORNER_CALIBRATION)
+    def test_within_estimate(self, family, spec, p, exact):
+        weight = hardyops.parse_weight_spec(spec)
+        res = getattr(hardyops, family)(weight, hardyops.ExponentConfig(1, p))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+        if spec == "riesz:2.5:3":
+            assert res.evaluations <= 100_000_000
+
+    def test_oscillation_panels_only_on_oscillating_axes(self):
+        rep = hardyops.oscillation_decay_check(
+            hardyops.constant_weight(1.0, 2), (1,), (10.0, 100.0, 1000.0)
+        )
+        assert rep.verdict == "sharp-confirmed"
+        assert [r for r, _ in rep.sweep] == [10.0, 100.0, 1000.0]
+        # I(r) = (1 - cos(pi r)) / (pi r) vanishes at even r
+        for (_, magnitude), estimate in zip(rep.sweep, rep.sweep_errors):
+            assert magnitude <= estimate
 
 
 class TestErrorEstimateSoundness:
