@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key=value file merged in as defaults")
         if seed:
             sp.add_argument("--seed", type=int, default=0,
-                            help="seed for the stochastic cube rule (m >= 4)")
+                            help="seed for the Monte Carlo cube rule (generic m >= 4 "
+                            "integrands; no built-in weight reaches it)")
 
     def exponents(sp, lam=True, q=False):
         sp.add_argument("--n", type=int, default=1, help="ambient dimension")
@@ -280,7 +281,9 @@ def _emit_quadrature(args, res: QuadratureResult) -> int:
 
 
 def _emit_report(args, rep: SharpnessReport) -> int:
-    record = _record(args, _report_dict(rep), None, True, rep.verdict)
+    # an inconclusive report whose limit and gap are unknown did not converge
+    converged = not (math.isnan(rep.extrapolated) and math.isnan(rep.relative_gap))
+    record = _record(args, _report_dict(rep), None, converged, rep.verdict)
     rows = [
         (p, v, rep.sweep_errors[i] if i < len(rep.sweep_errors) else None)
         for i, (p, v) in enumerate(rep.sweep)

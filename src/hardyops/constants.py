@@ -32,13 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import EndpointBehavior, QuadratureResult, integrate_unit_cube
+# integrate_unit_cube stays bound here: the benchmark tracer's self-test looks it up
+from .numerics import EndpointBehavior, QuadratureResult, integrate_unit_cube  # noqa: F401
 from .spaces import ExponentConfig
 from .weights import (
     Weight,
     _integrate_in_s,
+    _integrate_weighted,
     _log_t,
-    _weighted,
     constant_weight,
     counterexample_weight,
     riemann_liouville_weight,
@@ -112,27 +113,14 @@ def weighted_moment(
     )
 
 
-def _log_factors(ts, ss, log_axes, log_shift):
-    acc = None
-    for i in log_axes:
-        term = math.log(log_shift) - _log_t(ts[i - 1], ss[i - 1])
-        acc = term if acc is None else acc * term
-    return acc
-
-
 def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol, seed=0):
     m = weight.arity
-
-    def factor(ts, ss):
-        acc = ts[0] ** exponents[0]
-        for i in range(1, m):
-            acc = acc * ts[i] ** exponents[i]
-        if log_axes:
-            acc = acc * _log_factors(ts, ss, log_axes, log_shift)
-        return acc
-
-    integrand_pair, corner = _weighted(weight, factor)
-
+    shift_log = math.log(log_shift)
+    layers = [
+        [lambda t, s, e=e: t**e for e in exponents],
+        [(lambda t, s: shift_log - _log_t(t, s)) if i in log_axes else None
+         for i in range(1, m + 1)],
+    ]
     # under truncation the zero end is outside the domain, so its declared
     # exponent is irrelevant (and may be <= -1 for deliberately divergent
     # truncated families)
@@ -148,10 +136,7 @@ def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol, seed=
     box = None
     if truncation > 0.0:
         box = ([truncation] * m, [1.0] * m)
-    return integrate_unit_cube(
-        None, behaviors, tol=tol, seed=seed, corner=corner, box=box,
-        f_pair=integrand_pair,
-    )
+    return _integrate_weighted(weight, layers, behaviors, box, tol=tol, seed=seed)
 
 
 def _truncation_growth_probe(weight, exponents, log_axes, log_shift, tol):

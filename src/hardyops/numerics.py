@@ -38,7 +38,9 @@ error is the sum of the changes, never below the rounding error of the
 sum.  For ``m >= 4`` it switches to Latin-hypercube Monte Carlo in
 the substituted coordinates, which plays the role of importance sampling:
 the map density matches the declared endpoint powers, so the weighted
-integrand is bounded and the estimator has finite variance.
+integrand is bounded and the estimator has finite variance.  Only
+generic integrands reach it: integrals against the package's product
+weights factor into unary ones first, and corner weights stop at m = 3.
 
 Integrands must accept numpy arrays (one per coordinate) and evaluate
 elementwise.
@@ -460,6 +462,15 @@ _SLAB_NODES = 2**18
 _ROUNDING_ULPS = 4
 
 
+# the default relative tolerance of `integrate_unit_cube`
+_CUBE_RTOL = 1e-8
+
+
+def _rounding_floor(mass: float) -> float:
+    """Rounding error of a sum of absolute size `mass` (0 when every term is)."""
+    return _ROUNDING_ULPS * math.ulp(mass) if mass else 0.0
+
+
 def _tensor_value(
     fp: Callable[[tuple, tuple], np.ndarray],
     rules: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -605,7 +616,7 @@ def _tensor_integrate(
     estimate = math.fsum(deltas)
     if not math.isfinite(estimate):
         estimate = abs(value)
-    estimate = max(estimate, _ROUNDING_ULPS * math.ulp(mass))
+    estimate = max(estimate, _rounding_floor(mass))
     if converged:
         converged = estimate <= max(tol, rtol * abs(value))
     return QuadratureResult(value, estimate, used, converged)
@@ -817,7 +828,7 @@ def integrate_unit_cube(
     f: Optional[Callable[..., np.ndarray]],
     behaviors: Sequence[EndpointBehavior],
     tol: float = 1e-10,
-    rtol: float = 1e-8,
+    rtol: float = _CUBE_RTOL,
     budget: Optional[int] = None,
     seed: int = 0,
     corner: Optional[CornerBehavior] = None,
@@ -833,7 +844,9 @@ def integrate_unit_cube(
     panels, per-axis rung escalation for the error estimate); `corner`
     routes an additional (1,...,1) singularity through a Duffy split.
     For m >= 4 a seeded Latin-hypercube Monte Carlo estimate is
-    returned; two calls with identical arguments are bit-identical.
+    returned; two calls with identical arguments are bit-identical.  No
+    built-in weight reaches it: `const:c:m` integrals are products of
+    m = 1 calls, and a `corner` with m >= 4 raises.
 
     `f_pair(ts, ss)`, when supplied, replaces f and receives both the
     nodes and their exact complements ``ss = 1 - ts``: integrands

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import mul
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .numerics import EndpointBehavior, QuadratureResult, gamma, integrate_unit_cube
 from .spaces import RadialFunction
-from .weights import Weight, _integrate_in_s, _weighted
+from .weights import Weight, _integrate_in_s, _integrate_weighted, _layer_product
 
 __all__ = [
     "OperatorRequest",
@@ -116,7 +115,7 @@ def _axis(
     return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
 
 
-def _integrate_log_axis(weight: Weight, ax: _Axis, factor, tol: float) -> QuadratureResult:
+def _integrate_log_axis(weight: Weight, ax: _Axis, layers, tol: float) -> QuadratureResult:
     """Unary log-form weights integrate in s = log(1/t).
 
     The weight's natural variable makes its slowly varying (logarithmic)
@@ -133,16 +132,17 @@ def _integrate_log_axis(weight: Weight, ax: _Axis, factor, tol: float) -> Quadra
         # for exp(-s) to underflow; their true contribution there is
         # exponentially negligible
         t = np.maximum(np.exp(-s), 1e-300)
-        return factor(t) * lf.branch(s) * np.exp(-decay * s)
+        branch = _layer_product(layers, (t,), (1.0 - t,), lambda ts, ss: lf.branch(s))
+        return branch * np.exp(-decay * s)
 
     bps = [1.0] + [-math.log(b) for b in ax.breakpoints if 0.0 < b < 1.0]
     return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps)
 
 
 def _integrate_axes(
-    weight: Weight, axes: Sequence[_Axis], factor, tol: float
+    weight: Weight, axes: Sequence[_Axis], layers, tol: float
 ) -> QuadratureResult:
-    """Integrate factor(t) * w(t) over the product of axis boxes."""
+    """Integrate the factor `layers` times w(t) over the product of axis boxes."""
     for ax in axes:
         if ax.lo >= ax.hi:
             return QuadratureResult(0.0, 0.0, 1, True, "empty support")
@@ -151,21 +151,14 @@ def _integrate_axes(
                 f"axis exponent {ax.zero_exp:g} at t=0 is not integrable"
             )
     if weight.arity == 1 and weight.log_form is not None:
-        return _integrate_log_axis(weight, axes[0], factor, tol)
+        return _integrate_log_axis(weight, axes[0], layers, tol)
 
-    integrand_pair, corner = _weighted(weight, lambda ts, ss: factor(*ts))
     behaviors = [EndpointBehavior(ax.zero_exp, ax.one_exp) for ax in axes]
     box = ([ax.lo for ax in axes], [ax.hi for ax in axes])
     if all(ax.lo == 0.0 and ax.hi == 1.0 for ax in axes):
         box = None
-    return integrate_unit_cube(
-        None,
-        behaviors,
-        tol=tol,
-        corner=corner,
-        box=box,
-        axis_breakpoints=[ax.breakpoints for ax in axes],
-        f_pair=integrand_pair,
+    return _integrate_weighted(
+        weight, layers, behaviors, box, [ax.breakpoints for ax in axes], tol=tol
     )
 
 
@@ -195,19 +188,16 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
             for ax, b in zip(axes, req.symbols)
         ]
 
-    def term(f, t):
+    def term(f, t, s):
         return f.fn(arg(t)) * t ** (-float(n)) if cesaro else f.fn(arg(t))
 
-    def factor(*ts):
-        acc = reduce(mul, map(term, req.functions, ts))
-        if commutator:
-            acc = acc * reduce(mul, (
-                b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))
-                for b, t in zip(req.symbols, ts)
-            ))
-        return acc
+    def symbol(b, t, s):
+        return b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))
 
-    return _integrate_axes(req.weight, axes, factor, req.tol)
+    layers = [[partial(term, f) for f in req.functions]]
+    if commutator:
+        layers.append([partial(symbol, b) for b in req.symbols])
+    return _integrate_axes(req.weight, axes, layers, req.tol)
 
 
 def hardy_apply(req: OperatorRequest) -> QuadratureResult:

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -40,9 +42,12 @@ from .numerics import (
     CornerBehavior,
     EndpointBehavior,
     QuadratureResult,
+    _CUBE_RTOL,
     _euclid_arrays,
+    _rounding_floor,
     gamma,
     integrate_halfline,
+    integrate_unit_cube,
     integrate_unit_interval,
 )
 
@@ -110,6 +115,9 @@ class Weight:
     example ``log t`` is ``log(t)`` on the left half and ``log1p(-s)``
     on the right), so quadrature keeps full precision arbitrarily close
     to both endpoints.  ``w(*ts)`` forms ``ss`` itself.
+
+    `factors`, when set, holds one unary weight per axis whose product
+    is w; integrals against it then factor into unary ones.
     """
 
     arity: int
@@ -119,6 +127,7 @@ class Weight:
     closed_forms: Mapping[str, object] = field(default_factory=dict)
     corner: Optional[CornerBehavior] = None
     log_form: Optional[LogSubstitution] = None
+    factors: Optional[tuple["Weight", ...]] = None
 
     def __call__(self, *ts) -> np.ndarray:
         if len(ts) != self.arity:
@@ -133,6 +142,8 @@ class Weight:
             raise ValueError("one EndpointBehavior per axis is required")
         if self.corner is not None and not self.corner.exponent > -self.arity:
             raise ValueError("corner exponent must exceed -m for integrability")
+        if self.factors is not None and [w.arity for w in self.factors] != [1] * self.arity:
+            raise ValueError("factors must be one unary weight per axis")
         self._coarse_check()
 
     def _coarse_check(self):
@@ -158,23 +169,68 @@ class _Complements:
         return 1.0 - self.ss[i]
 
 
-def _weighted(weight: Weight, factor) -> tuple:
-    """The pair integrand ``factor(ts, ss) * w`` and its corner form.
+def _layer_product(layers, ts, ss, w_pair):
+    """prod over `layers` of prod_i phi_i(t_i, s_i), times ``w_pair(ts, ss)``.
 
-    The corner route evaluates the same factor at ``t = 1 - s``, so an
-    integrand never loses its factor inside the corner box; there `ts`
-    supports indexing and unpacking, not slicing.
+    A layer holds one factor phi(t, s), or None, per axis; each layer is
+    multiplied out on its own, so the caller fixes the rounding order.
+    `reduce` drops every term as soon as it is multiplied in, so no more
+    grid-sized temporaries are alive at once than the product needs.
     """
-    w_pair = weight.pair
-    corner = None
-    if weight.corner is not None:
-        w_smooth = weight.corner.smooth_factor
+    rows = [(layer, [i for i, phi in enumerate(layer) if phi is not None]) for layer in layers]
+    rows = [(layer, axes) for layer, axes in rows if axes]
+    if not rows:
+        return w_pair(ts, ss)
+    return reduce(mul, (
+        reduce(mul, (layer[i](ts[i], ss[i]) for i in axes)) for layer, axes in rows
+    )) * w_pair(ts, ss)
 
-        def smooth(*ss):
-            return factor(_Complements(ss), ss) * w_smooth(*ss)
 
-        corner = CornerBehavior(weight.corner.exponent, smooth)
-    return (lambda ts, ss: factor(ts, ss) * w_pair(ts, ss)), corner
+def _integrate_weighted(
+    weight: Weight, layers, behaviors, box=None, breakpoints=None,
+    uniform_panels=0, tol: float = 1e-10, seed: int = 0,
+) -> QuadratureResult:
+    """int prod(layers) * w over the cube, or over ``box = (lows, highs)``.
+
+    `behaviors`, `breakpoints` and `uniform_panels` are per axis, as for
+    `integrate_unit_cube`.  A factored weight gives the product of one
+    unary integral per axis, each to a 1/m share of the tolerances, with the
+    exact bound E <- E (|v_i| + e_i) + |V| e_i on the running product V
+    plus its rounding; any other weight gives one cube integral (its
+    corner form evaluates the factors at t = 1 - s).
+    """
+    m = weight.arity
+    panels = [uniform_panels] * m if isinstance(uniform_panels, int) else uniform_panels
+    if weight.factors is None:
+        corner = None
+        if weight.corner is not None:
+            w_smooth = weight.corner.smooth_factor
+
+            def smooth(*ss):
+                return _layer_product(layers, _Complements(ss), ss, lambda ts, ss: w_smooth(*ss))
+
+            corner = CornerBehavior(weight.corner.exponent, smooth)
+        return integrate_unit_cube(
+            None, behaviors, tol=tol, seed=seed, corner=corner, box=box,
+            uniform_panels=panels, axis_breakpoints=breakpoints,
+            f_pair=lambda ts, ss: _layer_product(layers, ts, ss, weight.pair),
+        )
+    value, estimate, evaluations = 1.0, 0.0, 0
+    for i, w_i in enumerate(weight.factors):
+        edges = ([box[0][i]], [box[1][i]]) if box is not None else ([0.0], [1.0])
+        res = integrate_unit_cube(
+            None, [behaviors[i]], tol=tol / m, rtol=_CUBE_RTOL / m,
+            box=None if edges == ([0.0], [1.0]) else edges, uniform_panels=panels[i],
+            axis_breakpoints=None if breakpoints is None else [breakpoints[i]],
+            f_pair=partial(_layer_product, [[layer[i]] for layer in layers], w_pair=w_i.pair),
+        )
+        estimate = (estimate * (abs(res.value) + res.abs_error_estimate)
+                    + abs(value) * res.abs_error_estimate)
+        value *= res.value
+        evaluations += res.evaluations
+    estimate += _rounding_floor(value)
+    return QuadratureResult(value, estimate, evaluations,
+                            estimate <= max(tol, _CUBE_RTOL * abs(value)))
 
 
 def _check_order(alpha: float, m: int) -> None:
@@ -194,7 +250,8 @@ def constant_weight(c: float, m: int = 1) -> Weight:
     """w == c on (0,1)**m; all endpoint exponents are 0.
 
     For m = 1 the Hardy constant c p/(p-1) is stored in `closed_forms`
-    as a function of p.
+    as a function of p; for m >= 2 the weight factors as const:c times
+    const:1 on every further axis.
     """
     if c < 0:
         raise ValueError("constant weight must be nonnegative")
@@ -213,6 +270,7 @@ def constant_weight(c: float, m: int = 1) -> Weight:
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"const:{c:g}",
         closed_forms={"lebesgue_constant": lebesgue_closed_form} if m == 1 else {},
+        factors=None if m == 1 else (constant_weight(c),) + (constant_weight(1.0),) * (m - 1),
     )
 
 

@@ -122,6 +122,25 @@ class TestSharpnessCommand:
         assert code == 1
         assert record_of(out)["verdict"] == "inconclusive"
 
+    def test_converged_follows_the_report(self, invoke):
+        # n/p = 3/2 makes the target diverge: limit and gap are unknown
+        code, out, _ = invoke(
+            "sharpness", "lebesgue", "--weight", "const:1", "--n", "3", "--p", "2",
+        )
+        assert code == 1
+        rec = record_of(out)
+        assert rec["verdict"] == "inconclusive"
+        assert rec["result"]["extrapolated"] is None
+        assert rec["result"]["relative_gap"] is None
+        assert rec["converged"] is False
+        # an inconclusive verdict with a known limit still converged
+        code, out, _ = invoke(
+            "sharpness", "lebesgue", "--weight", "const:1:2", "--n", "1",
+            "--p", "4", "4", "--eps", "0.1", "0.01", "--experiment-tol", "1e-12",
+        )
+        rec = record_of(out)
+        assert (code, rec["verdict"], rec["converged"]) == (1, "inconclusive", True)
+
     def test_csv_mode(self, invoke):
         code, out, _ = invoke(
             "sharpness", "lebesgue", "--weight", "const:1:2", "--n", "1",

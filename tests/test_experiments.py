@@ -101,7 +101,8 @@ class TestCommutatorCheck:
         rep = commutator_pointwise_check(ONE2, cfg(1, 4.0, 4.0, lam=(-0.125, -0.1)))
         assert rep.verdict == SHARP_CONFIRMED
         assert rep.details == ()
-        assert rep.target == pytest.approx(1.612496850572565, rel=1e-12)
+        # int t^(-1/8) log(1/t) dt * int t^(-1/10) log(1/t) dt = (8/7)^2 (10/9)^2
+        assert rep.target == pytest.approx((8.0 / 7.0) ** 2 * (10.0 / 9.0) ** 2, rel=1e-12)
 
     def test_fractional_weight_m1(self):
         rep = commutator_pointwise_check(
@@ -173,6 +174,15 @@ class TestOscillationDecay:
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             oscillation_decay_check(ONE, ())
+
+    def test_early_stop_keeps_computed_errors(self):
+        # I(12) = 0 exactly, so an absurd absolute tolerance cannot be met there
+        rep = oscillation_decay_check(ONE, (1,), r_sequence=(11.0, 12.0), quad_tol=1e-300)
+        assert rep.verdict == "inconclusive"
+        assert "r=12" in rep.note
+        assert [r for r, _ in rep.sweep] == [11.0]
+        assert len(rep.sweep_errors) == 1
+        assert abs(rep.sweep[0][1] - 2.0 / (math.pi * 11.0)) <= rep.sweep_errors[0] + 1e-15
 
     def test_fractional_weight(self):
         # the (1-t)^(-1/2) endpoint slows the decay to ~ r^(-1/2)
