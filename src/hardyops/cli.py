@@ -18,12 +18,13 @@ Function specs: power:a, cutpow:a:r0, log, osccut:r:R, plus the
                 radius R (default 1), e.g. power:0@chi for the unit-ball
                 indicator.
 
-Output is a single JSON object on stdout (`--csv` switches sweep-style
-results to CSV rows `parameter,value,error`).  Exit codes: 0 success or
+Output is a single JSON object on stdout.  Exit codes: 0 success or
 experiment passed; 1 experiment verdict violated or inconclusive; 2
-usage or parameter error.  `--params-file FILE` reads `key=value` lines
-as defaults (explicit flags win).  The environment variable
-HARDYOPS_THREADS sets the worker count for sweep parameter points.
+usage or parameter error.  A flag exists only where a computation reads
+it: `--tol` on all subcommands but `norm` (whose record then has null
+`tolerances`), `--csv` (sweep rows `parameter,value,error`) on the three
+experiment subcommands, `--seed` on `constant` (other records have a null
+`seed`), and `--params-file FILE` (`key=value` defaults) everywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -39,6 +39,9 @@ from typing import Optional
 from . import __version__
 from .constants import _FAMILIES, ConstantSpec
 from .experiments import (
+    DEFAULT_DECAY_TOL,
+    DEFAULT_DELTA_SEQUENCE,
+    DEFAULT_R_SEQUENCE,
     SharpnessReport,
     cesaro_sharpness_sweep,
     commutator_pointwise_check,
@@ -47,7 +50,7 @@ from .experiments import (
     morrey_sharpness_check,
     oscillation_decay_check,
 )
-from .numerics import QuadratureResult
+from .numerics import QuadratureResult, _CUBE_RTOL
 from .operators import (
     OperatorRequest,
     cesaro_apply,
@@ -77,13 +80,6 @@ class _UsageError(Exception):
     pass
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HARDYOPS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardyops",
@@ -93,19 +89,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="absolute quadrature tolerance")
-        sp.add_argument("--rtol", type=float, default=1e-8,
-                        help="relative tolerance (recorded)")
-        sp.add_argument("--csv", action="store_true",
-                        help="emit sweep rows as CSV instead of JSON")
+    def common(sp, tol=True, csv=False):
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10,
+                            help="absolute quadrature tolerance")
+        if csv:
+            sp.add_argument("--csv", action="store_true",
+                            help="emit sweep rows as CSV instead of JSON")
         sp.add_argument("--params-file", type=str, default=None,
                         help="key=value file merged in as defaults")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0,
-                            help="seed for the Monte Carlo cube rule (generic m >= 4 "
-                            "integrands; no built-in weight reaches it)")
 
     def exponents(sp, lam=True, q=False):
         sp.add_argument("--n", type=int, default=1, help="ambient dimension")
@@ -131,6 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="log shift c in log(c/t)")
     sp.add_argument("--truncation", type=float, default=0.0,
                     help="restrict all axes to (delta, 1)")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the Monte Carlo cube rule (generic m >= 4 "
+                    "integrands; no built-in weight reaches it)")
     common(sp)
 
     sp = sub.add_parser("apply", help="evaluate an operator pointwise")
@@ -156,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
                     help="Morrey exponent")
     sp.add_argument("--method", choices=("auto", "closed", "grid"), default="auto")
-    common(sp, seed=False)
+    common(sp, tol=False)
 
     sp = sub.add_parser("sharpness", help="run a sharpness experiment")
     sp.add_argument("experiment", choices=_EXPERIMENTS)
@@ -166,22 +161,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="sweep parameters (lebesgue/cesaro)")
     sp.add_argument("--experiment-tol", type=float, default=None,
                     help="verdict tolerance (default per experiment)")
-    common(sp)
+    common(sp, csv=True)
 
     sp = sub.add_parser("counterexample",
                         help="finite plain moment, divergent log moment")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--delta", type=float, nargs="+", default=(1e-2, 1e-4, 1e-6))
-    common(sp)
+    sp.add_argument("--delta", type=float, nargs="+", default=DEFAULT_DELTA_SEQUENCE)
+    common(sp, csv=True)
 
     sp = sub.add_parser("oscillation", help="Riemann-Lebesgue decay check")
     sp.add_argument("--weight", required=True)
     sp.add_argument("--axes", type=int, nargs="+", required=True)
-    sp.add_argument("--r", type=float, nargs="+", default=(10.0, 100.0, 1000.0))
-    sp.add_argument("--decay-tol", type=float, default=1e-3)
-    common(sp)
+    sp.add_argument("--r", type=float, nargs="+", default=DEFAULT_R_SEQUENCE)
+    sp.add_argument("--decay-tol", type=float, default=DEFAULT_DECAY_TOL)
+    common(sp, csv=True)
     return parser
 
 
@@ -246,16 +241,12 @@ def _quadrature_dict(res: QuadratureResult) -> dict:
     }
 
 
-def _emit(record: dict, csv_rows: Optional[list] = None, csv: bool = False) -> None:
-    if csv and csv_rows is not None:
-        print("parameter,value,error")
-        for row in csv_rows:
-            print(",".join("" if v is None else f"{v:.17g}" for v in row))
-        return
+def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
 def _record(args, result, error_estimate, converged, verdict=None) -> dict:
+    tol = getattr(args, "tol", None)
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -268,8 +259,8 @@ def _record(args, result, error_estimate, converged, verdict=None) -> dict:
         "error_estimate": error_estimate if (error_estimate is None or math.isfinite(error_estimate)) else None,
         "converged": converged,
         "verdict": verdict,
-        "seed": getattr(args, "seed", 0),
-        "tolerances": {"abs": args.tol, "rel": args.rtol},
+        "seed": getattr(args, "seed", None),
+        "tolerances": {"abs": tol, "rel": None if tol is None else _CUBE_RTOL},
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -281,14 +272,15 @@ def _emit_quadrature(args, res: QuadratureResult) -> int:
 
 
 def _emit_report(args, rep: SharpnessReport) -> int:
-    # an inconclusive report whose limit and gap are unknown did not converge
-    converged = not (math.isnan(rep.extrapolated) and math.isnan(rep.relative_gap))
-    record = _record(args, _report_dict(rep), None, converged, rep.verdict)
-    rows = [
-        (p, v, rep.sweep_errors[i] if i < len(rep.sweep_errors) else None)
-        for i, (p, v) in enumerate(rep.sweep)
-    ]
-    _emit(record, rows, args.csv)
+    if args.csv:
+        print("parameter,value,error")
+        for i, (x, v) in enumerate(rep.sweep):
+            err = rep.sweep_errors[i] if i < len(rep.sweep_errors) else None
+            print(",".join("" if c is None else f"{c:.17g}" for c in (x, v, err)))
+    else:
+        # an inconclusive report whose limit and gap are unknown did not converge
+        converged = not (math.isnan(rep.extrapolated) and math.isnan(rep.relative_gap))
+        _emit(_record(args, _report_dict(rep), None, converged, rep.verdict))
     return 0 if rep.passed() else 1
 
 
@@ -367,19 +359,18 @@ def _cmd_norm(args) -> int:
 def _cmd_sharpness(args) -> int:
     weight = _parse_weight(args)
     config = _config_from_args(args)
-    eps = tuple(args.eps) if args.eps else None
-    workers = _workers()
+    # unset flags fall back to the experiment's own defaults
+    extra = {} if args.experiment_tol is None else {"tol": args.experiment_tol}
     if args.experiment in ("lebesgue", "cesaro"):
         sweep = (lebesgue_sharpness_sweep if args.experiment == "lebesgue"
                  else cesaro_sharpness_sweep)
-        rep = sweep(
-            weight, config, eps or (1e-1, 1e-2, 1e-3, 1e-4),
-            tol=args.experiment_tol or 2e-2, quad_tol=args.tol, workers=workers,
-        )
+        if args.eps is not None:
+            extra["eps_sequence"] = tuple(args.eps)
+        rep = sweep(weight, config, quad_tol=args.tol, **extra)
     else:
         check = (morrey_sharpness_check if args.experiment == "morrey"
                  else commutator_pointwise_check)
-        rep = check(weight, config, tol=args.experiment_tol or 1e-6, quad_tol=args.tol)
+        rep = check(weight, config, quad_tol=args.tol, **extra)
     return _emit_report(args, rep)
 
 
@@ -392,8 +383,7 @@ def _cmd_counterexample(args) -> int:
 def _cmd_oscillation(args) -> int:
     weight = parse_weight_spec(args.weight)
     rep = oscillation_decay_check(
-        weight, tuple(args.axes), tuple(args.r), tol=args.decay_tol,
-        quad_tol=max(args.tol, 1e-10), workers=_workers(),
+        weight, tuple(args.axes), tuple(args.r), tol=args.decay_tol, quad_tol=args.tol,
     )
     return _emit_report(args, rep)
 

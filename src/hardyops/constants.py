@@ -32,11 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# integrate_unit_cube stays bound here: the benchmark tracer's self-test looks it up
-from .numerics import EndpointBehavior, QuadratureResult, integrate_unit_cube  # noqa: F401
+from .numerics import EndpointBehavior, QuadratureResult
 from .spaces import ExponentConfig
 from .weights import (
     Weight,
+    _BORDER_EPS,
     _integrate_in_s,
     _integrate_weighted,
     _log_t,
@@ -55,8 +55,6 @@ __all__ = [
     "closed_form",
     "weighted_moment",
 ]
-
-_BORDER_EPS = 1e-12
 
 # family -> (per-axis exponent e_i(n, p_i, lambda_i), log axes, log shift);
 # "given" log axes and a None shift are the caller's
@@ -169,8 +167,7 @@ def _log_substituted_moment(weight, exponent, with_log, log_shift, truncation, t
         int_0^S exp(-rate*s) * branch(s) * extra(s) ds,
 
     rate = exponent + 1 + rate_shift, S = log(1/truncation), and
-    extra(s) = log(shift) + s for a log factor.  At rate = 0 and S = inf
-    convergence is read off the branch tail exponent.
+    extra(s) = log(shift) + s for a log factor.
     """
     lf = weight.log_form
     rate = exponent + 1.0 + lf.rate_shift
@@ -182,20 +179,8 @@ def _log_substituted_moment(weight, exponent, with_log, log_shift, truncation, t
             vals = vals * (shift_log + s)
         return vals
 
-    tail = None
-    if truncation == 0.0:
-        if rate < -_BORDER_EPS:
-            return QuadratureResult.divergent(
-                "exponentially growing substituted integrand"
-            )
-        if abs(rate) <= _BORDER_EPS:
-            tail = lf.tail_exponent + (1.0 if with_log else 0.0)
-            if tail >= -1.0:
-                return QuadratureResult.divergent(
-                    f"substituted tail exponent {tail:g} is not integrable"
-                )
     s_max = math.log(1.0 / truncation) if truncation > 0.0 else math.inf
-    return _integrate_in_s(lf, integrand, 0.0, s_max, tol, [1.0], tail)
+    return _integrate_in_s(lf, integrand, 0.0, s_max, tol, [1.0], rate, int(with_log))
 
 
 def _check_arity(weight: Weight, config: ExponentConfig) -> None:

@@ -34,7 +34,6 @@ fit in ``eps**kappa`` with kappa = 1 - max_i(axis exponent magnitude).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -49,8 +48,7 @@ from .constants import (
     morrey_constant,
     weighted_moment,
 )
-# integrate_unit_cube stays bound here: the benchmark tracer's self-test looks it up
-from .numerics import EndpointBehavior, QuadratureResult, integrate_unit_cube  # noqa: F401
+from .numerics import EndpointBehavior, QuadratureResult
 from .operators import (
     OperatorRequest,
     cesaro_apply,
@@ -80,20 +78,14 @@ __all__ = [
 
 DEFAULT_EPS_SEQUENCE = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_R_SEQUENCE = (10.0, 100.0, 1000.0)
+DEFAULT_DELTA_SEQUENCE = (1e-2, 1e-4, 1e-6)
+DEFAULT_DECAY_TOL = 1e-3
 
 _OVERSHOOT = 1e-6
 
 SHARP_CONFIRMED = "sharp-confirmed"
 INCONCLUSIVE = "inconclusive"
 VIOLATED = "violated"
-
-
-def _ordered_map(fn, items, workers: int):
-    """Map preserving item order; threads only when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,6 @@ def _sharpness_sweep(
     eps_sequence: Sequence[float],
     tol: float,
     quad_tol: float,
-    workers: int,
 ) -> SharpnessReport:
     """Lower-bound sweep against the `family` constant.
 
@@ -192,19 +183,14 @@ def _sharpness_sweep(
     p, p_m = config.p, config.p_i[-1]
     exponents = _family_exponents(family, config)
 
-    def point(eps):
+    entries, errors = [], []
+    for eps in sorted(eps_sequence, reverse=True):
         cut = cut_of(eps)
         expo = [e - (p_m / pi) * eps for e, pi in zip(exponents, config.p_i)]
         res = weighted_moment(weight, expo, truncation=cut, tol=quad_tol)
         prefactor = cut ** (p_m * eps / p)
-        return (
-            (eps, prefactor * res.value, res.converged),
-            prefactor * res.abs_error_estimate,
-        )
-
-    results = _ordered_map(point, sorted(eps_sequence, reverse=True), workers)
-    entries = [r[0] for r in results]
-    errors = [r[1] for r in results]
+        entries.append((eps, prefactor * res.value, res.converged))
+        errors.append(prefactor * res.abs_error_estimate)
     # the domain-truncation deficit scales like eps**(1 + e_i + beta0_i)
     # per axis (the shift and prefactor contribute ~ eps log eps)
     kappa = min(1.0 + e + b.exponent_at_zero for e, b in zip(exponents, weight.behaviors))
@@ -218,7 +204,6 @@ def lebesgue_sharpness_sweep(
     eps_sequence: Sequence[float] = DEFAULT_EPS_SEQUENCE,
     tol: float = 2e-2,
     quad_tol: float = 1e-10,
-    workers: int = 1,
 ) -> SharpnessReport:
     """Lower-bound sweep against the L^p-product operator norm.
 
@@ -228,7 +213,7 @@ def lebesgue_sharpness_sweep(
     """
     return _sharpness_sweep(
         "lebesgue", lambda eps: math.sqrt(2.0) * eps / 2.0, "",
-        weight, config, eps_sequence, tol, quad_tol, workers,
+        weight, config, eps_sequence, tol, quad_tol,
     )
 
 
@@ -238,7 +223,6 @@ def cesaro_sharpness_sweep(
     eps_sequence: Sequence[float] = DEFAULT_EPS_SEQUENCE,
     tol: float = 2e-2,
     quad_tol: float = 1e-10,
-    workers: int = 1,
 ) -> SharpnessReport:
     """Lower-bound sweep against the Cesaro-side operator norm.
 
@@ -251,7 +235,7 @@ def cesaro_sharpness_sweep(
     return _sharpness_sweep(
         "cesaro-lebesgue", lambda eps: eps,
         "extremal family reconstructed by duality from the Hardy-side sweep",
-        weight, config, eps_sequence, tol, quad_tol, workers,
+        weight, config, eps_sequence, tol, quad_tol,
     )
 
 
@@ -355,7 +339,7 @@ def counterexample_report(
     alpha: float,
     n: int,
     p: float,
-    delta_sequence: Sequence[float] = (1e-2, 1e-4, 1e-6),
+    delta_sequence: Sequence[float] = DEFAULT_DELTA_SEQUENCE,
     tol: float = 1e-2,
     quad_tol: float = 1e-10,
 ) -> SharpnessReport:
@@ -415,9 +399,8 @@ def oscillation_decay_check(
     weight: Weight,
     axes: Sequence[int],
     r_sequence: Sequence[float] = DEFAULT_R_SEQUENCE,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_DECAY_TOL,
     quad_tol: float = 1e-9,
-    workers: int = 1,
 ) -> SharpnessReport:
     """Riemann-Lebesgue decay of the oscillatory weight integral.
 
@@ -437,21 +420,18 @@ def oscillation_decay_check(
     if rs[0] <= 0:
         raise ValueError("r values must be positive")
 
-    def point(r):
+    entries, errors = [], []
+    for r in rs:
         sine = lambda t, s: np.sin(math.pi * r * t)
         # only the oscillating axes need panels on the scale 1/r
         panels = max(8, int(math.ceil(r)))
-        return r, _integrate_weighted(
+        res = _integrate_weighted(
             weight,
             [[sine if i in axes else None for i in range(1, m + 1)]],
             weight.behaviors,
             uniform_panels=[panels if i in axes else 0 for i in range(1, m + 1)],
             tol=quad_tol,
         )
-
-    entries = []
-    errors = []
-    for r, res in _ordered_map(point, rs, workers):
         if not res.converged:
             return _inconclusive(
                 0.0, entries, f"oscillatory quadrature did not converge at r={r:g}",

@@ -120,38 +120,42 @@ def _integrate_log_axis(weight: Weight, ax: _Axis, layers, tol: float) -> Quadra
 
     The weight's natural variable makes its slowly varying (logarithmic)
     structure a plain power in s, which the endpoint machinery then
-    handles at full accuracy.
+    handles at full accuracy.  An input power t**kappa declared down to
+    t = 0 joins the exponential, so convergence at s = inf is decided
+    on the exact rate; each symbol layer may add one power of s there.
     """
     lf = weight.log_form
     s_lo = -math.log(ax.hi) if ax.hi < 1.0 else 0.0
     s_hi = -math.log(ax.lo) if ax.lo > 0.0 else math.inf
-    decay = 1.0 + lf.rate_shift
+    kappa = ax.zero_exp - lf.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
+    rate = 1.0 + lf.rate_shift + kappa
+    # t is frozen where exp(-s) would leave the float range of t**kappa;
+    # past that point the layers over t**kappa are constant for power
+    # inputs, and exponentially negligible otherwise
+    s_cap = 690.0 / max(1.0, 2.0 * abs(kappa))
 
     def g(s):
-        # the clamp keeps log-type factors finite at samples deep enough
-        # for exp(-s) to underflow; their true contribution there is
-        # exponentially negligible
-        t = np.maximum(np.exp(-s), 1e-300)
+        t = np.exp(-np.minimum(s, s_cap))
         branch = _layer_product(layers, (t,), (1.0 - t,), lambda ts, ss: lf.branch(s))
-        return branch * np.exp(-decay * s)
+        return branch * t ** -kappa * np.exp(-rate * s)
 
     bps = [1.0] + [-math.log(b) for b in ax.breakpoints if 0.0 < b < 1.0]
-    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps)
+    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps, rate, len(layers) - 1)
 
 
 def _integrate_axes(
     weight: Weight, axes: Sequence[_Axis], layers, tol: float
 ) -> QuadratureResult:
     """Integrate the factor `layers` times w(t) over the product of axis boxes."""
+    if any(ax.lo >= ax.hi for ax in axes):
+        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
+    if weight.arity == 1 and weight.log_form is not None:
+        return _integrate_log_axis(weight, axes[0], layers, tol)
     for ax in axes:
-        if ax.lo >= ax.hi:
-            return QuadratureResult(0.0, 0.0, 1, True, "empty support")
         if ax.certain and ax.lo == 0.0 and not ax.zero_exp > -1.0:
             return QuadratureResult.divergent(
                 f"axis exponent {ax.zero_exp:g} at t=0 is not integrable"
             )
-    if weight.arity == 1 and weight.log_form is not None:
-        return _integrate_log_axis(weight, axes[0], layers, tol)
 
     behaviors = [EndpointBehavior(ax.zero_exp, ax.one_exp) for ax in axes]
     box = ([ax.lo for ax in axes], [ax.hi for ax in axes])

@@ -79,16 +79,30 @@ class LogSubstitution:
     tail_exponent: float
 
 
+_BORDER_EPS = 1e-12
+
+
 def _integrate_in_s(
     lf: LogSubstitution, g, s_lo: float, s_hi: float, tol: float,
-    breakpoints: Sequence[float], tail_exponent: Optional[float] = None,
+    breakpoints: Sequence[float], rate: float, log_powers: int = 0,
 ) -> QuadratureResult:
-    """int_{s_lo}^{s_hi} g(s) ds for an integrand in the log variable of `lf`.
+    """int_{s_lo}^{s_hi} g(s) ds for ``g ~ exp(-rate*s) * branch(s) * s**log_powers``.
 
-    `s_hi` may be infinite; `lf.zero_exponent` describes g at s = 0.
+    `lf.zero_exponent` describes g at s = 0.  `s_hi` may be infinite: the
+    integral then diverges for rate < 0, and at rate 0 converges only
+    when the branch tail times ``s**log_powers`` decays faster than 1/s.
     """
     zero = lf.zero_exponent if s_lo == 0.0 else 0.0
     if s_hi == math.inf:
+        tail_exponent = None
+        if rate < -_BORDER_EPS:
+            return QuadratureResult.divergent("exponentially growing substituted integrand")
+        if abs(rate) <= _BORDER_EPS:
+            tail_exponent = lf.tail_exponent + log_powers
+            if tail_exponent >= -1.0:
+                return QuadratureResult.divergent(
+                    f"substituted tail exponent {tail_exponent:g} is not integrable"
+                )
         return integrate_halfline(
             lambda u: g(u + s_lo),
             tol=tol,

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from hardyops import cli
 from hardyops.cli import run
+from hardyops.experiments import (
+    DEFAULT_DECAY_TOL,
+    DEFAULT_DELTA_SEQUENCE,
+    DEFAULT_R_SEQUENCE,
+)
 
 
 @pytest.fixture()
@@ -236,3 +242,67 @@ class TestProtocol:
             "--p", "2", "--seed", "42",
         )
         assert record_of(out)["seed"] == 42
+
+
+# one minimal valid invocation per subcommand
+_BASE = {
+    "constant": ("constant", "lebesgue", "--weight", "const:1", "--p", "2"),
+    "apply": ("apply", "hardy", "--f", "power:0@chi", "--r", "2"),
+    "norm": ("norm", "lp", "--f", "power:0@chi"),
+    "sharpness": ("sharpness", "lebesgue", "--weight", "const:1:2", "--p", "4", "4",
+                  "--eps", "0.1", "0.01", "--experiment-tol", "0.5"),
+    "counterexample": ("counterexample", "--alpha", "0.5", "--p", "2",
+                       "--delta", "1e-2", "1e-4"),
+    "oscillation": ("oscillation", "--weight", "const:1", "--axes", "1", "--r", "10"),
+}
+
+# the flags each subcommand declares no longer (14 slots)
+_REMOVED = [(cmd, "--rtol", "1e-2") for cmd in _BASE] + [
+    ("norm", "--tol", "1e-2"),
+    ("constant", "--csv", None),
+    ("apply", "--csv", None),
+    ("norm", "--csv", None),
+    ("apply", "--seed", "7"),
+    ("sharpness", "--seed", "7"),
+    ("counterexample", "--seed", "7"),
+    ("oscillation", "--seed", "7"),
+]
+
+
+class TestFlagSlots:
+    @pytest.mark.parametrize("command, flag, value", _REMOVED)
+    def test_unread_flag_is_rejected(self, invoke, command, flag, value):
+        extra = (flag,) if value is None else (flag, value)
+        code, out, err = invoke(*_BASE[command], *extra)
+        assert code == 2 and out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("command", list(_BASE))
+    def test_seed_and_tolerances(self, invoke, command):
+        _, out, _ = invoke(*_BASE[command])
+        rec = record_of(out)
+        assert rec["seed"] == (0 if command == "constant" else None)
+        if command == "norm":
+            assert rec["tolerances"] == {"abs": None, "rel": None}
+        else:
+            assert rec["tolerances"] == {"abs": 1e-10, "rel": 1e-8}
+
+    def test_oscillation_quadrature_gets_the_recorded_tol(self, invoke, monkeypatch):
+        seen = []
+        check = cli.oscillation_decay_check
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["quad_tol"])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "oscillation_decay_check", spy)
+        _, out, _ = invoke(*_BASE["oscillation"], "--tol", "1e-12")
+        assert seen == [record_of(out)["tolerances"]["abs"]] == [1e-12]
+
+    def test_defaults_come_from_the_experiments(self, invoke):
+        _, out, _ = invoke("counterexample", "--alpha", "0.5", "--p", "2")
+        assert record_of(out)["parameters"]["delta"] == list(DEFAULT_DELTA_SEQUENCE)
+        _, out, _ = invoke("oscillation", "--weight", "const:1", "--axes", "1")
+        params = record_of(out)["parameters"]
+        assert params["r"] == list(DEFAULT_R_SEQUENCE)
+        assert params["decay_tol"] == DEFAULT_DECAY_TOL

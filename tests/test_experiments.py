@@ -260,11 +260,3 @@ class TestDuality:
         msg = r"tail exponent -0\.75 \(f ~ r\*\*-0\.5, g ~ r\*\*-0\.25\)"
         with pytest.raises(ValueError, match=msg):
             duality_check(ONE, cutoff_power(-0.5, 1.0), cutoff_power(-0.25, 1.0))
-
-
-class TestSweepWorkers:
-    def test_threaded_matches_serial(self):
-        serial = lebesgue_sharpness_sweep(ONE2, cfg(1, 4.0, 4.0), workers=1)
-        threaded = lebesgue_sharpness_sweep(ONE2, cfg(1, 4.0, 4.0), workers=4)
-        assert serial.sweep == threaded.sweep
-        assert serial.verdict == threaded.verdict

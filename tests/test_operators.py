@@ -192,6 +192,30 @@ class TestLogFormWeightRoute:
         assert res.converged
         assert res.value == pytest.approx(1.4114603596699321, rel=1e-10)
 
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_zero_rate_power_input_is_finite(self, r):
+        # t**(-1/2) cancels exp(-s/2): the plain moment 2/alpha = 4, times r**(-1/2)
+        res = hardy_apply(OperatorRequest(self.w, (power(-0.5),), r))
+        exact = 4.0 / math.sqrt(r)
+        assert res.converged and res.diagnosis is None
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize(
+        "a, exact", [(-0.499, 3.8892333756910864), (-0.49, 3.6588292488400943)]
+    )
+    def test_slow_decay_power_input(self, a, exact):
+        # c**-alpha gamma(alpha, c) + c**alpha Gamma(-alpha, c), c = 1/2 + a
+        # (mpmath); the tail exp(-c s) reaches far past the float range of t
+        res = hardy_apply(OperatorRequest(self.w, (power(a),), 1.0))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
+    def test_zero_rate_log_commutator_diverges(self):
+        res = hardy_commutator_apply(
+            OperatorRequest(self.w, (power(-0.5),), 1.0, symbols=(log_radial(),))
+        )
+        assert res.value == math.inf and not res.converged and res.diagnosis
+
 
 class TestOperatorProperties:
     def test_multilinearity(self):
