@@ -478,14 +478,14 @@ def _halfline_nodes(
     breakpoints: Sequence[float] = (),
 ):
     """Fixed composite rule for int_{r_min}^inf, via r = r_min + v/(1-v)."""
-    from .numerics import _axis_rule  # shared panel machinery
+    from .numerics import _cached_axis_rule  # shared panel machinery
 
     b1 = -tail_exponent - 2.0  # raises below if the pairing is not integrable
     beh = EndpointBehavior(0.0, b1)
     bps = [
         (r - r_min) / (1.0 + r - r_min) for r in breakpoints if r > r_min
     ]
-    v, _, w = _axis_rule(beh, depth, order, 0, bps)
+    v, _, w = _cached_axis_rule(beh, depth, order, 0, tuple(bps))
     om = 1.0 - v
     r = r_min + v / om
     return r, w / (om * om)

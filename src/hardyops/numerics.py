@@ -40,7 +40,14 @@ the substituted coordinates, which plays the role of importance sampling:
 the map density matches the declared endpoint powers, so the weighted
 integrand is bounded and the estimator has finite variance.  Only
 generic integrands reach it: integrals against the package's product
-weights factor into unary ones first, and corner weights stop at m = 3.
+weights factor into unary ones first, and those against its corner
+weights go through the mixture engine below.
+
+The mixture engine (`_mixture_integrate`) integrates
+``int_0^inf prod_i F_i(x**(1/nu)) dx`` with
+``F_i(sigma) = int f_i(t, s) exp(-sigma gap_i(t, s)**2) dt``, the
+Schwinger form of the Riesz and Cesaro corner weights, for any m: one
+batched matrix product per axis and rung, over all sigma nodes at once.
 
 Integrands must accept numpy arrays (one per coordinate) and evaluate
 elementwise.
@@ -50,8 +57,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iter_product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -446,6 +454,24 @@ def _axis_rule(
     return t, s, uw * dt
 
 
+@lru_cache(maxsize=64)
+def _cached_axis_rule(
+    behavior: EndpointBehavior,
+    depth: int,
+    order: int,
+    uniform_panels: int = 0,
+    breakpoints: tuple = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_axis_rule`, memoized on its arguments (breakpoints as a tuple).
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    rule = _axis_rule(behavior, depth, order, uniform_panels, breakpoints)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 # per-axis rung ladders (depth, order), coarse to fine, by dimension m
 _AXIS_RUNGS = {
     1: ((16, 12), (24, 16), (30, 20)),
@@ -553,7 +579,6 @@ def _tensor_integrate(
     bps = axis_breakpoints or [()] * m
     ladder = _AXIS_RUNGS[m]
     top = len(ladder) - 1
-    axis_rules: dict[tuple[int, int], tuple] = {}
     grids: dict[tuple[int, ...], tuple[float, float]] = {}
     used = 0
 
@@ -563,15 +588,10 @@ def _tensor_integrate(
         known = grids.get(level)
         if known is not None:
             return known
-        rules = []
-        for i, k in enumerate(level):
-            rule = axis_rules.get((i, k))
-            if rule is None:
-                depth, order = ladder[k]
-                rule = axis_rules[i, k] = _axis_rule(
-                    behaviors[i], depth, order, uniform_panels[i], bps[i]
-                )
-            rules.append(rule)
+        rules = [
+            _cached_axis_rule(behaviors[i], *ladder[k], uniform_panels[i], tuple(bps[i]))
+            for i, k in enumerate(level)
+        ]
         if used > 0 and used + math.prod([r[0].size for r in rules]) > budget:
             return None
         value, mass, n = _tensor_value(fp, rules)
@@ -634,37 +654,14 @@ def _euclid_arrays(vs) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
-    """Restrict a pair-form integrand to a sub-box on the unit cube.
+def _box_axes(behaviors, axis_breakpoints, lows, highs):
+    """Behaviors and breakpoints of the unit-cube axes that a sub-box maps to.
 
     Endpoint behaviors survive only on axes whose box edge coincides
-    with the original endpoint; a corner at (1,...,1) survives only if
-    every upper edge is 1, with its smooth factor rescaled for the
-    anisotropic change of variables.
+    with the original endpoint.
     """
     m = len(behaviors)
-    lows = [float(x) for x in lows]
-    highs = [float(x) for x in highs]
-    for lo, hi in zip(lows, highs):
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"invalid box edge ({lo}, {hi})")
     widths = [hi - lo for lo, hi in zip(lows, highs)]
-    gaps = [1.0 - hi for hi in highs]
-    scale = math.prod(widths)
-
-    def fb(us, sus):
-        # rounding of lo + w*u can land exactly on a singular endpoint,
-        # and s is propagated exactly: 1 - (lo + w*u) = gap + w*(1 - u)
-        ts = tuple(
-            np.clip(lo + w * u, _T_FLOOR, _T_CEIL)
-            for lo, w, u in zip(lows, widths, us)
-        )
-        ss = tuple(
-            np.clip(gap + w * su, _T_FLOOR, _T_CEIL)
-            for gap, w, su in zip(gaps, widths, sus)
-        )
-        return fp(ts, ss) * scale
-
     new_beh = tuple(
         EndpointBehavior(
             behaviors[i].exponent_at_zero if lows[i] == 0.0 else 0.0,
@@ -672,17 +669,6 @@ def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
         )
         for i in range(m)
     )
-    new_corner = None
-    if corner is not None and all(h == 1.0 for h in highs):
-        ce = corner.exponent
-        old_smooth = corner.smooth_factor
-
-        def smooth(*ss):
-            s_orig = tuple(w * s for w, s in zip(widths, ss))
-            ratio = _euclid_arrays(s_orig) / _euclid_arrays(ss)
-            return old_smooth(*s_orig) * ratio**ce * scale
-
-        new_corner = CornerBehavior(ce, smooth)
     bps = axis_breakpoints or [()] * m
     new_bps = [
         [(bp - lo) / w for bp in bp_i if lo < bp < hi]
@@ -710,6 +696,50 @@ def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
             extra.extend(1.0 - e for e in _ladder(hi_scale))
         if extra:
             new_bps[i] = list(new_bps[i]) + extra
+    return new_beh, new_bps
+
+
+def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
+    """Restrict a pair-form integrand to a sub-box on the unit cube.
+
+    Behaviors and breakpoints follow `_box_axes`; a corner at (1,...,1)
+    survives only if every upper edge is 1, with its smooth factor
+    rescaled for the anisotropic change of variables.
+    """
+    lows = [float(x) for x in lows]
+    highs = [float(x) for x in highs]
+    for lo, hi in zip(lows, highs):
+        if not (0.0 <= lo < hi <= 1.0):
+            raise ValueError(f"invalid box edge ({lo}, {hi})")
+    widths = [hi - lo for lo, hi in zip(lows, highs)]
+    gaps = [1.0 - hi for hi in highs]
+    scale = math.prod(widths)
+
+    def fb(us, sus):
+        # rounding of lo + w*u can land exactly on a singular endpoint,
+        # and s is propagated exactly: 1 - (lo + w*u) = gap + w*(1 - u)
+        ts = tuple(
+            np.clip(lo + w * u, _T_FLOOR, _T_CEIL)
+            for lo, w, u in zip(lows, widths, us)
+        )
+        ss = tuple(
+            np.clip(gap + w * su, _T_FLOOR, _T_CEIL)
+            for gap, w, su in zip(gaps, widths, sus)
+        )
+        return fp(ts, ss) * scale
+
+    new_beh, new_bps = _box_axes(behaviors, axis_breakpoints, lows, highs)
+    new_corner = None
+    if corner is not None and all(h == 1.0 for h in highs):
+        ce = corner.exponent
+        old_smooth = corner.smooth_factor
+
+        def smooth(*ss):
+            s_orig = tuple(w * s for w, s in zip(widths, ss))
+            ratio = _euclid_arrays(s_orig) / _euclid_arrays(ss)
+            return old_smooth(*s_orig) * ratio**ce * scale
+
+        new_corner = CornerBehavior(ce, smooth)
     return fb, new_beh, new_corner, new_bps
 
 
@@ -789,6 +819,154 @@ def _integrate_with_corner(
 
 
 # ---------------------------------------------------------------------------
+# Gaussian mixtures (Schwinger reduction)
+# ---------------------------------------------------------------------------
+
+
+class MixtureAxis(NamedTuple):
+    """One axis of a mixture integral: F(sigma) = int f(t, s) exp(-sigma gap(t, s)**2) dt.
+
+    The integral runs over (lo, hi).  `zero_exp` and `one_exp` are the
+    endpoint powers of f alone; `zero_exp` may reach -1 or below when
+    `gap_at_zero` is set, because a gap that grows without bound as
+    t -> 0 makes the Gaussian cut f off at t ~ sigma**(1/2) there.
+    """
+
+    f_pair: Callable[[tuple, tuple], np.ndarray]
+    gap: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    zero_exp: float
+    one_exp: float
+    lo: float
+    hi: float
+    breakpoints: tuple
+    uniform_panels: int
+    gap_at_zero: bool
+
+
+# rungs (inner depth, inner order, outer depth, outer order), coarse to fine;
+# the inner rules grade to depth d toward t = 1, which resolves the layer
+# exp(-sigma s**2) up to sigma = 4**d
+_MIXTURE_RUNGS = ((36, 8, 20, 8), (40, 12, 26, 12), (44, 16, 32, 16))
+
+# panel edges t = 2^-k, k < this, on an axis whose gap grows as t -> 0
+_GAP_LADDER = 60
+
+# gap**2 is capped here so that sigma * gap**2 is never inf * 0
+_GAP2_MAX = 1e300
+
+# exp(-x) underflows to exactly 0 for x above this
+_EXP_ZERO = 750.0
+
+
+def _mixture_inner(axis: MixtureAxis, depth: int, order: int):
+    """Nodes t, complements s and weights of one axis's rule on (lo, hi)."""
+    zero = axis.zero_exp if axis.zero_exp > -1.0 else 0.0
+    (beh,), (bps,) = _box_axes(
+        [EndpointBehavior(zero, axis.one_exp)], [axis.breakpoints], [axis.lo], [axis.hi]
+    )
+    if axis.gap_at_zero and axis.lo == 0.0:
+        bps = bps + [2.0**-k for k in range(2, _GAP_LADDER)]
+    # each half comes from a rule whose own coordinate is exact there: t on
+    # the left, and on the right s, from the rule of the mirrored axis (the
+    # layer exp(-sigma s**2) needs s to full relative precision)
+    t_l, s_l, w_l = _cached_axis_rule(
+        beh, depth, order, axis.uniform_panels, tuple(b for b in bps if b < 0.5)
+    )
+    s_r, t_r, w_r = _cached_axis_rule(
+        EndpointBehavior(beh.exponent_at_one, beh.exponent_at_zero), depth, order,
+        axis.uniform_panels, tuple(1.0 - b for b in bps if b > 0.5),
+    )
+    left, right = t_l < 0.5, s_r < 0.5
+    u = np.concatenate([t_l[left], t_r[right]])
+    su = np.concatenate([s_l[left], s_r[right]])
+    wu = np.concatenate([w_l[left], w_r[right]])
+    width = axis.hi - axis.lo
+    t = np.clip(axis.lo + width * u, _T_FLOOR, _T_CEIL)
+    s = np.clip((1.0 - axis.hi) + width * su, _T_FLOOR, _T_CEIL)
+    return t, s, width * wu
+
+
+def _mixture_outer(nu: float, lam: float, zeta: float, depth: int, order: int, cap: float):
+    """Ascending nodes sigma, weights omega: int_0^inf G(x**(1/nu)) dx ~ sum omega G(sigma).
+
+    G decays like sigma**-lam.  x in (0, 1) is integrated as it stands
+    (G ~ x**(zeta) at 0); x in (1, inf) through sigma = y**(-1/mu),
+    mu = lam - nu, which turns the power tail into a constant as y -> 0.
+    Past `cap` the tail keeps its value at sigma = cap.
+    """
+    mu = lam - nu
+    z, _, wz = _cached_axis_rule(EndpointBehavior(zeta, 0.0), depth, order)
+    y, _, wy = _cached_axis_rule(EndpointBehavior(), depth, order)
+    with np.errstate(over="ignore", under="ignore"):
+        left = z ** (1.0 / nu)
+        right = np.minimum(y ** (-1.0 / mu), cap)
+    sigma = np.concatenate([left, right])
+    order = np.argsort(sigma, kind="stable")
+    return sigma[order], np.concatenate([wz, (nu / mu) * wy * right**lam])[order]
+
+
+def _mixture_integrate(
+    nu: float,
+    scale: float,
+    axes: Sequence[MixtureAxis],
+    tol: float,
+    rtol: float,
+) -> QuadratureResult:
+    """scale * int_0^inf prod_i F_i(x**(1/nu)) dx, rung by rung.
+
+    Each F_i uses its own axis rule, and a rung evaluates all its sigma
+    nodes at once as exp(-sigma gap**2) @ (weights * f), in slabs of at
+    most `_SLAB_NODES` entries; with both sorted ascending, a slab skips
+    the nodes whose exponent underflows to 0 for its smallest sigma.
+    From the second rung on, the estimate is the change from the
+    previous rung plus the rounding floor, and the finer value is
+    reported once it meets the goal.
+    """
+    lam = math.fsum((1.0 + ax.one_exp) / 2.0 for ax in axes)
+    zeta = math.fsum(
+        min(0.0, (ax.zero_exp + 1.0) / (2.0 * nu))
+        for ax in axes if ax.gap_at_zero and ax.lo == 0.0
+    )
+    if not lam > nu or not zeta > -1.0:
+        return QuadratureResult.divergent("the Gaussian mixture integral diverges")
+    used = 0
+    previous = None
+    slab = np.empty(_SLAB_NODES)
+    for depth_in, order_in, depth_out, order_out in _MIXTURE_RUNGS:
+        sigma, omega = _mixture_outer(nu, lam, zeta, depth_out, order_out, 4.0**depth_in)
+        # columns: the integral and its absolute counterpart
+        prod = np.stack([omega, omega], axis=1)
+        for ax in axes:
+            t, s, w = _mixture_inner(ax, depth_in, order_in)
+            f = np.asarray(ax.f_pair((t,), (s,)), dtype=float) * w
+            with np.errstate(over="ignore"):
+                gap2 = np.minimum(np.asarray(ax.gap(t, s), dtype=float) ** 2, _GAP2_MAX)
+            order = np.argsort(gap2, kind="stable")
+            gap2 = gap2[order]
+            cols = np.stack([f[order], np.abs(f[order])], axis=1)
+            step = max(1, min(64, _SLAB_NODES // t.size))
+            for a in range(0, sigma.size, step):
+                rows = sigma[a : a + step]
+                keep = gap2.size
+                if rows[0] > 0.0:
+                    keep = int(np.searchsorted(gap2, _EXP_ZERO / rows[0], side="right"))
+                block = slab[: rows.size * keep].reshape(rows.size, keep)
+                np.multiply(-rows[:, None], gap2[:keep], out=block)
+                prod[a : a + step] *= np.exp(block, out=block) @ cols[:keep]
+                used += block.size
+        value = scale * math.fsum(prod[:, 0].tolist())
+        mass = scale * math.fsum(prod[:, 1].tolist())
+        if not math.isfinite(mass):
+            raise QuadratureError("integrand returned a non-finite value (mixture axis)")
+        if previous is not None:
+            estimate = abs(value - previous) + _rounding_floor(mass)
+            if estimate <= max(tol, rtol * abs(value)):
+                return QuadratureResult(value, estimate, used, True)
+        previous = value
+    return QuadratureResult(value, estimate, used, False)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo (m >= 4)
 # ---------------------------------------------------------------------------
 
@@ -842,11 +1020,14 @@ def integrate_unit_cube(
     f receives m broadcastable arrays.  For m <= 3 the deterministic
     tensor rule is used (per-axis substitutions, geometrically graded
     panels, per-axis rung escalation for the error estimate); `corner`
-    routes an additional (1,...,1) singularity through a Duffy split.
-    For m >= 4 a seeded Latin-hypercube Monte Carlo estimate is
-    returned; two calls with identical arguments are bit-identical.  No
-    built-in weight reaches it: `const:c:m` integrals are products of
-    m = 1 calls, and a `corner` with m >= 4 raises.
+    routes an additional (1,...,1) singularity through a Duffy split,
+    which the package's own weights no longer use (they integrate
+    through their Gaussian mixture form) and which stays as an
+    independent route for checking them.  For m >= 4 a seeded
+    Latin-hypercube Monte Carlo estimate is returned; two calls with
+    identical arguments are bit-identical.  No built-in weight reaches
+    it: `const:c:m` integrals are products of m = 1 calls, and a
+    `corner` with m >= 4 raises.
 
     `f_pair(ts, ss)`, when supplied, replaces f and receives both the
     nodes and their exact complements ``ss = 1 - ts``: integrands

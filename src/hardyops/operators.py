@@ -115,19 +115,37 @@ def _axis(
     return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
 
 
-def _integrate_log_axis(weight: Weight, ax: _Axis, layers, tol: float) -> QuadratureResult:
+def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[float]:
+    """Power of t that b(r) - b(argument) grows like as t -> 0 (0 when bounded).
+
+    None for a symbol without a power descriptor (such as log), whose
+    growth is not declared.
+    """
+    if b.descriptor is None:
+        return None
+    ax = _axis(b, r, 0, EndpointBehavior(), cesaro)
+    return min(0.0, ax.zero_exp) if ax.lo == 0.0 else 0.0
+
+
+def _integrate_log_axis(
+    weight: Weight, ax: _Axis, layers, tol: float, symbol_exps: Sequence = ()
+) -> QuadratureResult:
     """Unary log-form weights integrate in s = log(1/t).
 
     The weight's natural variable makes its slowly varying (logarithmic)
     structure a plain power in s, which the endpoint machinery then
     handles at full accuracy.  An input power t**kappa declared down to
-    t = 0 joins the exponential, so convergence at s = inf is decided
-    on the exact rate; each symbol layer may add one power of s there.
+    t = 0 joins the exponential, and so does a symbol growing like a
+    negative power of t there (`symbol_exps`, from `_symbol_exponent`),
+    so convergence at s = inf is decided on the exact rate; a bounded
+    symbol adds nothing there, and one with undeclared growth (log) may
+    add one power of s.
     """
     lf = weight.log_form
     s_lo = -math.log(ax.hi) if ax.hi < 1.0 else 0.0
     s_hi = -math.log(ax.lo) if ax.lo > 0.0 else math.inf
     kappa = ax.zero_exp - lf.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
+    kappa += math.fsum(e for e in symbol_exps if e is not None)
     rate = 1.0 + lf.rate_shift + kappa
     # t is frozen where exp(-s) would leave the float range of t**kappa;
     # past that point the layers over t**kappa are constant for power
@@ -140,17 +158,18 @@ def _integrate_log_axis(weight: Weight, ax: _Axis, layers, tol: float) -> Quadra
         return branch * t ** -kappa * np.exp(-rate * s)
 
     bps = [1.0] + [-math.log(b) for b in ax.breakpoints if 0.0 < b < 1.0]
-    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps, rate, len(layers) - 1)
+    log_powers = sum(e is None for e in symbol_exps)
+    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps, rate, log_powers)
 
 
 def _integrate_axes(
-    weight: Weight, axes: Sequence[_Axis], layers, tol: float
+    weight: Weight, axes: Sequence[_Axis], layers, tol: float, symbol_exps: Sequence = ()
 ) -> QuadratureResult:
     """Integrate the factor `layers` times w(t) over the product of axis boxes."""
     if any(ax.lo >= ax.hi for ax in axes):
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
     if weight.arity == 1 and weight.log_form is not None:
-        return _integrate_log_axis(weight, axes[0], layers, tol)
+        return _integrate_log_axis(weight, axes[0], layers, tol, symbol_exps)
     for ax in axes:
         if ax.certain and ax.lo == 0.0 and not ax.zero_exp > -1.0:
             return QuadratureResult.divergent(
@@ -199,9 +218,11 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
         return b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))
 
     layers = [[partial(term, f) for f in req.functions]]
+    symbol_exps = ()
     if commutator:
         layers.append([partial(symbol, b) for b in req.symbols])
-    return _integrate_axes(req.weight, axes, layers, req.tol)
+        symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols]
+    return _integrate_axes(req.weight, axes, layers, req.tol, symbol_exps)
 
 
 def hardy_apply(req: OperatorRequest) -> QuadratureResult:

@@ -2,9 +2,10 @@
 
 A `Weight` bundles one nonnegative vectorized evaluator on ``(0,1)**m``
 with the machine-readable facts the quadrature layer needs: per-axis
-endpoint exponents, an optional corner singularity at ``(1,...,1)``, and
-an optional logarithmic substitution form for weights whose natural
-variable is ``s = log(1/t)``.
+endpoint exponents, an optional corner singularity at ``(1,...,1)``
+together with the Gaussian mixture form its integrals use, an optional
+factorization into unary weights, and an optional logarithmic
+substitution form for weights whose natural variable is ``s = log(1/t)``.
 
 The evaluator is in pair form, ``pair(ts, ss)``: it receives the nodes
 together with their complements ``ss = 1 - ts`` (the quadrature maps
@@ -41,9 +42,11 @@ import numpy as np
 from .numerics import (
     CornerBehavior,
     EndpointBehavior,
+    MixtureAxis,
     QuadratureResult,
     _CUBE_RTOL,
     _euclid_arrays,
+    _mixture_integrate,
     _rounding_floor,
     gamma,
     integrate_halfline,
@@ -54,6 +57,7 @@ from .numerics import (
 __all__ = [
     "Weight",
     "LogSubstitution",
+    "GaussianMixture",
     "constant_weight",
     "riemann_liouville_weight",
     "multilinear_riesz_weight",
@@ -77,6 +81,23 @@ class LogSubstitution:
     branch: Callable[[np.ndarray], np.ndarray]
     zero_exponent: float
     tail_exponent: float
+
+
+@dataclass(frozen=True)
+class GaussianMixture:
+    """Weight written as ``scale * int_0^inf prod_i exp(-x**(1/nu) gap(t_i, s_i)**2) dx``.
+
+    This is the Schwinger identity |v|**(-2 nu) = Gamma(nu + 1)**-1
+    int_0^inf exp(-x**(1/nu) |v|**2) dx with v_i = gap(t_i, s_i): every
+    integral against the weight becomes one x-integral of a product of
+    one-dimensional integrals.  `gap_at_zero` marks a gap that grows
+    without bound as t -> 0.
+    """
+
+    nu: float
+    gap: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    scale: float
+    gap_at_zero: bool
 
 
 _BORDER_EPS = 1e-12
@@ -131,7 +152,11 @@ class Weight:
     to both endpoints.  ``w(*ts)`` forms ``ss`` itself.
 
     `factors`, when set, holds one unary weight per axis whose product
-    is w; integrals against it then factor into unary ones.
+    is w; integrals against it then factor into unary ones.  `mixture`,
+    when set, writes w as a Gaussian mixture, and integrals against it
+    become one integral over the mixture of products of unary ones.
+    `corner` describes the singularity at (1,...,1) for the Duffy route
+    of `integrate_unit_cube`; a corner weight must carry its mixture.
     """
 
     arity: int
@@ -142,6 +167,7 @@ class Weight:
     corner: Optional[CornerBehavior] = None
     log_form: Optional[LogSubstitution] = None
     factors: Optional[tuple["Weight", ...]] = None
+    mixture: Optional[GaussianMixture] = None
 
     def __call__(self, *ts) -> np.ndarray:
         if len(ts) != self.arity:
@@ -156,6 +182,8 @@ class Weight:
             raise ValueError("one EndpointBehavior per axis is required")
         if self.corner is not None and not self.corner.exponent > -self.arity:
             raise ValueError("corner exponent must exceed -m for integrability")
+        if self.corner is not None and self.mixture is None:
+            raise ValueError("a corner weight needs its mixture form, which its integrals use")
         if self.factors is not None and [w.arity for w in self.factors] != [1] * self.arity:
             raise ValueError("factors must be one unary weight per axis")
         self._coarse_check()
@@ -171,16 +199,6 @@ class Weight:
             raise ValueError(f"{self.label}: non-finite value on probe grid")
         if np.any(vals < 0):
             raise ValueError(f"{self.label}: negative value on probe grid")
-
-
-class _Complements:
-    """The complements 1 - ss, one axis at a time, so no slab is held twice."""
-
-    def __init__(self, ss):
-        self.ss = ss
-
-    def __getitem__(self, i):
-        return 1.0 - self.ss[i]
 
 
 def _layer_product(layers, ts, ss, w_pair):
@@ -210,22 +228,32 @@ def _integrate_weighted(
     `integrate_unit_cube`.  A factored weight gives the product of one
     unary integral per axis, each to a 1/m share of the tolerances, with the
     exact bound E <- E (|v_i| + e_i) + |V| e_i on the running product V
-    plus its rounding; any other weight gives one cube integral (its
-    corner form evaluates the factors at t = 1 - s).
+    plus its rounding.  A mixture weight gives one mixture integral of
+    per-axis unary integrals, each on its own box, breakpoints and
+    panels (`numerics._mixture_integrate`).  Any other weight gives one
+    cube integral.
     """
     m = weight.arity
     panels = [uniform_panels] * m if isinstance(uniform_panels, int) else uniform_panels
+    if weight.mixture is not None:
+        mix = weight.mixture
+        lows, highs = box if box is not None else ([0.0] * m, [1.0] * m)
+        bps = breakpoints or [()] * m
+        axes = [
+            MixtureAxis(
+                partial(_layer_product, [[layer[i]] for layer in layers], w_pair=_unit_pair),
+                mix.gap,
+                # the callers' exponents include the weight's own
+                behaviors[i].exponent_at_zero - weight.behaviors[i].exponent_at_zero,
+                behaviors[i].exponent_at_one - weight.behaviors[i].exponent_at_one,
+                float(lows[i]), float(highs[i]), tuple(bps[i]), panels[i], mix.gap_at_zero,
+            )
+            for i in range(m)
+        ]
+        return _mixture_integrate(mix.nu, mix.scale, axes, tol, _CUBE_RTOL)
     if weight.factors is None:
-        corner = None
-        if weight.corner is not None:
-            w_smooth = weight.corner.smooth_factor
-
-            def smooth(*ss):
-                return _layer_product(layers, _Complements(ss), ss, lambda ts, ss: w_smooth(*ss))
-
-            corner = CornerBehavior(weight.corner.exponent, smooth)
         return integrate_unit_cube(
-            None, behaviors, tol=tol, seed=seed, corner=corner, box=box,
+            None, behaviors, tol=tol, seed=seed, box=box,
             uniform_panels=panels, axis_breakpoints=breakpoints,
             f_pair=lambda ts, ss: _layer_product(layers, ts, ss, weight.pair),
         )
@@ -245,6 +273,10 @@ def _integrate_weighted(
     estimate += _rounding_floor(value)
     return QuadratureResult(value, estimate, evaluations,
                             estimate <= max(tol, _CUBE_RTOL * abs(value)))
+
+
+def _unit_pair(ts, ss) -> float:
+    return 1.0
 
 
 def _check_order(alpha: float, m: int) -> None:
@@ -312,33 +344,39 @@ def riemann_liouville_weight(alpha: float) -> Weight:
     )
 
 
+def _schwinger(alpha: float, m: int, gap, gap_at_zero: bool) -> GaussianMixture:
+    """|v|**(a-m) / Gamma(a) as a Gaussian mixture in v_i = gap(t_i, s_i)."""
+    nu = (m - alpha) / 2.0
+    return GaussianMixture(nu, gap, 1.0 / (gamma(alpha) * gamma(nu + 1.0)), gap_at_zero)
+
+
 def multilinear_riesz_weight(alpha: float, m: int) -> Weight:
     """w(t) = 1 / (Gamma(a) |(1-t_1,...,1-t_m)|_2**(m-a)), 0 < a < m.
 
     For m = 1 this coincides pointwise with the Riemann-Liouville
     weight.  For m >= 2 the singularity lives at the single corner
     (1,...,1) with homogeneity a - m; per-axis slopes away from the
-    corner are flat, so the declared axis exponents are 0 and the
-    corner is carried separately.
+    corner are flat, so the declared axis exponents are 0.  Integrals
+    against the weight use its Gaussian mixture (Schwinger) form with
+    gaps v_i = 1 - t_i, for every m; the corner is also carried for the
+    Duffy route of `integrate_unit_cube`.
     """
     _check_order(alpha, m)
     if m == 1:
         return replace(riemann_liouville_weight(alpha), label=f"riesz:{alpha:g}:1")
     ga = gamma(alpha)
     expo = alpha - float(m)
-    corner = None
-    if expo < 0.0:
-        # w(1-s) * |s|**(m-a) is exactly 1/Gamma(a)
-        corner = CornerBehavior(
-            expo, lambda *ss: np.full(np.broadcast_shapes(*map(np.shape, ss)), 1.0 / ga)
-        )
 
     return Weight(
         arity=m,
         pair=lambda ts, ss: _euclid_arrays(ss) ** expo / ga,
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"riesz:{alpha:g}:{m} (euclidean)",
-        corner=corner,
+        # w(1-s) * |s|**(m-a) is exactly 1/Gamma(a)
+        corner=CornerBehavior(
+            expo, lambda *ss: np.full(np.broadcast_shapes(*map(np.shape, ss)), 1.0 / ga)
+        ),
+        mixture=_schwinger(alpha, m, lambda t, s: s, gap_at_zero=False),
     )
 
 
@@ -373,29 +411,27 @@ def multilinear_cesaro_weight(alpha: float, m: int) -> Weight:
 
     Same corner structure at (1,...,1) as the multilinear Riesz weight
     (1/t - 1 ~ 1 - t there); near any t_i = 0 the norm blows up, so the
-    weight vanishes like t_i**(m-a) per axis.
+    weight vanishes like t_i**(m-a) per axis.  Integrals against it use
+    its Gaussian mixture form with gaps v_i = s_i / t_i, for every m.
     """
     _check_order(alpha, m)
     if m == 1:
         return replace(weyl_weight(alpha), label=f"cesaro:{alpha:g}:1")
     ga = gamma(alpha)
     expo = alpha - float(m)
-    corner = None
-    if expo < 0.0:
 
-        def smooth(*ss):
-            # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0
-            ratio = _euclid_arrays(ss) / _euclid_arrays([s / (1.0 - s) for s in ss])
-            return ratio ** (-expo) / ga
-
-        corner = CornerBehavior(expo, smooth)
+    def smooth(*ss):
+        # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0
+        ratio = _euclid_arrays(ss) / _euclid_arrays([s / (1.0 - s) for s in ss])
+        return ratio ** (-expo) / ga
 
     return Weight(
         arity=m,
         pair=lambda ts, ss: _euclid_arrays([s / t for s, t in zip(ss, ts)]) ** expo / ga,
         behaviors=(EndpointBehavior(float(m) - alpha, 0.0),) * m,
         label=f"cesaro:{alpha:g}:{m} (euclidean)",
-        corner=corner,
+        corner=CornerBehavior(expo, smooth),
+        mixture=_schwinger(alpha, m, lambda t, s: s / t, gap_at_zero=True),
     )
 
 

@@ -244,7 +244,7 @@ CORNER_CALIBRATION = [
 
 
 class TestCornerCalibration:
-    """The Duffy corner route against independent high-precision values."""
+    """The corner weights (Gaussian mixture route) against high-precision values."""
 
     @pytest.mark.parametrize("family, spec, p, exact", CORNER_CALIBRATION)
     def test_within_estimate(self, family, spec, p, exact):

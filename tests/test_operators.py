@@ -210,6 +210,16 @@ class TestLogFormWeightRoute:
         assert res.converged
         assert abs(res.value - exact) <= res.abs_error_estimate
 
+    def test_zero_rate_bounded_symbol_converges(self):
+        # b(1) - b(t) = 1 - t is bounded, so the zero rate leaves the
+        # branch tail s**(-3/2): int (1 - e**-s) branch(s) ds (mpmath)
+        res = hardy_commutator_apply(
+            OperatorRequest(self.w, (power(-0.5),), 1.0, symbols=(power(1.0),))
+        )
+        exact = 2.3282040225935852449
+        assert res.converged and res.diagnosis is None
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
     def test_zero_rate_log_commutator_diverges(self):
         res = hardy_commutator_apply(
             OperatorRequest(self.w, (power(-0.5),), 1.0, symbols=(log_radial(),))
