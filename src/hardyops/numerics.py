@@ -22,9 +22,13 @@ panel refinement mops up.
 
 The interval and half-line integrators are adaptive: each panel is scored
 by comparing its 15-point Gauss-Legendre value against the sum over its
-two halves, worst panels are bisected in deterministic batches, and the
-final sum is compensated (``math.fsum``) in left-to-right panel order, so
-repeated calls are bit-identical.
+two halves.  Each pass bisects every panel whose error exceeds its
+width's share of the goal (the locally adaptive rule), or, when only
+panels at the width floor do, the worst tier of the others.  A bisected
+panel's half integrals become its children's whole-panel values, so only
+the children's halves are evaluated.  The final sum is compensated
+(``math.fsum``) in left-to-right panel order, so repeated calls are
+bit-identical.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
@@ -265,34 +269,46 @@ def _adaptive_panels(
 ) -> tuple[float, float, int, bool]:
     """Adaptive bisection on (0,1) for a vectorized integrand F.
 
-    Panels start at `edges`; each refinement pass bisects every panel in
-    the current worst tier (error above half the maximum), re-scoring by
-    |GL15(panel) - GL15(left half) - GL15(right half)|.
+    Panels start at `edges`.  A panel's value is the sum of the GL15
+    integrals over its two halves; its error is |GL15(panel) - value|.
+    Each refinement pass bisects every panel above the width floor whose
+    error exceeds its width's share of the goal, error > goal * width
+    (the panels tile (0,1), so the shares add up to the goal).  When no
+    such panel qualifies, the pass bisects the worst tier of them
+    instead (error at least half the largest).  A bisected panel's two
+    half integrals are its children's whole-panel integrals, so a child
+    costs only the 30 nodes of its own halves.
     """
     base_x, base_w = _gl(15)
 
-    def score(lefts: np.ndarray, rights: np.ndarray):
-        # nodes for whole panel + both halves, one batched evaluation
+    def score(lefts: np.ndarray, rights: np.ndarray, whole: Optional[np.ndarray]):
+        # GL15 on both halves of every panel (and on the whole panel when
+        # `whole` is not known yet), one batched evaluation
         mids = 0.5 * (lefts + rights)
-        seg_l = np.concatenate([lefts, lefts, mids])
-        seg_r = np.concatenate([rights, mids, rights])
+        seg_l, seg_r = [lefts, mids], [mids, rights]
+        if whole is None:
+            seg_l, seg_r = [lefts] + seg_l, [rights] + seg_r
+        seg_l = np.concatenate(seg_l)
+        seg_r = np.concatenate(seg_r)
         widths = seg_r - seg_l
         nodes = seg_l[:, None] + widths[:, None] * base_x[None, :]
         vals = F(nodes.ravel()).reshape(nodes.shape)
         _check_finite(vals, "unit interval")
         integrals = (vals * base_w[None, :]).sum(axis=1) * widths
         k = lefts.size
-        whole = integrals[:k]
-        halves = integrals[k : 2 * k] + integrals[2 * k :]
-        err = np.abs(whole - halves)
-        return halves, err, nodes.size
+        if whole is None:
+            whole, integrals = integrals[:k], integrals[k:]
+        half_l, half_r = integrals[:k], integrals[k:]
+        err = np.abs(whole - (half_l + half_r))
+        return (lefts, rights, half_l, half_r, err), nodes.size
 
     lefts = np.asarray(edges[:-1], dtype=float)
     rights = np.asarray(edges[1:], dtype=float)
-    values, errors, used = score(lefts, rights)
+    panels, used = score(lefts, rights, None)
 
     while True:
-        total = float(np.sum(values))
+        lefts, rights, half_l, half_r, errors = panels
+        total = float(np.sum(half_l + half_r))
         total_err = float(np.sum(errors))
         goal = max(tol, rtol * abs(total))
         if total_err <= goal:
@@ -301,24 +317,28 @@ def _adaptive_panels(
             break
         # never bisect below the width floor: the map cannot resolve the
         # endpoint distance there anyway
-        wide = (rights - lefts) > 2.0**-48
+        widths = rights - lefts
+        wide = widths > 2.0**-48
         if not np.any(wide):
             break
-        cut = 0.5 * float(np.max(errors[wide]))
-        worst = wide & (errors >= cut)
-        keep = ~worst
-        mids = 0.5 * (lefts[worst] + rights[worst])
-        split_l = np.concatenate([lefts[worst], mids])
-        split_r = np.concatenate([mids, rights[worst]])
-        new_vals, new_errs, cost = score(split_l, split_r)
-        lefts = np.concatenate([lefts[keep], split_l])
-        rights = np.concatenate([rights[keep], split_r])
-        values = np.concatenate([values[keep], new_vals])
-        errors = np.concatenate([errors[keep], new_errs])
+        split = wide & (errors > goal * widths)
+        if not np.any(split):
+            split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
+        keep = ~split
+        mids = 0.5 * (lefts[split] + rights[split])
+        children, cost = score(
+            np.concatenate([lefts[split], mids]),
+            np.concatenate([mids, rights[split]]),
+            np.concatenate([half_l[split], half_r[split]]),
+        )
+        panels = tuple(
+            np.concatenate([old[keep], new]) for old, new in zip(panels, children)
+        )
         used += cost
 
+    lefts, rights, half_l, half_r, errors = panels
     order = np.argsort(lefts, kind="stable")
-    value = math.fsum(values[order].tolist())
+    value = math.fsum((half_l + half_r)[order].tolist())
     total_err = float(np.sum(errors))
     converged = total_err <= max(tol, rtol * abs(value))
     return value, total_err, used, converged

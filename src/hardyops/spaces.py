@@ -29,6 +29,7 @@ import numpy as np
 
 from .numerics import (
     EndpointBehavior,
+    QuadratureError,
     gamma,
     integrate_halfline,
     integrate_unit_interval,
@@ -450,7 +451,8 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
     For ``b = log|x|`` the bracket is independent of R and reduces to
     ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``, which is what
-    is evaluated; other symbols go through the generic R-grid sup.
+    is evaluated; other symbols go through the generic R-grid sup, which
+    raises QuadratureError when a ball integral does not converge.
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")
@@ -460,11 +462,18 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         )
         return (n * res.value) ** (1.0 / q)
 
+    def ball(g, radius: float) -> float:
+        res = _ball_integral(g, n, radius, b.breakpoints)
+        if not res.converged:
+            raise QuadratureError(
+                f"CMO ball integral at radius {radius:.6g} did not converge "
+                f"(value {res.value:.6g}, error estimate {res.abs_error_estimate:.2g})"
+            )
+        return res.value
+
     def bracket(radius: float) -> float:
-        mean = n * _ball_integral(b.fn, n, radius, b.breakpoints).value  # ball mean b_B
-        res = _ball_integral(
-            lambda r: np.abs(b.fn(r) - mean) ** q, n, radius, b.breakpoints
-        )
-        return (n * max(res.value, 0.0)) ** (1.0 / q)
+        mean = n * ball(b.fn, radius)  # ball mean b_B
+        osc = ball(lambda r: np.abs(b.fn(r) - mean) ** q, radius)
+        return (n * max(osc, 0.0)) ** (1.0 / q)
 
     return _grid_sup(bracket)

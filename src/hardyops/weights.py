@@ -421,8 +421,13 @@ def multilinear_cesaro_weight(alpha: float, m: int) -> Weight:
     expo = alpha - float(m)
 
     def smooth(*ss):
-        # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0
-        ratio = _euclid_arrays(ss) / _euclid_arrays([s / (1.0 - s) for s in ss])
+        # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0;
+        # both vectors are scaled by max_i s_i first, so their squares
+        # cannot all underflow (0/0) when every s_i is tiny
+        top = reduce(np.maximum, ss)
+        ratio = _euclid_arrays([s / top for s in ss]) / _euclid_arrays(
+            [s / (1.0 - s) / top for s in ss]
+        )
         return ratio ** (-expo) / ga
 
     return Weight(

@@ -101,6 +101,11 @@ class TestNormCommand:
         assert code == 0
         assert record_of(out)["result"]["value"] == pytest.approx(1.0, rel=1e-8)
 
+    def test_cmo_unconverged_fails_with_reason(self, invoke):
+        code, out, err = invoke("norm", "cmo", "--f", "osccut:200:2")
+        assert code == 2 and out == ""
+        assert "did not converge" in err
+
     def test_divergent_norm(self, invoke):
         code, out, _ = invoke("norm", "lp", "--f", "power:-0.25", "--p", "2")
         assert code == 0

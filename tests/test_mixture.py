@@ -58,6 +58,8 @@ def duffy_moment(weight, e):
         # nu = 5e-7 (the whole mixture within a sliver of x = 1)
         ("riesz:0.05:2", 4.0),
         ("riesz:1.999999:2", 4.0),
+        # the Duffy pieces reach s_i ~ 1e-300, where every s_i**2 underflows
+        ("cesaro:0.05:2", 4.0),
     ],
 )
 def test_mixture_matches_duffy(spec, p):

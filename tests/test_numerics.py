@@ -89,6 +89,59 @@ class TestUnitInterval:
         assert res.value == pytest.approx(0.7, abs=1e-12)
 
 
+def _beta(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+class TestAdaptivePanels:
+    """Width-share refinement with reused half integrals."""
+
+    @pytest.mark.parametrize("freq", [97.3, 900.37, 2500.1])
+    def test_oscillatory_within_estimate(self, freq):
+        res = integrate_unit_interval(lambda u: np.sin(math.pi * freq * u))
+        exact = (1.0 - math.cos(math.pi * freq)) / (math.pi * freq)
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize(
+        "f, f_pair, behavior, exact",
+        [
+            # undeclared fractional zero at t = 1 refines toward that end
+            (lambda t: t**-0.5 * (1 - t) ** 0.3, None, EndpointBehavior(-0.5, 0.0),
+             _beta(0.5, 1.3)),
+            # undeclared fractional zero at t = 0, pair-form singularity at 1
+            (None, lambda t, s: t**0.4 * s**-0.2, EndpointBehavior(0.0, -0.2),
+             _beta(1.4, 0.8)),
+        ],
+    )
+    def test_beta_within_estimate(self, f, f_pair, behavior, exact):
+        res = integrate_unit_interval(f, behavior, f_pair=f_pair)
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
+    def test_oscillatory_pass_count(self):
+        # every panel above its share is bisected in the same pass, so the
+        # passes grow with log(panels), not with the number of panels
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return np.sin(math.pi * 900.37 * u)
+
+        res = integrate_unit_interval(f)
+        assert res.converged
+        assert len(calls) <= 10
+        assert res.evaluations == sum(calls) <= 9_000
+
+    def test_repeat_bit_identical(self):
+        def f(u):
+            return np.sin(math.pi * 900.37 * u) * u**-0.25
+
+        behavior = EndpointBehavior(-0.25, 0.0)
+        first = integrate_unit_interval(f, behavior)
+        assert repr(integrate_unit_interval(f, behavior)) == repr(first)
+
+
 class TestHalfline:
     def test_exponential(self):
         res = integrate_halfline(lambda r: np.exp(-r))

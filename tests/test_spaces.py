@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyops.numerics import QuadratureError
 from hardyops.spaces import (
     ExponentConfig,
     central_morrey_norm,
@@ -123,6 +124,12 @@ class TestCmoNorm:
     def test_oscillatory_cutoff_finite(self):
         val = cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
         assert 0.0 < val < 2.0
+
+    def test_unconverged_ball_integral_raises(self):
+        # sin(200 pi r) outside r = 1 defeats the ball integrals at the
+        # large grid radii; their values must not pass as a norm
+        with pytest.raises(QuadratureError, match="radius .* did not converge"):
+            cmo_norm(parse_function_spec("osccut:200:2"), 2.0, 1)
 
     def test_inf_over_constants_one_sided(self):
         # the inf-over-constants form never exceeds the mean-centered
