@@ -48,10 +48,10 @@ from .constants import (
     morrey_constant,
     weighted_moment,
 )
-from .numerics import EndpointBehavior, QuadratureResult
+from .numerics import EndpointBehavior, QuadratureResult, _cached_axis_rule
 from .operators import (
     OperatorRequest,
-    cesaro_apply,
+    _apply_radii,
     hardy_apply,
     hardy_commutator_apply,
 )
@@ -456,19 +456,28 @@ def oscillation_decay_check(
 # ---------------------------------------------------------------------------
 
 
-def _radial_pairing(outer, inner, apply, weight, n, lo, tail, edges, quad_tol) -> float:
+def _radial_pairing(outer, inner, cesaro, weight, n, lo, tail, edges, quad_tol) -> float:
     """<outer, A inner> = w_n int_lo^inf outer(r) (A inner)(r) r^(n-1) dr.
 
-    The outer integral is a fixed graded rule pinned at the support
-    `edges`; the values of A come from the pointwise `apply`.
+    A is the Hardy average, or the Cesaro one when `cesaro`.  The outer
+    integral is split at every finite support edge past `lo`: each
+    finite piece takes a fixed rule graded toward both of its ends, and
+    the unbounded last piece a fixed half-line rule graded toward the
+    `tail` exponent, dropped when the tail is -inf (bounded support).
+    The values of A at all outer nodes come from one batched apply.
     """
-    bps = [x for x in edges if lo < x < math.inf]
-    # a product with bounded support (tail -inf) needs no grading at inf
-    nodes, weights = _halfline_nodes(lo, -2.0 if tail == -math.inf else tail, 20, 14, bps)
-    inner_values = np.array(
-        [apply(OperatorRequest(weight, (inner,), float(r), n, tol=quad_tol)).value
-         for r in nodes]
-    )
+    ends = [lo] + sorted({x for x in edges if lo < x < math.inf})
+    pieces = []
+    for a, b in zip(ends, ends[1:]):
+        t, _, w = _cached_axis_rule(EndpointBehavior(), 20, 14)
+        pieces.append((a + (b - a) * t, (b - a) * w))
+    if tail > -math.inf:
+        pieces.append(_halfline_nodes(ends[-1], tail, 20, 14))
+    if not pieces:
+        return 0.0
+    nodes = np.concatenate([r for r, _ in pieces])
+    weights = np.concatenate([w for _, w in pieces])
+    inner_values, _, _ = _apply_radii(weight, inner, nodes, n, quad_tol, cesaro)
     vals = outer.fn(nodes) * inner_values * nodes ** (n - 1)
     return unit_sphere_volume(n) * float(vals @ weights)
 
@@ -478,8 +487,6 @@ def _halfline_nodes(
     breakpoints: Sequence[float] = (),
 ):
     """Fixed composite rule for int_{r_min}^inf, via r = r_min + v/(1-v)."""
-    from .numerics import _cached_axis_rule  # shared panel machinery
-
     b1 = -tail_exponent - 2.0  # raises below if the pairing is not integrable
     beh = EndpointBehavior(0.0, b1)
     bps = [
@@ -500,21 +507,29 @@ def duality_check(
 ) -> tuple[float, float]:
     """Both sides of the adjoint pairing <g, H_w f> = <f, G_w g>.
 
-    Computed with nested quadrature: the outer radial integral is a
-    fixed graded rule, the inner operator values come from the standard
-    pointwise applies.  Inputs must be piecewise powers (their support
-    edges pin the outer panels) or decay fast enough for the products
-    to be integrable; a non-integrable pairing raises ValueError.
+    Computed with nested quadrature (`_radial_pairing`): the outer
+    radial integral is split at the finite support edges into fixed
+    rules graded toward every edge, and the inner operator values at
+    all outer nodes of a side come from one radius-batched apply
+    (`operators._apply_radii`), which shares its rules across radii.
+    f and g must be piecewise powers, whose descriptors give the
+    support edges and decay exponents; an input without one, or a
+    non-integrable pairing, raises ValueError.
     """
     if weight.arity != 1:
         raise ValueError("the adjoint pairing is a unary-weight identity")
     beta0 = weight.behaviors[0].exponent_at_zero
 
-    def support(h: RadialFunction) -> tuple[float, float, float]:
+    def support(h: RadialFunction, name: str) -> tuple[float, float, float]:
         d = h.descriptor
-        return (-10.0, 0.0, math.inf) if d is None else (d.exponent, d.r_min, d.r_max)
+        if d is None:
+            raise ValueError(
+                f"{name} needs a piecewise power descriptor: the pairing reads "
+                f"its support and decay from it ({name} = {h.label or h.kind})"
+            )
+        return d.exponent, d.r_min, d.r_max
 
-    (fa, f_lo, f_hi), (ga_, g_lo, g_hi) = support(f), support(g)
+    (fa, f_lo, f_hi), (ga_, g_lo, g_hi) = support(f, "f"), support(g, "g")
     # decay exponents at r = inf; past a finite support edge nothing is left
     ft = fa if f_hi == math.inf else -math.inf
     gt = ga_ if g_hi == math.inf else -math.inf
@@ -536,12 +551,12 @@ def duality_check(
     # <g, H_w f>: the averaging window empties below f's lower edge, so
     # the integrand is supported on r > max(g_lo, f_lo)
     lo = max(g_lo, f_lo, 1e-12)
-    lhs = _radial_pairing(g, f, hardy_apply, weight, n, lo, lhs_tail, (f_lo, f_hi, g_hi),
+    lhs = _radial_pairing(g, f, False, weight, n, lo, lhs_tail, (f_lo, f_hi, g_hi),
                           quad_tol)
 
     # <f, G_w g>: supported on f's support; the Cesaro window kinks at
     # g's edges, and G_w g vanishes for r >= g_hi
     lo = max(f_lo, 1e-12)
-    rhs = _radial_pairing(f, g, cesaro_apply, weight, n, lo, rhs_tail, (g_lo, g_hi, f_hi),
+    rhs = _radial_pairing(f, g, True, weight, n, lo, rhs_tail, (g_lo, g_hi, f_hi),
                           quad_tol)
     return lhs, rhs

@@ -694,29 +694,32 @@ def _box_axes(behaviors, axis_breakpoints, lows, highs):
         [(bp - lo) / w for bp in bp_i if lo < bp < hi]
         for bp_i, lo, w, hi in zip(bps, lows, widths, highs)
     ]
-    # integrands steep at the original endpoints vary on the u-scale
-    # lo/w near u=0 (resp. (1-hi)/w near u=1) inside the box; pin a
-    # dyadic ladder of panel edges down to that scale so the graded
-    # rule resolves it
-    def _ladder(scale):
-        edges = []
-        edge = max(scale, 2.0**-50)
-        while edge < 0.25:
-            edges.append(edge)
-            edge *= 2.0
-        return edges
-
     for i in range(m):
         extra = []
         lo_scale = lows[i] / widths[i]
         hi_scale = (1.0 - highs[i]) / widths[i]
         if 0.0 < lo_scale < 0.25:
-            extra.extend(_ladder(lo_scale))
+            extra.extend(_edge_ladder(lo_scale))
         if 0.0 < hi_scale < 0.25:
-            extra.extend(1.0 - e for e in _ladder(hi_scale))
+            extra.extend(1.0 - e for e in _edge_ladder(hi_scale))
         if extra:
             new_bps[i] = list(new_bps[i]) + extra
     return new_beh, new_bps
+
+
+def _edge_ladder(scale: float) -> list[float]:
+    """Panel edges scale, 2 scale, 4 scale, ... below 1/4 (scale at least 2^-50).
+
+    Integrands steep at the original endpoints vary on the u-scale lo/w
+    near u = 0 (resp. (1-hi)/w near u = 1) inside a box of width w;
+    pinning this ladder down to that scale lets the graded rule resolve it.
+    """
+    edges = []
+    edge = max(scale, 2.0**-50)
+    while edge < 0.25:
+        edges.append(edge)
+        edge *= 2.0
+    return edges
 
 
 def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
@@ -761,6 +764,98 @@ def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
 
         new_corner = CornerBehavior(ce, smooth)
     return fb, new_beh, new_corner, new_bps
+
+
+# nodes per slab of `_integrate_boxes`: with 2^18-node slabs the 2-D
+# temporaries raised the peak RSS of a process running the four
+# benchmark duality checks from 35 to 44 MB
+_BOX_SLAB_NODES = 2**16
+
+
+def _integrate_boxes(fp, behaviors, lows, highs, tol: float):
+    """Many one-axis box integrals of one integrand family, sharing rules.
+
+    Row j is ``int_{lows[j]}^{highs[j]} fp(j, t, s) dt`` for an integrand
+    with the endpoint powers `behaviors[j]`, computed as
+    `integrate_unit_cube` computes it with m = 1 and that box: the box
+    maps onto (0,1) as in `_apply_box`, the value comes from the finer
+    of the first two rungs of `_AXIS_RUNGS[1]` that agree within
+    ``max(tol, _CUBE_RTOL |value|)`` (else from the top rung), and the
+    estimate is their difference, floored at the rounding error of the
+    sum.
+
+    Rows whose boxes keep the same endpoint behaviours and need an
+    `_edge_ladder` at the same ends form a group with one rule per rung:
+    its ladder is dyadic and reaches the group's smallest scale, so it
+    resolves every row's.  A rung evaluates all the group's unfinished
+    rows at once, in slabs of at most `_BOX_SLAB_NODES` nodes.
+
+    `fp(rows, ts, ss)` receives an index array and 2-D nodes with their
+    exact complements, one line per row, and evaluates elementwise.
+    Every box must be nonempty and lie in [0, 1].  Returns the arrays
+    (values, estimates, converged).
+    """
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    widths = highs - lows
+    gaps = 1.0 - highs
+    lo_scales, hi_scales = lows / widths, gaps / widths
+    values = np.empty(lows.size)
+    estimates = np.empty(lows.size)
+    converged = np.empty(lows.size, dtype=bool)
+
+    def row_sums(rows, rule):
+        u, su, wts = rule
+        value, mass = np.empty(rows.size), np.empty(rows.size)
+        chunk = max(1, _BOX_SLAB_NODES // u.size)
+        for start in range(0, rows.size, chunk):
+            part = slice(start, start + chunk)
+            j = rows[part]
+            w = widths[j][:, None]
+            # as in `_apply_box`: clipped nodes, complements propagated exactly
+            ts = np.clip(lows[j][:, None] + w * u, _T_FLOOR, _T_CEIL)
+            ss = np.clip(gaps[j][:, None] + w * su, _T_FLOOR, _T_CEIL)
+            vals = np.asarray(fp(j, ts, ss), dtype=float) * w
+            value[part] = np.einsum("ij,j->i", vals, wts)
+            mass[part] = np.einsum("ij,j->i", np.abs(vals), wts)
+        if not np.all(np.isfinite(mass)):
+            raise QuadratureError("integrand returned a non-finite value (box rows)")
+        return value, mass
+
+    groups: dict[tuple, list[int]] = {}
+    for j, b in enumerate(behaviors):
+        beh = EndpointBehavior(
+            b.exponent_at_zero if lows[j] == 0.0 else 0.0,
+            b.exponent_at_one if highs[j] == 1.0 else 0.0,
+        )
+        key = (beh, 0.0 < lo_scales[j] < 0.25, 0.0 < hi_scales[j] < 0.25)
+        groups.setdefault(key, []).append(j)
+
+    ladder = _AXIS_RUNGS[1]
+    for (beh, lo_ladder, hi_ladder), rows in groups.items():
+        rows = np.array(rows)
+        # an end's ladder starts at the group's smallest scale there,
+        # rounded down to a power of two
+        floor2 = lambda scales: math.ldexp(0.5, math.frexp(scales[rows].min())[1])
+        bps = _edge_ladder(floor2(lo_scales)) if lo_ladder else []
+        if hi_ladder:
+            bps += [1.0 - e for e in _edge_ladder(floor2(hi_scales))]
+        previous = None
+        for k, rung in enumerate(ladder):
+            value, mass = row_sums(rows, _cached_axis_rule(beh, *rung, 0, tuple(bps)))
+            if previous is not None:
+                delta = np.abs(value - previous)
+                goal = np.maximum(tol, _CUBE_RTOL * np.abs(value))
+                estimate = np.maximum(delta, [_rounding_floor(x) for x in mass])
+                done = (delta <= goal) | (k == len(ladder) - 1)
+                values[rows[done]] = value[done]
+                estimates[rows[done]] = estimate[done]
+                converged[rows[done]] = estimate[done] <= goal[done]
+                rows, value = rows[~done], value[~done]
+                if not rows.size:
+                    break
+            previous = value
+    return values, estimates, converged
 
 
 # ---------------------------------------------------------------------------

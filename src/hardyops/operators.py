@@ -19,6 +19,11 @@ integration domain (never integrated across as jumps), and piecewise
 power descriptors feed the per-axis endpoint exponents.  Products whose
 per-axis exponent reaches -1 are reported as divergent, not ground
 through the quadrature.
+
+`_apply_radii` evaluates a unary Hardy or Cesaro average at many radii
+at once, for the duality check's inner values: the radii whose boxes
+need the same grading share one rule per refinement rung, and each rung
+is one array evaluation over all of them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .numerics import EndpointBehavior, QuadratureResult, gamma, integrate_unit_cube
+from .numerics import (
+    EndpointBehavior,
+    QuadratureResult,
+    _integrate_boxes,
+    gamma,
+    integrate_unit_cube,
+)
 from .spaces import RadialFunction
 from .weights import Weight, _integrate_in_s, _integrate_weighted, _layer_product
 
@@ -223,6 +234,59 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
         layers.append([partial(symbol, b) for b in req.symbols])
         symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols]
     return _integrate_axes(req.weight, axes, layers, req.tol, symbol_exps)
+
+
+def _apply_radii(
+    weight: Weight, f: RadialFunction, radii, n: int, tol: float, cesaro: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unary `hardy_apply` (or `cesaro_apply`) at every radius, batched.
+
+    Returns the arrays (values, estimates, converged), one entry per
+    radius.  `f` must carry a descriptor.  Each radius gets its box,
+    endpoint exponents and divergence test from `_axis`, as a scalar
+    apply does; the nonempty convergent boxes are integrated together
+    by `numerics._integrate_boxes`, which shares one rule per rung among
+    the radii whose boxes need the same grading.  Log-form weights
+    integrate in s = log(1/t) through the adaptive engine, one scalar
+    apply per radius.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if weight.log_form is not None:
+        results = [
+            _apply(OperatorRequest(weight, (f,), float(r), n, tol=tol), cesaro, False)
+            for r in radii
+        ]
+        return (
+            np.array([res.value for res in results]),
+            np.array([res.abs_error_estimate for res in results]),
+            np.array([res.converged for res in results]),
+        )
+    values, estimates = np.zeros(radii.size), np.zeros(radii.size)
+    converged = np.ones(radii.size, dtype=bool)
+    axes = [_axis(f, float(r), n, weight.behaviors[0], cesaro) for r in radii]
+    live = []
+    for j, ax in enumerate(axes):
+        if ax.lo >= ax.hi:
+            continue  # empty support: exactly 0
+        if ax.lo == 0.0 and not ax.zero_exp > -1.0:
+            values[j] = estimates[j] = math.inf
+            converged[j] = False
+        else:
+            live.append(j)
+    live_radii = radii[live]
+
+    def integrand(rows, ts, ss):
+        r = live_radii[rows][:, None]
+        term = f.fn(r / ts) * ts ** (-float(n)) if cesaro else f.fn(ts * r)
+        return term * weight.pair((ts,), (ss,))
+
+    if live:
+        values[live], estimates[live], converged[live] = _integrate_boxes(
+            integrand,
+            [EndpointBehavior(axes[j].zero_exp, axes[j].one_exp) for j in live],
+            [axes[j].lo for j in live], [axes[j].hi for j in live], tol,
+        )
+    return values, estimates, converged
 
 
 def hardy_apply(req: OperatorRequest) -> QuadratureResult:

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from hardyops import operators
 from hardyops.experiments import (
     SHARP_CONFIRMED,
     cesaro_sharpness_sweep,
@@ -14,8 +16,8 @@ from hardyops.experiments import (
     morrey_sharpness_check,
     oscillation_decay_check,
 )
-from hardyops.numerics import gamma
-from hardyops.spaces import ExponentConfig, cutoff_power, indicator_ball
+from hardyops.numerics import _cached_axis_rule, gamma
+from hardyops.spaces import ExponentConfig, cutoff_power, indicator_ball, radial_from_callable
 from hardyops.weights import (
     constant_weight,
     multilinear_riesz_weight,
@@ -248,6 +250,8 @@ class TestDuality:
             (indicator_ball(1.0), indicator_ball(2.0), 2.0 * (1.0 + math.log(2.0)), 1e-8),
             # H 1_{r<1} = 1/r past r = 1, and G g = sqrt(2) on r < 2
             (indicator_ball(1.0), cutoff_power(-0.5, 2.0), 2.0 * math.sqrt(2.0), 1e-7),
+            # disjoint supports: no outer piece is left on either side
+            (cutoff_power(-2.0, 5.0), indicator_ball(1.0), 0.0, 0.0),
         ],
     )
     def test_compact_support_pairings(self, f, g, exact, tol):
@@ -260,3 +264,37 @@ class TestDuality:
         msg = r"tail exponent -0\.75 \(f ~ r\*\*-0\.5, g ~ r\*\*-0\.25\)"
         with pytest.raises(ValueError, match=msg):
             duality_check(ONE, cutoff_power(-0.5, 1.0), cutoff_power(-0.25, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_finite_edge_of_g_against_singular_weight(self, n):
+        # G_w g behaves like sqrt(2 - r) at g's edge; the outer rule must
+        # grade toward it
+        lhs, rhs = duality_check(
+            riemann_liouville_weight(0.5), cutoff_power(-0.75, 1.0), indicator_ball(2.0), n
+        )
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        if n == 2:
+            # mpmath: 2 pi int_1^2 r**-0.75 (G_w g)(r) r dr
+            exact = 2.0 * math.pi * 0.7478191291494550745
+            assert abs(rhs - exact) <= 1e-12 * exact
+
+    def test_inputs_without_descriptor_rejected(self):
+        # r**-0.8 on r > 1 without its descriptor: support and decay unknown
+        f = radial_from_callable(
+            lambda r: np.where(r > 1.0, np.maximum(r, 1.0) ** -0.8, 0.0), breakpoints=(1.0,)
+        )
+        with pytest.raises(ValueError, match="^f needs a piecewise power descriptor"):
+            duality_check(ONE, f, cutoff_power(-0.8, 0.5))
+        with pytest.raises(ValueError, match="^g needs a piecewise power descriptor"):
+            duality_check(ONE, cutoff_power(-0.8, 1.0), f)
+
+    def test_inner_values_are_batched_with_shared_rules(self, monkeypatch):
+        scalar_calls = []
+        monkeypatch.setattr(operators, "_apply", lambda *a, **k: scalar_calls.append(a))
+        _cached_axis_rule.cache_clear()
+        lhs, rhs = duality_check(
+            riemann_liouville_weight(0.5), cutoff_power(-1.6, 1.0), cutoff_power(-1.6, 0.5), 2
+        )
+        assert _cached_axis_rule.cache_info().misses <= 16
+        assert scalar_calls == []
+        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)

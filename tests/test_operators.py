@@ -9,6 +9,7 @@ import pytest
 from hardyops.numerics import gamma
 from hardyops.operators import (
     OperatorRequest,
+    _apply_radii,
     cesaro_apply,
     cesaro_commutator_apply,
     hardy_apply,
@@ -25,6 +26,7 @@ from hardyops.spaces import (
 )
 from hardyops.weights import (
     constant_weight,
+    counterexample_weight,
     multilinear_riesz_weight,
     riemann_liouville_weight,
     weyl_weight,
@@ -225,6 +227,50 @@ class TestLogFormWeightRoute:
             OperatorRequest(self.w, (power(-0.5),), 1.0, symbols=(log_radial(),))
         )
         assert res.value == math.inf and not res.converged and res.diagnosis
+
+
+class TestApplyRadii:
+    """The radius-batched unary apply against the scalar applies."""
+
+    # empty boxes, support edges (1, 2, 0.5), Hardy boxes with hi < 1
+    # past the ball, Cesaro boxes with hi < 1 below 0.5, and radii whose
+    # boxes need edge ladders (1e3, 1e6 on the Hardy side, 0.499 and
+    # 2.01 at the upper box ends)
+    RADII = (0.25, 0.499, 0.5, 1.0, 1.5, 2.0, 2.01, 3.0, 7.0, 1e3, 1e6)
+
+    @pytest.mark.parametrize("cesaro", [False, True], ids=["hardy", "cesaro"])
+    @pytest.mark.parametrize(
+        "f",
+        [cutoff_power(-0.8, 1.0), cutoff_power(-0.3, 0.5), power(-0.3), indicator_ball(2.0)],
+        ids=lambda f: f.label,
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "weight",
+        [ONE, riemann_liouville_weight(0.5), weyl_weight(0.5)],
+        ids=lambda w: w.label,
+    )
+    def test_matches_scalar_applies(self, weight, n, f, cesaro):
+        apply = cesaro_apply if cesaro else hardy_apply
+        values, estimates, converged = _apply_radii(weight, f, self.RADII, n, 1e-10, cesaro)
+        for r, v, e, c in zip(self.RADII, values, estimates, converged):
+            res = apply(OperatorRequest(weight, (f,), r, n))
+            if res.diagnosis == "empty support":
+                assert (v, e, c) == (0.0, 0.0, True)
+            elif res.diagnosis is not None:  # divergent
+                assert v == math.inf and not c
+            else:
+                assert abs(v - res.value) <= e + res.abs_error_estimate, r
+                assert c == res.converged, r
+
+    def test_log_form_weight_takes_scalar_applies(self):
+        weight = counterexample_weight(0.5, 1, 2.0)
+        f = cutoff_power(-0.8, 1.0)
+        values, estimates, converged = _apply_radii(weight, f, (1.5, 4.0), 1, 1e-10, False)
+        for r, v, e in zip((1.5, 4.0), values, estimates):
+            res = hardy_apply(OperatorRequest(weight, (f,), r))
+            assert (v, e) == (res.value, res.abs_error_estimate)
+        assert converged.all()
 
 
 class TestOperatorProperties:
