@@ -464,7 +464,7 @@ def _radial_pairing(outer, inner, cesaro, weight, n, lo, tail, edges, quad_tol) 
     finite piece takes a fixed rule graded toward both of its ends, and
     the unbounded last piece a fixed half-line rule graded toward the
     `tail` exponent, dropped when the tail is -inf (bounded support).
-    The values of A at all outer nodes come from one batched apply.
+    The values of A at all outer nodes come from one profile integral.
     """
     ends = [lo] + sorted({x for x in edges if lo < x < math.inf})
     pieces = []
@@ -509,15 +509,16 @@ def duality_check(
 
     Computed with nested quadrature (`_radial_pairing`): the outer
     radial integral is split at the finite support edges into fixed
-    rules graded toward every edge, and the inner operator values at
-    all outer nodes of a side come from one radius-batched apply
-    (`operators._apply_radii`), which shares its rules across radii.
-    f and g must be piecewise powers, whose descriptors give the
-    support edges and decay exponents; an input without one, or a
-    non-integrable pairing, raises ValueError.
+    rules graded toward every edge.  The inner operator values at all
+    outer nodes of a side share one profile integral over (0, 1)
+    (`operators._apply_radii`).  f and g must be piecewise powers, whose
+    descriptors give the support edges and decay exponents; an input
+    without one, n < 1 or a non-integrable pairing raises ValueError.
     """
     if weight.arity != 1:
         raise ValueError("the adjoint pairing is a unary-weight identity")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     beta0 = weight.behaviors[0].exponent_at_zero
 
     def support(h: RadialFunction, name: str) -> tuple[float, float, float]:

@@ -708,14 +708,15 @@ def _box_axes(behaviors, axis_breakpoints, lows, highs):
 
 
 def _edge_ladder(scale: float) -> list[float]:
-    """Panel edges scale, 2 scale, 4 scale, ... below 1/4 (scale at least 2^-50).
+    """Panel edges c, 2 c, 4 c, ... below 1/4 (c: scale rounded down to 2^k >= 2^-50).
 
     Integrands steep at the original endpoints vary on the u-scale lo/w
     near u = 0 (resp. (1-hi)/w near u = 1) inside a box of width w;
-    pinning this ladder down to that scale lets the graded rule resolve it.
+    pinning this dyadic ladder down to that scale lets the graded rule
+    resolve it, and lets boxes of similar scales share their rules.
     """
     edges = []
-    edge = max(scale, 2.0**-50)
+    edge = max(math.ldexp(0.5, math.frexp(scale)[1]), 2.0**-50)
     while edge < 0.25:
         edges.append(edge)
         edge *= 2.0
@@ -772,28 +773,26 @@ def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
 _BOX_SLAB_NODES = 2**16
 
 
-def _integrate_boxes(fp, behaviors, lows, highs, tol: float):
-    """Many one-axis box integrals of one integrand family, sharing rules.
+def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
+    """Many one-axis box integrals of one integrand, sharing rules.
 
-    Row j is ``int_{lows[j]}^{highs[j]} fp(j, t, s) dt`` for an integrand
-    with the endpoint powers `behaviors[j]`, computed as
-    `integrate_unit_cube` computes it with m = 1 and that box: the box
-    maps onto (0,1) as in `_apply_box`, the value comes from the finer
-    of the first two rungs of `_AXIS_RUNGS[1]` that agree within
+    Row j is ``int_{lows[j]}^{highs[j]} fp(t, s) dt`` for an integrand
+    with the endpoint powers `behavior` at t = 0 and t = 1.  The box maps
+    onto (0,1) as in `_apply_box`; the value comes from the finer of the
+    first two rungs of `_AXIS_RUNGS[1]` that agree within
     ``max(tol, _CUBE_RTOL |value|)`` (else from the top rung), and the
     estimate is their difference, floored at the rounding error of the
     sum.
 
-    Rows whose boxes keep the same endpoint behaviours and need an
-    `_edge_ladder` at the same ends form a group with one rule per rung:
-    its ladder is dyadic and reaches the group's smallest scale, so it
-    resolves every row's.  A rung evaluates all the group's unfinished
-    rows at once, in slabs of at most `_BOX_SLAB_NODES` nodes.
-
-    `fp(rows, ts, ss)` receives an index array and 2-D nodes with their
-    exact complements, one line per row, and evaluates elementwise.
-    Every box must be nonempty and lie in [0, 1].  Returns the arrays
-    (values, estimates, converged).
+    Rows with box ends at 0 or 1 and `_edge_ladder`s at the same ends
+    form a group with one rule per rung, whose dyadic ladder reaches the
+    group's smallest scale; rows with interior, ladder-free ends are
+    smooth and take each rung's order at depth 0, without grading.  A
+    rung evaluates a group's unfinished rows at once, in slabs of at
+    most `_BOX_SLAB_NODES` nodes.  `fp(ts, ss)` receives 2-D nodes and
+    their exact complements, one line per row, and evaluates
+    elementwise.  Boxes must be nonempty and lie in [0, 1].  Returns the
+    arrays (values, estimates, converged).
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -815,34 +814,34 @@ def _integrate_boxes(fp, behaviors, lows, highs, tol: float):
             # as in `_apply_box`: clipped nodes, complements propagated exactly
             ts = np.clip(lows[j][:, None] + w * u, _T_FLOOR, _T_CEIL)
             ss = np.clip(gaps[j][:, None] + w * su, _T_FLOOR, _T_CEIL)
-            vals = np.asarray(fp(j, ts, ss), dtype=float) * w
+            vals = np.asarray(fp(ts, ss), dtype=float) * w
             value[part] = np.einsum("ij,j->i", vals, wts)
             mass[part] = np.einsum("ij,j->i", np.abs(vals), wts)
         if not np.all(np.isfinite(mass)):
             raise QuadratureError("integrand returned a non-finite value (box rows)")
         return value, mass
 
-    groups: dict[tuple, list[int]] = {}
-    for j, b in enumerate(behaviors):
-        beh = EndpointBehavior(
-            b.exponent_at_zero if lows[j] == 0.0 else 0.0,
-            b.exponent_at_one if highs[j] == 1.0 else 0.0,
-        )
-        key = (beh, 0.0 < lo_scales[j] < 0.25, 0.0 < hi_scales[j] < 0.25)
-        groups.setdefault(key, []).append(j)
-
+    at_zero, at_one = lows == 0.0, highs == 1.0
+    lo_ladders = (0.0 < lo_scales) & (lo_scales < 0.25)
+    hi_ladders = (0.0 < hi_scales) & (hi_scales < 0.25)
+    # key 0: both ends interior and ladder-free, a smooth group
+    keys = at_zero + 2 * at_one + 4 * lo_ladders + 8 * hi_ladders
     ladder = _AXIS_RUNGS[1]
-    for (beh, lo_ladder, hi_ladder), rows in groups.items():
-        rows = np.array(rows)
-        # an end's ladder starts at the group's smallest scale there,
-        # rounded down to a power of two
-        floor2 = lambda scales: math.ldexp(0.5, math.frexp(scales[rows].min())[1])
-        bps = _edge_ladder(floor2(lo_scales)) if lo_ladder else []
-        if hi_ladder:
-            bps += [1.0 - e for e in _edge_ladder(floor2(hi_scales))]
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        j = rows[0]
+        beh = EndpointBehavior(
+            behavior.exponent_at_zero if at_zero[j] else 0.0,
+            behavior.exponent_at_one if at_one[j] else 0.0,
+        )
+        # an end's ladder starts at the group's smallest scale there
+        bps = _edge_ladder(lo_scales[rows].min()) if lo_ladders[j] else []
+        if hi_ladders[j]:
+            bps += [1.0 - e for e in _edge_ladder(hi_scales[rows].min())]
         previous = None
-        for k, rung in enumerate(ladder):
-            value, mass = row_sums(rows, _cached_axis_rule(beh, *rung, 0, tuple(bps)))
+        for k, (depth, order) in enumerate(ladder):
+            rule = _cached_axis_rule(beh, depth if key else 0, order, 0, tuple(bps))
+            value, mass = row_sums(rows, rule)
             if previous is not None:
                 delta = np.abs(value - previous)
                 goal = np.maximum(tol, _CUBE_RTOL * np.abs(value))

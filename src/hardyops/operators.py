@@ -21,9 +21,10 @@ per-axis exponent reaches -1 are reported as divergent, not ground
 through the quadrature.
 
 `_apply_radii` evaluates a unary Hardy or Cesaro average at many radii
-at once, for the duality check's inner values: the radii whose boxes
-need the same grading share one rule per refinement rung, and each rung
-is one array evaluation over all of them.
+at once, for the duality check's inner values: on its box a piecewise
+power input is ``r**a`` times a power of t, so all radii share one
+profile integral, read off its prefix or suffix sums at each radius's
+box ends.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import numpy as np
 from .numerics import (
     EndpointBehavior,
     QuadratureResult,
+    _CUBE_RTOL,
+    _ROUNDING_ULPS,
     _integrate_boxes,
     gamma,
     integrate_unit_cube,
@@ -105,6 +108,11 @@ def _pull(r: float, cesaro: bool):
     return lambda x: x / r
 
 
+def _power_exponent(f: RadialFunction, n: float, cesaro: bool) -> float:
+    """e with f(t r) = r**a t**e (or f(r/t) t^-n = r**a t**e) on f's support."""
+    return -f.descriptor.exponent - n if cesaro else f.descriptor.exponent
+
+
 def _axis(
     f: RadialFunction, r: float, n: float, weight_beh: EndpointBehavior, cesaro: bool
 ) -> _Axis:
@@ -121,7 +129,7 @@ def _axis(
         return _Axis(0.0, 1.0, weight_beh.exponent_at_zero, weight_beh.exponent_at_one, bps)
     # r/t < r_max  <=>  t > r/r_max on the Cesaro side
     lo, hi = sorted(min(pull(b), 1.0) for b in (d.r_min, d.r_max))
-    f_exp = (-d.exponent - n if cesaro else d.exponent) if lo == 0.0 else 0.0
+    f_exp = _power_exponent(f, n, cesaro) if lo == 0.0 else 0.0
     zero = weight_beh.exponent_at_zero + f_exp
     return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
 
@@ -242,13 +250,18 @@ def _apply_radii(
     """Unary `hardy_apply` (or `cesaro_apply`) at every radius, batched.
 
     Returns the arrays (values, estimates, converged), one entry per
-    radius.  `f` must carry a descriptor.  Each radius gets its box,
-    endpoint exponents and divergence test from `_axis`, as a scalar
-    apply does; the nonempty convergent boxes are integrated together
-    by `numerics._integrate_boxes`, which shares one rule per rung among
-    the radii whose boxes need the same grading.  Log-form weights
-    integrate in s = log(1/t) through the adaptive engine, one scalar
-    apply per radius.
+    radius.  `f` must carry a descriptor.  Each radius gets its box from
+    `_axis`, as a scalar apply does, and on it f is an exact power: the
+    value is ``r**a int_lo^hi t**e w(t) dt`` with e = a on the Hardy side
+    and e = -a - n on the Cesaro side.  This one profile is integrated
+    once (`numerics._integrate_boxes`) over the pieces between the
+    distinct box ends.  A radius takes the difference, at its box ends,
+    of the compensated prefix or suffix sums (whichever has the smaller
+    larger end, so a box at t = 0 or 1 reads its own sum), the same
+    difference of the piece estimates plus the sums' rounding as its
+    estimate, and is converged when all its pieces are and its estimate
+    is within ``max(tol, _CUBE_RTOL |value|)``, as a scalar apply.
+    Log-form weights take one scalar apply (in s = log(1/t)) per radius.
     """
     radii = np.asarray(radii, dtype=float)
     if weight.log_form is not None:
@@ -264,28 +277,56 @@ def _apply_radii(
     values, estimates = np.zeros(radii.size), np.zeros(radii.size)
     converged = np.ones(radii.size, dtype=bool)
     axes = [_axis(f, float(r), n, weight.behaviors[0], cesaro) for r in radii]
-    live = []
-    for j, ax in enumerate(axes):
-        if ax.lo >= ax.hi:
-            continue  # empty support: exactly 0
-        if ax.lo == 0.0 and not ax.zero_exp > -1.0:
-            values[j] = estimates[j] = math.inf
-            converged[j] = False
-        else:
-            live.append(j)
-    live_radii = radii[live]
+    lows, highs, zero_exps, one_exps = np.array([ax[:4] for ax in axes]).reshape(-1, 4).T
+    # an empty box is exactly 0; one reaching t = 0 may diverge there
+    divergent = (lows == 0.0) & (lows < highs) & ~(zero_exps > -1.0)
+    values[divergent] = estimates[divergent] = math.inf
+    converged[divergent] = False
+    live = (lows < highs) & ~divergent
+    lows, highs = lows[live], highs[live]
+    # the pieces at t = 0 and t = 1 take the exponents of the boxes there
+    at_zero, at_one = zero_exps[live][lows == 0.0], one_exps[live][highs == 1.0]
+    piece_beh = EndpointBehavior(at_zero[0] if at_zero.size else 0.0,
+                                 at_one[0] if at_one.size else 0.0)
+    e = _power_exponent(f, n, cesaro)
+    ends = np.unique(np.concatenate([lows, highs]))
+    piece_values, piece_estimates, piece_converged = _integrate_boxes(
+        lambda ts, ss: ts**e * weight.pair((ts,), (ss,)), piece_beh, ends[:-1], ends[1:], tol
+    )
 
-    def integrand(rows, ts, ss):
-        r = live_radii[rows][:, None]
-        term = f.fn(r / ts) * ts ** (-float(n)) if cesaro else f.fn(ts * r)
-        return term * weight.pair((ts,), (ss,))
+    i, k = np.searchsorted(ends, lows), np.searchsorted(ends, highs)
 
-    if live:
-        values[live], estimates[live], converged[live] = _integrate_boxes(
-            integrand,
-            [EndpointBehavior(axes[j].zero_exp, axes[j].one_exp) for j in live],
-            [axes[j].lo for j in live], [axes[j].hi for j in live], tol,
-        )
+    def running_sums(x):
+        # compensated: each step's rounding error (TwoSum, exact) is added
+        # back as a second running sum, so every sum is within about an ulp
+        run = np.cumsum(x)
+        before = np.append(0.0, run[:-1])
+        lost = (before - (run - (run - before))) + (x - (run - before))
+        return np.append(0.0, run + np.cumsum(lost))
+
+    def end_sums(x):
+        # the prefix and the suffix sums of x at every box's two ends
+        x = np.asarray(x, dtype=float)
+        prefix, suffix = running_sums(x), running_sums(x[::-1])[::-1]
+        return prefix[i], prefix[k], suffix[i], suffix[k]
+
+    def box_sums(sums):
+        p_lo, p_hi, s_lo, s_hi = sums
+        return np.where(from_prefix, p_hi - p_lo, s_lo - s_hi)
+
+    sums = end_sums(piece_values)
+    big_p = np.maximum(abs(sums[0]), abs(sums[1]))
+    big_s = np.maximum(abs(sums[2]), abs(sums[3]))
+    # a box reads the sums whose larger end is smaller: one at t = 0 its
+    # own prefix sum, one at t = 1 its own suffix sum
+    from_prefix = big_p <= big_s
+    rounding = _ROUNDING_ULPS * np.spacing(np.minimum(big_p, big_s))
+    scale = radii[live] ** f.descriptor.exponent
+    box_values = scale * box_sums(sums)
+    box_estimates = scale * (np.maximum(box_sums(end_sums(piece_estimates)), 0.0) + rounding)
+    goal = np.maximum(tol, _CUBE_RTOL * np.abs(box_values))
+    converged[live] = (box_sums(end_sums(~piece_converged)) == 0) & (box_estimates <= goal)
+    values[live], estimates[live] = box_values, box_estimates
     return values, estimates, converged
 
 

@@ -235,8 +235,8 @@ def parse_function_spec(spec: str) -> RadialFunction:
     the ball of radius 1 (or R), e.g. ``power:0@chi`` is the indicator
     of the unit ball.
     """
-    spec, _, modifier = spec.partition("@")
-    parts = spec.split(":")
+    base, _, modifier = spec.partition("@")
+    parts = base.split(":")
     kind, args = parts[0], parts[1:]
     try:
         if kind == "power" and len(args) == 1:
@@ -249,19 +249,18 @@ def parse_function_spec(spec: str) -> RadialFunction:
             f = oscillatory_cutoff(float(args[0]), float(args[1]))
         else:
             raise ValueError("unknown function kind")
+        if modifier:
+            mparts = modifier.split(":")
+            if mparts[0] != "chi" or len(mparts) > 2:
+                raise ValueError(f"unknown function modifier {modifier!r}")
+            r1 = float(mparts[1]) if len(mparts) == 2 else 1.0
+            if f.descriptor is None:
+                raise ValueError("@chi applies to power-type functions only")
+            d = PiecewisePower(f.descriptor.exponent, f.descriptor.r_min, r1)
+            f = RadialFunction(_power_eval(d), "cutoff-power", d, f.breakpoints + (r1,),
+                               f"{f.label}@chi:{r1:g}")
     except ValueError as exc:
         raise ValueError(f"invalid function spec {spec!r}: {exc}") from exc
-    if modifier:
-        mparts = modifier.split(":")
-        if mparts[0] != "chi" or len(mparts) > 2:
-            raise ValueError(f"unknown function modifier {modifier!r}")
-        r1 = float(mparts[1]) if len(mparts) == 2 else 1.0
-        if f.descriptor is None:
-            raise ValueError("@chi applies to power-type functions only")
-        d = PiecewisePower(f.descriptor.exponent, f.descriptor.r_min, r1)
-        f = RadialFunction(
-            _power_eval(d), "cutoff-power", d, f.breakpoints + (r1,), f"{f.label}@chi:{r1:g}"
-        )
     return f
 
 
@@ -417,6 +416,8 @@ def central_morrey_norm(
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     if not (-1.0 / p <= lam <= 0.0):
         raise ValueError(f"lam must lie in [-1/p, 0], got {lam}")
     d = f.descriptor
@@ -456,6 +457,8 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
     if b.kind == "log":
         res = _ball_integral(
             lambda r: np.abs(np.log(r) + 1.0 / n) ** q, n, 1.0, [math.exp(-1.0 / n)]

@@ -106,6 +106,20 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "did not converge" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cmo", "--f", "log"),
+            ("cmo", "--f", "osccut:1:2"),
+            ("morrey", "--f", "power:-0.25", "--p", "2", "--lambda", "-0.25"),
+        ],
+        ids=["cmo-log", "cmo-osccut", "morrey"],
+    )
+    def test_dimension_below_one_is_a_usage_error(self, invoke, argv):
+        code, out, err = invoke("norm", *argv, "--n", "0")
+        assert code == 2 and out == ""
+        assert "dimension n must be >= 1" in err
+
     def test_divergent_norm(self, invoke):
         code, out, _ = invoke("norm", "lp", "--f", "power:-0.25", "--p", "2")
         assert code == 0

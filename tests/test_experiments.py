@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyops import operators
+from hardyops import experiments, operators
 from hardyops.experiments import (
     SHARP_CONFIRMED,
     cesaro_sharpness_sweep,
@@ -252,6 +252,10 @@ class TestDuality:
             (indicator_ball(1.0), cutoff_power(-0.5, 2.0), 2.0 * math.sqrt(2.0), 1e-7),
             # disjoint supports: no outer piece is left on either side
             (cutoff_power(-2.0, 5.0), indicator_ball(1.0), 0.0, 0.0),
+            # H r**4 1_{r<1} = 1/(5 r) past r = 1, read far out on the half
+            # line where it is tiny next to the whole profile integral 1/5,
+            # and G r**-1.5 1_{r>1} = 2/3 on r < 1
+            (indicator_ball(1.0, 4.0), cutoff_power(-1.5, 1.0), 4.0 / 15.0, 1e-12),
         ],
     )
     def test_compact_support_pairings(self, f, g, exact, tol):
@@ -277,6 +281,13 @@ class TestDuality:
             # mpmath: 2 pi int_1^2 r**-0.75 (G_w g)(r) r dr
             exact = 2.0 * math.pi * 0.7478191291494550745
             assert abs(rhs - exact) <= 1e-12 * exact
+
+    def test_dimension_below_one_rejected_before_quadrature(self, monkeypatch):
+        applies = []
+        monkeypatch.setattr(experiments, "_apply_radii", lambda *a: applies.append(a))
+        with pytest.raises(ValueError, match="^dimension n must be >= 1$"):
+            duality_check(ONE, cutoff_power(-0.8, 1.0), cutoff_power(-0.8, 0.5), 0)
+        assert applies == []
 
     def test_inputs_without_descriptor_rejected(self):
         # r**-0.8 on r > 1 without its descriptor: support and decay unknown

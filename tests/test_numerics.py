@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hardyops
+from hardyops import numerics
 from hardyops.numerics import (
     CornerBehavior,
     EndpointBehavior,
@@ -339,6 +340,46 @@ class TestErrorEstimateSoundness:
     def test_halfline_examples(self):
         res = integrate_halfline(lambda r: np.exp(-r))
         assert abs(res.value - 1.0) <= err_bound(res)
+
+
+def _power_integral(e, lows, highs):
+    """int_lo^hi t**e dt, without cancellation for narrow boxes."""
+    return lows ** (e + 1.0) * np.expm1((e + 1.0) * np.log1p((highs - lows) / lows)) / (e + 1.0)
+
+
+class TestIntegrateBoxes:
+    """Row-batched box integrals of t**e against the closed form."""
+
+    @pytest.mark.parametrize("e", [-0.7, 0.0, 2.5])
+    def test_ungraded_smooth_boxes(self, e, monkeypatch):
+        depths = []
+        rule = numerics._cached_axis_rule
+
+        def recorded(behavior, depth, *args):
+            depths.append(depth)
+            return rule(behavior, depth, *args)
+
+        monkeypatch.setattr(numerics, "_cached_axis_rule", recorded)
+        # interior boxes at least a quarter of their width from 0 and 1
+        lows = np.array([0.3, 0.31, 0.5, 0.05, 0.6, 0.7])
+        highs = np.array([0.31, 0.4, 0.5 + 1e-9, 0.06, 0.7, 0.75])
+        values, estimates, converged = numerics._integrate_boxes(
+            lambda ts, ss: ts**e, EndpointBehavior(), lows, highs, 1e-10
+        )
+        exact = _power_integral(e, lows, highs)
+        assert converged.all() and set(depths) == {0}
+        assert np.all(np.abs(values - exact) <= estimates + 8 * np.spacing(exact))
+
+    def test_boxes_at_the_ends_and_with_edge_ladders(self):
+        e = -0.7
+        lows = np.array([0.0, 1e-3, 0.2, 0.4, 1e-9])
+        highs = np.array([0.3, 0.5, 1.0, 0.999, 1.0])
+        values, estimates, converged = numerics._integrate_boxes(
+            lambda ts, ss: ts**e, EndpointBehavior(e, 0.0), lows, highs, 1e-10
+        )
+        exact = (highs ** (e + 1.0) - lows ** (e + 1.0)) / (e + 1.0)
+        assert converged.all()
+        assert np.all(np.abs(values - exact) <= estimates + 8 * np.spacing(exact))
 
 
 class TestResultTypes:

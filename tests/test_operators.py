@@ -21,6 +21,7 @@ from hardyops.spaces import (
     cutoff_power,
     indicator_ball,
     log_radial,
+    parse_function_spec,
     power,
     radial_from_callable,
 )
@@ -262,6 +263,83 @@ class TestApplyRadii:
             else:
                 assert abs(v - res.value) <= e + res.abs_error_estimate, r
                 assert c == res.converged, r
+
+    # unsorted, with duplicates; for cutpow:-0.3:0.5@chi:2 both box ends
+    # are interior on the Hardy side past r = 2 and on the Cesaro side
+    # below r = 0.25
+    TWO_EDGE_RADII = (7.0, 0.1, 1e3, 0.2, 1.0, 3.0, 0.1, 7.0, 2.5, 0.45, 1e3)
+
+    @pytest.mark.parametrize("cesaro", [False, True], ids=["hardy", "cesaro"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "weight",
+        [ONE, riemann_liouville_weight(0.5), weyl_weight(0.5)],
+        ids=lambda w: w.label,
+    )
+    def test_two_edge_input_at_unsorted_radii(self, weight, n, cesaro):
+        f = parse_function_spec("cutpow:-0.3:0.5@chi:2")
+        apply = cesaro_apply if cesaro else hardy_apply
+        radii = self.TWO_EDGE_RADII
+        values, estimates, converged = _apply_radii(weight, f, radii, n, 1e-10, cesaro)
+        for r, v, e, c in zip(radii, values, estimates, converged):
+            res = apply(OperatorRequest(weight, (f,), r, n))
+            assert abs(v - res.value) <= e + res.abs_error_estimate, r
+            assert c == res.converged, r
+        for j, r in enumerate(radii):
+            assert values[radii.index(r)] == values[j]
+
+    @pytest.mark.parametrize("weight", [ONE, riemann_liouville_weight(0.5)], ids=lambda w: w.label)
+    @pytest.mark.parametrize(
+        "f, cesaro",
+        [(power(-0.5), False), (cutoff_power(-1.0, 0.5), True)],
+        ids=["hardy", "cesaro"],
+    )
+    def test_identical_boxes_share_one_integral(self, weight, f, cesaro):
+        # every box is (0, 1); the radii make r**a a power of two, so
+        # values / r**a is exactly the one profile integral
+        radii = np.array([16.0, 1.0, 1024.0, 4.0])
+        values, _, converged = _apply_radii(weight, f, radii, 1, 1e-10, cesaro)
+        quotients = values / radii**f.descriptor.exponent
+        assert converged.all() and quotients[0] > 0.0
+        assert np.unique(quotients).size == 1
+
+    def test_boxes_at_an_end_read_their_own_sum(self):
+        # Hardy boxes (0, 1/r) of r**4 1_{r<1}: H f = 1/(5 r), far below
+        # the whole profile integral 1/5 that a suffix sum would start from
+        f = indicator_ball(1.0, 4.0)
+        radii = (1e3, 1e5)
+        values, _, converged = _apply_radii(ONE, f, radii, 1, 1e-10, False)
+        for r, v in zip(radii, values):
+            scalar = hardy_apply(OperatorRequest(ONE, (f,), r)).value
+            assert v == pytest.approx(scalar, rel=1e-13, abs=0.0)
+            assert v == pytest.approx(0.2 / r, rel=1e-13, abs=0.0)
+        assert converged.all()
+        # and the Cesaro box (1 - 2**-31, 1) of 1_{r<2} next to a long one:
+        # G f = log(2/r), far below the prefix sum over (0.005, 1)
+        radii = (0.01, 2.0 - 2.0**-30)
+        values, _, converged = _apply_radii(ONE, indicator_ball(2.0), radii, 1, 1e-10, True)
+        assert values[1] == pytest.approx(-math.log1p(-(2.0**-31)), rel=1e-13, abs=0.0)
+        assert values[0] == pytest.approx(math.log(200.0), rel=1e-13, abs=0.0)
+        assert converged.all()
+
+    def test_rounding_beyond_the_goal_is_unconverged(self):
+        # boxes (1/r, 1.000000001/r) of a thin shell: the middle one (r = 2)
+        # reads a difference of two sums near 0.4, whose rounding exceeds
+        # a goal of 1e-20 or 1e-8 |value|; the outer two read their own sums
+        f = parse_function_spec("cutpow:0:1@chi:1.000000001")
+        radii = (1.1, 2.0, 10.0)
+        widths = np.array([1.000000001 / r - 1.0 / r for r in radii])  # exact, as floats
+        for tol, flags in ((1e-10, [True] * 3), (1e-20, [True, False, True])):
+            values, estimates, converged = _apply_radii(ONE, f, radii, 1, tol, False)
+            assert converged.tolist() == flags
+            assert np.all(abs(values - widths) <= estimates)
+
+    def test_no_live_box(self):
+        empty = _apply_radii(ONE, cutoff_power(-0.5, 5.0), (1.0, 5.0), 1, 1e-10, False)
+        assert [a.tolist() for a in empty] == [[0.0, 0.0], [0.0, 0.0], [True, True]]
+        values, _, converged = _apply_radii(ONE, power(-1.5), (1.0, 2.0), 1, 1e-10, False)
+        assert values.tolist() == [math.inf] * 2 and not converged.any()
+        assert all(a.size == 0 for a in _apply_radii(ONE, power(-0.5), (), 1, 1e-10, False))
 
     def test_log_form_weight_takes_scalar_applies(self):
         weight = counterexample_weight(0.5, 1, 2.0)

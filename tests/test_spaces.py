@@ -109,6 +109,24 @@ class TestCentralMorreyNorm:
             central_morrey_norm(power(-0.25), 2.0, 0.5, 1)
 
 
+class TestDimensionValidation:
+    # n = 0 used to raise ZeroDivisionError (log), print 0.0 (osccut) or
+    # print "divergent" (Morrey)
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            lambda: cmo_norm(log_radial(), 2.0, 0),
+            lambda: cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 0),
+            lambda: central_morrey_norm(power(-0.25), 2.0, -0.25, 0),
+            lambda: central_morrey_norm(power(-0.25), 2.0, -0.25, -1, method="grid"),
+        ],
+        ids=["cmo-log", "cmo-osccut", "morrey", "morrey-grid"],
+    )
+    def test_dimension_below_one_rejected(self, norm):
+        with pytest.raises(ValueError, match="^dimension n must be >= 1$"):
+            norm()
+
+
 class TestCmoNorm:
     def test_constant_symbol_vanishes(self):
         assert cmo_norm(power(0.0), 2.0, 1) <= 1e-12
@@ -223,6 +241,13 @@ class TestFunctionGrammar:
     @pytest.mark.parametrize("spec", ["", "power", "log:1", "osccut:1", "log@chi"])
     def test_rejected(self, spec):
         with pytest.raises(ValueError):
+            parse_function_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["power:-0.25@chi:0", "power:-0.25@chi:x", "log@chi", "power:1@chi:1:2"]
+    )
+    def test_modifier_errors_name_the_spec(self, spec):
+        with pytest.raises(ValueError, match=f"^invalid function spec '{spec}': "):
             parse_function_spec(spec)
 
 
