@@ -30,6 +30,15 @@ the children's halves are evaluated.  The final sum is compensated
 (``math.fsum``) in left-to-right panel order, so repeated calls are
 bit-identical.
 
+Many ball integrals ``R**-n int_0^R phi(b(r)) r**(n-1) dr`` of one
+function b, at many radii R and for several pointwise phi, share one
+panel profile (`_PanelProfile`): a table of r-space panels that keeps
+b's values at all three GL15 rules of each panel.  A query makes R a
+panel edge, refines the panels under R by the same width-share rule
+(`_split_panels`, in shares of R) applied to phi of the cached values,
+and keeps every refinement for later queries, so a query near earlier
+ones evaluates b at few new nodes.
+
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
 endpoints (after the same substitutions).  Each axis climbs its own
@@ -125,7 +134,13 @@ class CornerBehavior:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, error estimate and cost of a numerical integration."""
+    """Value, error estimate and cost of a numerical integration.
+
+    `evaluations` counts the integrand evaluations the integral used.  A
+    panel-profile query (`_PanelProfile.integral`) counts the cached
+    nodes whose phi values it summed, fresh or not; its fresh
+    evaluations of b are the profile's own count.
+    """
 
     value: float
     abs_error_estimate: float
@@ -260,6 +275,28 @@ class _UnitMap:
         return max(3, int(48.0 / self.g1) - 2)
 
 
+def _split_panels(
+    errors: np.ndarray, widths: np.ndarray, goal: float
+) -> Optional[np.ndarray]:
+    """The panels one refinement pass bisects, or None when none can be.
+
+    `widths` are shares of the integration interval.  Every panel above
+    the width floor whose error exceeds its width's share of the goal,
+    error > goal * width, is bisected; when no such panel qualifies, the
+    worst tier of them instead (error at least half the largest).
+    """
+    # never bisect below the width floor: the interval map cannot resolve
+    # the endpoint distance there anyway, nor can r resolve a panel that
+    # narrow next to the ball radius
+    wide = widths > 2.0**-48
+    if not np.any(wide):
+        return None
+    split = wide & (errors > goal * widths)
+    if not np.any(split):
+        split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
+    return split
+
+
 def _adaptive_panels(
     F: Callable[[np.ndarray], np.ndarray],
     tol: float,
@@ -271,11 +308,9 @@ def _adaptive_panels(
 
     Panels start at `edges`.  A panel's value is the sum of the GL15
     integrals over its two halves; its error is |GL15(panel) - value|.
-    Each refinement pass bisects every panel above the width floor whose
-    error exceeds its width's share of the goal, error > goal * width
-    (the panels tile (0,1), so the shares add up to the goal).  When no
-    such panel qualifies, the pass bisects the worst tier of them
-    instead (error at least half the largest).  A bisected panel's two
+    Each refinement pass bisects the panels `_split_panels` picks: those
+    whose error exceeds their width's share of the goal (the panels tile
+    (0,1), so the shares add up to the goal).  A bisected panel's two
     half integrals are its children's whole-panel integrals, so a child
     costs only the 30 nodes of its own halves.
     """
@@ -315,15 +350,9 @@ def _adaptive_panels(
             break
         if used >= max_evals:
             break
-        # never bisect below the width floor: the map cannot resolve the
-        # endpoint distance there anyway
-        widths = rights - lefts
-        wide = widths > 2.0**-48
-        if not np.any(wide):
+        split = _split_panels(errors, rights - lefts, goal)
+        if split is None:
             break
-        split = wide & (errors > goal * widths)
-        if not np.any(split):
-            split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
         keep = ~split
         mids = 0.5 * (lefts[split] + rights[split])
         children, cost = score(
@@ -342,6 +371,158 @@ def _adaptive_panels(
     total_err = float(np.sum(errors))
     converged = total_err <= max(tol, rtol * abs(value))
     return value, total_err, used, converged
+
+
+# fresh evaluations one panel profile may make over its lifetime
+_PROFILE_NODES = 2**22
+
+
+class _PanelProfile:
+    """Ball integrals of one radial function b from one shared panel table.
+
+    The table tiles (0, top] with r-space panels.  Each holds b at the
+    45 nodes of three GL15 rules (the whole panel and its two halves)
+    and their weights against ``r**(n-1) dr``, stored as
+    ``width * GL weight * (r/right)**(n-1)`` and scaled by
+    ``(right/R)**(n-1) / R`` at query time, so no power of r leaves the
+    float range.  `integral` reads any pointwise function of b off these
+    values (b itself off per-panel rule sums made once), refines the
+    panels it needs by the width-share rule of `_adaptive_panels`
+    (`_split_panels`), and keeps the refinements for later queries.  The
+    table is append-only: a bisected panel is only marked dead, and its
+    half values become its children's whole-panel values, so a child
+    costs 30 fresh evaluations of b.
+    """
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: int,
+                 breakpoints: Sequence[float] = ()):
+        self.fn, self.n = fn, n
+        self.breakpoints = sorted(float(bp) for bp in breakpoints if bp > 0.0)
+        self.top = 0.0
+        self.size = 0
+        self.fresh = 0  # evaluations of b so far
+        self.lefts = np.empty(0)
+        self.rights = np.empty(0)
+        self.alive = np.empty(0, dtype=bool)
+        self.values = np.empty((0, 45))
+        self.weights = np.empty((0, 45))
+        self.b_sums = np.empty((0, 3))  # rule sums of b itself
+
+    def _add(self, lefts, rights, radius: float, whole=None) -> np.ndarray:
+        """Append the panels (lefts, rights) and return their indices.
+
+        `whole` holds b at their whole-panel nodes when it is known.
+        """
+        base_x, base_w = _gl(15)
+        mids = 0.5 * (lefts + rights)
+        seg_l = np.array([lefts, lefts, mids]).T
+        seg_r = np.array([rights, mids, rights]).T
+        widths = seg_r - seg_l
+        nodes = seg_l[..., None] + widths[..., None] * base_x
+        fresh = nodes if whole is None else nodes[:, 1:]
+        if self.fresh + fresh.size > _PROFILE_NODES:
+            raise QuadratureError(
+                f"ball profile at radius {radius:.6g} would pass "
+                f"{_PROFILE_NODES} evaluations of the integrand"
+            )
+        start, k = self.size, lefts.size
+        if start + k > self.lefts.size:
+            cap = max(2 * self.lefts.size, start + k, 64)
+            for name in ("lefts", "rights", "alive", "values", "weights", "b_sums"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        new = slice(start, start + k)
+        self.lefts[new], self.rights[new], self.alive[new] = lefts, rights, True
+        vals = self.values[new].reshape(nodes.shape)
+        if whole is not None:
+            vals[:, 0] = whole
+        vals[:, 3 - fresh.shape[1]:] = np.asarray(
+            self.fn(fresh.ravel()), dtype=float
+        ).reshape(fresh.shape)
+        self.fresh += fresh.size
+        weights = widths[..., None] * base_w * (nodes / rights[:, None, None]) ** (self.n - 1)
+        self.weights[new] = weights.reshape(k, 45)
+        self.b_sums[new] = np.einsum("ijk,ijk->ij", vals, weights)
+        self.size += k
+        return np.arange(start, start + k)
+
+    def _sums(self, phi, panels: np.ndarray, radius: float) -> np.ndarray:
+        """(whole, left half, right half) rule sums of phi(b) per panel, times R**-n."""
+        scale = (self.rights[panels] / radius) ** (self.n - 1) / radius
+        if phi is None:
+            sums = self.b_sums[panels]
+        else:
+            vals = phi(self.values[panels]).reshape(-1, 3, 15)
+            sums = np.einsum("ijk,ijk->ij", vals, self.weights[panels].reshape(-1, 3, 15))
+        sums *= scale[:, None]
+        return sums
+
+    def integral(
+        self, phi: Optional[Callable[[np.ndarray], np.ndarray]], radius: float,
+        tol: float, rtol: float, max_evals: int = 400_000,
+    ) -> QuadratureResult:
+        """``R**-n int_0^R phi(b(r)) r**(n-1) dr`` for a pointwise phi.
+
+        ``phi=None`` integrates b itself, from rule sums kept per panel.
+
+        `radius` becomes a panel edge: past the table's end the table
+        grows to it, with b's breakpoints as edges; inside, the one panel
+        that straddles it is split there.  The panels under it are then
+        refined until the estimate meets ``max(tol, rtol |value|)``, or
+        until the query has made `max_evals` fresh evaluations of b.
+        `evaluations` counts the nodes the query summed.
+        """
+        start = self.fresh
+        if radius > self.top:
+            edges = [self.top] + [bp for bp in self.breakpoints if self.top < bp < radius]
+            self._add(np.array(edges), np.array(edges[1:] + [radius]), radius)
+            self.top = radius
+        else:
+            live = self.alive[: self.size]
+            straddle = np.flatnonzero(
+                live & (self.lefts[: self.size] < radius) & (self.rights[: self.size] > radius)
+            )
+            for p in straddle:
+                self._add(np.array([self.lefts[p], radius]),
+                          np.array([radius, self.rights[p]]), radius)
+                self.alive[p] = False
+        panels = np.flatnonzero(self.alive[: self.size] & (self.rights[: self.size] <= radius))
+        sums = self._sums(phi, panels, radius)
+        summed = panels.size
+        while True:
+            whole, half_l, half_r = sums.T
+            halves = half_l + half_r
+            errors = np.abs(whole - halves)
+            total, total_err = float(halves.sum()), float(errors.sum())
+            # NaN and inf in any panel's rule sums reach the totals
+            if not math.isfinite(total + total_err):
+                raise QuadratureError("integrand returned a non-finite value (ball profile)")
+            goal = max(tol, rtol * abs(total))
+            if total_err <= goal or self.fresh - start >= max_evals:
+                break
+            split = _split_panels(
+                errors, (self.rights[panels] - self.lefts[panels]) / radius, goal
+            )
+            if split is None:
+                break
+            parents = panels[split]
+            lefts, rights = self.lefts[parents], self.rights[parents]
+            mids = 0.5 * (lefts + rights)
+            children = self._add(
+                np.concatenate([lefts, mids]), np.concatenate([mids, rights]), radius,
+                np.concatenate([self.values[parents, 15:30], self.values[parents, 30:]]),
+            )
+            self.alive[parents] = False
+            panels = np.concatenate([panels[~split], children])
+            sums = np.concatenate([sums[~split], self._sums(phi, children, radius)])
+            summed += children.size
+
+        # fsum is correctly rounded, so the panel order does not matter
+        value = math.fsum(halves.tolist())
+        converged = total_err <= max(tol, rtol * abs(value))
+        return QuadratureResult(value, total_err, 45 * summed, converged)
 
 
 def integrate_unit_interval(

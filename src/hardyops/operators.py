@@ -114,12 +114,16 @@ def _power_exponent(f: RadialFunction, n: float, cesaro: bool) -> float:
 
 
 def _axis(
-    f: RadialFunction, r: float, n: float, weight_beh: EndpointBehavior, cesaro: bool
+    f: RadialFunction, r, n: float, weight_beh: EndpointBehavior, cesaro: bool
 ) -> _Axis:
-    """Support and exponents of t -> f(t r), or f(r/t) t^-n, on the weight axis."""
-    pull = _pull(r, cesaro)
+    """Support and exponents of t -> f(t r), or f(r/t) t^-n, on the weight axis.
+
+    For an f with a descriptor, `r` may be an array of radii; the box
+    ends and exponents are then arrays too, one entry per radius.
+    """
     d = f.descriptor
     if d is None:
+        pull = _pull(r, cesaro)
         bps = tuple(pull(b) for b in f.breakpoints if 0.0 < pull(b) < 1.0)
         if cesaro:
             # unknown decay of f at infinity: hint the raw t^-n growth capped
@@ -128,10 +132,17 @@ def _axis(
             return _Axis(0.0, 1.0, zero, weight_beh.exponent_at_one, bps, certain=False)
         return _Axis(0.0, 1.0, weight_beh.exponent_at_zero, weight_beh.exponent_at_one, bps)
     # r/t < r_max  <=>  t > r/r_max on the Cesaro side
-    lo, hi = sorted(min(pull(b), 1.0) for b in (d.r_min, d.r_max))
-    f_exp = _power_exponent(f, n, cesaro) if lo == 0.0 else 0.0
-    zero = weight_beh.exponent_at_zero + f_exp
-    return _Axis(lo, hi, zero, weight_beh.exponent_at_one if hi == 1.0 else 0.0)
+    if cesaro:
+        # r * inf: the end r/0 without a divide warning
+        ends = (r / d.r_max, r / d.r_min if d.r_min > 0.0 else r * math.inf)
+    else:
+        ends = (d.r_min / r, d.r_max / r)
+    lo, hi = np.minimum(ends, 1.0)
+    zero = weight_beh.exponent_at_zero + np.where(lo == 0.0, _power_exponent(f, n, cesaro), 0.0)
+    one = np.where(hi == 1.0, weight_beh.exponent_at_one, 0.0)
+    if isinstance(r, np.ndarray):
+        return _Axis(lo, hi, zero, one)
+    return _Axis(float(lo), float(hi), float(zero), float(one))
 
 
 def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[float]:
@@ -147,7 +158,8 @@ def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[floa
 
 
 def _integrate_log_axis(
-    weight: Weight, ax: _Axis, layers, tol: float, symbol_exps: Sequence = ()
+    weight: Weight, ax: _Axis, layers, tol: float, symbol_exps: Sequence = (),
+    t_power: float = 0.0,
 ) -> QuadratureResult:
     """Unary log-form weights integrate in s = log(1/t).
 
@@ -158,7 +170,8 @@ def _integrate_log_axis(
     negative power of t there (`symbol_exps`, from `_symbol_exponent`),
     so convergence at s = inf is decided on the exact rate; a bounded
     symbol adds nothing there, and one with undeclared growth (log) may
-    add one power of s.
+    add one power of s.  `t_power` is the power of 1/t that a layer
+    factor carries on its own (n for the Cesaro side's t^-n).
     """
     lf = weight.log_form
     s_lo = -math.log(ax.hi) if ax.hi < 1.0 else 0.0
@@ -166,10 +179,12 @@ def _integrate_log_axis(
     kappa = ax.zero_exp - lf.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
     kappa += math.fsum(e for e in symbol_exps if e is not None)
     rate = 1.0 + lf.rate_shift + kappa
-    # t is frozen where exp(-s) would leave the float range of t**kappa;
-    # past that point the layers over t**kappa are constant for power
-    # inputs, and exponentially negligible otherwise
-    s_cap = 690.0 / max(1.0, 2.0 * abs(kappa))
+    # t is frozen where exp(-s) would leave the float range of t**kappa
+    # or of a layer's own t**-t_power (whose input factor underflows to 0
+    # there, so the product would be inf * 0); past that point the layers
+    # over t**kappa are constant for power inputs, and exponentially
+    # negligible otherwise
+    s_cap = 690.0 / max(1.0, 2.0 * abs(kappa), t_power)
 
     def g(s):
         t = np.exp(-np.minimum(s, s_cap))
@@ -182,13 +197,17 @@ def _integrate_log_axis(
 
 
 def _integrate_axes(
-    weight: Weight, axes: Sequence[_Axis], layers, tol: float, symbol_exps: Sequence = ()
+    weight: Weight, axes: Sequence[_Axis], layers, tol: float, symbol_exps: Sequence = (),
+    t_power: float = 0.0,
 ) -> QuadratureResult:
-    """Integrate the factor `layers` times w(t) over the product of axis boxes."""
+    """Integrate the factor `layers` times w(t) over the product of axis boxes.
+
+    `t_power` is passed on to `_integrate_log_axis`.
+    """
     if any(ax.lo >= ax.hi for ax in axes):
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
     if weight.arity == 1 and weight.log_form is not None:
-        return _integrate_log_axis(weight, axes[0], layers, tol, symbol_exps)
+        return _integrate_log_axis(weight, axes[0], layers, tol, symbol_exps, t_power)
     for ax in axes:
         if ax.certain and ax.lo == 0.0 and not ax.zero_exp > -1.0:
             return QuadratureResult.divergent(
@@ -241,7 +260,9 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
     if commutator:
         layers.append([partial(symbol, b) for b in req.symbols])
         symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols]
-    return _integrate_axes(req.weight, axes, layers, req.tol, symbol_exps)
+    return _integrate_axes(
+        req.weight, axes, layers, req.tol, symbol_exps, float(n) if cesaro else 0.0
+    )
 
 
 def _apply_radii(
@@ -276,8 +297,7 @@ def _apply_radii(
         )
     values, estimates = np.zeros(radii.size), np.zeros(radii.size)
     converged = np.ones(radii.size, dtype=bool)
-    axes = [_axis(f, float(r), n, weight.behaviors[0], cesaro) for r in radii]
-    lows, highs, zero_exps, one_exps = np.array([ax[:4] for ax in axes]).reshape(-1, 4).T
+    lows, highs, zero_exps, one_exps = _axis(f, radii, n, weight.behaviors[0], cesaro)[:4]
     # an empty box is exactly 0; one reaching t = 0 may diverge there
     divergent = (lows == 0.0) & (lows < highs) & ~(zero_exps > -1.0)
     values[divergent] = estimates[divergent] = math.inf

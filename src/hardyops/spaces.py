@@ -14,7 +14,9 @@ Three norms are provided:
   bound by a log-spaced R grid with golden-section refinement;
 * ``cmo_norm``: sup over R of the central mean oscillation
   ``(|B|**-1 int_B |b - b_B|^q)**(1/q)``; for ``b = log|x|`` the bracket
-  is R-invariant and collapses to a single integral.
+  is R-invariant and collapses to a single integral.  Any other symbol
+  is sampled once into a panel profile (`numerics._PanelProfile`), and
+  every ball mean and oscillation of the R search reads off it.
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -30,6 +32,7 @@ import numpy as np
 from .numerics import (
     EndpointBehavior,
     QuadratureError,
+    _PanelProfile,
     gamma,
     integrate_halfline,
     integrate_unit_interval,
@@ -453,7 +456,11 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     For ``b = log|x|`` the bracket is independent of R and reduces to
     ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``, which is what
     is evaluated; other symbols go through the generic R-grid sup, which
-    raises QuadratureError when a ball integral does not converge.
+    raises QuadratureError when a ball integral does not converge.  Its
+    ball integrals all read one panel profile of b (a table of b's
+    values on r-space panels, refined as the radii need and kept across
+    them): the mean b_B with phi = identity, then the oscillation with
+    phi = |v - b_B|**q, each to 1e-13 absolute or 1e-11 relative.
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")
@@ -465,8 +472,10 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         )
         return (n * res.value) ** (1.0 / q)
 
-    def ball(g, radius: float) -> float:
-        res = _ball_integral(g, n, radius, b.breakpoints)
+    profile = _PanelProfile(b.fn, n, b.breakpoints)
+
+    def ball(phi, radius: float) -> float:
+        res = profile.integral(phi, radius, tol=1e-13, rtol=1e-11)
         if not res.converged:
             raise QuadratureError(
                 f"CMO ball integral at radius {radius:.6g} did not converge "
@@ -475,8 +484,8 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         return res.value
 
     def bracket(radius: float) -> float:
-        mean = n * ball(b.fn, radius)  # ball mean b_B
-        osc = ball(lambda r: np.abs(b.fn(r) - mean) ** q, radius)
+        mean = n * ball(None, radius)  # ball mean b_B
+        osc = ball(lambda v: np.abs(v - mean) ** q, radius)
         return (n * max(osc, 0.0)) ** (1.0 / q)
 
     return _grid_sup(bracket)

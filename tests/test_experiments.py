@@ -20,6 +20,7 @@ from hardyops.numerics import _cached_axis_rule, gamma
 from hardyops.spaces import ExponentConfig, cutoff_power, indicator_ball, radial_from_callable
 from hardyops.weights import (
     constant_weight,
+    counterexample_weight,
     multilinear_riesz_weight,
     riemann_liouville_weight,
     weyl_weight,
@@ -281,6 +282,17 @@ class TestDuality:
             # mpmath: 2 pi int_1^2 r**-0.75 (G_w g)(r) r dr
             exact = 2.0 * math.pi * 0.7478191291494550745
             assert abs(rhs - exact) <= 1e-12 * exact
+
+    def test_log_form_weight_n2(self):
+        # the Cesaro side used to stop on inf * 0 (t**-2 overflowing where
+        # r**-1.6 / t**-1.6 underflows) deep in s = log(1/t); the two sides
+        # are still 2.1e-4 apart, which is open (outer rule of the pairing)
+        lhs, rhs = duality_check(
+            counterexample_weight(0.5, 1, 2.0), cutoff_power(-1.6, 1.0),
+            cutoff_power(-1.6, 0.5), 2,
+        )
+        assert 0.0 < lhs < math.inf and 0.0 < rhs < math.inf
+        assert abs(lhs - rhs) <= 1e-3 * abs(rhs)
 
     def test_dimension_below_one_rejected_before_quadrature(self, monkeypatch):
         applies = []

@@ -382,6 +382,105 @@ class TestIntegrateBoxes:
         assert np.all(np.abs(values - exact) <= estimates + 8 * np.spacing(exact))
 
 
+def _osccut(r):
+    return np.where(r > 1.0, np.sin(np.pi * r), 0.0)
+
+
+def _cutpow(r):
+    return np.where(r > 0.5, np.maximum(r, 0.5) ** -1.2, 0.0)
+
+
+def _minus_two_log(r):
+    return -2.0 * np.log(r)
+
+
+class _Counted:
+    """A radial function that counts the radii it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, r):
+        self.calls += r.size
+        return self.fn(r)
+
+
+class TestPanelProfile:
+    """Ball integrals read off one shared panel table of a function b."""
+
+    @pytest.mark.parametrize(
+        "fn, n, breakpoints",
+        [
+            (_osccut, 1, (1.0,)),
+            (_osccut, 2, (1.0,)),
+            # singular at r = 0
+            (_minus_two_log, 1, ()),
+            # the breakpoint 0.5 is also a queried radius
+            (_cutpow, 1, (0.5,)),
+        ],
+    )
+    def test_queries_match_unit_interval_ball_integrals(self, fn, n, breakpoints):
+        profile = numerics._PanelProfile(fn, n, breakpoints)
+        # unsorted, and partly below edges the table already has
+        radii = [17.0, 3.0, 0.5, 40.0, 2.5, 0.07, 2.5, 29.0]
+        for radius in radii:
+            # None reads b itself off the per-panel sums
+            for phi, g in ((None, fn), (lambda v: np.abs(v - 0.3) ** 2.5, None)):
+                g = g or (lambda r: phi(fn(r)))
+                res = profile.integral(phi, radius, tol=1e-13, rtol=1e-11)
+                ref = integrate_unit_interval(
+                    lambda u: g(radius * u) * u ** (n - 1), tol=1e-13, rtol=1e-11,
+                    breakpoints=[b / radius for b in breakpoints if b < radius],
+                )
+                assert res.converged and ref.converged
+                assert res.evaluations >= 45
+                # at a log singularity or a kink of phi the whole-versus-
+                # halves estimate is about the size of the error, not a
+                # bound on it (against mpmath, up to 2.2 times the
+                # estimate on these inputs), so twice the sum is allowed
+                slack = 2.0 * (res.abs_error_estimate + ref.abs_error_estimate)
+                rounding = 8 * math.ulp(max(1.0, abs(ref.value)))
+                assert abs(res.value - ref.value) <= slack + rounding
+
+    def test_identity_phi_matches_cached_sums(self):
+        profile = numerics._PanelProfile(_osccut, 2, (1.0,))
+        for radius in (7.0, 3.0, 11.5):
+            # the second query finds the panels the first one refined
+            cached = profile.integral(None, radius, tol=1e-13, rtol=1e-11)
+            summed = profile.integral(lambda v: v, radius, tol=1e-13, rtol=1e-11)
+            assert summed.value == cached.value
+            assert summed.abs_error_estimate == cached.abs_error_estimate
+
+    def test_non_finite_values_rejected(self):
+        profile = numerics._PanelProfile(lambda r: np.where(r < 0.3, np.nan, 1.0), 1)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            profile.integral(None, 1.0, tol=1e-13, rtol=1e-11)
+
+    @pytest.mark.parametrize("nearby", [30.2, 29.9])
+    def test_nearby_query_reuses_the_table(self, nearby):
+        b = _Counted(_osccut)
+        profile = numerics._PanelProfile(b, 1, (1.0,))
+        first = profile.integral(None, 30.0, tol=1e-13, rtol=1e-11)
+        before = b.calls
+        second = profile.integral(None, nearby, tol=1e-13, rtol=1e-11)
+        assert first.converged and second.converged
+        assert b.calls == profile.fresh
+        assert b.calls - before <= 300
+
+    def test_exhausted_budget_is_unconverged(self):
+        profile = numerics._PanelProfile(_osccut, 1, (1.0,))
+        res = profile.integral(None, 200.0, tol=1e-13, rtol=1e-11, max_evals=1000)
+        assert not res.converged
+        assert math.isfinite(res.value) and res.abs_error_estimate > 1e-13
+
+    def test_table_bound_names_the_radius(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_PROFILE_NODES", 2000)
+        profile = numerics._PanelProfile(_osccut, 1, (1.0,))
+        with pytest.raises(QuadratureError, match="radius 200 would pass 2000"):
+            profile.integral(None, 200.0, tol=1e-13, rtol=1e-11)
+        assert profile.fresh <= 2000
+
+
 class TestResultTypes:
     def test_behavior_validation(self):
         with pytest.raises(ValueError):

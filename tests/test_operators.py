@@ -195,6 +195,14 @@ class TestLogFormWeightRoute:
         assert res.converged
         assert res.value == pytest.approx(1.4114603596699321, rel=1e-10)
 
+    @pytest.mark.parametrize("r, exact", [(2.0, 0.9932663565358931), (0.5, 4.1942803732231967)])
+    def test_cesaro_n2_input(self, r, exact):
+        # deep in s the factor t**-2 alone overflows where f(r/t) underflows;
+        # r**-1.6 int exp(-s/10) branch(s) ds over s > max(0, log(1/r)) (mpmath)
+        res = cesaro_apply(OperatorRequest(self.w, (cutoff_power(-1.6, 1.0),), r, 2))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
     @pytest.mark.parametrize("r", [1.0, 3.0])
     def test_zero_rate_power_input_is_finite(self, r):
         # t**(-1/2) cancels exp(-s/2): the plain moment 2/alpha = 4, times r**(-1/2)
@@ -349,6 +357,27 @@ class TestApplyRadii:
             res = hardy_apply(OperatorRequest(weight, (f,), r))
             assert (v, e) == (res.value, res.abs_error_estimate)
         assert converged.all()
+
+
+class TestAxisWindow:
+    """`_axis` gives an array of radii the boxes of its scalar calls."""
+
+    @pytest.mark.parametrize("cesaro", [False, True])
+    @pytest.mark.parametrize(
+        "spec", ["cutpow:-0.8:1", "power:0@chi:2", "power:-0.3", "cutpow:-0.3:0.5@chi:2"]
+    )
+    def test_array_matches_scalar_calls_bitwise(self, spec, cesaro):
+        from hardyops.numerics import EndpointBehavior
+        from hardyops.operators import _axis
+
+        f = parse_function_spec(spec)
+        radii = np.array([1e-3, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.0 + 1e-10, 3.3, 1e5])
+        for n in (0, 1, 2):
+            for beh in (EndpointBehavior(0.0, -0.5), EndpointBehavior(-0.25, 0.0)):
+                batched = np.array(_axis(f, radii, n, beh, cesaro)[:4]).T
+                scalar = np.array([_axis(f, float(r), n, beh, cesaro)[:4] for r in radii])
+                assert np.array_equal(batched, scalar)
+                assert np.array_equal(np.signbit(batched), np.signbit(scalar))
 
 
 class TestOperatorProperties:

@@ -149,6 +149,41 @@ class TestCmoNorm:
         with pytest.raises(QuadratureError, match="radius .* did not converge"):
             cmo_norm(parse_function_spec("osccut:200:2"), 2.0, 1)
 
+    def test_ball_integrals_share_one_profile(self):
+        # every ball integral reads one panel table of b: sin(pi r) is
+        # evaluated at well under the 2,051,880 nodes of independent ones
+        b = oscillatory_cutoff(1.0, 2.0)
+        calls = []
+
+        def counted(r):
+            calls.append(r.size)
+            return b.fn(r)
+
+        symbol = radial_from_callable(counted, breakpoints=b.breakpoints)
+        # mpmath bracket at the returned radius R = 914.75...
+        assert cmo_norm(symbol, 2.0, 1) == pytest.approx(0.70678171023863609411, rel=1e-13)
+        assert sum(calls) <= 100_000
+
+    @pytest.mark.parametrize(
+        "q, n, exact",
+        [
+            # the bracket at the returned radius R = 914.76..., by mpmath
+            # with the integrals split at the kinks sin(pi r) = b_B
+            (1.5, 1, 0.67607315446605731097),
+            # the same at R = 11.71...
+            (2.5, 3, 0.7426493907112229751),
+        ],
+    )
+    def test_large_radius_oscillation(self, q, n, exact):
+        # the grid runs to R = 1000 whichever radius wins, so every ball
+        # integral up to there must converge
+        assert cmo_norm(oscillatory_cutoff(1.0, 2.0), q, n) == pytest.approx(exact, rel=1e-11)
+
+    def test_custom_log_symbol(self):
+        # -2 log r without the closed-form branch: twice the log norm, 2
+        b = radial_from_callable(lambda r: -2.0 * np.log(r))
+        assert cmo_norm(b, 2.0, 1) == pytest.approx(2.0, rel=1e-13)
+
     def test_inf_over_constants_one_sided(self):
         # the inf-over-constants form never exceeds the mean-centered
         # norm: the ball mean is the exact L^2 minimizer, and every other
