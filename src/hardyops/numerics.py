@@ -375,23 +375,25 @@ def _adaptive_panels(
 
 # fresh evaluations one panel profile may make over its lifetime
 _PROFILE_NODES = 2**22
+# a profile query's goal on R**-n int_0^R, and the fresh evaluations of b
+# it may make to meet it
+_PROFILE_TOL = 1e-13
+_PROFILE_RTOL = 1e-11
+_PROFILE_QUERY_NODES = 400_000
 
 
 class _PanelProfile:
     """Ball integrals of one radial function b from one shared panel table.
 
     The table tiles (0, top] with r-space panels.  Each holds b at the
-    45 nodes of three GL15 rules (the whole panel and its two halves)
-    and their weights against ``r**(n-1) dr``, stored as
-    ``width * GL weight * (r/right)**(n-1)`` and scaled by
-    ``(right/R)**(n-1) / R`` at query time, so no power of r leaves the
-    float range.  `integral` reads any pointwise function of b off these
-    values (b itself off per-panel rule sums made once), refines the
-    panels it needs by the width-share rule of `_adaptive_panels`
-    (`_split_panels`), and keeps the refinements for later queries.  The
-    table is append-only: a bisected panel is only marked dead, and its
-    half values become its children's whole-panel values, so a child
-    costs 30 fresh evaluations of b.
+    45 nodes of three GL15 rules (the whole panel and its two halves),
+    and nothing else per node.  `integral` weighs any pointwise function
+    of b at these values against ``r**(n-1) dr``, with the weights made
+    per query from the panel edges, refines the panels it needs by the
+    width-share rule of `_adaptive_panels` (`_split_panels`), and keeps
+    the refinements for later queries.  The table is append-only: a bisected panel is
+    only marked dead, and its half values become its children's
+    whole-panel values, so a child costs 30 fresh evaluations of b.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: int,
@@ -405,20 +407,21 @@ class _PanelProfile:
         self.rights = np.empty(0)
         self.alive = np.empty(0, dtype=bool)
         self.values = np.empty((0, 45))
-        self.weights = np.empty((0, 45))
-        self.b_sums = np.empty((0, 3))  # rule sums of b itself
+
+    @staticmethod
+    def _rules(lefts, rights) -> tuple[np.ndarray, np.ndarray]:
+        """The left ends and widths of each panel's three rules, as (k, 3)."""
+        mids = 0.5 * (lefts + rights)
+        seg_l = np.array([lefts, lefts, mids]).T
+        return seg_l, np.array([rights, mids, rights]).T - seg_l
 
     def _add(self, lefts, rights, radius: float, whole=None) -> np.ndarray:
         """Append the panels (lefts, rights) and return their indices.
 
         `whole` holds b at their whole-panel nodes when it is known.
         """
-        base_x, base_w = _gl(15)
-        mids = 0.5 * (lefts + rights)
-        seg_l = np.array([lefts, lefts, mids]).T
-        seg_r = np.array([rights, mids, rights]).T
-        widths = seg_r - seg_l
-        nodes = seg_l[..., None] + widths[..., None] * base_x
+        seg_l, widths = self._rules(lefts, rights)
+        nodes = seg_l[..., None] + widths[..., None] * _gl(15)[0]
         fresh = nodes if whole is None else nodes[:, 1:]
         if self.fresh + fresh.size > _PROFILE_NODES:
             raise QuadratureError(
@@ -427,8 +430,10 @@ class _PanelProfile:
             )
         start, k = self.size, lefts.size
         if start + k > self.lefts.size:
-            cap = max(2 * self.lefts.size, start + k, 64)
-            for name in ("lefts", "rights", "alive", "values", "weights", "b_sums"):
+            # a panel costs at least 30 fresh evaluations, so the table
+            # never holds more than _PROFILE_NODES // 30 panels
+            cap = max(min(2 * self.lefts.size, _PROFILE_NODES // 30), start + k, 64)
+            for name in ("lefts", "rights", "alive", "values"):
                 old = getattr(self, name)
                 grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
                 grown[:start] = old[:start]
@@ -442,37 +447,36 @@ class _PanelProfile:
             self.fn(fresh.ravel()), dtype=float
         ).reshape(fresh.shape)
         self.fresh += fresh.size
-        weights = widths[..., None] * base_w * (nodes / rights[:, None, None]) ** (self.n - 1)
-        self.weights[new] = weights.reshape(k, 45)
-        self.b_sums[new] = np.einsum("ijk,ijk->ij", vals, weights)
         self.size += k
         return np.arange(start, start + k)
 
     def _sums(self, phi, panels: np.ndarray, radius: float) -> np.ndarray:
         """(whole, left half, right half) rule sums of phi(b) per panel, times R**-n."""
-        scale = (self.rights[panels] / radius) ** (self.n - 1) / radius
-        if phi is None:
-            sums = self.b_sums[panels]
-        else:
-            vals = phi(self.values[panels]).reshape(-1, 3, 15)
-            sums = np.einsum("ijk,ijk->ij", vals, self.weights[panels].reshape(-1, 3, 15))
-        sums *= scale[:, None]
+        rights = self.rights[panels]
+        seg_l, widths = self._rules(self.lefts[panels], rights)
+        base_x, base_w = _gl(15)
+        vals = phi(self.values[panels]).reshape(-1, 3, 15)
+        if self.n > 1:
+            # r**(n-1) as (r/right)**(n-1) * (right/R)**(n-1), so no
+            # power of r leaves the float range
+            nodes = seg_l[..., None] + widths[..., None] * base_x
+            vals = vals * (nodes / rights[:, None, None]) ** (self.n - 1)
+        sums = np.einsum("ijk,k->ij", vals, base_w)
+        sums *= widths * ((rights / radius) ** (self.n - 1) / radius)[:, None]
         return sums
 
     def integral(
-        self, phi: Optional[Callable[[np.ndarray], np.ndarray]], radius: float,
-        tol: float, rtol: float, max_evals: int = 400_000,
+        self, phi: Callable[[np.ndarray], np.ndarray], radius: float
     ) -> QuadratureResult:
         """``R**-n int_0^R phi(b(r)) r**(n-1) dr`` for a pointwise phi.
-
-        ``phi=None`` integrates b itself, from rule sums kept per panel.
 
         `radius` becomes a panel edge: past the table's end the table
         grows to it, with b's breakpoints as edges; inside, the one panel
         that straddles it is split there.  The panels under it are then
-        refined until the estimate meets ``max(tol, rtol |value|)``, or
-        until the query has made `max_evals` fresh evaluations of b.
-        `evaluations` counts the nodes the query summed.
+        refined until the estimate meets ``max(_PROFILE_TOL,
+        _PROFILE_RTOL |value|)``, or until the query has made
+        `_PROFILE_QUERY_NODES` fresh evaluations of b.  `evaluations`
+        counts the nodes the query summed.
         """
         start = self.fresh
         if radius > self.top:
@@ -499,8 +503,8 @@ class _PanelProfile:
             # NaN and inf in any panel's rule sums reach the totals
             if not math.isfinite(total + total_err):
                 raise QuadratureError("integrand returned a non-finite value (ball profile)")
-            goal = max(tol, rtol * abs(total))
-            if total_err <= goal or self.fresh - start >= max_evals:
+            goal = max(_PROFILE_TOL, _PROFILE_RTOL * abs(total))
+            if total_err <= goal or self.fresh - start >= _PROFILE_QUERY_NODES:
                 break
             split = _split_panels(
                 errors, (self.rights[panels] - self.lefts[panels]) / radius, goal
@@ -521,7 +525,7 @@ class _PanelProfile:
 
         # fsum is correctly rounded, so the panel order does not matter
         value = math.fsum(halves.tolist())
-        converged = total_err <= max(tol, rtol * abs(value))
+        converged = total_err <= max(_PROFILE_TOL, _PROFILE_RTOL * abs(value))
         return QuadratureResult(value, total_err, 45 * summed, converged)
 
 

@@ -475,7 +475,7 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 
     def ball(phi, radius: float) -> float:
-        res = profile.integral(phi, radius, tol=1e-13, rtol=1e-11)
+        res = profile.integral(phi, radius)
         if not res.converged:
             raise QuadratureError(
                 f"CMO ball integral at radius {radius:.6g} did not converge "
@@ -484,7 +484,7 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         return res.value
 
     def bracket(radius: float) -> float:
-        mean = n * ball(None, radius)  # ball mean b_B
+        mean = n * ball(lambda v: v, radius)  # ball mean b_B
         osc = ball(lambda v: np.abs(v - mean) ** q, radius)
         return (n * max(osc, 0.0)) ** (1.0 / q)
 

@@ -394,6 +394,10 @@ def _minus_two_log(r):
     return -2.0 * np.log(r)
 
 
+def _identity(v):
+    return v
+
+
 class _Counted:
     """A radial function that counts the radii it is evaluated at."""
 
@@ -424,12 +428,10 @@ class TestPanelProfile:
         # unsorted, and partly below edges the table already has
         radii = [17.0, 3.0, 0.5, 40.0, 2.5, 0.07, 2.5, 29.0]
         for radius in radii:
-            # None reads b itself off the per-panel sums
-            for phi, g in ((None, fn), (lambda v: np.abs(v - 0.3) ** 2.5, None)):
-                g = g or (lambda r: phi(fn(r)))
-                res = profile.integral(phi, radius, tol=1e-13, rtol=1e-11)
+            for phi in (_identity, lambda v: np.abs(v - 0.3) ** 2.5):
+                res = profile.integral(phi, radius)
                 ref = integrate_unit_interval(
-                    lambda u: g(radius * u) * u ** (n - 1), tol=1e-13, rtol=1e-11,
+                    lambda u: phi(fn(radius * u)) * u ** (n - 1), tol=1e-13, rtol=1e-11,
                     breakpoints=[b / radius for b in breakpoints if b < radius],
                 )
                 assert res.converged and ref.converged
@@ -442,34 +444,26 @@ class TestPanelProfile:
                 rounding = 8 * math.ulp(max(1.0, abs(ref.value)))
                 assert abs(res.value - ref.value) <= slack + rounding
 
-    def test_identity_phi_matches_cached_sums(self):
-        profile = numerics._PanelProfile(_osccut, 2, (1.0,))
-        for radius in (7.0, 3.0, 11.5):
-            # the second query finds the panels the first one refined
-            cached = profile.integral(None, radius, tol=1e-13, rtol=1e-11)
-            summed = profile.integral(lambda v: v, radius, tol=1e-13, rtol=1e-11)
-            assert summed.value == cached.value
-            assert summed.abs_error_estimate == cached.abs_error_estimate
-
     def test_non_finite_values_rejected(self):
         profile = numerics._PanelProfile(lambda r: np.where(r < 0.3, np.nan, 1.0), 1)
         with pytest.raises(QuadratureError, match="non-finite"):
-            profile.integral(None, 1.0, tol=1e-13, rtol=1e-11)
+            profile.integral(_identity, 1.0)
 
     @pytest.mark.parametrize("nearby", [30.2, 29.9])
     def test_nearby_query_reuses_the_table(self, nearby):
         b = _Counted(_osccut)
         profile = numerics._PanelProfile(b, 1, (1.0,))
-        first = profile.integral(None, 30.0, tol=1e-13, rtol=1e-11)
+        first = profile.integral(_identity, 30.0)
         before = b.calls
-        second = profile.integral(None, nearby, tol=1e-13, rtol=1e-11)
+        second = profile.integral(_identity, nearby)
         assert first.converged and second.converged
         assert b.calls == profile.fresh
         assert b.calls - before <= 300
 
-    def test_exhausted_budget_is_unconverged(self):
+    def test_exhausted_budget_is_unconverged(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_PROFILE_QUERY_NODES", 1000)
         profile = numerics._PanelProfile(_osccut, 1, (1.0,))
-        res = profile.integral(None, 200.0, tol=1e-13, rtol=1e-11, max_evals=1000)
+        res = profile.integral(_identity, 200.0)
         assert not res.converged
         assert math.isfinite(res.value) and res.abs_error_estimate > 1e-13
 
@@ -477,7 +471,7 @@ class TestPanelProfile:
         monkeypatch.setattr(numerics, "_PROFILE_NODES", 2000)
         profile = numerics._PanelProfile(_osccut, 1, (1.0,))
         with pytest.raises(QuadratureError, match="radius 200 would pass 2000"):
-            profile.integral(None, 200.0, tol=1e-13, rtol=1e-11)
+            profile.integral(_identity, 200.0)
         assert profile.fresh <= 2000
 
 
