@@ -28,7 +28,6 @@ from .experiments import (
     oscillation_decay_check,
 )
 from .numerics import (
-    CornerBehavior,
     EndpointBehavior,
     QuadratureError,
     QuadratureResult,

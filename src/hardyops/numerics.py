@@ -4,8 +4,7 @@ Everything in this package reduces to integrals of three shapes:
 
 * the open unit interval, with power-law behavior ``t**b0`` near 0 and
   ``(1-t)**b1`` near 1 (``b0, b1 > -1``),
-* the open unit cube ``(0,1)**m``, with per-axis endpoint powers and,
-  optionally, a single integrable corner singularity at ``(1,...,1)``,
+* the open unit cube ``(0,1)**m``, with per-axis endpoint powers,
 * the half line ``(0, inf)``, reached through the compactifying
   substitution ``r = u/(1-u)``.
 
@@ -53,8 +52,9 @@ the substituted coordinates, which plays the role of importance sampling:
 the map density matches the declared endpoint powers, so the weighted
 integrand is bounded and the estimator has finite variance.  Only
 generic integrands reach it: integrals against the package's product
-weights factor into unary ones first, and those against its corner
-weights go through the mixture engine below.
+weights factor into unary ones first, and those against its Riesz and
+Cesaro weights, singular at the corner ``(1,...,1)``, go through the
+mixture engine below.
 
 The mixture engine (`_mixture_integrate`) integrates
 ``int_0^inf prod_i F_i(x**(1/nu)) dx`` with
@@ -71,14 +71,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "EndpointBehavior",
-    "CornerBehavior",
     "QuadratureResult",
     "QuadratureError",
     "gamma",
@@ -114,22 +112,6 @@ class EndpointBehavior:
             raise ValueError(
                 f"exponent_at_one must be > -1, got {self.exponent_at_one}"
             )
-
-
-@dataclass(frozen=True)
-class CornerBehavior:
-    """Integrable singularity of a cube integrand at the corner (1,...,1).
-
-    The integrand factors near the corner as ``|s|**exponent * smooth``
-    where ``s = (1-t_1, ..., 1-t_m)`` and ``|s|`` is the Euclidean norm.
-    ``smooth_factor(*s)`` must return ``f(1-s) * |s|**(-exponent)``,
-    bounded near ``s = 0``; supplying it in the ``s`` coordinates avoids
-    the catastrophic cancellation of computing ``1 - t`` deep in the
-    corner.  Integrability requires ``exponent > -m``.
-    """
-
-    exponent: float
-    smooth_factor: Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -852,13 +834,6 @@ def _tensor_integrate(
 # ---------------------------------------------------------------------------
 
 
-def _euclid_arrays(vs) -> np.ndarray:
-    acc = vs[0] * vs[0]
-    for v in vs[1:]:
-        acc = acc + v * v
-    return np.sqrt(acc)
-
-
 def _box_axes(behaviors, axis_breakpoints, lows, highs):
     """Behaviors and breakpoints of the unit-cube axes that a sub-box maps to.
 
@@ -908,12 +883,10 @@ def _edge_ladder(scale: float) -> list[float]:
     return edges
 
 
-def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
+def _apply_box(fp, behaviors, axis_breakpoints, lows, highs):
     """Restrict a pair-form integrand to a sub-box on the unit cube.
 
-    Behaviors and breakpoints follow `_box_axes`; a corner at (1,...,1)
-    survives only if every upper edge is 1, with its smooth factor
-    rescaled for the anisotropic change of variables.
+    Behaviors and breakpoints follow `_box_axes`.
     """
     lows = [float(x) for x in lows]
     highs = [float(x) for x in highs]
@@ -937,19 +910,7 @@ def _apply_box(fp, behaviors, corner, axis_breakpoints, lows, highs):
         )
         return fp(ts, ss) * scale
 
-    new_beh, new_bps = _box_axes(behaviors, axis_breakpoints, lows, highs)
-    new_corner = None
-    if corner is not None and all(h == 1.0 for h in highs):
-        ce = corner.exponent
-        old_smooth = corner.smooth_factor
-
-        def smooth(*ss):
-            s_orig = tuple(w * s for w, s in zip(widths, ss))
-            ratio = _euclid_arrays(s_orig) / _euclid_arrays(ss)
-            return old_smooth(*s_orig) * ratio**ce * scale
-
-        new_corner = CornerBehavior(ce, smooth)
-    return fb, new_beh, new_corner, new_bps
+    return (fb, *_box_axes(behaviors, axis_breakpoints, lows, highs))
 
 
 # nodes per slab of `_integrate_boxes`: with 2^18-node slabs the 2-D
@@ -1040,81 +1001,6 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
                     break
             previous = value
     return values, estimates, converged
-
-
-# ---------------------------------------------------------------------------
-# corner decomposition (Duffy)
-# ---------------------------------------------------------------------------
-
-
-def _integrate_with_corner(
-    fp,
-    behaviors,
-    corner: CornerBehavior,
-    tol,
-    rtol,
-    budget,
-    uniform_panels,
-    axis_breakpoints=None,
-) -> QuadratureResult:
-    """Split the cube at 1/2 per axis; Duffy pieces cover the corner box.
-
-    On the all-(1/2,1) box, the substitution s_i = 1 - t_i followed by the
-    Duffy split (pivot coordinate rho = max s_i, others rho*sigma_j) turns
-    the |s|**exponent corner into a one-dimensional rho**(exponent+m-1)
-    endpoint power, which the per-axis machinery already handles.
-    """
-    m = len(behaviors)
-    if not corner.exponent > -m:
-        return QuadratureResult.divergent("corner exponent <= -m is not integrable")
-    sub_tol = tol / (2**m + m - 1)
-    parts: list[QuadratureResult] = []
-
-    # off-corner boxes: at least one axis in (0, 1/2)
-    for mask in _iter_product((0, 1), repeat=m):
-        if all(mask):
-            continue
-        lows = [0.0 if v == 0 else 0.5 for v in mask]
-        highs = [0.5 if v == 0 else 1.0 for v in mask]
-        fb, beh, _, bps = _apply_box(fp, behaviors, None, axis_breakpoints, lows, highs)
-        # the corner is excluded from every one of these boxes
-        beh = tuple(EndpointBehavior(b.exponent_at_zero, 0.0) for b in beh)
-        parts.append(
-            _tensor_integrate(fb, beh, sub_tol, rtol, budget, uniform_panels, bps)
-        )
-
-    # corner box via Duffy pieces, one per pivot axis
-    ce = corner.exponent
-    for pivot in range(m):
-
-        def piece(ts, ss, _pivot=pivot):
-            v, sigmas = ts[0], ts[1:]
-            rho = 0.5 * v
-            s = [None] * m
-            s[_pivot] = rho
-            others = [i for i in range(m) if i != _pivot]
-            norm_sq = np.ones_like(v)
-            for i, sg in zip(others, sigmas):
-                s[i] = rho * sg
-                norm_sq = norm_sq + sg * sg
-            unit_norm = np.sqrt(norm_sq)
-            smooth = corner.smooth_factor(*s)
-            # |s|**ce * rho**(m-1) * drho/dv, with |s| = rho * unit_norm
-            return smooth * unit_norm**ce * rho ** (ce + m - 1) * 0.5
-
-        beh = [EndpointBehavior(ce + m - 1.0, 0.0)] + [EndpointBehavior()] * (m - 1)
-        # the Duffy coordinates mix the axes: every one takes the finest count
-        parts.append(
-            _tensor_integrate(
-                piece, beh, sub_tol, rtol, budget, [max(uniform_panels)] * m
-            )
-        )
-
-    value = math.fsum(p.value for p in parts)
-    err = math.fsum(p.abs_error_estimate for p in parts)
-    evals = sum(p.evaluations for p in parts)
-    converged = all(p.converged for p in parts)
-    return QuadratureResult(value, err, evals, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -1308,7 +1194,6 @@ def integrate_unit_cube(
     rtol: float = _CUBE_RTOL,
     budget: Optional[int] = None,
     seed: int = 0,
-    corner: Optional[CornerBehavior] = None,
     uniform_panels: Union[int, Sequence[int]] = 0,
     box: Optional[tuple[Sequence[float], Sequence[float]]] = None,
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
@@ -1318,15 +1203,12 @@ def integrate_unit_cube(
 
     f receives m broadcastable arrays.  For m <= 3 the deterministic
     tensor rule is used (per-axis substitutions, geometrically graded
-    panels, per-axis rung escalation for the error estimate); `corner`
-    routes an additional (1,...,1) singularity through a Duffy split,
-    which the package's own weights no longer use (they integrate
-    through their Gaussian mixture form) and which stays as an
-    independent route for checking them.  For m >= 4 a seeded
-    Latin-hypercube Monte Carlo estimate is returned; two calls with
-    identical arguments are bit-identical.  No built-in weight reaches
-    it: `const:c:m` integrals are products of m = 1 calls, and a
-    `corner` with m >= 4 raises.
+    panels, per-axis rung escalation for the error estimate).  For
+    m >= 4 a seeded Latin-hypercube Monte Carlo estimate is returned;
+    two calls with identical arguments are bit-identical.  No built-in
+    weight reaches it: `const:c:m` integrals are products of m = 1
+    calls, and the Riesz and Cesaro weights integrate through their
+    Gaussian mixture form.
 
     `f_pair(ts, ss)`, when supplied, replaces f and receives both the
     nodes and their exact complements ``ss = 1 - ts``: integrands
@@ -1339,9 +1221,8 @@ def integrate_unit_cube(
     interior kinks, one list per axis; `uniform_panels` enforces at
     least that many equal panels on an axis, for integrands with interior
     oscillation of known scale: one count per axis, or an int for every
-    axis.  Inside the corner box of a `corner` integrand every axis takes
-    the largest count, because the Duffy coordinates mix the axes.
-    Integrands that blow up on an interior manifold are out of contract.
+    axis.  Integrands that blow up on an interior manifold are out of
+    contract.
     """
     m = len(behaviors)
     if m < 1:
@@ -1354,18 +1235,12 @@ def integrate_unit_cube(
         )
     fp = f_pair if f_pair is not None else (lambda ts, ss: f(*ts))
     if box is not None:
-        fp, behaviors, corner, axis_breakpoints = _apply_box(
-            fp, behaviors, corner, axis_breakpoints, box[0], box[1]
+        fp, behaviors, axis_breakpoints = _apply_box(
+            fp, behaviors, axis_breakpoints, box[0], box[1]
         )
     if m >= 4:
-        if corner is not None:
-            raise ValueError("corner handling is only implemented for m <= 3")
         return _monte_carlo(fp, behaviors, tol, rtol, budget or 2**20, seed)
     budget = budget or (2**23 if m <= 2 else 2**26)
-    if corner is not None:
-        return _integrate_with_corner(
-            fp, behaviors, corner, tol, rtol, budget, uniform_panels, axis_breakpoints
-        )
     return _tensor_integrate(
         fp, behaviors, tol, rtol, budget, uniform_panels, axis_breakpoints
     )

@@ -454,10 +454,13 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     """Central mean oscillation norm, sup over origin-centered balls.
 
     For ``b = log|x|`` the bracket is independent of R and reduces to
-    ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``, which is what
-    is evaluated; other symbols go through the generic R-grid sup, which
-    raises QuadratureError when a ball integral does not converge.  Its
-    ball integrals all read one panel profile of b (a table of b's
+    ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``; the substitution
+    u = exp(-x/n) makes it ``(int_0^inf exp(-x) |1 - x|**q dx)**(1/q) / n``,
+    which is what is evaluated, with the integrand formed as
+    ``exp(q log|1 - x| - x)`` so that large q cannot overflow to inf * 0.
+    Other symbols go through the generic R-grid sup.  Either way a
+    QuadratureError is raised when an integral does not converge.  The
+    generic ball integrals all read one panel profile of b (a table of b's
     values on r-space panels, refined as the radii need and kept across
     them): the mean b_B with phi = identity, then the oscillation with
     phi = |v - b_B|**q, each to 1e-13 absolute or 1e-11 relative.
@@ -467,10 +470,19 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if b.kind == "log":
-        res = _ball_integral(
-            lambda r: np.abs(np.log(r) + 1.0 / n) ** q, n, 1.0, [math.exp(-1.0 / n)]
-        )
-        return (n * res.value) ** (1.0 / q)
+
+        def moment(x):
+            # past q ~ 170 the moment itself overflows: inf, then a QuadratureError
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.exp(q * np.log(np.abs(1.0 - x)) - x)
+
+        res = integrate_halfline(moment, tol=1e-13, rtol=1e-13, breakpoints=(1.0,))
+        if not res.converged:
+            raise QuadratureError(
+                f"CMO log moment did not converge (value {res.value:.6g}, "
+                f"error estimate {res.abs_error_estimate:.2g})"
+            )
+        return res.value ** (1.0 / q) / n
 
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 

@@ -2,10 +2,10 @@
 
 A `Weight` bundles one nonnegative vectorized evaluator on ``(0,1)**m``
 with the machine-readable facts the quadrature layer needs: per-axis
-endpoint exponents, an optional corner singularity at ``(1,...,1)``
-together with the Gaussian mixture form its integrals use, an optional
-factorization into unary weights, and an optional logarithmic
-substitution form for weights whose natural variable is ``s = log(1/t)``.
+endpoint exponents, an optional Gaussian mixture form for weights
+singular at the corner ``(1,...,1)``, an optional factorization into
+unary weights, and an optional logarithmic substitution form for
+weights whose natural variable is ``s = log(1/t)``.
 
 The evaluator is in pair form, ``pair(ts, ss)``: it receives the nodes
 together with their complements ``ss = 1 - ts`` (the quadrature maps
@@ -40,12 +40,10 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    CornerBehavior,
     EndpointBehavior,
     MixtureAxis,
     QuadratureResult,
     _CUBE_RTOL,
-    _euclid_arrays,
     _mixture_integrate,
     _rounding_floor,
     gamma,
@@ -154,9 +152,8 @@ class Weight:
     `factors`, when set, holds one unary weight per axis whose product
     is w; integrals against it then factor into unary ones.  `mixture`,
     when set, writes w as a Gaussian mixture, and integrals against it
-    become one integral over the mixture of products of unary ones.
-    `corner` describes the singularity at (1,...,1) for the Duffy route
-    of `integrate_unit_cube`; a corner weight must carry its mixture.
+    become one integral over the mixture of products of unary ones; the
+    Riesz and Cesaro weights, singular at the corner (1,...,1), carry one.
     """
 
     arity: int
@@ -164,7 +161,6 @@ class Weight:
     behaviors: tuple[EndpointBehavior, ...]
     label: str
     closed_forms: Mapping[str, object] = field(default_factory=dict)
-    corner: Optional[CornerBehavior] = None
     log_form: Optional[LogSubstitution] = None
     factors: Optional[tuple["Weight", ...]] = None
     mixture: Optional[GaussianMixture] = None
@@ -180,10 +176,6 @@ class Weight:
             raise ValueError("arity must be >= 1")
         if len(self.behaviors) != self.arity:
             raise ValueError("one EndpointBehavior per axis is required")
-        if self.corner is not None and not self.corner.exponent > -self.arity:
-            raise ValueError("corner exponent must exceed -m for integrability")
-        if self.corner is not None and self.mixture is None:
-            raise ValueError("a corner weight needs its mixture form, which its integrals use")
         if self.factors is not None and [w.arity for w in self.factors] != [1] * self.arity:
             raise ValueError("factors must be one unary weight per axis")
         self._coarse_check()
@@ -279,6 +271,13 @@ def _unit_pair(ts, ss) -> float:
     return 1.0
 
 
+def _euclid_arrays(vs) -> np.ndarray:
+    acc = vs[0] * vs[0]
+    for v in vs[1:]:
+        acc = acc + v * v
+    return np.sqrt(acc)
+
+
 def _check_order(alpha: float, m: int) -> None:
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -358,8 +357,7 @@ def multilinear_riesz_weight(alpha: float, m: int) -> Weight:
     (1,...,1) with homogeneity a - m; per-axis slopes away from the
     corner are flat, so the declared axis exponents are 0.  Integrals
     against the weight use its Gaussian mixture (Schwinger) form with
-    gaps v_i = 1 - t_i, for every m; the corner is also carried for the
-    Duffy route of `integrate_unit_cube`.
+    gaps v_i = 1 - t_i, for every m.
     """
     _check_order(alpha, m)
     if m == 1:
@@ -372,10 +370,6 @@ def multilinear_riesz_weight(alpha: float, m: int) -> Weight:
         pair=lambda ts, ss: _euclid_arrays(ss) ** expo / ga,
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"riesz:{alpha:g}:{m} (euclidean)",
-        # w(1-s) * |s|**(m-a) is exactly 1/Gamma(a)
-        corner=CornerBehavior(
-            expo, lambda *ss: np.full(np.broadcast_shapes(*map(np.shape, ss)), 1.0 / ga)
-        ),
         mixture=_schwinger(alpha, m, lambda t, s: s, gap_at_zero=False),
     )
 
@@ -420,22 +414,11 @@ def multilinear_cesaro_weight(alpha: float, m: int) -> Weight:
     ga = gamma(alpha)
     expo = alpha - float(m)
 
-    def smooth(*ss):
-        # (|s| / |(s_i/(1-s_i))_i|)**(m-a) / Gamma(a), bounded near s=0;
-        # both vectors are scaled by max_i s_i first, so their squares
-        # cannot all underflow (0/0) when every s_i is tiny
-        top = reduce(np.maximum, ss)
-        ratio = _euclid_arrays([s / top for s in ss]) / _euclid_arrays(
-            [s / (1.0 - s) / top for s in ss]
-        )
-        return ratio ** (-expo) / ga
-
     return Weight(
         arity=m,
         pair=lambda ts, ss: _euclid_arrays([s / t for s, t in zip(ss, ts)]) ** expo / ga,
         behaviors=(EndpointBehavior(float(m) - alpha, 0.0),) * m,
         label=f"cesaro:{alpha:g}:{m} (euclidean)",
-        corner=CornerBehavior(expo, smooth),
         mixture=_schwinger(alpha, m, lambda t, s: s / t, gap_at_zero=True),
     )
 

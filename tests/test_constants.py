@@ -50,13 +50,6 @@ class TestLebesgueConstant:
         res = lebesgue_constant(riemann_liouville_weight(0.5), cfg(1, 2.0))
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
-    def test_bilinear_fractional_corner_weight(self):
-        # reference by independent high-precision cubature (mpmath tanh-sinh,
-        # 20 digits): int t1^(-1/4) t2^(-1/4) |(1-t1,1-t2)|^(-1) dt
-        res = lebesgue_constant(multilinear_riesz_weight(1.0, 2), cfg(1, 4.0, 4.0))
-        assert res.converged
-        assert res.value == pytest.approx(2.6136164120002432, rel=1e-10)
-
     def test_five_linear_monte_carlo(self):
         # separable, so the exact value is (8/7)^5; the stratified rule
         # must agree within its own reported error and be seed-stable

@@ -2,10 +2,11 @@
 
 |v|**(a-m) / Gamma(a) = scale * int_0^inf prod_i exp(-x**(1/nu) v_i**2) dx
 with nu = (m - a)/2, so every integral against these weights is one
-x-integral of a product of one-dimensional integrals.  The oracle tests
-hold that route to the Duffy corner split of `integrate_unit_cube` and,
-for m = 4, to its Monte Carlo rule on the plain product integrand; neither
-uses the mixture.
+x-integral of a product of one-dimensional integrals.  The stored mpmath
+values of `tests/test_numerics.py` (`CORNER_CALIBRATION`) hold that route
+to independent polar cubature; here, for m = 4, it is held to the Monte
+Carlo rule of `integrate_unit_cube` on the plain product integrand, which
+does not use the mixture.
 """
 
 import io
@@ -15,63 +16,17 @@ from contextlib import redirect_stdout
 
 import pytest
 
-import hardyops
 from hardyops import numerics
 from hardyops.cli import run
-from hardyops.constants import (
-    cesaro_lebesgue_constant,
-    lebesgue_constant,
-    log_moment_constant,
-)
+from hardyops.constants import lebesgue_constant, log_moment_constant
 from hardyops.experiments import oscillation_decay_check
-from hardyops.numerics import CornerBehavior, EndpointBehavior, integrate_unit_cube
+from hardyops.numerics import EndpointBehavior, integrate_unit_cube
 from hardyops.spaces import ExponentConfig
 from hardyops.weights import constant_weight, parse_weight_spec
 
 
 def power_product(ts, e):
     return math.prod(t**e for t in ts)
-
-
-def duffy_moment(weight, e):
-    """int prod t_i**e * w(t) dt through the Duffy corner split."""
-    m = weight.arity
-    smooth = weight.corner.smooth_factor
-
-    def corner_smooth(*ss):
-        return smooth(*ss) * power_product([1.0 - s for s in ss], e)
-
-    behaviors = [EndpointBehavior(e + b.exponent_at_zero, 0.0) for b in weight.behaviors]
-    return integrate_unit_cube(
-        None, behaviors, corner=CornerBehavior(weight.corner.exponent, corner_smooth),
-        f_pair=lambda ts, ss: weight.pair(ts, ss) * power_product(ts, e),
-    )
-
-
-@pytest.mark.parametrize(
-    "spec, p",
-    [
-        ("riesz:1.5:2", 4.0),
-        ("cesaro:1.5:2", 4.0),
-        ("riesz:2.5:3", 6.0),
-        # extreme orders: nu = 0.975 (tail mass at sigma past 1e20) and
-        # nu = 5e-7 (the whole mixture within a sliver of x = 1)
-        ("riesz:0.05:2", 4.0),
-        ("riesz:1.999999:2", 4.0),
-        # the Duffy pieces reach s_i ~ 1e-300, where every s_i**2 underflows
-        ("cesaro:0.05:2", 4.0),
-    ],
-)
-def test_mixture_matches_duffy(spec, p):
-    weight = parse_weight_spec(spec)
-    cesaro = spec.startswith("cesaro")
-    family = cesaro_lebesgue_constant if cesaro else lebesgue_constant
-    e = -(1.0 - 1.0 / p) if cesaro else -1.0 / p
-    mix = family(weight, ExponentConfig(1, (p,) * weight.arity))
-    duffy = duffy_moment(weight, e)
-    assert mix.converged and duffy.converged
-    assert math.isfinite(mix.value) and math.isfinite(mix.abs_error_estimate)
-    assert abs(mix.value - duffy.value) <= mix.abs_error_estimate + duffy.abs_error_estimate
 
 
 def test_riesz_m4_cli_agrees_with_monte_carlo():
@@ -121,12 +76,3 @@ def test_shared_rules_are_read_only():
     for a in (t, s, w):
         with pytest.raises(ValueError):
             a[0] = 0.0
-
-
-def test_corner_weight_needs_mixture():
-    weight = parse_weight_spec("riesz:1.5:2")
-    with pytest.raises(ValueError, match="mixture"):
-        hardyops.Weight(
-            arity=2, pair=weight.pair, behaviors=weight.behaviors, label="bare corner",
-            corner=weight.corner,
-        )

@@ -8,7 +8,6 @@ import pytest
 import hardyops
 from hardyops import numerics
 from hardyops.numerics import (
-    CornerBehavior,
     EndpointBehavior,
     QuadratureError,
     QuadratureResult,
@@ -184,17 +183,15 @@ class TestUnitCube:
         assert abs(res.value - 16.0 / 9.0) <= err_bound(res)
 
     def test_corner_singularity(self):
-        corner = CornerBehavior(
-            -0.5,
-            lambda s1, s2: (s1 + s2) ** -0.5 * np.sqrt(s1 * s1 + s2 * s2) ** 0.5,
-        )
+        # no axis declares the (s1 + s2)**(-1/2) corner; the graded panels
+        # at t = 1 still resolve it, and the estimate covers the error
         res = integrate_unit_cube(
-            lambda a, b: (2.0 - a - b) ** -0.5,
+            None,
             [EndpointBehavior(), EndpointBehavior()],
-            corner=corner,
+            f_pair=lambda ts, ss: (ss[0] + ss[1]) ** -0.5,
         )
-        assert res.value == pytest.approx(CORNER_SQRT, rel=1e-12)
-        assert abs(res.value - CORNER_SQRT) <= err_bound(res)
+        assert res.converged
+        assert abs(res.value - CORNER_SQRT) <= res.abs_error_estimate
 
     def test_separable_m3(self):
         res = integrate_unit_cube(
@@ -203,28 +200,6 @@ class TestUnitCube:
             tol=1e-9,
         )
         assert res.value == pytest.approx(2.0 * (2.0 / 3.0), rel=1e-9)
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_corner_route_consistent_with_graded_route(self, m):
-        # a mild corner |s|^(-1/2) is integrable through the plain graded
-        # rule as well; the Duffy decomposition must agree with it
-        def fc(*ts):
-            acc = None
-            for t in ts:
-                term = (1.0 - t) ** 2
-                acc = term if acc is None else acc + term
-            return acc**-0.25
-
-        def unit_smooth(*ss):
-            return np.ones(np.broadcast_shapes(*(np.shape(s) for s in ss)))
-
-        beh = [EndpointBehavior()] * m
-        plain = integrate_unit_cube(fc, beh, tol=1e-9)
-        duffy = integrate_unit_cube(
-            fc, beh, tol=1e-9, corner=CornerBehavior(-0.5, unit_smooth)
-        )
-        assert duffy.converged
-        assert duffy.value == pytest.approx(plain.value, rel=1e-7)
 
     def test_box_restriction(self):
         res = integrate_unit_cube(
@@ -289,16 +264,34 @@ class TestUnitCube:
         assert r1.value != r2.value
 
 
-# mpmath values of the corner-weight constants, to 20 significant digits
+# mpmath values of the corner-weight constants, to 20 significant digits,
+# by the polar (m = 2) or spherical (m = 3) cubature of bench/references.py
+# with alpha the double nearest its decimal, agreeing at dps 20 and 30; at
+# alpha = 0.05 the radial integral substitutes u = x**(1/alpha), so that
+# tanh-sinh sees u**(alpha-1) du = dx/alpha instead of truncating it
 CORNER_CALIBRATION = [
     ("lebesgue_constant", "riesz:1.5:2", (4.0, 4.0), 2.3154492100245666234),
     ("lebesgue_constant", "riesz:2.5:3", (6.0, 6.0, 6.0), 1.3248105784677356524),
     ("cesaro_lebesgue_constant", "cesaro:1.5:2", (4.0, 4.0), 3.4506299587874616234),
+    ("lebesgue_constant", "riesz:1:2", (4.0, 4.0), 2.6136164120002432100),
+    # extreme orders: nu = 0.975 (tail mass at sigma past 1e20) and
+    # nu = 5e-7 (the whole mixture within a sliver of x = 1)
+    ("lebesgue_constant", "riesz:0.05:2", (4.0, 4.0), 1.6793237177670180588),
+    ("lebesgue_constant", "riesz:1.999999:2", (4.0, 4.0), 1.7777789278019576536),
+    ("cesaro_lebesgue_constant", "cesaro:0.05:2", (4.0, 4.0), 1.5565553389835035277),
 ]
 
+# unary families with Gamma-ratio closed forms
+UNARY_CLOSED_FORMS = {
+    "rl": ("lebesgue_constant", lambda mp, a, p: mp.gamma(1 - 1 / p) / mp.gamma(1 + a - 1 / p)),
+    "weyl": ("cesaro_lebesgue_constant",
+             lambda mp, a, p: mp.gamma(1 + 1 / p - a) / mp.gamma(1 + 1 / p)),
+    "counter": ("lebesgue_constant", lambda mp, a, p: 2 / a),
+}
 
-class TestCornerCalibration:
-    """The corner weights (Gaussian mixture route) against high-precision values."""
+
+class TestMpmathCalibration:
+    """Constants against mpmath values, within their estimates plus 4 ulp."""
 
     @pytest.mark.parametrize("family, spec, p, exact", CORNER_CALIBRATION)
     def test_within_estimate(self, family, spec, p, exact):
@@ -309,15 +302,20 @@ class TestCornerCalibration:
         if spec == "riesz:2.5:3":
             assert res.evaluations <= 100_000_000
 
-    def test_oscillation_panels_only_on_oscillating_axes(self):
-        rep = hardyops.oscillation_decay_check(
-            hardyops.constant_weight(1.0, 2), (1,), (10.0, 100.0, 1000.0)
+    @pytest.mark.parametrize("p", [1.1, 2.0, 4.0, 10.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
+    @pytest.mark.parametrize("kind", sorted(UNARY_CLOSED_FORMS))
+    def test_unary_closed_forms(self, kind, alpha, p):
+        mpmath = pytest.importorskip("mpmath")
+        family, exact_of = UNARY_CLOSED_FORMS[kind]
+        spec = f"counter:{alpha}:1:{p}" if kind == "counter" else f"{kind}:{alpha}"
+        res = getattr(hardyops, family)(
+            hardyops.parse_weight_spec(spec), hardyops.ExponentConfig(1, (p,))
         )
-        assert rep.verdict == "sharp-confirmed"
-        assert [r for r, _ in rep.sweep] == [10.0, 100.0, 1000.0]
-        # I(r) = (1 - cos(pi r)) / (pi r) vanishes at even r
-        for (_, magnitude), estimate in zip(rep.sweep, rep.sweep_errors):
-            assert magnitude <= estimate
+        with mpmath.workdps(30):
+            exact = float(exact_of(mpmath, mpmath.mpf(alpha), mpmath.mpf(p)))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
 
 
 class TestErrorEstimateSoundness:
@@ -340,6 +338,16 @@ class TestErrorEstimateSoundness:
     def test_halfline_examples(self):
         res = integrate_halfline(lambda r: np.exp(-r))
         assert abs(res.value - 1.0) <= err_bound(res)
+
+    def test_oscillation_panels_only_on_oscillating_axes(self):
+        rep = hardyops.oscillation_decay_check(
+            hardyops.constant_weight(1.0, 2), (1,), (10.0, 100.0, 1000.0)
+        )
+        assert rep.verdict == "sharp-confirmed"
+        assert [r for r, _ in rep.sweep] == [10.0, 100.0, 1000.0]
+        # I(r) = (1 - cos(pi r)) / (pi r) vanishes at even r
+        for (_, magnitude), estimate in zip(rep.sweep, rep.sweep_errors):
+            assert magnitude <= estimate
 
 
 def _power_integral(e, lows, highs):

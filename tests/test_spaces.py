@@ -139,6 +139,24 @@ class TestCmoNorm:
         # 2 int_0^1 u (log u + 1/2)^2 du = 1/4
         assert cmo_norm(log_radial(), 2.0, 2) == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "q, n, exact",
+        [
+            # (int_0^inf exp(-x) |1 - x|**q dx)**(1/q) / n, mpmath at dps 20 and 30
+            (10.0, 1, 4.09776319888765014),
+            (10.0, 3, 1.36592106629588338),
+            (40.0, 1, 15.379200703582680909),
+            (40.0, 3, 5.1264002345275603028),
+        ],
+    )
+    def test_log_large_q(self, q, n, exact):
+        assert cmo_norm(log_radial(), q, n) == pytest.approx(exact, rel=1e-14)
+
+    def test_log_moment_overflow_raises(self):
+        # the q = 200 moment, about 200!/e, exceeds the double range
+        with pytest.raises(QuadratureError):
+            cmo_norm(log_radial(), 200.0, 1)
+
     def test_oscillatory_cutoff_finite(self):
         val = cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
         assert 0.0 < val < 2.0

@@ -77,16 +77,6 @@ class TestMultilinearRieszWeight:
         ts = np.linspace(0.01, 0.99, 47)
         assert np.max(np.abs(w1(ts) - w2(ts)) / w2(ts)) <= 1e-14
 
-    def test_corner_metadata(self):
-        w = multilinear_riesz_weight(0.5, 2)
-        assert w.corner is not None
-        assert w.corner.exponent == pytest.approx(-1.5)
-        # smooth factor is the constant 1/Gamma(alpha)
-        s = np.array([1e-8])
-        assert float(w.corner.smooth_factor(s, s)[0]) == pytest.approx(
-            1.0 / gamma(0.5), rel=1e-13
-        )
-
     def test_range_rejected(self):
         with pytest.raises(ValueError):
             multilinear_riesz_weight(2.5, 2)
