@@ -290,8 +290,8 @@ UNARY_CLOSED_FORMS = {
 }
 
 
-class TestMpmathCalibration:
-    """Constants against mpmath values, within their estimates plus 4 ulp."""
+class TestCornerCalibration:
+    """The corner weights (Gaussian mixture route) against stored mpmath values."""
 
     @pytest.mark.parametrize("family, spec, p, exact", CORNER_CALIBRATION)
     def test_within_estimate(self, family, spec, p, exact):
@@ -301,6 +301,20 @@ class TestMpmathCalibration:
         assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
         if spec == "riesz:2.5:3":
             assert res.evaluations <= 100_000_000
+
+    def test_oscillation_panels_only_on_oscillating_axes(self):
+        rep = hardyops.oscillation_decay_check(
+            hardyops.constant_weight(1.0, 2), (1,), (10.0, 100.0, 1000.0)
+        )
+        assert rep.verdict == "sharp-confirmed"
+        assert [r for r, _ in rep.sweep] == [10.0, 100.0, 1000.0]
+        # I(r) = (1 - cos(pi r)) / (pi r) vanishes at even r
+        for (_, magnitude), estimate in zip(rep.sweep, rep.sweep_errors):
+            assert magnitude <= estimate
+
+
+class TestUnaryClosedForms:
+    """Unary constants against their Gamma-ratio closed forms in mpmath."""
 
     @pytest.mark.parametrize("p", [1.1, 2.0, 4.0, 10.0])
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
@@ -338,16 +352,6 @@ class TestErrorEstimateSoundness:
     def test_halfline_examples(self):
         res = integrate_halfline(lambda r: np.exp(-r))
         assert abs(res.value - 1.0) <= err_bound(res)
-
-    def test_oscillation_panels_only_on_oscillating_axes(self):
-        rep = hardyops.oscillation_decay_check(
-            hardyops.constant_weight(1.0, 2), (1,), (10.0, 100.0, 1000.0)
-        )
-        assert rep.verdict == "sharp-confirmed"
-        assert [r for r, _ in rep.sweep] == [10.0, 100.0, 1000.0]
-        # I(r) = (1 - cos(pi r)) / (pi r) vanishes at even r
-        for (_, magnitude), estimate in zip(rep.sweep, rep.sweep_errors):
-            assert magnitude <= estimate
 
 
 def _power_integral(e, lows, highs):
