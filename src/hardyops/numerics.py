@@ -60,7 +60,8 @@ The mixture engine (`_mixture_integrate`) integrates
 ``int_0^inf prod_i F_i(x**(1/nu)) dx`` with
 ``F_i(sigma) = int f_i(t, s) exp(-sigma gap_i(t, s)**2) dt``, the
 Schwinger form of the Riesz and Cesaro corner weights, for any m: one
-batched matrix product per axis and rung, over all sigma nodes at once.
+batched matrix product per distinct axis rule and rung, over all sigma
+nodes at once.
 
 Integrands must accept numpy arrays (one per coordinate) and evaluate
 elementwise.
@@ -121,7 +122,8 @@ class QuadratureResult:
     `evaluations` counts the integrand evaluations the integral used.  A
     panel-profile query (`_PanelProfile.integral`) counts the cached
     nodes whose phi values it summed, fresh or not; its fresh
-    evaluations of b are the profile's own count.
+    evaluations of b are the profile's own count.  A mixture integral
+    (`_mixture_integrate`) counts the exp entries it computed.
     """
 
     value: float
@@ -1015,6 +1017,10 @@ class MixtureAxis(NamedTuple):
     endpoint powers of f alone; `zero_exp` may reach -1 or below when
     `gap_at_zero` is set, because a gap that grows without bound as
     t -> 0 makes the Gaussian cut f off at t ~ sigma**(1/2) there.
+
+    Every field but `f_pair` fixes the axis's nodes and gaps: axes equal
+    in all of them (compared with ``==``, so `gap` must be the same
+    object) share one rule and one exp(-sigma gap**2) matrix.
     """
 
     f_pair: Callable[[tuple, tuple], np.ndarray]
@@ -1099,10 +1105,14 @@ def _mixture_integrate(
 ) -> QuadratureResult:
     """scale * int_0^inf prod_i F_i(x**(1/nu)) dx, rung by rung.
 
-    Each F_i uses its own axis rule, and a rung evaluates all its sigma
-    nodes at once as exp(-sigma gap**2) @ (weights * f), in slabs of at
-    most `_SLAB_NODES` entries; with both sorted ascending, a slab skips
-    the nodes whose exponent underflows to 0 for its smallest sigma.
+    Axes equal in every field but `f_pair` share one rule, and a rung
+    evaluates the F_i of such a group at all its sigma nodes at once as
+    exp(-sigma gap**2) @ (weights * [f_i, ...]), in slabs of at most
+    `_SLAB_NODES` entries; with both sorted ascending, a slab skips the
+    nodes whose exponent underflows to 0 for its smallest sigma.  The
+    F_i are multiplied in axis order, so axes that all differ give the
+    same bits as one matrix product per axis.  `evaluations` counts the
+    exp entries computed, each shared matrix once.
     From the second rung on, the estimate is the change from the
     previous rung plus the rounding floor, and the finer value is
     reported once it meets the goal.
@@ -1114,21 +1124,29 @@ def _mixture_integrate(
     )
     if not lam > nu or not zeta > -1.0:
         return QuadratureResult.divergent("the Gaussian mixture integral diverges")
+    # axes equal in everything but f_pair share their nodes and gaps
+    groups = {}
+    for j, ax in enumerate(axes):
+        groups.setdefault(ax._replace(f_pair=None), []).append(j)
     used = 0
     previous = None
     slab = np.empty(_SLAB_NODES)
     for depth_in, order_in, depth_out, order_out in _MIXTURE_RUNGS:
         sigma, omega = _mixture_outer(nu, lam, zeta, depth_out, order_out, 4.0**depth_in)
-        # columns: the integral and its absolute counterpart
-        prod = np.stack([omega, omega], axis=1)
-        for ax in axes:
-            t, s, w = _mixture_inner(ax, depth_in, order_in)
-            f = np.asarray(ax.f_pair((t,), (s,)), dtype=float) * w
+        factors = [None] * len(axes)
+        for rule, members in groups.items():
+            t, s, w = _mixture_inner(rule, depth_in, order_in)
             with np.errstate(over="ignore"):
-                gap2 = np.minimum(np.asarray(ax.gap(t, s), dtype=float) ** 2, _GAP2_MAX)
+                gap2 = np.minimum(np.asarray(rule.gap(t, s), dtype=float) ** 2, _GAP2_MAX)
             order = np.argsort(gap2, kind="stable")
             gap2 = gap2[order]
-            cols = np.stack([f[order], np.abs(f[order])], axis=1)
+            # columns 2k, 2k + 1: member k's integral and its absolute counterpart
+            cols = []
+            for j in members:
+                f = (np.asarray(axes[j].f_pair((t,), (s,)), dtype=float) * w)[order]
+                cols += [f, np.abs(f)]
+            cols = np.stack(cols, axis=1)
+            factor = np.empty((sigma.size, cols.shape[1]))
             step = max(1, min(64, _SLAB_NODES // t.size))
             for a in range(0, sigma.size, step):
                 rows = sigma[a : a + step]
@@ -1137,8 +1155,14 @@ def _mixture_integrate(
                     keep = int(np.searchsorted(gap2, _EXP_ZERO / rows[0], side="right"))
                 block = slab[: rows.size * keep].reshape(rows.size, keep)
                 np.multiply(-rows[:, None], gap2[:keep], out=block)
-                prod[a : a + step] *= np.exp(block, out=block) @ cols[:keep]
+                factor[a : a + step] = np.exp(block, out=block) @ cols[:keep]
                 used += block.size
+            for k, j in enumerate(members):
+                factors[j] = factor[:, 2 * k : 2 * k + 2]
+        # multiplied in axis order, as when every axis has its own rule
+        prod = np.stack([omega, omega], axis=1)
+        for factor in factors:
+            prod *= factor
         value = scale * math.fsum(prod[:, 0].tolist())
         mass = scale * math.fsum(prod[:, 1].tolist())
         if not math.isfinite(mass):

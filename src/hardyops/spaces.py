@@ -456,8 +456,9 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     For ``b = log|x|`` the bracket is independent of R and reduces to
     ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``; the substitution
     u = exp(-x/n) makes it ``(int_0^inf exp(-x) |1 - x|**q dx)**(1/q) / n``,
-    which is what is evaluated, with the integrand formed as
-    ``exp(q log|1 - x| - x)`` so that large q cannot overflow to inf * 0.
+    which is what is evaluated, divided by the integrand's peak value
+    ``q**q exp(-q-1)`` at x = 1 + q (put back as a factor of the root), so
+    that no q overflows the moment itself; panel edges pin the peak.
     Other symbols go through the generic R-grid sup.  Either way a
     QuadratureError is raised when an integral does not converge.  The
     generic ball integrals all read one panel profile of b (a table of b's
@@ -470,19 +471,25 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if b.kind == "log":
-
+        # e^(-x) |1 - x|^q over its peak value q^q e^(-q-1) at x = 1 + q,
+        # as exp(q log(|x - 1|/q) - (x - 1 - q)) with the log taken by log1p
+        # near the peak; the peak is a Gamma(q + 1) density of width sqrt(q),
+        # so panel edges pin it one width apart out to eight widths
         def moment(x):
-            # past q ~ 170 the moment itself overflows: inf, then a QuadratureError
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.exp(q * np.log(np.abs(1.0 - x)) - x)
+            y = x - 1.0
+            with np.errstate(divide="ignore"):
+                return np.exp(q * np.log1p((np.abs(y) - q) / q) - (y - q))
 
-        res = integrate_halfline(moment, tol=1e-13, rtol=1e-13, breakpoints=(1.0,))
+        width = math.sqrt(q)
+        peak = [1.0 + q + k * width for k in range(-8, 9) if k * width > -q]
+        res = integrate_halfline(moment, tol=1e-13, rtol=1e-13, breakpoints=[1.0] + peak)
         if not res.converged:
             raise QuadratureError(
                 f"CMO log moment did not converge (value {res.value:.6g}, "
                 f"error estimate {res.abs_error_estimate:.2g})"
             )
-        return res.value ** (1.0 / q) / n
+        # the moment is q^q e^(-q-1) times res.value
+        return res.value ** (1.0 / q) * q * math.exp(-1.0 - 1.0 / q) / n
 
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 

@@ -1,6 +1,8 @@
 """CLI contract: JSON records, CSV sweeps, exit codes, reproducibility."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,21 @@ def invoke(capsys):
         return code, captured.out, captured.err
 
     return _invoke
+
+
+def readme_commands():
+    """The `hardyops` lines of README.md's fenced blocks, `# ...` comments stripped."""
+    commands, fenced = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        command = line.split("#")[0].strip()
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and command.startswith("hardyops "):
+            commands.append(command)
+    return commands
+
+
+README_COMMANDS = readme_commands()
 
 
 def record_of(out):
@@ -325,3 +342,15 @@ class TestFlagSlots:
         params = record_of(out)["parameters"]
         assert params["r"] == list(DEFAULT_R_SEQUENCE)
         assert params["decay_tol"] == DEFAULT_DECAY_TOL
+
+
+class TestReadmeCommands:
+    def test_all_found(self):
+        assert len(README_COMMANDS) == 18
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_documented_command_passes(self, invoke, line):
+        code, out, err = invoke(*shlex.split(line)[1:])
+        assert code == 0, err
+        rec = record_of(out)
+        assert rec.get("converged", True) is True

@@ -13,12 +13,14 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from functools import partial
 
 import pytest
+from test_numerics import CORNER_CALIBRATION
 
-from hardyops import numerics
+from hardyops import numerics, weights
 from hardyops.cli import run
-from hardyops.constants import lebesgue_constant, log_moment_constant
+from hardyops.constants import cesaro_lebesgue_constant, lebesgue_constant, log_moment_constant
 from hardyops.experiments import oscillation_decay_check
 from hardyops.numerics import EndpointBehavior, integrate_unit_cube
 from hardyops.spaces import ExponentConfig
@@ -52,6 +54,15 @@ def test_oscillation_reaches_every_radius():
     assert [r for r, _ in rep.sweep] == [10.0, 100.0, 200.0]
     assert rep.verdict != "inconclusive"
     assert max(rep.sweep_errors) <= 1e-9
+    # the axes differ in uniform_panels, so each keeps its own exp matrix
+    # and the bits of one matrix product per axis
+    assert repr(rep.sweep) == (
+        "((10.0, 0.03335347125654427), (100.0, 0.003664116888668927), "
+        "(200.0, 0.0018543392261593315))"
+    )
+    assert repr(rep.sweep_errors) == (
+        "(6.05765437811101e-15, 3.3439830765535916e-14, 6.838778675299917e-14)"
+    )
 
 
 def test_m3_log_moment_converges():
@@ -60,6 +71,41 @@ def test_m3_log_moment_converges():
     res = log_moment_constant(weight, config, (1, 2, 3), 2.0)
     assert res.converged and res.diagnosis is None
     assert res.abs_error_estimate <= 1e-10
+    # axes with different p share no exp matrix: the bits of one per axis
+    assert (repr(res.value), repr(res.abs_error_estimate)) == (
+        "4.591659491730009", "4.432010314303625e-13"
+    )
+
+
+CALIBRATED = {(name, spec, p): exact for name, spec, p, exact in CORNER_CALIBRATION}
+
+SHARED_AXES = [
+    (lebesgue_constant, "riesz:1.5:2", (4.0, 4.0)),
+    (cesaro_lebesgue_constant, "cesaro:1.5:2", (4.0, 4.0)),
+    (lebesgue_constant, "riesz:2.5:3", (6.0, 6.0, 6.0)),
+    (lebesgue_constant, "riesz:3.5:4", (8.0,) * 4),
+]
+
+
+@pytest.mark.parametrize("family, spec, p", SHARED_AXES, ids=[s for _, s, _ in SHARED_AXES])
+def test_identical_axes_share_one_exp_matrix(monkeypatch, family, spec, p):
+    config = ExponentConfig(1, p)
+    shared = family(parse_weight_spec(spec), config)
+    original = numerics._mixture_integrate
+
+    def unshared(nu, scale, axes, tol, rtol):
+        # a distinct gap object per axis, so no two axes share a rule
+        return original(nu, scale, [ax._replace(gap=partial(ax.gap)) for ax in axes], tol, rtol)
+
+    monkeypatch.setattr(weights, "_mixture_integrate", unshared)
+    alone = family(parse_weight_spec(spec), config)
+    # the exp entries of m identical axes are computed once
+    assert alone.evaluations == len(p) * shared.evaluations
+    assert shared.converged and alone.converged
+    assert abs(shared.value - alone.value) <= shared.abs_error_estimate + alone.abs_error_estimate
+    exact = CALIBRATED.get((family.__name__, spec, p))  # none for m = 4
+    if exact is not None:
+        assert abs(shared.value - exact) <= shared.abs_error_estimate + 4 * math.ulp(exact)
 
 
 def test_identical_axes_share_rules():

@@ -152,10 +152,18 @@ class TestCmoNorm:
     def test_log_large_q(self, q, n, exact):
         assert cmo_norm(log_radial(), q, n) == pytest.approx(exact, rel=1e-14)
 
-    def test_log_moment_overflow_raises(self):
-        # the q = 200 moment, about 200!/e, exceeds the double range
-        with pytest.raises(QuadratureError):
-            cmo_norm(log_radial(), 200.0, 1)
+    @pytest.mark.parametrize("q", [2.0, 3.0, 40.0, 169.0, 200.0, 500.0])
+    def test_log_matches_mpmath(self, q):
+        # past q ~ 169 the moment, about q!/e, exceeds the double range
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            # int_0^inf e^(-x) |1 - x|^q dx = (Gamma(q + 1) + int_0^1 e^y y^q dy) / e
+            qm = mpmath.mpf(q)
+            moment = mpmath.gamma(qm + 1) + mpmath.quad(lambda y: mpmath.exp(y) * y**qm, [0, 1])
+            exact = float((moment / mpmath.e) ** (1 / qm))
+        value = cmo_norm(log_radial(), q, 1)
+        # the moment's goal is 1e-13 relative, so its q-th root's is 1e-13 / q
+        assert abs(value - exact) <= 1e-13 / q * exact + 4 * math.ulp(exact)
 
     def test_oscillatory_cutoff_finite(self):
         val = cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
