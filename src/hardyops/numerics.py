@@ -29,14 +29,20 @@ the children's halves are evaluated.  The final sum is compensated
 (``math.fsum``) in left-to-right panel order, so repeated calls are
 bit-identical.
 
-Many ball integrals ``R**-n int_0^R phi(b(r)) r**(n-1) dr`` of one
-function b, at many radii R and for several pointwise phi, share one
-panel profile (`_PanelProfile`): a table of r-space panels that keeps
-b's values at all three GL15 rules of each panel.  A query makes R a
-panel edge, refines the panels under R by the same width-share rule
-(`_split_panels`, in shares of R) applied to phi of the cached values,
-and keeps every refinement for later queries, so a query near earlier
-ones evaluates b at few new nodes.
+Many ball integrals ``R**-n int_0^R phi(b(r) - c) r**(n-1) dr`` of one
+function b, at many radii R, for several pointwise phi and a shift c
+per radius, share one panel profile (`_PanelProfile`): a table of
+r-space panels, kept in r order, that holds b's values at all three
+GL15 rules of each panel.  One query takes any number of radii: it
+makes them all panel edges with one call of b, so the panels under
+each R are a prefix of the table, and refines those panels by the same
+width-share rule (`_split_panels`, in shares of each R) applied to phi
+of the cached values, in passes shared by all its radii.  Every
+refinement is kept for later queries, so a query near earlier ones
+evaluates b at few new nodes.  A panel whose error is within the
+rounding floor of its integral (the change an ulp of r makes to it) is
+not bisected, and a radius whose floors add up past its goal stops at
+once, so rounding noise in b is never refined as error.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
@@ -260,24 +266,36 @@ class _UnitMap:
 
 
 def _split_panels(
-    errors: np.ndarray, widths: np.ndarray, goal: float
-) -> Optional[np.ndarray]:
-    """The panels one refinement pass bisects, or None when none can be.
+    errors: np.ndarray, widths: np.ndarray, goal, floors=0.0, groups=None
+) -> np.ndarray:
+    """Mark the panels one refinement pass bisects.
 
-    `widths` are shares of the integration interval.  Every panel above
-    the width floor whose error exceeds its width's share of the goal,
-    error > goal * width, is bisected; when no such panel qualifies, the
-    worst tier of them instead (error at least half the largest).
+    `widths` are shares of the integration interval.  A panel can be
+    bisected when it is above the width floor and its error exceeds its
+    rounding floor (`floors`, none by default).  Every such panel whose
+    error exceeds its width's share of the goal, error > goal * width, is
+    marked; when none qualifies, the worst tier of them instead (error at
+    least half the largest).  With `groups`, the panels belong to several
+    integrals (group j holds integral j's panels, with goal ``goal[j]``),
+    and each integral gets its own share test and fallback.  An integral
+    with no marked panel cannot be refined further.
     """
     # never bisect below the width floor: the interval map cannot resolve
     # the endpoint distance there anyway, nor can r resolve a panel that
     # narrow next to the ball radius
-    wide = widths > 2.0**-48
-    if not np.any(wide):
-        return None
-    split = wide & (errors > goal * widths)
-    if not np.any(split):
-        split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
+    wide = (widths > 2.0**-48) & (errors > floors)
+    if groups is None:
+        split = wide & (errors > goal * widths)
+        if not np.any(split) and np.any(wide):
+            split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
+        return split
+    split = wide & (errors > goal[groups] * widths)
+    lacking = np.bincount(groups[wide], minlength=goal.size) > 0
+    lacking &= np.bincount(groups[split], minlength=goal.size) == 0
+    if np.any(lacking):
+        worst = np.zeros(goal.size)
+        np.maximum.at(worst, groups[wide], errors[wide])
+        split |= wide & lacking[groups] & (errors >= 0.5 * worst[groups])
     return split
 
 
@@ -335,7 +353,7 @@ def _adaptive_panels(
         if used >= max_evals:
             break
         split = _split_panels(errors, rights - lefts, goal)
-        if split is None:
+        if not np.any(split):
             break
         keep = ~split
         mids = 0.5 * (lefts[split] + rights[split])
@@ -360,157 +378,319 @@ def _adaptive_panels(
 # fresh evaluations one panel profile may make over its lifetime
 _PROFILE_NODES = 2**22
 # a profile query's goal on R**-n int_0^R, and the fresh evaluations of b
-# it may make to meet it
+# each of its radii may ask for to meet it
 _PROFILE_TOL = 1e-13
 _PROFILE_RTOL = 1e-11
 _PROFILE_QUERY_NODES = 400_000
+# phi values a profile query holds at once
+_PROFILE_SLAB = 2**14
 
 
 class _PanelProfile:
     """Ball integrals of one radial function b from one shared panel table.
 
-    The table tiles (0, top] with r-space panels.  Each holds b at the
-    45 nodes of three GL15 rules (the whole panel and its two halves),
-    and nothing else per node.  `integral` weighs any pointwise function
-    of b at these values against ``r**(n-1) dr``, with the weights made
-    per query from the panel edges, refines the panels it needs by the
-    width-share rule of `_adaptive_panels` (`_split_panels`), and keeps
-    the refinements for later queries.  The table is append-only: a bisected panel is
-    only marked dead, and its half values become its children's
+    The table tiles (0, top] with r-space panels between the ascending
+    `edges`, so the panels under any edge are a prefix of the table.  A
+    panel's row of `values` holds b at the 45 nodes of its three GL15 rules
+    (the whole panel and its two halves); its row of `meta` holds the
+    widths of those rules, their sums of b itself (as `_sums` makes them),
+    and the least and the greatest of its values of b.  `integral` weighs
+    any pointwise function of b at these values against ``r**(n-1) dr``,
+    refines the panels it needs by the width-share rule of
+    `_adaptive_panels` (`_split_panels`), and keeps the refinements for
+    later queries.  A bisected panel's half values become its children's
     whole-panel values, so a child costs 30 fresh evaluations of b.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: int,
                  breakpoints: Sequence[float] = ()):
         self.fn, self.n = fn, n
-        self.breakpoints = sorted(float(bp) for bp in breakpoints if bp > 0.0)
-        self.top = 0.0
-        self.size = 0
+        self.breakpoints = np.array(sorted(float(bp) for bp in breakpoints if bp > 0.0))
+        self.edges = np.zeros(1)
+        # the panels' rows, a window of `_store` with spare rows on each side
+        self._store, self._low = (np.empty((0, 45)), np.empty((0, 8))), 0
+        self.values, self.meta = self._store
         self.fresh = 0  # evaluations of b so far
-        self.lefts = np.empty(0)
-        self.rights = np.empty(0)
-        self.alive = np.empty(0, dtype=bool)
-        self.values = np.empty((0, 45))
 
-    @staticmethod
-    def _rules(lefts, rights) -> tuple[np.ndarray, np.ndarray]:
-        """The left ends and widths of each panel's three rules, as (k, 3)."""
+    def _nodes(self, lefts, rights) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """Each panel's GL15 nodes and their (r/right)**(n-1) (None when
+        n = 1), as (k, 3, 15), and the widths of its three rules, as (k, 3)."""
         mids = 0.5 * (lefts + rights)
         seg_l = np.array([lefts, lefts, mids]).T
-        return seg_l, np.array([rights, mids, rights]).T - seg_l
-
-    def _add(self, lefts, rights, radius: float, whole=None) -> np.ndarray:
-        """Append the panels (lefts, rights) and return their indices.
-
-        `whole` holds b at their whole-panel nodes when it is known.
-        """
-        seg_l, widths = self._rules(lefts, rights)
+        widths = np.array([rights, mids, rights]).T - seg_l
         nodes = seg_l[..., None] + widths[..., None] * _gl(15)[0]
+        if self.n == 1:
+            return nodes, None, widths
+        # r**(n-1) as (r/right)**(n-1) * (right/R)**(n-1), so no power of r
+        # leaves the float range
+        return nodes, (nodes / rights[:, None, None]) ** (self.n - 1), widths
+
+    def _insert(self, cuts: np.ndarray, radius: float, whole=None) -> None:
+        """Make the ascending `cuts`, none of them an edge yet, panel edges.
+
+        The panels they fall in are replaced by their pieces, and the table
+        grows past its top to the last cut; b at the pieces' nodes comes
+        from one call.  `whole` holds b at the pieces' whole-panel nodes
+        when the pieces are the halves of bisected panels.  The table keeps
+        spare rows at both ends, so only the panels below the first cut or
+        those above the last one move, whichever are fewer.
+        """
+        size = self.edges.size - 1
+        pos = self.edges.searchsorted(cuts)
+        at = pos + np.arange(cuts.size)  # the cuts' places among the new edges
+        edges = np.insert(self.edges, pos, cuts)
+        grown = edges.size - 1
+        # the pieces: the panels on either side of a new edge
+        pieces = np.union1d(at - 1, at[at < grown])
+        nodes, power, widths = self._nodes(edges[pieces], edges[pieces + 1])
         fresh = nodes if whole is None else nodes[:, 1:]
         if self.fresh + fresh.size > _PROFILE_NODES:
             raise QuadratureError(
                 f"ball profile at radius {radius:.6g} would pass "
                 f"{_PROFILE_NODES} evaluations of the integrand"
             )
-        start, k = self.size, lefts.size
-        if start + k > self.lefts.size:
-            # a panel costs at least 30 fresh evaluations, so the table
-            # never holds more than _PROFILE_NODES // 30 panels
-            cap = max(min(2 * self.lefts.size, _PROFILE_NODES // 30), start + k, 64)
-            for name in ("lefts", "rights", "alive", "values"):
-                old = getattr(self, name)
-                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                grown[:start] = old[:start]
-                setattr(self, name, grown)
-        new = slice(start, start + k)
-        self.lefts[new], self.rights[new], self.alive[new] = lefts, rights, True
-        vals = self.values[new].reshape(nodes.shape)
+        vals = np.empty(nodes.shape)
         if whole is not None:
             vals[:, 0] = whole
         vals[:, 3 - fresh.shape[1]:] = np.asarray(
             self.fn(fresh.ravel()), dtype=float
         ).reshape(fresh.shape)
         self.fresh += fresh.size
-        self.size += k
-        return np.arange(start, start + k)
-
-    def _sums(self, phi, panels: np.ndarray, radius: float) -> np.ndarray:
-        """(whole, left half, right half) rule sums of phi(b) per panel, times R**-n."""
-        rights = self.rights[panels]
-        seg_l, widths = self._rules(self.lefts[panels], rights)
-        base_x, base_w = _gl(15)
-        vals = phi(self.values[panels]).reshape(-1, 3, 15)
-        if self.n > 1:
-            # r**(n-1) as (r/right)**(n-1) * (right/R)**(n-1), so no
-            # power of r leaves the float range
-            nodes = seg_l[..., None] + widths[..., None] * base_x
-            vals = vals * (nodes / rights[:, None, None]) ** (self.n - 1)
-        sums = np.einsum("ijk,k->ij", vals, base_w)
-        sums *= widths * ((rights / radius) ** (self.n - 1) / radius)[:, None]
-        return sums
-
-    def integral(
-        self, phi: Callable[[np.ndarray], np.ndarray], radius: float
-    ) -> QuadratureResult:
-        """``R**-n int_0^R phi(b(r)) r**(n-1) dr`` for a pointwise phi.
-
-        `radius` becomes a panel edge: past the table's end the table
-        grows to it, with b's breakpoints as edges; inside, the one panel
-        that straddles it is split there.  The panels under it are then
-        refined until the estimate meets ``max(_PROFILE_TOL,
-        _PROFILE_RTOL |value|)``, or until the query has made
-        `_PROFILE_QUERY_NODES` fresh evaluations of b.  `evaluations`
-        counts the nodes the query summed.
-        """
-        start = self.fresh
-        if radius > self.top:
-            edges = [self.top] + [bp for bp in self.breakpoints if self.top < bp < radius]
-            self._add(np.array(edges), np.array(edges[1:] + [radius]), radius)
-            self.top = radius
+        flat = vals.reshape(-1, 45)
+        meta = np.empty((flat.shape[0], 8))
+        meta[:, :3] = widths
+        meta[:, 3:6] = np.einsum("ijk,k->ij", vals if power is None else vals * power,
+                                 _gl(15)[1])
+        meta[:, 6] = flat.min(axis=1)
+        meta[:, 7] = flat.max(axis=1)
+        # place the new rows: the panels no cut falls in keep their order,
+        # and those below the first cut stay put or those above the last
+        # one do, whichever are more and fit the spare rows
+        store, low = self._store, self._low
+        first, last = int(pieces[0]), int(pieces[-1])
+        if low < cuts.size and low + grown > store[0].shape[0]:
+            # no end has room: a store half as large again, the rows centred
+            cap = grown + grown // 2 + 64
+            store = tuple(np.empty((cap, table.shape[1])) for table in store)
+            for table, old in zip(store, self._store):
+                table[(cap - grown) // 2:(cap - grown) // 2 + size] = old[low:low + size]
+            low = (cap - grown) // 2
+        if low >= cuts.size and (last < size - first or low + grown > store[0].shape[0]):
+            start, moved = low - cuts.size, np.arange(last + 1)
         else:
-            live = self.alive[: self.size]
-            straddle = np.flatnonzero(
-                live & (self.lefts[: self.size] < radius) & (self.rights[: self.size] > radius)
-            )
-            for p in straddle:
-                self._add(np.array([self.lefts[p], radius]),
-                          np.array([radius, self.rights[p]]), radius)
-                self.alive[p] = False
-        panels = np.flatnonzero(self.alive[: self.size] & (self.rights[: self.size] <= radius))
-        sums = self._sums(phi, panels, radius)
-        summed = panels.size
-        while True:
-            whole, half_l, half_r = sums.T
-            halves = half_l + half_r
-            errors = np.abs(whole - halves)
-            total, total_err = float(halves.sum()), float(errors.sum())
-            # NaN and inf in any panel's rule sums reach the totals
-            if not math.isfinite(total + total_err):
-                raise QuadratureError("integrand returned a non-finite value (ball profile)")
-            goal = max(_PROFILE_TOL, _PROFILE_RTOL * abs(total))
-            if total_err <= goal or self.fresh - start >= _PROFILE_QUERY_NODES:
-                break
-            split = _split_panels(
-                errors, (self.rights[panels] - self.lefts[panels]) / radius, goal
-            )
-            if split is None:
-                break
-            parents = panels[split]
-            lefts, rights = self.lefts[parents], self.rights[parents]
-            mids = 0.5 * (lefts + rights)
-            children = self._add(
-                np.concatenate([lefts, mids]), np.concatenate([mids, rights]), radius,
-                np.concatenate([self.values[parents, 15:30], self.values[parents, 30:]]),
-            )
-            self.alive[parents] = False
-            panels = np.concatenate([panels[~split], children])
-            sums = np.concatenate([sums[~split], self._sums(phi, children, radius)])
-            summed += children.size
+            start, moved = low, np.arange(first, grown)
+        stay = np.ones(moved.size, dtype=bool)
+        stay[pieces - moved[0]] = False
+        keep = moved[stay]
+        src = low + keep - at.searchsorted(keep, side="right")
+        for table, rows in zip(store, (flat, meta)):
+            table[start + keep] = table[src]
+            table[start + pieces] = rows
+        self._store, self._low, self.edges = store, start, edges
+        self.values = store[0][start:start + grown]
+        self.meta = store[1][start:start + grown]
 
-        # fsum is correctly rounded, so the panel order does not matter
-        value = math.fsum(halves.tolist())
-        converged = total_err <= max(_PROFILE_TOL, _PROFILE_RTOL * abs(value))
-        return QuadratureResult(value, total_err, 45 * summed, converged)
+    def _sums(self, phi, span, shift) -> np.ndarray:
+        """The whole, left-half and right-half GL15 sums per panel of `span`.
+
+        `span` is a slice or ascending indices; the sums are of
+        phi(b - shift) * (r/right)**(n-1), without the rule widths, and
+        `shift` is None, one number, or one number per panel.  phi sees at
+        most `_PROFILE_SLAB` values at a time; None stands for b itself,
+        whose sums the table keeps.
+        """
+        if phi is None and shift is None:
+            return self.meta[span, 3:6]
+        is_slice = isinstance(span, slice)
+        k = span.stop - span.start if is_slice else span.size
+        out = np.empty((k, 3))
+        step = max(1, _PROFILE_SLAB // 45)
+        for a in range(0, k, step):
+            b = min(a + step, k)
+            sub = slice(span.start + a, span.start + b) if is_slice else span[a:b]
+            vals = self.values[sub]
+            if shift is not None:
+                vals = vals - (shift[a:b, None] if isinstance(shift, np.ndarray) else shift)
+            if phi is not None:
+                vals = np.asarray(phi(vals), dtype=float)
+            vals = vals.reshape(-1, 3, 15)
+            if self.n > 1:
+                vals = vals * self._nodes(self.edges[:-1][sub], self.edges[1:][sub])[1]
+            out[a:b] = np.einsum("ijk,k->ij", vals, _gl(15)[1])
+        return out
+
+    def _rows(self, phi, panels, radius, shift, span) -> np.ndarray:
+        """Rule sums of phi(b - shift) times R**-n per row, as (rows, 3).
+
+        Row i is panel ``panels[i]`` under the ball of radius ``radius[i]``,
+        shifted by ``shift[i]``, or by `shift` when it is None or one
+        number: then each panel's sums are made once, over `span` (a slice
+        or ascending indices covering `panels`), and shared by its rows.
+        """
+        if not isinstance(shift, np.ndarray):
+            sums = self._sums(phi, span, shift)
+            if not isinstance(span, slice):
+                sums = sums[span.searchsorted(panels)]
+            elif panels.size != span.stop - span.start:
+                sums = sums[panels - span.start]
+            else:
+                # the rows are the span itself: read the table by slices
+                panels = span
+        else:
+            sums = self._sums(phi, panels, shift)
+        return sums * (self.meta[panels, :3] * self._scale(panels, radius)[:, None])
+
+    def _scale(self, panels, radius) -> np.ndarray:
+        """R**-n right**(n-1) per row, as (right/R)**(n-1) / R."""
+        if self.n == 1:
+            return 1.0 / radius
+        return (self.edges[1:][panels] / radius) ** (self.n - 1) / radius
+
+    def _floors(self, phi, panels, radius, shift) -> np.ndarray:
+        """The rounding floor of each row (as in `_rows`).
+
+        This is the change of the row's integral when its nodes move by an
+        ulp of r: ulp(right) times the change of phi(b - shift) between the
+        panel's least and greatest b, times R**-n right**(n-1).
+        """
+        ends = self.meta[panels, 6:]
+        if shift is not None:
+            ends = ends - (shift[:, None] if isinstance(shift, np.ndarray) else shift)
+        if phi is not None:
+            ends = np.asarray(phi(ends), dtype=float)
+        scale = self._scale(panels, radius)
+        return np.abs(ends[:, 1] - ends[:, 0]) * np.spacing(self.edges[1:][panels]) * scale
+
+    def integral(self, phi: Optional[Callable[[np.ndarray], np.ndarray]], radii, shift=None):
+        """``R**-n int_0^R phi(b(r) - shift) r**(n-1) dr`` for each radius R.
+
+        `phi` None stands for b itself.  `radii` is one radius, or an array
+        of them in any order and with repeats; `shift` is None (no shift),
+        or one shift per radius.  All radii become panel edges in one call
+        of b: past the table's end the table grows to them, with b's
+        breakpoints as edges; inside, the panels that straddle them are
+        split there.  Each (panel, radius) row keeps its rule sums, and the
+        panels under each radius are refined, in passes shared by all
+        radii, until its estimate meets ``max(_PROFILE_TOL, _PROFILE_RTOL
+        |value|)``, none of its panels can be bisected, or it has been
+        charged `_PROFILE_QUERY_NODES` fresh evaluations of b (the new
+        edges, and the children of each panel it was the smallest radius
+        to mark).  A bisected panel's rows pass to both its children.  A
+        panel whose estimate is within its rounding floor (`_floors`) is
+        not bisected, since halving it cannot lower the rounding noise of b
+        at its nodes, and a radius whose floors add up past its goal stops.
+        Returns one QuadratureResult for one radius, else a list in the
+        order of `radii`; `evaluations` counts the nodes each radius
+        summed.
+        """
+        scalar = np.ndim(radii) == 0
+        radii = np.array(radii, dtype=float, ndmin=1)
+        order = radii.argsort(kind="stable")
+        big = radii[order]
+        # with one shift for every row, each panel's sums are made once
+        each = shift is not None and big.size > 1
+        if shift is not None:
+            shift = np.array(shift, dtype=float, ndmin=1)[order]
+            if not each:
+                shift = shift[0]
+        start = self.fresh
+        counts = self.edges.searchsorted(big)
+        if big[-1] > self.edges[-1] or (self.edges[counts] != big).any():
+            cuts = big if big.size == 1 else np.unique(big)
+            cuts = cuts[self.edges.take(self.edges.searchsorted(cuts), mode="clip") != cuts]
+            bps = self.breakpoints
+            if big[-1] > self.edges[-1] and bps.size:
+                cuts = np.union1d(cuts, bps[(bps > self.edges[-1]) & (bps < big[-1])])
+            self._insert(cuts, big[-1])
+            counts = self.edges.searchsorted(big)
+        # the radii still refining, ascending (`big`, their places in
+        # `radii`, the fresh evaluations charged to them, the rows they
+        # summed), and their rows, grouped by radius: the rows of radius R
+        # are the panels under it, a prefix of the table
+        act = order.tolist()
+        charged = [self.fresh - start] * big.size
+        summed = counts.tolist()
+        offsets = counts.cumsum() - counts
+        panels = np.arange(offsets[-1] + counts[-1])
+        if big.size > 1:
+            panels -= offsets.repeat(counts)
+        radius = big.repeat(counts)
+        sums = self._rows(phi, panels, radius, shift.repeat(counts) if each else shift,
+                          slice(0, int(counts[-1])))
+        results = [None] * big.size
+        while True:
+            halves = sums[:, 1] + sums[:, 2]
+            errors = np.abs(sums[:, 0] - halves)
+            # pairwise sums, as accurate as the goal needs
+            total = np.add.reduceat(halves, offsets).tolist()
+            total_err = np.add.reduceat(errors, offsets).tolist()
+            goal = [max(_PROFILE_TOL, _PROFILE_RTOL * abs(t)) for t in total]
+            # NaN and inf in any panel's rule sums reach the totals
+            if not all(math.isfinite(t + e) for t, e in zip(total, total_err)):
+                raise QuadratureError("integrand returned a non-finite value (ball profile)")
+            asked = [e > g and c < _PROFILE_QUERY_NODES
+                     for e, g, c in zip(total_err, goal, charged)]
+            if any(asked):
+                group = np.arange(big.size).repeat(counts)
+                rows = np.array(asked)[group].nonzero()[0]
+                widths = self.meta[panels[rows], 0] / radius[rows]
+                floors = np.zeros(panels.size)
+                floors[rows] = self._floors(phi, panels[rows], radius[rows],
+                                            shift[group[rows]] if each else shift)
+                # a radius whose rounding floor passes its goal cannot meet it
+                reachable = np.add.reduceat(floors, offsets) <= np.array(goal)
+                split = np.zeros(panels.size, dtype=bool)
+                split[rows] = _split_panels(errors[rows], widths, np.array(goal), floors[rows],
+                                            group[rows]) & reachable[group[rows]]
+                asked = (np.add.reduceat(split, offsets) > 0).tolist()
+            for i, refine in enumerate(asked):
+                if not refine:
+                    results[act[i]] = QuadratureResult(
+                        total[i], total_err[i], 45 * summed[i], total_err[i] <= goal[i])
+            if not any(asked):
+                break
+            if not all(asked):
+                keep = np.array(asked)
+                rows = keep.repeat(counts)
+                panels, sums, split = panels[rows], sums[rows], split[rows]
+                act, charged, summed = ([x for x, k in zip(xs, asked) if k]
+                                        for xs in (act, charged, summed))
+                big, counts = big[keep], counts[keep]
+                if each:
+                    shift = shift[keep]
+                offsets = counts.cumsum() - counts
+                group = np.arange(big.size).repeat(counts)
+            # bisect each marked panel once, charged to the smallest radius
+            # that marked it (the one that would have paid for it had the
+            # radii been queried one at a time in ascending order); the
+            # rows are grouped by ascending radius, so that radius marked
+            # the panel's first marked row
+            parents, first = np.unique(panels[split], return_index=True)
+            payers = np.bincount(group[split][first], minlength=big.size).tolist()
+            charged = [c + 60 * p for c, p in zip(charged, payers)]
+            mids = 0.5 * (self.edges[parents] + self.edges[parents + 1])
+            self._insert(mids, big[-1], self.values[parents, 15:].reshape(-1, 15))
+            # each radius's rows are again the panels under it: a row moves
+            # past the children inserted before it, and a parent's row
+            # becomes the rows of both its children
+            before = parents.searchsorted(panels)
+            is_parent = parents.take(before, mode="clip") == panels
+            grown = counts + parents.searchsorted(counts)
+            summed = [s + g - c for s, g, c in zip(summed, grown.tolist(), counts.tolist())]
+            dest = (grown.cumsum() - grown)[group] + panels + before
+            kids = np.concatenate([dest[is_parent], dest[is_parent] + 1])
+            counts = grown
+            offsets = counts.cumsum() - counts
+            panels = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
+            radius = big.repeat(counts)
+            old = sums[~is_parent]
+            sums = np.empty((panels.size, 3))
+            sums[dest[~is_parent]] = old
+            children = ((parents + np.arange(parents.size))[:, None] + np.arange(2)).ravel()
+            sums[kids] = self._rows(
+                phi, panels[kids], radius[kids], shift.repeat(counts)[kids] if each else shift,
+                children)
+        return results[0] if scalar else results
 
 
 def integrate_unit_interval(

@@ -16,7 +16,9 @@ Three norms are provided:
   ``(|B|**-1 int_B |b - b_B|^q)**(1/q)``; for ``b = log|x|`` the bracket
   is R-invariant and collapses to a single integral.  Any other symbol
   is sampled once into a panel profile (`numerics._PanelProfile`), and
-  every ball mean and oscillation of the R search reads off it.
+  every ball mean and oscillation of the R search reads off it: the 61
+  grid radii take one batched query for their means and one for their
+  oscillations, and each golden step one query of each.
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -372,30 +374,39 @@ def _morrey_bracket(
     return ball ** (-lam) * avg ** (1.0 / p)
 
 
-def _grid_sup(bracket: Callable[[float], float]) -> float:
-    """Sup over R in [1e-3, 1e3]: 61-point log grid + golden refinement."""
+def _grid_sup(bracket: Callable[[np.ndarray], Sequence[float]]) -> float:
+    """Sup over R in [1e-3, 1e3]: 61-point log grid + golden refinement.
+
+    `bracket` maps an array of radii to the bracket at each: the grid is
+    one call, and each golden step one call with one radius, so the steps
+    climb to the same local maximum as one radius at a time would.
+    """
     radii = np.logspace(-3.0, 3.0, 61)
-    vals = [bracket(float(R)) for R in radii]
+    vals = [float(v) for v in bracket(radii)]
     if any(math.isinf(v) for v in vals):
         return math.inf
     k = int(np.argmax(vals))
     lo = math.log(radii[max(k - 1, 0)])
     hi = math.log(radii[min(k + 1, len(radii) - 1)])
     best = vals[k]
+
+    def at(x: float) -> float:
+        return float(bracket(np.array([math.exp(x)]))[0])
+
     # golden-section refinement on log-radius around the grid argmax
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = bracket(math.exp(x1)), bracket(math.exp(x2))
+    f1, f2 = at(x1), at(x2)
     for _ in range(40):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = bracket(math.exp(x2))
+            f2 = at(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = bracket(math.exp(x1))
+            f1 = at(x1)
         best = max(best, f1, f2)
     return best
 
@@ -436,7 +447,9 @@ def central_morrey_norm(
             return math.inf  # boundary lam = -1/p: r^(-n/p) is not p-integrable
         return _power_morrey_norm(lam, p, n)
     force = method == "grid"
-    return _grid_sup(lambda R: _morrey_bracket(f, p, lam, n, R, force))
+    return _grid_sup(
+        lambda radii: [_morrey_bracket(f, p, lam, n, float(R), force) for R in radii]
+    )
 
 
 def central_morrey_profile(
@@ -459,12 +472,15 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     which is what is evaluated, divided by the integrand's peak value
     ``q**q exp(-q-1)`` at x = 1 + q (put back as a factor of the root), so
     that no q overflows the moment itself; panel edges pin the peak.
-    Other symbols go through the generic R-grid sup.  Either way a
+    The moment's goal is 1e-13 relative, floored at the rounding its
+    half-line nodes make near the peak (about q**1.5 2**-57).  Other
+    symbols go through the generic R-grid sup.  Either way a
     QuadratureError is raised when an integral does not converge.  The
     generic ball integrals all read one panel profile of b (a table of b's
     values on r-space panels, refined as the radii need and kept across
-    them): the mean b_B with phi = identity, then the oscillation with
-    phi = |v - b_B|**q, each to 1e-13 absolute or 1e-11 relative.
+    them): for all radii of a bracket call at once, the means b_B of b
+    itself, then the oscillations with phi = |v|**q shifted by each
+    radius's b_B, each to 1e-13 absolute or 1e-11 relative.
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")
@@ -482,7 +498,13 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
         width = math.sqrt(q)
         peak = [1.0 + q + k * width for k in range(-8, 9) if k * width > -q]
-        res = integrate_halfline(moment, tol=1e-13, rtol=1e-13, breakpoints=[1.0] + peak)
+        # the half-line nodes of the peak sit near u = 1 - 1/q, where the
+        # u-space integrand is q**2 times taller, so rounding a node moves
+        # it by up to about q**1.5 2**-54 of the moment; the whole-versus-
+        # halves estimate settles near 2**-59 q**1.5 (measured for q = 1e3
+        # to 1e5), so the goal is floored at four times that
+        rtol = max(1e-13, q**1.5 * 2.0**-57)
+        res = integrate_halfline(moment, tol=1e-13, rtol=rtol, breakpoints=[1.0] + peak)
         if not res.converged:
             raise QuadratureError(
                 f"CMO log moment did not converge (value {res.value:.6g}, "
@@ -493,18 +515,19 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 
-    def ball(phi, radius: float) -> float:
-        res = profile.integral(phi, radius)
-        if not res.converged:
-            raise QuadratureError(
-                f"CMO ball integral at radius {radius:.6g} did not converge "
-                f"(value {res.value:.6g}, error estimate {res.abs_error_estimate:.2g})"
-            )
-        return res.value
+    def ball(phi, radii: np.ndarray, shift=None) -> np.ndarray:
+        results = profile.integral(phi, radii, shift)
+        for radius, res in zip(radii, results):
+            if not res.converged:
+                raise QuadratureError(
+                    f"CMO ball integral at radius {radius:.6g} did not converge "
+                    f"(value {res.value:.6g}, error estimate {res.abs_error_estimate:.2g})"
+                )
+        return np.array([res.value for res in results])
 
-    def bracket(radius: float) -> float:
-        mean = n * ball(lambda v: v, radius)  # ball mean b_B
-        osc = ball(lambda v: np.abs(v - mean) ** q, radius)
-        return (n * max(osc, 0.0)) ** (1.0 / q)
+    def bracket(radii: np.ndarray) -> list[float]:
+        means = n * ball(None, radii)  # ball means b_B
+        osc = ball(lambda v: np.abs(v) ** q, radii, means)
+        return [(n * max(float(o), 0.0)) ** (1.0 / q) for o in osc]
 
     return _grid_sup(bracket)

@@ -152,7 +152,7 @@ class TestCmoNorm:
     def test_log_large_q(self, q, n, exact):
         assert cmo_norm(log_radial(), q, n) == pytest.approx(exact, rel=1e-14)
 
-    @pytest.mark.parametrize("q", [2.0, 3.0, 40.0, 169.0, 200.0, 500.0])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 40.0, 169.0, 200.0, 500.0, 5000.0, 1e5])
     def test_log_matches_mpmath(self, q):
         # past q ~ 169 the moment, about q!/e, exceeds the double range
         mpmath = pytest.importorskip("mpmath")
@@ -174,6 +174,38 @@ class TestCmoNorm:
         # large grid radii; their values must not pass as a norm
         with pytest.raises(QuadratureError, match="radius .* did not converge"):
             cmo_norm(parse_function_spec("osccut:200:2"), 2.0, 1)
+
+    def test_unconverged_raises_before_bisecting_noise(self):
+        # rounding r moves the phase of sin(200 pi r) by about 1e-12 past
+        # r = 10: the panels' rounding floors stop the refinement there
+        b = parse_function_spec("osccut:200:2")
+        calls = []
+
+        def counted(r):
+            calls.append(r.size)
+            return b.fn(r)
+
+        symbol = radial_from_callable(counted, breakpoints=b.breakpoints)
+        with pytest.raises(QuadratureError, match="radius .* did not converge"):
+            cmo_norm(symbol, 2.0, 1)
+        assert sum(calls) < 400_000
+
+    def test_grid_is_two_batched_queries(self, monkeypatch):
+        # the 61 grid radii are one mean query and one oscillation query;
+        # each golden step asks for one radius
+        from hardyops import numerics
+
+        sizes = []
+        query = numerics._PanelProfile.integral
+
+        def counted(self, phi, radii, shift=None):
+            sizes.append(np.size(radii))
+            return query(self, phi, radii, shift)
+
+        monkeypatch.setattr(numerics._PanelProfile, "integral", counted)
+        cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
+        assert sizes[:2] == [61, 61]
+        assert set(sizes[2:]) == {1}
 
     def test_ball_integrals_share_one_profile(self):
         # every ball integral reads one panel table of b: sin(pi r) is
