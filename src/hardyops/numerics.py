@@ -126,10 +126,11 @@ class QuadratureResult:
     """Value, error estimate and cost of a numerical integration.
 
     `evaluations` counts the integrand evaluations the integral used.  A
-    panel-profile query (`_PanelProfile.integral`) counts the cached
-    nodes whose phi values it summed, fresh or not; its fresh
-    evaluations of b are the profile's own count.  A mixture integral
-    (`_mixture_integrate`) counts the exp entries it computed.
+    panel-profile query (`_PanelProfile.integral`) counts, per radius,
+    the cached nodes of the panels it summed under that radius, fresh or
+    not; its fresh evaluations of b are the profile's own count.  A
+    mixture integral (`_mixture_integrate`) counts the exp entries it
+    computed.
     """
 
     value: float
@@ -469,7 +470,7 @@ class _PanelProfile:
         store, low = self._store, self._low
         first, last = int(pieces[0]), int(pieces[-1])
         if low < cuts.size and low + grown > store[0].shape[0]:
-            # no end has room: a store half as large again, the rows centred
+            # no end has room: a store half as large again, the rows centered
             cap = grown + grown // 2 + 64
             store = tuple(np.empty((cap, table.shape[1])) for table in store)
             for table, old in zip(store, self._store):
@@ -587,7 +588,8 @@ class _PanelProfile:
         radii = np.array(radii, dtype=float, ndmin=1)
         order = radii.argsort(kind="stable")
         big = radii[order]
-        # with one shift for every row, each panel's sums are made once
+        # `each`: a shift per radius, so per row; otherwise all rows share
+        # one shift (or none) and each panel's sums are made once
         each = shift is not None and big.size > 1
         if shift is not None:
             shift = np.array(shift, dtype=float, ndmin=1)[order]
