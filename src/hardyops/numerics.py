@@ -547,12 +547,14 @@ class _PanelProfile:
             return 1.0 / radius
         return (self.edges[1:][panels] / radius) ** (self.n - 1) / radius
 
-    def _floors(self, phi, panels, radius, shift) -> np.ndarray:
-        """The rounding floor of each row (as in `_rows`).
+    def _floors(self, phi, panels, radius, shift, whole) -> np.ndarray:
+        """The rounding floor of each row (as in `_rows`), whose sum is `whole`.
 
         This is the change of the row's integral when its nodes move by an
         ulp of r: ulp(right) times the change of phi(b - shift) between the
-        panel's least and greatest b, times R**-n right**(n-1).
+        panel's least and greatest b, times R**-n right**(n-1); plus the
+        rounding of the sum itself, `_ROUNDING_ULPS` ulps of it (as
+        `_rounding_floor` charges the tensor engine).
         """
         ends = self.meta[panels, 6:]
         if shift is not None:
@@ -560,7 +562,8 @@ class _PanelProfile:
         if phi is not None:
             ends = np.asarray(phi(ends), dtype=float)
         scale = self._scale(panels, radius)
-        return np.abs(ends[:, 1] - ends[:, 0]) * np.spacing(self.edges[1:][panels]) * scale
+        moved = np.abs(ends[:, 1] - ends[:, 0]) * np.spacing(self.edges[1:][panels]) * scale
+        return moved + _ROUNDING_ULPS * np.spacing(np.abs(whole))
 
     def integral(self, phi: Optional[Callable[[np.ndarray], np.ndarray]], radii, shift=None):
         """``R**-n int_0^R phi(b(r) - shift) r**(n-1) dr`` for each radius R.
@@ -638,7 +641,8 @@ class _PanelProfile:
                 widths = self.meta[panels[rows], 0] / radius[rows]
                 floors = np.zeros(panels.size)
                 floors[rows] = self._floors(phi, panels[rows], radius[rows],
-                                            shift[group[rows]] if each else shift)
+                                            shift[group[rows]] if each else shift,
+                                            sums[rows, 0])
                 # a radius whose rounding floor passes its goal cannot meet it
                 reachable = np.add.reduceat(floors, offsets) <= np.array(goal)
                 split = np.zeros(panels.size, dtype=bool)

@@ -190,6 +190,24 @@ class TestCmoNorm:
             cmo_norm(symbol, 2.0, 1)
         assert sum(calls) < 400_000
 
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_singular_symbol_raises_without_bisecting_noise(self, q):
+        # r**-0.2 near r = 0 makes |b - b_B|**q too steep for the smallest
+        # ball's 1e-13 goal; once its panels' errors are down to the
+        # rounding of their own sums they are not bisected further, so
+        # the raise comes long before the 400,000-evaluation budget
+        b = parse_function_spec("power:-0.2@chi:3")
+        calls = []
+
+        def counted(r):
+            calls.append(r.size)
+            return b.fn(r)
+
+        symbol = radial_from_callable(counted, breakpoints=b.breakpoints)
+        with pytest.raises(QuadratureError, match="radius 0.001 did not converge"):
+            cmo_norm(symbol, q, 1)
+        assert sum(calls) < 100_000
+
     def test_grid_is_two_batched_queries(self, monkeypatch):
         # the 61 grid radii are one mean query and one oscillation query;
         # each golden step asks for one radius
