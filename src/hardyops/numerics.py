@@ -267,34 +267,28 @@ class _UnitMap:
 
 
 def _split_panels(
-    errors: np.ndarray, widths: np.ndarray, goal, floors=0.0, groups=None
+    errors: np.ndarray, widths: np.ndarray, goals: np.ndarray, floors, groups: np.ndarray
 ) -> np.ndarray:
     """Mark the panels one refinement pass bisects.
 
-    `widths` are shares of the integration interval.  A panel can be
-    bisected when it is above the width floor and its error exceeds its
-    rounding floor (`floors`, none by default).  Every such panel whose
-    error exceeds its width's share of the goal, error > goal * width, is
-    marked; when none qualifies, the worst tier of them instead (error at
-    least half the largest).  With `groups`, the panels belong to several
-    integrals (group j holds integral j's panels, with goal ``goal[j]``),
-    and each integral gets its own share test and fallback.  An integral
+    The panels belong to one or more integrals: group j holds integral
+    j's panels, with goal ``goals[j]``, and `widths` are shares of its
+    interval.  A panel can be bisected when it is above the width floor
+    and its error exceeds its rounding floor (`floors`).  Every such panel
+    whose error exceeds its width's share of its goal, error > goal *
+    width, is marked; an integral with no such panel marks the worst tier
+    of its panels instead (error at least half its largest).  An integral
     with no marked panel cannot be refined further.
     """
     # never bisect below the width floor: the interval map cannot resolve
     # the endpoint distance there anyway, nor can r resolve a panel that
     # narrow next to the ball radius
     wide = (widths > 2.0**-48) & (errors > floors)
-    if groups is None:
-        split = wide & (errors > goal * widths)
-        if not np.any(split) and np.any(wide):
-            split = wide & (errors >= 0.5 * float(np.max(errors[wide])))
-        return split
-    split = wide & (errors > goal[groups] * widths)
-    lacking = np.bincount(groups[wide], minlength=goal.size) > 0
-    lacking &= np.bincount(groups[split], minlength=goal.size) == 0
+    split = wide & (errors > goals[groups] * widths)
+    lacking = np.bincount(groups[wide], minlength=goals.size) > 0
+    lacking &= np.bincount(groups[split], minlength=goals.size) == 0
     if np.any(lacking):
-        worst = np.zeros(goal.size)
+        worst = np.zeros(goals.size)
         np.maximum.at(worst, groups[wide], errors[wide])
         split |= wide & lacking[groups] & (errors >= 0.5 * worst[groups])
     return split
@@ -353,7 +347,9 @@ def _adaptive_panels(
             break
         if used >= max_evals:
             break
-        split = _split_panels(errors, rights - lefts, goal)
+        split = _split_panels(
+            errors, rights - lefts, np.array([goal]), 0.0, np.zeros(errors.size, dtype=int)
+        )
         if not np.any(split):
             break
         keep = ~split
@@ -394,12 +390,11 @@ class _PanelProfile:
     `edges`, so the panels under any edge are a prefix of the table.  A
     panel's row of `values` holds b at the 45 nodes of its three GL15 rules
     (the whole panel and its two halves); its row of `meta` holds the
-    widths of those rules, their sums of b itself (as `_sums` makes them),
-    and the least and the greatest of its values of b.  `integral` weighs
-    any pointwise function of b at these values against ``r**(n-1) dr``,
-    refines the panels it needs by the width-share rule of
-    `_adaptive_panels` (`_split_panels`), and keeps the refinements for
-    later queries.  A bisected panel's half values become its children's
+    widths of those rules and the least and the greatest of its values of
+    b.  `integral` weighs any pointwise function of b at these values
+    against ``r**(n-1) dr``, refines the panels it needs by the width-share
+    rule of `_adaptive_panels` (`_split_panels`), and keeps the
+    refinements for later queries.  A bisected panel's half values become its children's
     whole-panel values, so a child costs 30 fresh evaluations of b.
     """
 
@@ -409,22 +404,18 @@ class _PanelProfile:
         self.breakpoints = np.array(sorted(float(bp) for bp in breakpoints if bp > 0.0))
         self.edges = np.zeros(1)
         # the panels' rows, a window of `_store` with spare rows on each side
-        self._store, self._low = (np.empty((0, 45)), np.empty((0, 8))), 0
+        self._store, self._low = (np.empty((0, 45)), np.empty((0, 5))), 0
         self.values, self.meta = self._store
         self.fresh = 0  # evaluations of b so far
 
-    def _nodes(self, lefts, rights) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """Each panel's GL15 nodes and their (r/right)**(n-1) (None when
-        n = 1), as (k, 3, 15), and the widths of its three rules, as (k, 3)."""
+    @staticmethod
+    def _nodes(lefts, rights) -> tuple[np.ndarray, np.ndarray]:
+        """Each panel's GL15 nodes, as (k, 3, 15), and the widths of its
+        three rules, as (k, 3)."""
         mids = 0.5 * (lefts + rights)
         seg_l = np.array([lefts, lefts, mids]).T
         widths = np.array([rights, mids, rights]).T - seg_l
-        nodes = seg_l[..., None] + widths[..., None] * _gl(15)[0]
-        if self.n == 1:
-            return nodes, None, widths
-        # r**(n-1) as (r/right)**(n-1) * (right/R)**(n-1), so no power of r
-        # leaves the float range
-        return nodes, (nodes / rights[:, None, None]) ** (self.n - 1), widths
+        return seg_l[..., None] + widths[..., None] * _gl(15)[0], widths
 
     def _insert(self, cuts: np.ndarray, radius: float, whole=None) -> None:
         """Make the ascending `cuts`, none of them an edge yet, panel edges.
@@ -434,7 +425,8 @@ class _PanelProfile:
         from one call.  `whole` holds b at the pieces' whole-panel nodes
         when the pieces are the halves of bisected panels.  The table keeps
         spare rows at both ends, so only the panels below the first cut or
-        those above the last one move, whichever are fewer.
+        those above the last one move, whichever are fewer: a one-radius
+        query far below the table's top moves the few rows under it.
         """
         size = self.edges.size - 1
         pos = self.edges.searchsorted(cuts)
@@ -443,7 +435,7 @@ class _PanelProfile:
         grown = edges.size - 1
         # the pieces: the panels on either side of a new edge
         pieces = np.union1d(at - 1, at[at < grown])
-        nodes, power, widths = self._nodes(edges[pieces], edges[pieces + 1])
+        nodes, widths = self._nodes(edges[pieces], edges[pieces + 1])
         fresh = nodes if whole is None else nodes[:, 1:]
         if self.fresh + fresh.size > _PROFILE_NODES:
             raise QuadratureError(
@@ -458,12 +450,10 @@ class _PanelProfile:
         ).reshape(fresh.shape)
         self.fresh += fresh.size
         flat = vals.reshape(-1, 45)
-        meta = np.empty((flat.shape[0], 8))
+        meta = np.empty((flat.shape[0], 5))
         meta[:, :3] = widths
-        meta[:, 3:6] = np.einsum("ijk,k->ij", vals if power is None else vals * power,
-                                 _gl(15)[1])
-        meta[:, 6] = flat.min(axis=1)
-        meta[:, 7] = flat.max(axis=1)
+        meta[:, 3] = flat.min(axis=1)
+        meta[:, 4] = flat.max(axis=1)
         # place the new rows: the panels no cut falls in keep their order,
         # and those below the first cut stay put or those above the last
         # one do, whichever are more and fit the spare rows
@@ -497,11 +487,8 @@ class _PanelProfile:
         `span` is a slice or ascending indices; the sums are of
         phi(b - shift) * (r/right)**(n-1), without the rule widths, and
         `shift` is None, one number, or one number per panel.  phi sees at
-        most `_PROFILE_SLAB` values at a time; None stands for b itself,
-        whose sums the table keeps.
+        most `_PROFILE_SLAB` values at a time.
         """
-        if phi is None and shift is None:
-            return self.meta[span, 3:6]
         is_slice = isinstance(span, slice)
         k = span.stop - span.start if is_slice else span.size
         out = np.empty((k, 3))
@@ -512,11 +499,13 @@ class _PanelProfile:
             vals = self.values[sub]
             if shift is not None:
                 vals = vals - (shift[a:b, None] if isinstance(shift, np.ndarray) else shift)
-            if phi is not None:
-                vals = np.asarray(phi(vals), dtype=float)
-            vals = vals.reshape(-1, 3, 15)
+            vals = np.asarray(phi(vals), dtype=float).reshape(-1, 3, 15)
             if self.n > 1:
-                vals = vals * self._nodes(self.edges[:-1][sub], self.edges[1:][sub])[1]
+                # r**(n-1) as (r/right)**(n-1) * (right/R)**(n-1), so no
+                # power of r leaves the float range
+                rights = self.edges[1:][sub]
+                nodes = self._nodes(self.edges[:-1][sub], rights)[0]
+                vals = vals * (nodes / rights[:, None, None]) ** (self.n - 1)
             out[a:b] = np.einsum("ijk,k->ij", vals, _gl(15)[1])
         return out
 
@@ -556,24 +545,22 @@ class _PanelProfile:
         rounding of the sum itself, `_ROUNDING_ULPS` ulps of it (as
         `_rounding_floor` charges the tensor engine).
         """
-        ends = self.meta[panels, 6:]
+        ends = self.meta[panels, 3:]
         if shift is not None:
             ends = ends - (shift[:, None] if isinstance(shift, np.ndarray) else shift)
-        if phi is not None:
-            ends = np.asarray(phi(ends), dtype=float)
+        ends = np.asarray(phi(ends), dtype=float)
         scale = self._scale(panels, radius)
         moved = np.abs(ends[:, 1] - ends[:, 0]) * np.spacing(self.edges[1:][panels]) * scale
         return moved + _ROUNDING_ULPS * np.spacing(np.abs(whole))
 
-    def integral(self, phi: Optional[Callable[[np.ndarray], np.ndarray]], radii, shift=None):
+    def integral(self, phi: Callable[[np.ndarray], np.ndarray], radii, shift=None):
         """``R**-n int_0^R phi(b(r) - shift) r**(n-1) dr`` for each radius R.
 
-        `phi` None stands for b itself.  `radii` is one radius, or an array
-        of them in any order and with repeats; `shift` is None (no shift),
-        or one shift per radius.  All radii become panel edges in one call
-        of b: past the table's end the table grows to them, with b's
-        breakpoints as edges; inside, the panels that straddle them are
-        split there.  Each (panel, radius) row keeps its rule sums, and the
+        `radii` is one radius, or an array of them in any order and with
+        repeats; `shift` is None (no shift), or one shift per radius.  All
+        radii become panel edges in one call of b: past the table's end the
+        table grows to them, with b's breakpoints as edges; inside, the
+        panels that straddle them are split there.  Each (panel, radius) row keeps its rule sums, and the
         panels under each radius are refined, in passes shared by all
         radii, until its estimate meets ``max(_PROFILE_TOL, _PROFILE_RTOL
         |value|)``, none of its panels can be bisected, or it has been
@@ -682,7 +669,7 @@ class _PanelProfile:
             before = parents.searchsorted(panels)
             is_parent = parents.take(before, mode="clip") == panels
             grown = counts + parents.searchsorted(counts)
-            summed = [s + g - c for s, g, c in zip(summed, grown.tolist(), counts.tolist())]
+            summed = [s + 2 * (g - c) for s, g, c in zip(summed, grown.tolist(), counts.tolist())]
             dest = (grown.cumsum() - grown)[group] + panels + before
             kids = np.concatenate([dest[is_parent], dest[is_parent] + 1])
             counts = grown

@@ -478,8 +478,8 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     QuadratureError is raised when an integral does not converge.  The
     generic ball integrals all read one panel profile of b (a table of b's
     values on r-space panels, refined as the radii need and kept across
-    them): for all radii of a bracket call at once, the means b_B of b
-    itself, then the oscillations with phi = |v|**q shifted by each
+    them): for all radii of a bracket call at once, the means b_B with
+    phi = identity, then the oscillations with phi = |v|**q shifted by each
     radius's b_B, each to 1e-13 absolute or 1e-11 relative.
     """
     if not q > 1.0:
@@ -526,7 +526,7 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         return np.array([res.value for res in results])
 
     def bracket(radii: np.ndarray) -> list[float]:
-        means = n * ball(None, radii)  # ball means b_B
+        means = n * ball(lambda v: v, radii)  # ball means b_B
         osc = ball(lambda v: np.abs(v) ** q, radii, means)
         return [(n * max(float(o), 0.0)) ** (1.0 / q) for o in osc]
 
