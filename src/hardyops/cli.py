@@ -339,11 +339,13 @@ def _cmd_norm(args) -> int:
         rel_bound = 1e-14 if f.descriptor is not None else 1e-9
     elif args.kind == "morrey":
         value = central_morrey_norm(f, args.p, args.lam, args.n, args.method)
-        # grid-sup values are certified lower bounds with refinement to
-        # ~1e-9 of the local maximum; closed forms are exact
+        # a grid-sup value is the largest bracket found on R in [1e-3, 1e3],
+        # a lower bound on the norm; 1e-8 of it does not bound its distance
+        # to the norm.  Closed forms are exact
         rel_bound = 1e-14 if (f.descriptor is not None and args.method != "grid") else 1e-8
     else:
         value = cmo_norm(f, args.q, args.n)
+        # the same kind of grid-sup lower bound, unless f is log
         rel_bound = 1e-8
     finite = math.isfinite(value)
     record = _record(

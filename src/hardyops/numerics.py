@@ -19,30 +19,28 @@ whether a singularity or a fractional zero, becomes a constant, and
 ``t**b * (smooth)`` becomes bounded with mild fractional remainders that
 panel refinement mops up.
 
-The interval and half-line integrators are adaptive: each panel is scored
-by comparing its 15-point Gauss-Legendre value against the sum over its
-two halves.  Each pass bisects every panel whose error exceeds its
-width's share of the goal (the locally adaptive rule), or, when only
-panels at the width floor do, the worst tier of the others.  A bisected
-panel's half integrals become its children's whole-panel values, so only
-the children's halves are evaluated.  The final sum is compensated
-(``math.fsum``) in left-to-right panel order, so repeated calls are
-bit-identical.
-
-Many ball integrals ``R**-n int_0^R phi(b(r) - c) r**(n-1) dr`` of one
-function b, at many radii R, for several pointwise phi and a shift c
-per radius, share one panel profile (`_PanelProfile`): a table of
-r-space panels, kept in r order, that holds b's values at all three
-GL15 rules of each panel.  One query takes any number of radii: it
-makes them all panel edges with one call of b, so the panels under
-each R are a prefix of the table, and refines those panels by the same
-width-share rule (`_split_panels`, in shares of each R) applied to phi
-of the cached values, in passes shared by all its radii.  Every
+One adaptive panel engine (`_PanelProfile`) serves every interval and
+ball integral.  It integrates ``R**-n int_0^R phi(b(r) - c) r**(n-1) dr``
+of one function b, at many radii R, for several pointwise phi and a
+shift c per radius, from one table of r-space panels, kept in r order,
+that holds b's values at all three GL15 rules of each panel.  Each panel
+is scored by comparing its 15-point Gauss-Legendre value against the sum
+over its two halves.  Each pass bisects every panel whose error exceeds
+its width's share of the goal (`_split_panels`, in shares of each R),
+or, when only panels at the width floor do, the worst tier of the
+others.  A bisected panel's half values become its children's
+whole-panel values, so only the children's halves are evaluated.  One
+query takes any number of radii: it makes them all panel edges with one
+call of b, so the panels under each R are a prefix of the table, and
+refines those panels in passes shared by all its radii.  Every
 refinement is kept for later queries, so a query near earlier ones
 evaluates b at few new nodes.  A panel whose error is within the
 rounding floor of its integral (the change an ulp of r makes to it) is
 not bisected, and a radius whose floors add up past its goal stops at
-once, so rounding noise in b is never refined as error.
+once, so rounding noise in b is never refined as error.  Rule sums are
+added in panel order, so a query repeated on a fresh profile, such as
+`integrate_unit_interval` (one query at R = 1 of a fresh profile, n = 1,
+of the substituted integrand), is bit-identical.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
@@ -128,9 +126,9 @@ class QuadratureResult:
     `evaluations` counts the integrand evaluations the integral used.  A
     panel-profile query (`_PanelProfile.integral`) counts, per radius,
     the cached nodes of the panels it summed under that radius, fresh or
-    not; its fresh evaluations of b are the profile's own count.  A
-    mixture integral (`_mixture_integrate`) counts the exp entries it
-    computed.
+    not; its fresh evaluations of b, `_PanelProfile.fresh`, are what the
+    interval and half-line integrators report.  A mixture integral
+    (`_mixture_integrate`) counts the exp entries it computed.
     """
 
     value: float
@@ -294,91 +292,8 @@ def _split_panels(
     return split
 
 
-def _adaptive_panels(
-    F: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    rtol: float,
-    max_evals: int,
-    edges: Sequence[float],
-) -> tuple[float, float, int, bool]:
-    """Adaptive bisection on (0,1) for a vectorized integrand F.
-
-    Panels start at `edges`.  A panel's value is the sum of the GL15
-    integrals over its two halves; its error is |GL15(panel) - value|.
-    Each refinement pass bisects the panels `_split_panels` picks: those
-    whose error exceeds their width's share of the goal (the panels tile
-    (0,1), so the shares add up to the goal).  A bisected panel's two
-    half integrals are its children's whole-panel integrals, so a child
-    costs only the 30 nodes of its own halves.
-    """
-    base_x, base_w = _gl(15)
-
-    def score(lefts: np.ndarray, rights: np.ndarray, whole: Optional[np.ndarray]):
-        # GL15 on both halves of every panel (and on the whole panel when
-        # `whole` is not known yet), one batched evaluation
-        mids = 0.5 * (lefts + rights)
-        seg_l, seg_r = [lefts, mids], [mids, rights]
-        if whole is None:
-            seg_l, seg_r = [lefts] + seg_l, [rights] + seg_r
-        seg_l = np.concatenate(seg_l)
-        seg_r = np.concatenate(seg_r)
-        widths = seg_r - seg_l
-        nodes = seg_l[:, None] + widths[:, None] * base_x[None, :]
-        vals = F(nodes.ravel()).reshape(nodes.shape)
-        _check_finite(vals, "unit interval")
-        integrals = (vals * base_w[None, :]).sum(axis=1) * widths
-        k = lefts.size
-        if whole is None:
-            whole, integrals = integrals[:k], integrals[k:]
-        half_l, half_r = integrals[:k], integrals[k:]
-        err = np.abs(whole - (half_l + half_r))
-        return (lefts, rights, half_l, half_r, err), nodes.size
-
-    lefts = np.asarray(edges[:-1], dtype=float)
-    rights = np.asarray(edges[1:], dtype=float)
-    panels, used = score(lefts, rights, None)
-
-    while True:
-        lefts, rights, half_l, half_r, errors = panels
-        total = float(np.sum(half_l + half_r))
-        total_err = float(np.sum(errors))
-        goal = max(tol, rtol * abs(total))
-        if total_err <= goal:
-            break
-        if used >= max_evals:
-            break
-        split = _split_panels(
-            errors, rights - lefts, np.array([goal]), 0.0, np.zeros(errors.size, dtype=int)
-        )
-        if not np.any(split):
-            break
-        keep = ~split
-        mids = 0.5 * (lefts[split] + rights[split])
-        children, cost = score(
-            np.concatenate([lefts[split], mids]),
-            np.concatenate([mids, rights[split]]),
-            np.concatenate([half_l[split], half_r[split]]),
-        )
-        panels = tuple(
-            np.concatenate([old[keep], new]) for old, new in zip(panels, children)
-        )
-        used += cost
-
-    lefts, rights, half_l, half_r, errors = panels
-    order = np.argsort(lefts, kind="stable")
-    value = math.fsum((half_l + half_r)[order].tolist())
-    total_err = float(np.sum(errors))
-    converged = total_err <= max(tol, rtol * abs(value))
-    return value, total_err, used, converged
-
-
 # fresh evaluations one panel profile may make over its lifetime
 _PROFILE_NODES = 2**22
-# a profile query's goal on R**-n int_0^R, and the fresh evaluations of b
-# each of its radii may ask for to meet it
-_PROFILE_TOL = 1e-13
-_PROFILE_RTOL = 1e-11
-_PROFILE_QUERY_NODES = 400_000
 # phi values a profile query holds at once
 _PROFILE_SLAB = 2**14
 
@@ -386,19 +301,22 @@ _PROFILE_SLAB = 2**14
 class _PanelProfile:
     """Ball integrals of one radial function b from one shared panel table.
 
-    The table tiles (0, top] with r-space panels between the ascending
-    `edges`, so the panels under any edge are a prefix of the table.  A
-    panel's row of `values` holds b at the 45 nodes of its three GL15 rules
-    (the whole panel and its two halves); its row of `meta` holds the
-    widths of those rules and the least and the greatest of its values of
-    b.  `integral` weighs any pointwise function of b at these values
-    against ``r**(n-1) dr``, refines the panels it needs by the width-share
-    rule of `_adaptive_panels` (`_split_panels`), and keeps the
-    refinements for later queries.  A bisected panel's half values become its children's
-    whole-panel values, so a child costs 30 fresh evaluations of b.
+    This is the package's one adaptive panel engine (see the module
+    docstring); the dimension n need not be an integer.  The table tiles
+    (0, top] with r-space panels between the ascending `edges`, so the
+    panels under any edge are a prefix of the table.  A panel's row of
+    `values` holds b at the 45 nodes of its three GL15 rules (the whole
+    panel and its two halves); its row of `meta` holds the widths of those
+    rules and the least and the greatest of its values of b.  `integral`
+    weighs any pointwise function of b at these values against
+    ``r**(n-1) dr``, scores each panel by its whole-panel rule against the
+    sum of its halves, refines the panels it needs by the width-share rule
+    (`_split_panels`), and keeps the refinements for later queries.  A
+    bisected panel's half values become its children's whole-panel values,
+    so a child costs 30 fresh evaluations of b.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: int,
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: float,
                  breakpoints: Sequence[float] = ()):
         self.fn, self.n = fn, n
         self.breakpoints = np.array(sorted(float(bp) for bp in breakpoints if bp > 0.0))
@@ -553,18 +471,19 @@ class _PanelProfile:
         moved = np.abs(ends[:, 1] - ends[:, 0]) * np.spacing(self.edges[1:][panels]) * scale
         return moved + _ROUNDING_ULPS * np.spacing(np.abs(whole))
 
-    def integral(self, phi: Callable[[np.ndarray], np.ndarray], radii, shift=None):
+    def integral(self, phi: Callable[[np.ndarray], np.ndarray], radii, shift=None,
+                 tol: float = 1e-13, rtol: float = 1e-11, max_evals: int = 400_000):
         """``R**-n int_0^R phi(b(r) - shift) r**(n-1) dr`` for each radius R.
 
         `radii` is one radius, or an array of them in any order and with
         repeats; `shift` is None (no shift), or one shift per radius.  All
         radii become panel edges in one call of b: past the table's end the
         table grows to them, with b's breakpoints as edges; inside, the
-        panels that straddle them are split there.  Each (panel, radius) row keeps its rule sums, and the
-        panels under each radius are refined, in passes shared by all
-        radii, until its estimate meets ``max(_PROFILE_TOL, _PROFILE_RTOL
-        |value|)``, none of its panels can be bisected, or it has been
-        charged `_PROFILE_QUERY_NODES` fresh evaluations of b (the new
+        panels that straddle them are split there.  Each (panel, radius)
+        row keeps its rule sums, and the panels under each radius are
+        refined, in passes shared by all radii, until its estimate meets
+        ``max(tol, rtol |value|)``, none of its panels can be bisected, or
+        it has been charged `max_evals` fresh evaluations of b (the new
         edges, and the children of each panel it was the smallest radius
         to mark).  A bisected panel's rows pass to both its children.  A
         panel whose estimate is within its rounding floor (`_floors`) is
@@ -616,11 +535,11 @@ class _PanelProfile:
             # pairwise sums, as accurate as the goal needs
             total = np.add.reduceat(halves, offsets).tolist()
             total_err = np.add.reduceat(errors, offsets).tolist()
-            goal = [max(_PROFILE_TOL, _PROFILE_RTOL * abs(t)) for t in total]
+            goal = [max(tol, rtol * abs(t)) for t in total]
             # NaN and inf in any panel's rule sums reach the totals
             if not all(math.isfinite(t + e) for t, e in zip(total, total_err)):
-                raise QuadratureError("integrand returned a non-finite value (ball profile)")
-            asked = [e > g and c < _PROFILE_QUERY_NODES
+                raise QuadratureError("integrand returned a non-finite value (panel profile)")
+            asked = [e > g and c < max_evals
                      for e, g, c in zip(total_err, goal, charged)]
             if any(asked):
                 group = np.arange(big.size).repeat(counts)
@@ -700,6 +619,9 @@ def integrate_unit_interval(
     The interior rule is 15-point Gauss-Legendre per panel (exact for
     polynomials up to degree 29 when both exponents are 0), wrapped in
     the desingularizing substitution described in the module docstring.
+    The substituted integrand is one query, at R = 1, of a fresh panel
+    profile (`_PanelProfile`) with n = 1, refined until its estimate meets
+    ``max(tol, rtol |value|)`` or it has made `max_evals` evaluations.
     `breakpoints` lists interior points (kinks, jumps) where panel edges
     are pinned.  Raises QuadratureError on NaN/inf at interior samples.
 
@@ -717,13 +639,10 @@ def integrate_unit_interval(
         t, s, dt = umap.forward(u)
         return np.asarray(fp(t, s), dtype=float) * dt
 
-    edges = {0.0, 0.5, 1.0}
-    for bp in breakpoints:
-        if 0.0 < bp < 1.0:
-            edges.add(umap.pullback(float(bp)))
-    value, err, used, converged = _adaptive_panels(
-        F, tol, rtol, max_evals, sorted(edges)
-    )
+    edges = [0.5] + [umap.pullback(float(bp)) for bp in breakpoints if 0.0 < bp < 1.0]
+    profile = _PanelProfile(F, 1, edges)
+    res = profile.integral(lambda v: v, 1.0, tol=tol, rtol=rtol, max_evals=max_evals)
+    value, err, converged = res.value, res.abs_error_estimate, res.converged
     b1 = behavior.exponent_at_one
     if f_pair is None and b1 < 0.0:
         # honest bound on the unresolvable endpoint mass: with the local
@@ -734,7 +653,7 @@ def integrate_unit_interval(
         coeff = abs(float(sample[0])) * s_probe ** (-b1)
         err += coeff * (2.0**-53) ** (1.0 + b1) / (1.0 + b1)
         converged = err <= max(tol, rtol * abs(value))
-    return QuadratureResult(value, err, used, converged)
+    return QuadratureResult(value, err, profile.fresh, converged)
 
 
 def integrate_halfline(

@@ -10,15 +10,18 @@ Three norms are provided:
   half-line quadrature otherwise;
 * ``central_morrey_norm``: sup over R > 0 of the ball average
   ``(|B(0,R)|**-(1+lam*p) * int_{B(0,R)} |f|^p)**(1/p)``, exact for pure
-  powers ``r**(n*lam)`` and otherwise estimated as a certified lower
-  bound by a log-spaced R grid with golden-section refinement;
+  powers ``r**(n*lam)``; otherwise the largest bracket a search of R in
+  [1e-3, 1e3] finds (`_grid_sup`), a lower bound on the norm;
 * ``cmo_norm``: sup over R of the central mean oscillation
   ``(|B|**-1 int_B |b - b_B|^q)**(1/q)``; for ``b = log|x|`` the bracket
-  is R-invariant and collapses to a single integral.  Any other symbol
-  is sampled once into a panel profile (`numerics._PanelProfile`), and
-  every ball mean and oscillation of the R search reads off it: the 61
-  grid radii take one batched query for their means and one for their
-  oscillations, and each golden step one query of each.
+  is R-invariant and collapses to a single integral, and for any other
+  symbol it is the largest bracket the same search finds.
+
+A search whose ball integrals have no closed form samples f, or the
+symbol, once into a panel profile (`numerics._PanelProfile`), and every
+ball integral of the search reads off it: the 61 grid radii take one
+batched query per ball quantity (the Morrey averages; the CMO means,
+then their oscillations), and each golden step one query of each.
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -31,14 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import (
-    EndpointBehavior,
-    QuadratureError,
-    _PanelProfile,
-    gamma,
-    integrate_halfline,
-    integrate_unit_interval,
-)
+from .numerics import QuadratureError, _PanelProfile, gamma, integrate_halfline
 
 __all__ = [
     "ExponentConfig",
@@ -321,65 +317,71 @@ def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
     return (wn * max(res.value, 0.0)) ** (1.0 / p)
 
 
-def _ball_integral(
-    g: Callable[[np.ndarray], np.ndarray], n: int, radius: float,
-    breakpoints: Sequence[float] = (), behavior: Optional[EndpointBehavior] = None,
-):
-    """int_0^1 g(R u) u^(n-1) du, with the radii `breakpoints` pinned at u = b/R."""
-    return integrate_unit_interval(
-        lambda u: g(radius * u) * u ** (n - 1),
-        behavior,
-        tol=1e-13,
-        rtol=1e-11,
-        breakpoints=[b / radius for b in breakpoints if 0.0 < b < radius],
-    )
-
-
-def _ball_average(
-    f: RadialFunction, p: float, n: int, radius: float, force_quadrature: bool = False
-) -> float:
-    """(n / R^n) int_0^R |f|^p r^(n-1) dr, by exact power mass or quadrature."""
+def _ball_average(f: RadialFunction, p: float, n: int, radius: float) -> float:
+    """(n / R^n) int_0^R |f|^p r^(n-1) dr for a piecewise power f, exactly."""
     d = f.descriptor
+    if d.r_min >= radius:
+        return 0.0
+    mass = _power_mass(p * d.exponent + n, d.r_min, min(d.r_max, radius))
+    return math.inf if math.isinf(mass) else n * mass / radius**n
+
+
+def _morrey_brackets(
+    f: RadialFunction, p: float, lam: float, n: int, force_quadrature: bool = False
+) -> Callable[[np.ndarray], list[float]]:
+    """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) as a map of radii.
+
+    A piecewise power takes its exact power mass unless `force_quadrature`;
+    otherwise f is sampled into one panel profile, and each call is one
+    query with phi = |v|**p.  A power end ``|f|^p r^(n-1) ~ r**(kappa-1)``
+    at 0 with kappa = p a + n < 1 is sampled as b(v) = f(v**(1/kappa)), in
+    dimension n/kappa and bounded at 0, and queried at R**kappa, which
+    gives kappa R**-n int_0^R.  An unconverged ball integral gives inf.
+    """
+    d = f.descriptor
+    kappa = min(p * d.exponent + n, 1.0) if d is not None and d.r_min == 0.0 else 1.0
     if d is not None and not force_quadrature:
-        if d.r_min >= radius:
-            return 0.0
-        mass = _power_mass(p * d.exponent + n, d.r_min, min(d.r_max, radius))
-        return math.inf if math.isinf(mass) else n * mass / radius**n
+        def averages(radii):
+            return [_ball_average(f, p, n, float(R)) for R in radii]
+    elif kappa <= 0.0:
+        def averages(radii):
+            return [math.inf] * len(radii)
+    else:
+        profile = _PanelProfile(lambda v: f.fn(v ** (1.0 / kappa)), n / kappa,
+                                [bp**kappa for bp in f.breakpoints])
 
-    # descriptor, when present, still informs the endpoint exponent hint
-    zero_exp = 0.0
-    if d is not None and d.r_min == 0.0:
-        zero_exp = min(p * d.exponent + n - 1.0, 0.0)
-        if zero_exp <= -1.0:
-            return math.inf
-    res = _ball_integral(
-        lambda r: np.abs(f.fn(r)) ** p, n, radius, f.breakpoints,
-        EndpointBehavior(zero_exp, 0.0),
-    )
-    if not res.converged and res.abs_error_estimate > 1e-6 * max(abs(res.value), 1.0):
-        return math.inf
-    return n * max(res.value, 0.0)
+        def average(res):
+            if not res.converged and res.abs_error_estimate > 1e-6 * max(abs(res.value), 1.0):
+                return math.inf
+            return n / kappa * max(res.value, 0.0)
 
+        def averages(radii):
+            radii = np.asarray(radii) ** kappa
+            return [average(res) for res in profile.integral(lambda v: np.abs(v) ** p, radii)]
 
-def _morrey_bracket(
-    f: RadialFunction, p: float, lam: float, n: int, radius: float,
-    force_quadrature: bool = False,
-) -> float:
-    """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) at one radius."""
-    avg = _ball_average(f, p, n, radius, force_quadrature)
-    if math.isinf(avg):
-        return math.inf
-    # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p)
-    ball = unit_sphere_volume(n) / n * radius**n
-    return ball ** (-lam) * avg ** (1.0 / p)
+    def bracket(radii) -> list[float]:
+        # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p)
+        ball = unit_sphere_volume(n) / n
+        return [math.inf if math.isinf(avg) else (ball * R**n) ** (-lam) * avg ** (1.0 / p)
+                for R, avg in zip(radii, averages(radii))]
+
+    return bracket
 
 
 def _grid_sup(bracket: Callable[[np.ndarray], Sequence[float]]) -> float:
-    """Sup over R in [1e-3, 1e3]: 61-point log grid + golden refinement.
+    """The largest bracket found on R in [1e-3, 1e3]: a lower bound on the sup.
 
-    `bracket` maps an array of radii to the bracket at each: the grid is
-    one call, and each golden step one call with one radius, so the steps
-    climb to the same local maximum as one radius at a time would.
+    The search takes the best point of a 61-point log grid, narrows a
+    golden-section interval in log R between that point's grid neighbours
+    for 40 steps, and returns the largest bracket it saw.  It finds one
+    local maximum near the best grid point, not the sup over the window,
+    and never looks past the window: for ``osccut:1:2`` with q = 2, n = 1
+    the CMO bracket approaches 1/sqrt(2) from below as R grows, and the
+    search returns 0.7067817102386367 at R = 914.76.  `bracket` maps an
+    array of radii to the bracket at each: the grid is one call, and each
+    golden step one call with one radius, so the steps climb to the same
+    local maximum as one radius at a time would.  An infinite grid bracket
+    gives inf.
     """
     radii = np.logspace(-3.0, 3.0, 61)
     vals = [float(v) for v in bracket(radii)]
@@ -417,6 +419,15 @@ def _power_morrey_norm(lam: float, p: float, n: int) -> float:
     return (wn / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
 
 
+def _check_morrey(p: float, lam: float, n: int) -> None:
+    if not p > 1.0:
+        raise ValueError("p must exceed 1")
+    if n < 1:
+        raise ValueError("dimension n must be >= 1")
+    if not (-1.0 / p <= lam <= 0.0):
+        raise ValueError(f"lam must lie in [-1/p, 0], got {lam}")
+
+
 def central_morrey_norm(
     f: RadialFunction, p: float, lam: float, n: int, method: str = "auto"
 ) -> float:
@@ -427,13 +438,12 @@ def central_morrey_norm(
     R-invariant and the value is exactly
     ``(w_n/n)**(-lam) * (1 + lam*p)**(-1/p)``; any other pure power has
     an infinite norm.  `method` is one of "auto", "closed", "grid".
+    Otherwise the value is the largest bracket `_grid_sup` finds on R in
+    [1e-3, 1e3], a lower bound on the sup over all R > 0; the brackets
+    take exact power masses for a piecewise power unless "grid", and else
+    read one panel profile of f (`_morrey_brackets`).
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    if n < 1:
-        raise ValueError("dimension n must be >= 1")
-    if not (-1.0 / p <= lam <= 0.0):
-        raise ValueError(f"lam must lie in [-1/p, 0], got {lam}")
+    _check_morrey(p, lam, n)
     d = f.descriptor
     pure_power = d is not None and d.r_min == 0.0 and d.r_max == math.inf
     if method not in ("auto", "closed", "grid"):
@@ -446,25 +456,24 @@ def central_morrey_norm(
         if 1.0 + lam * p <= 0.0:
             return math.inf  # boundary lam = -1/p: r^(-n/p) is not p-integrable
         return _power_morrey_norm(lam, p, n)
-    force = method == "grid"
-    return _grid_sup(
-        lambda radii: [_morrey_bracket(f, p, lam, n, float(R), force) for R in radii]
-    )
+    return _grid_sup(_morrey_brackets(f, p, lam, n, method == "grid"))
 
 
 def central_morrey_profile(
     f: RadialFunction, p: float, lam: float, n: int, radii: Sequence[float],
     force_quadrature: bool = False,
 ) -> list[tuple[float, float]]:
-    """The Morrey bracket sampled at given radii (diagnostics/CLI)."""
-    return [
-        (float(R), _morrey_bracket(f, p, lam, n, float(R), force_quadrature))
-        for R in radii
-    ]
+    """The Morrey bracket at given positive, finite radii (diagnostics/CLI)."""
+    _check_morrey(p, lam, n)
+    radii = np.array(radii, dtype=float, ndmin=1)
+    if not np.all((radii > 0.0) & np.isfinite(radii)):
+        raise ValueError("every radius must be positive and finite")
+    values = _morrey_brackets(f, p, lam, n, force_quadrature)(radii)
+    return [(float(R), v) for R, v in zip(radii, values)]
 
 
 def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
-    """Central mean oscillation norm, sup over origin-centered balls.
+    """Central mean oscillation norm over origin-centered balls, or a lower bound.
 
     For ``b = log|x|`` the bracket is independent of R and reduces to
     ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``; the substitution
@@ -474,13 +483,16 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     that no q overflows the moment itself; panel edges pin the peak.
     The moment's goal is 1e-13 relative, floored at the rounding its
     half-line nodes make near the peak (about q**1.5 2**-57).  Other
-    symbols go through the generic R-grid sup.  Either way a
-    QuadratureError is raised when an integral does not converge.  The
-    generic ball integrals all read one panel profile of b (a table of b's
-    values on r-space panels, refined as the radii need and kept across
-    them): for all radii of a bracket call at once, the means b_B with
-    phi = identity, then the oscillations with phi = |v|**q shifted by each
-    radius's b_B, each to 1e-13 absolute or 1e-11 relative.
+    symbols return the largest bracket `_grid_sup` finds on R in
+    [1e-3, 1e3], a lower bound on the norm: for ``osccut:1:2`` with
+    q = 2, n = 1 that is 0.7067817102386367, while the norm is
+    1/sqrt(2).  Either way a QuadratureError is raised when an integral
+    does not converge.  The generic ball integrals all read one panel
+    profile of b (a table of b's values on r-space panels, refined as the
+    radii need and kept across them): for all radii of a bracket call at
+    once, the means b_B with phi = identity, then the oscillations with
+    phi = |v|**q shifted by each radius's b_B, each to 1e-13 absolute or
+    1e-11 relative.
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyops import numerics, spaces
 from hardyops.numerics import QuadratureError
 from hardyops.spaces import (
     ExponentConfig,
@@ -89,6 +90,62 @@ class TestCentralMorreyNorm:
         )
         vals = [v for _, v in prof]
         assert (max(vals) - min(vals)) / min(vals) <= 1e-9
+
+    def test_r_invariance_non_integer_profile_dimension(self):
+        # |f|**2 r = r**-0.2 is singular at 0: the profile samples
+        # f(v**1.25) in dimension 2.5 and is queried at R**0.8
+        prof = central_morrey_profile(
+            power(-0.6), 2.0, -0.3, 2, np.logspace(-3, 3, 7), force_quadrature=True,
+        )
+        exact = spaces._power_morrey_norm(-0.3, 2.0, 2)
+        assert all(abs(v - exact) <= 1e-9 * exact for _, v in prof)
+
+    def test_grid_is_one_batched_query(self, monkeypatch):
+        # the 61 grid radii are one query of f's profile; each golden step
+        # asks for one radius
+        sizes = []
+        query = numerics._PanelProfile.integral
+
+        def counted(self, phi, radii, shift=None):
+            sizes.append(np.size(radii))
+            return query(self, phi, radii, shift)
+
+        monkeypatch.setattr(numerics._PanelProfile, "integral", counted)
+        central_morrey_norm(oscillatory_cutoff(1.0, 2.0), 2.0, -0.25, 1)
+        assert sizes[0] == 61
+        assert set(sizes[1:]) == {1}
+
+    def test_grid_shares_one_profile(self):
+        # every ball average reads one panel table of f: sin(pi r) is
+        # evaluated at 28,125 nodes, against 1,361,670 by independent
+        # per-radius integrals
+        f = oscillatory_cutoff(1.0, 2.0)
+        calls = []
+
+        def counted(r):
+            calls.append(r.size)
+            return f.fn(r)
+
+        g = radial_from_callable(counted, breakpoints=f.breakpoints)
+        assert central_morrey_norm(g, 2.0, -0.25, 1) == central_morrey_norm(f, 2.0, -0.25, 1)
+        assert sum(calls) <= 100_000
+
+    @pytest.mark.parametrize(
+        "p, lam, n, radii, message",
+        [
+            (1.0, -0.25, 1, [1.0], "p must exceed 1"),
+            (2.0, -0.25, 0, [1.0], "dimension n must be >= 1"),
+            (2.0, 0.5, 1, [1.0], "lam must lie in"),
+            (2.0, -0.75, 1, [1.0], "lam must lie in"),
+            (2.0, -0.25, 1, [-1.0], "radius must be positive and finite"),
+            (2.0, -0.25, 1, [1.0, 0.0], "radius must be positive and finite"),
+            (2.0, -0.25, 1, [math.inf], "radius must be positive and finite"),
+            (2.0, -0.25, 1, [math.nan], "radius must be positive and finite"),
+        ],
+    )
+    def test_profile_validates_like_the_norm(self, p, lam, n, radii, message):
+        with pytest.raises(ValueError, match=message):
+            central_morrey_profile(power(-0.25), p, lam, n, radii)
 
     def test_mismatched_power_is_inf(self):
         assert math.isinf(central_morrey_norm(power(-0.3), 2.0, -0.25, 1))
@@ -211,8 +268,6 @@ class TestCmoNorm:
     def test_grid_is_two_batched_queries(self, monkeypatch):
         # the 61 grid radii are one mean query and one oscillation query;
         # each golden step asks for one radius
-        from hardyops import numerics
-
         sizes = []
         query = numerics._PanelProfile.integral
 
