@@ -25,6 +25,9 @@ it: `--tol` on all subcommands but `norm` (whose record then has null
 `tolerances`), `--csv` (sweep rows `parameter,value,error`) on the three
 experiment subcommands, `--seed` on `constant` (other records have a null
 `seed`), and `--params-file FILE` (`key=value` defaults) everywhere.
+`norm` takes `--p` for `lp` and `morrey`, `--lambda` and `--method` for
+`morrey` and `--q` for `cmo`; a kind rejects the others, and its record
+lists only the ones it read.
 """
 
 from __future__ import annotations
@@ -78,6 +81,16 @@ _EXPERIMENTS = ("lebesgue", "morrey", "commutator", "cesaro")
 
 class _UsageError(Exception):
     pass
+
+
+# the `norm` flags that only some kinds read, as (flag, dest), and each
+# kind's defaults for the ones it reads; it rejects the others
+_NORM_FLAGS = (("--p", "p"), ("--q", "q"), ("--lambda", "lam"), ("--method", "method"))
+_NORM_DEFAULTS = {
+    "lp": {"p": 2.0},
+    "morrey": {"p": 2.0, "lam": 0.0, "method": "auto"},
+    "cmo": {"q": 2.0},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,12 +158,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("norm", help="compute a radial norm")
     sp.add_argument("kind", choices=_NORMS)
     sp.add_argument("--f", required=True, help="function spec")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=2.0, help="oscillation exponent (cmo)")
+    # flags only some kinds read default to None; _cmd_norm applies
+    # _NORM_DEFAULTS
+    sp.add_argument("--p", type=float, default=None, help="integrability exponent (lp, morrey)")
+    sp.add_argument("--q", type=float, default=None, help="oscillation exponent (cmo)")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                    help="Morrey exponent")
-    sp.add_argument("--method", choices=("auto", "closed", "grid"), default="auto")
+    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+                    help="Morrey exponent (morrey)")
+    sp.add_argument("--method", choices=("auto", "closed", "grid"), default=None,
+                    help="Morrey norm route (morrey)")
     common(sp, tol=False)
 
     sp = sub.add_parser("sharpness", help="run a sharpness experiment")
@@ -332,6 +348,13 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    defaults = _NORM_DEFAULTS[args.kind]
+    for flag, dest in _NORM_FLAGS:
+        if dest in defaults:
+            if getattr(args, dest) is None:
+                setattr(args, dest, defaults[dest])
+        elif getattr(args, dest) is not None:
+            raise _UsageError(f"norm {args.kind} does not read {flag}")
     f = parse_function_spec(args.f)
     if args.kind == "lp":
         value = lebesgue_norm(f, args.p, args.n)
@@ -339,13 +362,18 @@ def _cmd_norm(args) -> int:
         rel_bound = 1e-14 if f.descriptor is not None else 1e-9
     elif args.kind == "morrey":
         value = central_morrey_norm(f, args.p, args.lam, args.n, args.method)
-        # a grid-sup value is the largest bracket found on R in [1e-3, 1e3],
-        # a lower bound on the norm; 1e-8 of it does not bound its distance
-        # to the norm.  Closed forms are exact
+        # a sup-search value is the largest bracket the climb from the best
+        # of 61 grid radii finds on R in [1e-3, 1e3], a lower bound on the
+        # norm; 1e-8 of it does not bound its distance to the norm.  Closed
+        # forms are exact
         rel_bound = 1e-14 if (f.descriptor is not None and args.method != "grid") else 1e-8
     else:
         value = cmo_norm(f, args.q, args.n)
-        # the same kind of grid-sup lower bound, unless f is log
+        # the same kind of sup-search lower bound for every symbol but log,
+        # whose bracket is R-invariant and one half-line integral to 1e-13
+        # relative; 1e-8 is recorded for both (e.g. osccut:1:2 with q = 2,
+        # n = 1 gives 0.70680915170901 at R = 999.75, while the norm is
+        # 1/sqrt(2))
         rel_bound = 1e-8
     finite = math.isfinite(value)
     record = _record(

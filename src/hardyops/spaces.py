@@ -17,11 +17,15 @@ Three norms are provided:
   is R-invariant and collapses to a single integral, and for any other
   symbol it is the largest bracket the same search finds.
 
-A search whose ball integrals have no closed form samples f, or the
-symbol, once into a panel profile (`numerics._PanelProfile`), and every
-ball integral of the search reads off it: the 61 grid radii take one
-batched query per ball quantity (the Morrey averages; the CMO means,
-then their oscillations), and each golden step one query of each.
+A search (`_grid_sup`) takes the bracket on a 61-point grid of R and
+climbs from its best point on the bracket's exact slope in log R.  When
+its ball integrals have no closed form it samples f, or the symbol,
+once into a panel profile (`numerics._PanelProfile`), and every ball
+integral of the search reads off it: the 61 grid radii take one batched
+query per ball quantity (the Morrey averages; the CMO means, then their
+oscillations), and each probe of the climb one query of each for one
+radius, plus, for the CMO slope, one loose query of the mean of
+sign(b - b_B) |b - b_B|**(q-1).
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -54,7 +58,9 @@ __all__ = [
     "cmo_norm",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# one-radius probes a sup search climbs with at most (`_grid_sup`)
+_MAX_PROBES = 20
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -328,88 +334,138 @@ def _ball_average(f: RadialFunction, p: float, n: int, radius: float) -> float:
 
 def _morrey_brackets(
     f: RadialFunction, p: float, lam: float, n: int, force_quadrature: bool = False
-) -> Callable[[np.ndarray], list[float]]:
-    """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) as a map of radii.
+) -> Callable[..., tuple[list[float], Optional[list[float]]]]:
+    """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) as a probe of radii.
 
-    A piecewise power takes its exact power mass unless `force_quadrature`;
-    otherwise f is sampled into one panel profile, and each call is one
-    query with phi = |v|**p.  A power end ``|f|^p r^(n-1) ~ r**(kappa-1)``
-    at 0 with kappa = p a + n < 1 is sampled as b(v) = f(v**(1/kappa)), in
-    dimension n/kappa and bounded at 0, and queried at R**kappa, which
-    gives kappa R**-n int_0^R.  An unconverged ball integral gives inf.
+    The probe maps radii to the bracket at each and, if asked, its slope
+    in x = log R (see `_grid_sup`).  A piecewise power takes its exact power mass unless
+    `force_quadrature`; otherwise f is sampled into one panel profile, and
+    each call is one query with phi = |v|**p.  A power end ``|f|^p r^(n-1)
+    ~ r**(kappa-1)`` at 0 with kappa = p a + n < 1 is sampled as b(v) =
+    f(v**(1/kappa)), in dimension n/kappa and bounded at 0, and queried at
+    R**kappa, which gives kappa R**-n int_0^R.  An unconverged ball
+    integral gives inf.  With A the ball average of |f|^p, dA/dx =
+    n (|f(R)|^p - A), so the bracket's log has the slope
+    ``-n lam + (n/p) (|f(R)|^p - A) / A``.
     """
     d = f.descriptor
     kappa = min(p * d.exponent + n, 1.0) if d is not None and d.r_min == 0.0 else 1.0
     if d is not None and not force_quadrature:
         def averages(radii):
-            return [_ball_average(f, p, n, float(R)) for R in radii]
+            return [(_ball_average(f, p, n, float(R)), 0.0) for R in radii]
     elif kappa <= 0.0:
         def averages(radii):
-            return [math.inf] * len(radii)
+            return [(math.inf, 0.0)] * len(radii)
     else:
         profile = _PanelProfile(lambda v: f.fn(v ** (1.0 / kappa)), n / kappa,
                                 [bp**kappa for bp in f.breakpoints])
 
         def average(res):
             if not res.converged and res.abs_error_estimate > 1e-6 * max(abs(res.value), 1.0):
-                return math.inf
-            return n / kappa * max(res.value, 0.0)
+                return math.inf, 0.0
+            return n / kappa * max(res.value, 0.0), n / kappa * res.abs_error_estimate
 
         def averages(radii):
             radii = np.asarray(radii) ** kappa
             return [average(res) for res in profile.integral(lambda v: np.abs(v) ** p, radii)]
 
-    def bracket(radii) -> list[float]:
+    def probe(radii, slopes: bool = False) -> tuple[list[float], Optional[list[float]]]:
         # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p)
         ball = unit_sphere_volume(n) / n
-        return [math.inf if math.isinf(avg) else (ball * R**n) ** (-lam) * avg ** (1.0 / p)
-                for R, avg in zip(radii, averages(radii))]
+        avgs = averages(radii)
+        values = [math.inf if math.isinf(avg) else (ball * R**n) ** (-lam) * avg ** (1.0 / p)
+                  for R, (avg, _) in zip(radii, avgs)]
+        if not slopes:
+            return values, None
+        rises = []
+        for value, (avg, err), edge in zip(values, avgs, np.abs(f.fn(radii)) ** p):
+            if not 0.0 < avg < math.inf:
+                rises.append(0.0)
+                continue
+            ratio = edge / avg
+            # the slope of the bracket's log (times the bracket, its slope);
+            # its error bound carries A's estimate, plus its own rounding
+            rise = n * (ratio - 1.0) / p - n * lam
+            noise = n / p * ratio * err / avg + 4.0 * _EPS * n * ((ratio + 1.0) / p - lam)
+            rises.append(value * rise if abs(rise) > noise else 0.0)
+        return values, rises
 
-    return bracket
+    return probe
 
 
-def _grid_sup(bracket: Callable[[np.ndarray], Sequence[float]]) -> float:
+def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -> float:
     """The largest bracket found on R in [1e-3, 1e3]: a lower bound on the sup.
 
-    The search takes the best point of a 61-point log grid, narrows a
-    golden-section interval in log R between that point's grid neighbours
-    for 40 steps, and returns the largest bracket it saw.  It finds one
-    local maximum near the best grid point, not the sup over the window,
-    and never looks past the window: for ``osccut:1:2`` with q = 2, n = 1
-    the CMO bracket approaches 1/sqrt(2) from below as R grows, and the
-    search returns 0.7067817102386367 at R = 914.76.  `bracket` maps an
-    array of radii to the bracket at each: the grid is one call, and each
-    golden step one call with one radius, so the steps climb to the same
-    local maximum as one radius at a time would.  An infinite grid bracket
-    gives inf.
+    ``probe(radii, slopes)`` maps an array of radii to the bracket at each
+    and, if `slopes`, to the bracket's slope in x = log R at each (or any
+    positive multiple of it), else None; a slope within its own error
+    bound of zero is 0.  The search takes the bracket on a 61-point log
+    grid in one call and climbs from its best point on the slope, one
+    radius per call: doubling steps uphill, from 2**-12 of a grid cell
+    and never past the neighbouring grid point, until the slope changes
+    sign, then Illinois regula falsi (Dowell and Jarratt, 1971) on the
+    slope until the sign change is pinned to 1e-10 in x.  A zero slope,
+    an uphill slope at the neighbouring grid point, or `_MAX_PROBES`
+    one-radius calls end the climb.  It returns the largest bracket seen,
+    grid points included.
+
+    The climb finds the local maximum next to the best grid point, not
+    the sup over the window, and never looks past the window: for
+    ``osccut:1:2`` with q = 2, n = 1 the CMO bracket approaches 1/sqrt(2)
+    from below as R grows, and the search returns 0.70680915170901 at
+    R = 999.75, the sup over the window.  An infinite bracket gives inf.
     """
     radii = np.logspace(-3.0, 3.0, 61)
-    vals = [float(v) for v in bracket(radii)]
-    if any(math.isinf(v) for v in vals):
+    xs = np.log(radii)
+    values = [float(v) for v in probe(radii)[0]]
+    if any(math.isinf(v) for v in values):
         return math.inf
-    k = int(np.argmax(vals))
-    lo = math.log(radii[max(k - 1, 0)])
-    hi = math.log(radii[min(k + 1, len(radii) - 1)])
-    best = vals[k]
+    k = int(np.argmax(values))
+    best, probes = values[k], 0
 
-    def at(x: float) -> float:
-        return float(bracket(np.array([math.exp(x)]))[0])
+    def at(radius: np.ndarray) -> float:
+        nonlocal best, probes
+        probes += 1
+        value, slope = (float(v[0]) for v in probe(radius, True))
+        best = max(best, value)
+        # an infinite bracket is flat: the climb stops on it
+        return 0.0 if math.isinf(value) else slope
 
-    # golden-section refinement on log-radius around the grid argmax
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = at(x1), at(x2)
-    for _ in range(40):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = at(x2)
+    x = float(xs[k])
+    slope = at(radii[k:k + 1])
+    up = 1 if slope > 0.0 else -1
+    if slope == 0.0 or not 0 <= k + up < radii.size:
+        return best
+    edge = float(xs[k + up])
+    # doubling steps uphill until the slope changes sign
+    step = float(xs[1] - xs[0]) * 2.0**-12
+    while True:
+        nxt = edge if up * (x + up * step - edge) >= 0.0 else x + up * step
+        nxt_slope = at(np.exp([nxt]))
+        if nxt_slope * up < 0.0:
+            break
+        if nxt_slope == 0.0 or nxt == edge or probes >= _MAX_PROBES:
+            return best
+        x, slope, step = nxt, nxt_slope, 2.0 * step
+    # Illinois regula falsi on the slope over [a, b]: an end kept twice
+    # in a row has its slope halved, so both ends close in
+    a, fa, b, fb = x, slope, nxt, nxt_slope
+    kept = 0
+    while abs(b - a) > 1e-10 and probes < _MAX_PROBES:
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = at(np.exp([c]))
+        if fc == 0.0:
+            break
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = at(x1)
-        best = max(best, f1, f2)
+            a, fa = c, fc
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
     return best
 
 
@@ -431,7 +487,7 @@ def _check_morrey(p: float, lam: float, n: int) -> None:
 def central_morrey_norm(
     f: RadialFunction, p: float, lam: float, n: int, method: str = "auto"
 ) -> float:
-    """Central Morrey norm of radial f; a grid-sup lower bound in general.
+    """Central Morrey norm of radial f; a sup-search lower bound in general.
 
     Admissible range: -1/p <= lam <= 0 (the boundary lam = -1/p gives
     back the L^p norm).  For a pure power ``r**(n*lam)`` the bracket is
@@ -439,9 +495,12 @@ def central_morrey_norm(
     ``(w_n/n)**(-lam) * (1 + lam*p)**(-1/p)``; any other pure power has
     an infinite norm.  `method` is one of "auto", "closed", "grid".
     Otherwise the value is the largest bracket `_grid_sup` finds on R in
-    [1e-3, 1e3], a lower bound on the sup over all R > 0; the brackets
-    take exact power masses for a piecewise power unless "grid", and else
-    read one panel profile of f (`_morrey_brackets`).
+    [1e-3, 1e3] (the best of 61 grid radii, then a climb on the exact
+    slope of the bracket's log, ``-n lam + (n/p) (|f(R)|^p - A) / A`` with
+    A the ball average of |f|^p), a lower bound on the sup over all
+    R > 0; the brackets take exact power masses for a piecewise power
+    unless "grid", and else read one panel profile of f
+    (`_morrey_brackets`).
     """
     _check_morrey(p, lam, n)
     d = f.descriptor
@@ -468,7 +527,7 @@ def central_morrey_profile(
     radii = np.array(radii, dtype=float, ndmin=1)
     if not np.all((radii > 0.0) & np.isfinite(radii)):
         raise ValueError("every radius must be positive and finite")
-    values = _morrey_brackets(f, p, lam, n, force_quadrature)(radii)
+    values = _morrey_brackets(f, p, lam, n, force_quadrature)(radii)[0]
     return [(float(R), v) for R, v in zip(radii, values)]
 
 
@@ -485,14 +544,22 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     half-line nodes make near the peak (about q**1.5 2**-57).  Other
     symbols return the largest bracket `_grid_sup` finds on R in
     [1e-3, 1e3], a lower bound on the norm: for ``osccut:1:2`` with
-    q = 2, n = 1 that is 0.7067817102386367, while the norm is
-    1/sqrt(2).  Either way a QuadratureError is raised when an integral
-    does not converge.  The generic ball integrals all read one panel
-    profile of b (a table of b's values on r-space panels, refined as the
-    radii need and kept across them): for all radii of a bracket call at
-    once, the means b_B with phi = identity, then the oscillations with
-    phi = |v|**q shifted by each radius's b_B, each to 1e-13 absolute or
-    1e-11 relative.
+    q = 2, n = 1 that is 0.70680915170901 at R = 999.75, the sup over the
+    window, while the norm is 1/sqrt(2).  Either way a QuadratureError is
+    raised when an integral does not converge.  The generic ball
+    integrals all read one panel profile of b (a table of b's values on
+    r-space panels, refined as the radii need and kept across them): for
+    all radii of a probe at once, the means c = b_B with phi = identity,
+    then the oscillations O = n R**-n int_B |b - c|**q with phi = |v|**q
+    shifted by each radius's c, each to 1e-13 absolute or 1e-11 relative.
+    The climb steers by the slope in x = log R,
+
+        dO/dx = n (|b(R) - c|**q - O) - q n (b(R) - c) G,
+
+    where G is the ball mean of sign(b - c) |b - c|**(q-1).  G only
+    steers, and its integrand has a cusp at b = c for q < 2, so it is
+    queried to 1e-9 absolute or 1e-6 relative and never raises; every
+    returned value comes from the mean and oscillation queries.
     """
     if not q > 1.0:
         raise ValueError("q must exceed 1")
@@ -528,6 +595,7 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 
     def ball(phi, radii: np.ndarray, shift=None) -> np.ndarray:
+        """n R**-n int_B phi(b - shift) per radius: the values, then their estimates."""
         results = profile.integral(phi, radii, shift)
         for radius, res in zip(radii, results):
             if not res.converged:
@@ -535,11 +603,30 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
                     f"CMO ball integral at radius {radius:.6g} did not converge "
                     f"(value {res.value:.6g}, error estimate {res.abs_error_estimate:.2g})"
                 )
-        return np.array([res.value for res in results])
+        return n * np.array([[res.value, res.abs_error_estimate] for res in results]).T
 
-    def bracket(radii: np.ndarray) -> list[float]:
-        means = n * ball(lambda v: v, radii)  # ball means b_B
-        osc = ball(lambda v: np.abs(v) ** q, radii, means)
-        return [(n * max(float(o), 0.0)) ** (1.0 / q) for o in osc]
+    def probe(radii, slopes: bool = False) -> tuple[list[float], Optional[list[float]]]:
+        means, mean_errs = ball(lambda v: v, radii)  # ball means c = b_B
+        osc, osc_errs = ball(lambda v: np.abs(v) ** q, radii, means)
+        values = [max(float(o), 0.0) ** (1.0 / q) for o in osc]
+        if not slopes:
+            return values, None
+        # G only steers the climb: a loose goal, and no raise, since its
+        # integrand has a cusp at b = c for q < 2
+        tilts = profile.integral(lambda v: np.sign(v) * np.abs(v) ** (q - 1.0), radii, means,
+                                 tol=1e-9, rtol=1e-6)
+        rises = []
+        for o, gap, c_err, o_err, tilt in zip(osc, b.fn(radii) - means, mean_errs, osc_errs,
+                                              tilts):
+            g, g_err = n * tilt.value, n * tilt.abs_error_estimate
+            edge = abs(gap) ** q
+            # dO/dx has the sign of the bracket O**(1/q)'s slope; its error
+            # bound carries the queries' estimates, plus its own rounding
+            rise = n * (edge - o) - q * n * gap * g
+            noise = (n * (o_err + q * abs(gap) ** (q - 1.0) * c_err)
+                     + q * n * (abs(gap) * g_err + abs(g) * c_err)
+                     + 4.0 * _EPS * n * (edge + abs(o) + q * abs(gap * g)))
+            rises.append(rise if abs(rise) > noise and o > 0.0 else 0.0)
+        return values, rises
 
-    return _grid_sup(bracket)
+    return _grid_sup(probe)

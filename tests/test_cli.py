@@ -142,6 +142,43 @@ class TestNormCommand:
         assert code == 0
         assert record_of(out)["result"]["divergent"] is True
 
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("lp", "--q", "3"),
+            ("lp", "--lambda", "-0.1"),
+            ("lp", "--method", "grid"),
+            ("morrey", "--q", "3"),
+            ("cmo", "--p", "7"),
+            ("cmo", "--lambda", "-0.1"),
+            ("cmo", "--method", "grid"),
+        ],
+    )
+    def test_flag_of_another_kind_is_rejected(self, invoke, kind, flag, value):
+        code, out, err = invoke("norm", kind, "--f", "power:0@chi", flag, value)
+        assert code == 2 and out == ""
+        assert f"norm {kind} does not read {flag}" in err
+
+    def test_cmo_rejects_morrey_flags(self, invoke):
+        code, out, err = invoke("norm", "cmo", "--f", "log", "--q", "2", "--p", "7",
+                                "--lambda", "-0.1", "--method", "grid")
+        assert code == 2 and out == ""
+        assert "--p" in err
+
+    @pytest.mark.parametrize(
+        "kind, parameters",
+        [
+            ("lp", {"p": 2.0}),
+            ("morrey", {"p": 2.0, "lam": 0.0, "method": "auto"}),
+            ("cmo", {"q": 2.0}),
+        ],
+    )
+    def test_record_lists_the_flags_the_kind_reads(self, invoke, kind, parameters):
+        code, out, _ = invoke("norm", kind, "--f", "power:0@chi")
+        assert code == 0
+        expected = {"f": "power:0@chi", "kind": kind, "n": 1, **parameters}
+        assert record_of(out)["parameters"] == expected
+
 
 class TestSharpnessCommand:
     def test_morrey_passes(self, invoke):

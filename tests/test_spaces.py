@@ -25,6 +25,32 @@ from hardyops.spaces import (
 
 SQRT2 = math.sqrt(2.0)
 
+# For osccut:1:2 with q = 2, n = 1 the CMO bracket has the closed form
+# B(R)**2 = (R - 1)/(2R) - sin(2 pi R)/(4 pi R) - (1 + cos pi R)**2/(pi R)**2
+# for R > 1; its maximum over the search window R <= 1000, by mpmath at
+# dps 30, and where it lies
+OSCCUT_WINDOW_SUP = 0.706809151709009218503
+OSCCUT_WINDOW_ARGMAX = "999.749889324167588"
+
+
+def osccut_bracket(radii):
+    square = (radii - 1.0) / (2.0 * radii) - np.sin(2.0 * math.pi * radii) / (4.0 * math.pi * radii)
+    return np.sqrt(square - (1.0 + np.cos(math.pi * radii)) ** 2 / (math.pi * radii) ** 2)
+
+
+@pytest.fixture
+def query_sizes(monkeypatch):
+    """The number of radii of each panel-profile query, in call order."""
+    sizes = []
+    query = numerics._PanelProfile.integral
+
+    def counted(self, phi, radii, *args, **kwargs):
+        sizes.append(np.size(radii))
+        return query(self, phi, radii, *args, **kwargs)
+
+    monkeypatch.setattr(numerics._PanelProfile, "integral", counted)
+    return sizes
+
 
 class TestUnitSphereVolume:
     # n pi^(n/2)/Gamma(1+n/2): 2, 2pi, 4pi for n = 1, 2, 3
@@ -100,20 +126,20 @@ class TestCentralMorreyNorm:
         exact = spaces._power_morrey_norm(-0.3, 2.0, 2)
         assert all(abs(v - exact) <= 1e-9 * exact for _, v in prof)
 
-    def test_grid_is_one_batched_query(self, monkeypatch):
-        # the 61 grid radii are one query of f's profile; each golden step
-        # asks for one radius
-        sizes = []
-        query = numerics._PanelProfile.integral
-
-        def counted(self, phi, radii, shift=None):
-            sizes.append(np.size(radii))
-            return query(self, phi, radii, shift)
-
-        monkeypatch.setattr(numerics._PanelProfile, "integral", counted)
+    def test_grid_is_one_batched_query(self, query_sizes):
+        # the 61 grid radii are one query of f's profile; each probe of
+        # the climb from the best grid point asks for one radius
         central_morrey_norm(oscillatory_cutoff(1.0, 2.0), 2.0, -0.25, 1)
-        assert sizes[0] == 61
-        assert set(sizes[1:]) == {1}
+        assert query_sizes[0] == 61
+        assert set(query_sizes[1:]) == {1}
+        assert len(query_sizes) - 1 <= spaces._MAX_PROBES
+
+    def test_flat_bracket_stops_at_the_first_probe(self, query_sizes):
+        # r**(n lam) has an R-invariant bracket: its slope at the best grid
+        # point is zero within its error bound, and the climb ends there
+        value = central_morrey_norm(power(-0.1), 3.0, -0.1, 1, method="grid")
+        assert query_sizes == [61, 1]
+        assert value == pytest.approx(spaces._power_morrey_norm(-0.1, 3.0, 1), rel=1e-13)
 
     def test_grid_shares_one_profile(self):
         # every ball average reads one panel table of f: sin(pi r) is
@@ -129,6 +155,15 @@ class TestCentralMorreyNorm:
         g = radial_from_callable(counted, breakpoints=f.breakpoints)
         assert central_morrey_norm(g, 2.0, -0.25, 1) == central_morrey_norm(f, 2.0, -0.25, 1)
         assert sum(calls) <= 100_000
+
+    def test_window_sup_oracle(self):
+        # for osccut:1:2 with p = 2, lam = -1/4, n = 1 the bracket is
+        # (2R)**(1/4) ((R - 1)/(2R) - sin(2 pi R)/(4 pi R))**(1/2); it grows
+        # like R**(1/4), and its largest local maximum in the window lies
+        # at R = 999.8334125845729823 (mpmath at dps 30), past which it
+        # falls to 4.7263430996091364 at R = 1000, the best grid point
+        value = central_morrey_norm(oscillatory_cutoff(1.0, 2.0), 2.0, -0.25, 1)
+        assert value == pytest.approx(4.72647183884984496563, rel=1e-13)
 
     @pytest.mark.parametrize(
         "p, lam, n, radii, message",
@@ -265,20 +300,53 @@ class TestCmoNorm:
             cmo_norm(symbol, q, 1)
         assert sum(calls) < 100_000
 
-    def test_grid_is_two_batched_queries(self, monkeypatch):
+    def test_grid_is_two_batched_queries(self, query_sizes):
         # the 61 grid radii are one mean query and one oscillation query;
-        # each golden step asks for one radius
-        sizes = []
-        query = numerics._PanelProfile.integral
-
-        def counted(self, phi, radii, shift=None):
-            sizes.append(np.size(radii))
-            return query(self, phi, radii, shift)
-
-        monkeypatch.setattr(numerics._PanelProfile, "integral", counted)
+        # each probe of the climb asks for one radius three times (mean,
+        # oscillation and the slope's tilt G)
         cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
-        assert sizes[:2] == [61, 61]
-        assert set(sizes[2:]) == {1}
+        assert query_sizes[:2] == [61, 61]
+        assert set(query_sizes[2:]) == {1}
+        assert len(query_sizes[2:]) % 3 == 0
+        assert len(query_sizes[2:]) // 3 <= spaces._MAX_PROBES
+        # here the climb takes 9 probes (one at R = 1000, three doubling
+        # steps down, five regula falsi steps); plain regula falsi, with
+        # no Illinois halving, runs into the cap
+        assert len(query_sizes[2:]) // 3 <= 12
+
+    def test_flat_bracket_stops_at_the_first_probe(self, query_sizes):
+        # 3 log r has an R-invariant bracket: its slope at the best grid
+        # point is zero within its error bound, and the climb ends there
+        value = cmo_norm(radial_from_callable(lambda r: 3.0 * np.log(r)), 3.0, 2)
+        assert query_sizes == [61, 61, 1, 1, 1]
+        assert value == pytest.approx(3.0 * cmo_norm(log_radial(), 3.0, 2), rel=1e-13)
+
+    def test_shifted_symbol_climbs_to_the_same_radius(self, monkeypatch):
+        # b and b + 3 have the same oscillations, so the climb must end at
+        # the same radius with the same bracket
+        b = oscillatory_cutoff(1.0, 2.0)
+        shifted = radial_from_callable(lambda r: b.fn(r) + 3.0, breakpoints=b.breakpoints)
+        search = spaces._grid_sup
+        tops = []
+
+        def recorded(probe):
+            seen = []
+
+            def logged(radii, slopes=False):
+                values, rises = probe(radii, slopes)
+                seen.extend(zip(np.atleast_1d(radii), values))
+                return values, rises
+
+            value = search(logged)
+            tops.append(max(seen, key=lambda pair: pair[1]))
+            return value
+
+        monkeypatch.setattr(spaces, "_grid_sup", recorded)
+        plain, moved = cmo_norm(b, 2.0, 1), cmo_norm(shifted, 2.0, 1)
+        (radius, value), (moved_radius, moved_value) = tops
+        assert (plain, moved) == (value, moved_value)
+        assert moved_radius == pytest.approx(radius, rel=1e-10)
+        assert moved == pytest.approx(plain, rel=1e-10)
 
     def test_ball_integrals_share_one_profile(self):
         # every ball integral reads one panel table of b: sin(pi r) is
@@ -291,18 +359,45 @@ class TestCmoNorm:
             return b.fn(r)
 
         symbol = radial_from_callable(counted, breakpoints=b.breakpoints)
-        # mpmath bracket at the returned radius R = 914.75...
-        assert cmo_norm(symbol, 2.0, 1) == pytest.approx(0.70678171023863609411, rel=1e-13)
+        assert cmo_norm(symbol, 2.0, 1) == pytest.approx(OSCCUT_WINDOW_SUP, rel=1e-13)
         assert sum(calls) <= 100_000
+
+    def test_window_sup_oracle(self):
+        # the climb from the best grid point (R = 1000) ends at the window
+        # maximum R = 999.7498..., below the norm 1/sqrt(2) = lim B(R)
+        value = cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
+        assert abs(value - OSCCUT_WINDOW_SUP) <= 1e-13 * OSCCUT_WINDOW_SUP
+        assert value < 1.0 / SQRT2
+        # no radius of the window beats the stored maximum: the local
+        # maxima of B(R) sit about 1/2 apart, so a 1e-3 scan comes within
+        # B'' (1e-3)**2 ~ 1e-5 of each
+        scan = osccut_bracket(np.linspace(1.0, 1000.0, 999_001)).max()
+        assert OSCCUT_WINDOW_SUP - 1e-4 <= scan <= OSCCUT_WINDOW_SUP * (1.0 + 1e-15)
+
+    def test_window_sup_matches_mpmath(self):
+        # the stored radius is where the closed form's derivative vanishes;
+        # its second derivative there is about -pi/R ~ -3e-3, so a slope
+        # below 1e-15 pins R to about 3e-13
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            radius = mpmath.mpf(OSCCUT_WINDOW_ARGMAX)
+            pi = mpmath.pi
+
+            def square(R):
+                return ((R - 1) / (2 * R) - mpmath.sin(2 * pi * R) / (4 * pi * R)
+                        - (1 + mpmath.cos(pi * R)) ** 2 / (pi**2 * R**2))
+
+            assert abs(mpmath.diff(square, radius)) < 1e-15
+            assert float(mpmath.sqrt(square(radius))) == OSCCUT_WINDOW_SUP
 
     @pytest.mark.parametrize(
         "q, n, exact",
         [
-            # the bracket at the returned radius R = 914.76..., by mpmath
-            # with the integrals split at the kinks sin(pi r) = b_B
-            (1.5, 1, 0.67607315446605731097),
-            # the same at R = 11.71...
-            (2.5, 3, 0.7426493907112229751),
+            # the bracket at the returned radius R = 999.7633742225743, by
+            # mpmath with the integrals split at the kinks sin(pi r) = b_B
+            (1.5, 1, 0.67610914835552415211),
+            # the same at R = 12.715108565971326
+            (2.5, 3, 0.74197982746385838742),
         ],
     )
     def test_large_radius_oscillation(self, q, n, exact):
