@@ -338,14 +338,14 @@ def _morrey_brackets(
     """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) as a probe of radii.
 
     The probe maps radii to the bracket at each and, if asked, its slope
-    in x = log R (see `_grid_sup`).  A piecewise power takes its exact power mass unless
-    `force_quadrature`; otherwise f is sampled into one panel profile, and
-    each call is one query with phi = |v|**p.  A power end ``|f|^p r^(n-1)
-    ~ r**(kappa-1)`` at 0 with kappa = p a + n < 1 is sampled as b(v) =
-    f(v**(1/kappa)), in dimension n/kappa and bounded at 0, and queried at
-    R**kappa, which gives kappa R**-n int_0^R.  An unconverged ball
-    integral gives inf.  With A the ball average of |f|^p, dA/dx =
-    n (|f(R)|^p - A), so the bracket's log has the slope
+    in x = log R (see `_grid_sup`).  A piecewise power takes its exact
+    power mass unless `force_quadrature`; otherwise f is sampled into one
+    panel profile, and each call is one query with phi = |v|**p.  A power
+    end ``|f|^p r^(n-1) ~ r**(kappa-1)`` at 0 with kappa = p a + n < 1 is
+    sampled as b(v) = f(v**(1/kappa)), in dimension n/kappa and bounded at
+    0, and queried at R**kappa, which gives kappa R**-n int_0^R.  An
+    unconverged ball integral gives inf.  With A the ball average of
+    |f|^p, dA/dx = n (|f(R)|^p - A), so the bracket's log has the slope
     ``-n lam + (n/p) (|f(R)|^p - A) / A``.
     """
     d = f.descriptor
@@ -383,8 +383,8 @@ def _morrey_brackets(
                 rises.append(0.0)
                 continue
             ratio = edge / avg
-            # the slope of the bracket's log (times the bracket, its slope);
-            # its error bound carries A's estimate, plus its own rounding
+            # the slope of the bracket's log, which times the bracket is its
+            # slope; its error bound carries A's estimate, plus its rounding
             rise = n * (ratio - 1.0) / p - n * lam
             noise = n / p * ratio * err / avg + 4.0 * _EPS * n * ((ratio + 1.0) / p - lam)
             rises.append(value * rise if abs(rise) > noise else 0.0)
@@ -436,15 +436,15 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -
     up = 1 if slope > 0.0 else -1
     if slope == 0.0 or not 0 <= k + up < radii.size:
         return best
-    edge = float(xs[k + up])
+    neighbour = float(xs[k + up])
     # doubling steps uphill until the slope changes sign
     step = float(xs[1] - xs[0]) * 2.0**-12
     while True:
-        nxt = edge if up * (x + up * step - edge) >= 0.0 else x + up * step
+        nxt = neighbour if up * (x + up * step - neighbour) >= 0.0 else x + up * step
         nxt_slope = at(np.exp([nxt]))
         if nxt_slope * up < 0.0:
             break
-        if nxt_slope == 0.0 or nxt == edge or probes >= _MAX_PROBES:
+        if nxt_slope == 0.0 or nxt == neighbour or probes >= _MAX_PROBES:
             return best
         x, slope, step = nxt, nxt_slope, 2.0 * step
     # Illinois regula falsi on the slope over [a, b]: an end kept twice
