@@ -64,8 +64,10 @@ The mixture engine (`_mixture_integrate`) integrates
 ``int_0^inf prod_i F_i(x**(1/nu)) dx`` with
 ``F_i(sigma) = int f_i(t, s) exp(-sigma gap_i(t, s)**2) dt``, the
 Schwinger form of the Riesz and Cesaro corner weights, for any m: one
-batched matrix product per distinct axis rule and rung, over all sigma
-nodes at once.
+batched sum per distinct axis rule and rung, over all sigma nodes at
+once.  The entries exp(-sigma gap**2) with sigma gap**2 <= 1 are
+summed from Taylor moments of the gaps, as in the fast Gauss transform
+(Greengard and Strain, 1991), and only the others are computed as exp.
 
 Integrands must accept numpy arrays (one per coordinate) and evaluate
 elementwise.
@@ -128,7 +130,9 @@ class QuadratureResult:
     the cached nodes of the panels it summed under that radius, fresh or
     not; its fresh evaluations of b, `_PanelProfile.fresh`, are what the
     interval and half-line integrators report.  A mixture integral
-    (`_mixture_integrate`) counts the exp entries it computed.
+    (`_mixture_integrate`) counts the exp entries it computed plus, per
+    sigma node whose near-one entries it summed from Taylor moments,
+    the number of terms (`_HEAD_TERMS`).
     """
 
     value: float
@@ -1085,7 +1089,8 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
             if previous is not None:
                 delta = np.abs(value - previous)
                 goal = np.maximum(tol, _CUBE_RTOL * np.abs(value))
-                estimate = np.maximum(delta, [_rounding_floor(x) for x in mass])
+                floor = np.where(mass > 0.0, _ROUNDING_ULPS * np.spacing(mass), 0.0)
+                estimate = np.maximum(delta, floor)
                 done = (delta <= goal) | (k == len(ladder) - 1)
                 values[rows[done]] = value[done]
                 estimates[rows[done]] = estimate[done]
@@ -1140,6 +1145,21 @@ _GAP2_MAX = 1e300
 # exp(-x) underflows to exactly 0 for x above this
 _EXP_ZERO = 750.0
 
+# the Taylor head of `_gaussian_sums`: entries with sigma * gap**2 at most
+# _HEAD_DELTA, summed to _HEAD_TERMS terms, the fewest whose truncation
+# _HEAD_DELTA**K / K! is at most 2**-60
+_HEAD_DELTA = 1.0
+_HEAD_TERMS = next(
+    k for k in range(1, 100) if _HEAD_DELTA**k / math.factorial(k) <= 2.0**-60
+)
+
+# head entries have gap**2 at most this, so that no moment of a column
+# scaled to max |c| < 1 exceeds its length times 2**(32 (K - 1))
+_HEAD_GAP2_MAX = 2.0**32
+
+# rows with sigma above this (sigma**(K - 1) would overflow) get no head
+_HEAD_SIGMA_MAX = 2.0 ** (1024.0 / (_HEAD_TERMS - 1))
+
 
 def _mixture_inner(axis: MixtureAxis, depth: int, order: int):
     """Nodes t, complements s and weights of one axis's rule on (lo, hi)."""
@@ -1188,6 +1208,86 @@ def _mixture_outer(nu: float, lam: float, zeta: float, depth: int, order: int, c
     return sigma[order], np.concatenate([wz, (nu / mu) * wy * right**lam])[order]
 
 
+def _gaussian_sums(sigma: np.ndarray, gap2: np.ndarray, cols: np.ndarray):
+    """exp(-outer(sigma, gap2)) @ cols, and the work it took.
+
+    `sigma` and `gap2` are ascending, finite and >= 0.  The rows go in
+    blocks of up to 64 (at most `_SLAB_NODES` entries), and a block
+    splits the gaps g = gap**2 into three parts:
+
+    * a head, g <= _HEAD_DELTA / sigma_last for the block's largest
+      sigma, summed from Taylor moments:
+      sum_j c_j exp(-sigma g_j) ~ sum_{m<K} (-sigma)**m / m! * M_m with
+      M_m = sum_j c_j g_j**m and K = `_HEAD_TERMS`.  As sigma g_j <=
+      _HEAD_DELTA, the truncation is at most _HEAD_DELTA**K / K! <=
+      2**-60 of the head's sum |c_j|, per column.  The moments up to
+      every block's head come from one table of segment sums, built once
+      for all blocks and columns.  A head stops at g <= `_HEAD_GAP2_MAX`,
+      and blocks with sigma past `_HEAD_SIGMA_MAX` have none, so that
+      with each column in units of its max |c| no moment and no
+      coefficient sigma**m / m! overflows, and the moments that
+      underflow lose at most 2**-104 of that max per head gap;
+    * a tail, up to the last gap whose exponent does not underflow to 0
+      for the block's smallest sigma, evaluated as exp(-sigma g) @ c;
+    * the rest, skipped.
+
+    Returns the (sigma.size, cols.shape[1]) sums and the work: the exp
+    entries computed plus `_HEAD_TERMS` per row with a head.
+    """
+    step = max(1, min(64, _SLAB_NODES // gap2.size))
+    starts = np.arange(0, sigma.size, step)
+    lasts = sigma[np.minimum(starts + step, sigma.size) - 1]
+    with np.errstate(divide="ignore"):
+        keeps = np.searchsorted(gap2, _EXP_ZERO / sigma[starts], side="right")
+        heads = np.searchsorted(
+            gap2, np.minimum(_HEAD_DELTA / lasts, _HEAD_GAP2_MAX), side="right"
+        )
+    # heads never grow from block to block, so the blocks with one are a prefix
+    heads[lasts > _HEAD_SIGMA_MAX] = 0
+    blocks = int(np.count_nonzero(heads))
+    rows = min(blocks * step, sigma.size)
+    factor = np.zeros((sigma.size, cols.shape[1]))
+    count = _HEAD_TERMS * rows
+    # a NaN or inf in a column reaches the sums, which the caller checks,
+    # and moments and exps that underflow to 0 are within the bounds above
+    with np.errstate(under="ignore", invalid="ignore"):
+        if blocks:
+            edges, at = np.unique(heads[:blocks], return_inverse=True)
+            top = int(edges[-1])
+            # each column in units of its max |c| over the head, a power of 2
+            c = np.ascontiguousarray(cols[:top].T)
+            _, exps = np.frexp(np.abs(c).max(axis=1))
+            c = np.ldexp(c, -exps[:, None])
+            powers = np.empty((_HEAD_TERMS, top))
+            powers[0] = 1.0
+            for m in range(1, _HEAD_TERMS):
+                np.multiply(powers[m - 1], gap2[:top], out=powers[m])
+            # the moments up to each distinct head: the sums over the
+            # segments between them, then a running sum
+            moments = np.add.reduceat(c[:, None, :] * powers, np.r_[0, edges[:-1]], axis=2)
+            np.cumsum(moments, axis=2, out=moments)
+            # (-sigma)**m / m! for the rows of the blocks with a head
+            coef = np.zeros((_HEAD_TERMS, blocks * step))
+            coef[0] = 1.0
+            for m in range(1, _HEAD_TERMS):
+                np.multiply(coef[m - 1, :rows], sigma[:rows], out=coef[m, :rows])
+                coef[m, :rows] *= -1.0 / m
+            coef = coef.reshape(_HEAD_TERMS, blocks, step).transpose(1, 0, 2)
+            head = (moments[:, :, at].transpose(2, 0, 1) @ coef).transpose(0, 2, 1)
+            factor[:rows] = np.ldexp(head.reshape(-1, cols.shape[1])[:rows], exps)
+        slab = np.empty(min(_SLAB_NODES, step * gap2.size))
+        # an exponent past the largest double is -inf, whose exp is 0
+        with np.errstate(over="ignore"):
+            for a, lo, hi in zip(starts.tolist(), heads.tolist(), keeps.tolist()):
+                if hi > lo:
+                    part = sigma[a : a + step]
+                    block = slab[: part.size * (hi - lo)].reshape(part.size, hi - lo)
+                    np.multiply(-part[:, None], gap2[lo:hi], out=block)
+                    factor[a : a + step] += np.exp(block, out=block) @ cols[lo:hi]
+                    count += block.size
+    return factor, count
+
+
 def _mixture_integrate(
     nu: float,
     scale: float,
@@ -1199,12 +1299,13 @@ def _mixture_integrate(
 
     Axes equal in every field but `f_pair` share one rule, and a rung
     evaluates the F_i of such a group at all its sigma nodes at once as
-    exp(-sigma gap**2) @ (weights * [f_i, ...]), in slabs of at most
-    `_SLAB_NODES` entries; with both sorted ascending, a slab skips the
-    nodes whose exponent underflows to 0 for its smallest sigma.  The
-    F_i are multiplied in axis order, so axes that all differ give the
-    same bits as one matrix product per axis.  `evaluations` counts the
-    exp entries computed, each shared matrix once.
+    exp(-sigma gap**2) @ (weights * [f_i, ...]) (`_gaussian_sums`: the
+    entries with sigma gap**2 <= 1 from Taylor moments, the others as
+    exp, skipping those that underflow to 0).  The F_i are multiplied
+    in axis order, so axes that all differ give the same bits as one
+    group per axis.  `evaluations` counts the work of `_gaussian_sums`,
+    the exp entries plus `_HEAD_TERMS` per sigma node summed from
+    moments, each shared group once.
     From the second rung on, the estimate is the change from the
     previous rung plus the rounding floor, and the finer value is
     reported once it meets the goal.
@@ -1222,7 +1323,6 @@ def _mixture_integrate(
         groups.setdefault(ax._replace(f_pair=None), []).append(j)
     used = 0
     previous = None
-    slab = np.empty(_SLAB_NODES)
     for depth_in, order_in, depth_out, order_out in _MIXTURE_RUNGS:
         sigma, omega = _mixture_outer(nu, lam, zeta, depth_out, order_out, 4.0**depth_in)
         factors = [None] * len(axes)
@@ -1238,17 +1338,8 @@ def _mixture_integrate(
                 f = (np.asarray(axes[j].f_pair((t,), (s,)), dtype=float) * w)[order]
                 cols += [f, np.abs(f)]
             cols = np.stack(cols, axis=1)
-            factor = np.empty((sigma.size, cols.shape[1]))
-            step = max(1, min(64, _SLAB_NODES // t.size))
-            for a in range(0, sigma.size, step):
-                rows = sigma[a : a + step]
-                keep = gap2.size
-                if rows[0] > 0.0:
-                    keep = int(np.searchsorted(gap2, _EXP_ZERO / rows[0], side="right"))
-                block = slab[: rows.size * keep].reshape(rows.size, keep)
-                np.multiply(-rows[:, None], gap2[:keep], out=block)
-                factor[a : a + step] = np.exp(block, out=block) @ cols[:keep]
-                used += block.size
+            factor, count = _gaussian_sums(sigma, gap2, cols)
+            used += count
             for k, j in enumerate(members):
                 factors[j] = factor[:, 2 * k : 2 * k + 2]
         # multiplied in axis order, as when every axis has its own rule

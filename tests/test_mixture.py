@@ -15,6 +15,7 @@ import math
 from contextlib import redirect_stdout
 from functools import partial
 
+import numpy as np
 import pytest
 from test_numerics import CORNER_CALIBRATION
 
@@ -22,7 +23,7 @@ from hardyops import numerics, weights
 from hardyops.cli import run
 from hardyops.constants import cesaro_lebesgue_constant, lebesgue_constant, log_moment_constant
 from hardyops.experiments import oscillation_decay_check
-from hardyops.numerics import EndpointBehavior, integrate_unit_cube
+from hardyops.numerics import EndpointBehavior, QuadratureError, integrate_unit_cube
 from hardyops.spaces import ExponentConfig
 from hardyops.weights import constant_weight, parse_weight_spec
 
@@ -57,11 +58,11 @@ def test_oscillation_reaches_every_radius():
     # the axes differ in uniform_panels, so each keeps its own exp matrix
     # and the bits of one matrix product per axis
     assert repr(rep.sweep) == (
-        "((10.0, 0.03335347125654427), (100.0, 0.003664116888668927), "
-        "(200.0, 0.0018543392261593315))"
+        "((10.0, 0.03335347125654427), (100.0, 0.0036641168886689113), "
+        "(200.0, 0.0018543392261593339))"
     )
     assert repr(rep.sweep_errors) == (
-        "(6.05765437811101e-15, 3.3439830765535916e-14, 6.838778675299917e-14)"
+        "(6.05765437811101e-15, 3.345544327681971e-14, 6.83851846677852e-14)"
     )
 
 
@@ -73,11 +74,75 @@ def test_m3_log_moment_converges():
     assert res.abs_error_estimate <= 1e-10
     # axes with different p share no exp matrix: the bits of one per axis
     assert (repr(res.value), repr(res.abs_error_estimate)) == (
-        "4.591659491730009", "4.432010314303625e-13"
+        "4.591659491730008", "4.405364961712621e-13"
     )
 
 
 CALIBRATED = {(name, spec, p): exact for name, spec, p, exact in CORNER_CALIBRATION}
+
+
+def _wide_case(rng):
+    sigma = np.unique(np.r_[0.0, 1e-42, 1.0, 4.0**44, np.logspace(-42, 26.5, 1000)])
+    gap2 = np.unique(np.r_[1e-30, 1e300, np.logspace(-30, 300, 600), rng.random(200)])
+    return sigma, gap2, [1e-100, 1.0, 1e50, 1e100]
+
+
+def _top_head_case(rng):
+    # the largest sigma with a head and gaps up to 1/sigma, where the
+    # moments of the higher orders underflow unless each column is scaled
+    sigma = np.logspace(15.0, 16.2, 64)
+    gap2 = np.logspace(-17.0, 0.0, 400)
+    return sigma, gap2, [1e-300, 1e-100, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("case", [_wide_case, _top_head_case], ids=["wide", "top-head"])
+def test_gaussian_sums_match_the_direct_product(case):
+    rng = np.random.default_rng(7)
+    sigma, gap2, scales = case(rng)
+    # mixed signs, columns of very different sizes, one of a single sign
+    cols = rng.standard_normal((gap2.size, len(scales))) * scales
+    cols[:, 0] = np.abs(cols[:, 0])
+    with np.errstate(all="raise"):
+        sums, count = numerics._gaussian_sums(sigma, gap2, cols)
+    with np.errstate(over="ignore", under="ignore"):
+        direct = np.exp(-np.outer(sigma, gap2)) @ cols
+    mass = np.abs(cols).sum(axis=0)
+    truncation = numerics._HEAD_DELTA**numerics._HEAD_TERMS / math.factorial(numerics._HEAD_TERMS)
+    assert truncation <= 2.0**-60
+    assert np.all(np.abs(sums - direct) <= truncation * mass + 8 * np.spacing(mass))
+    # some rows are summed from moments: fewer exp entries than the matrix
+    assert 0 < count < sigma.size * gap2.size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("pick", [np.argmin, np.argmax], ids=["head", "tail"])
+def test_non_finite_column_raises(monkeypatch, bad, pick):
+    original = numerics._mixture_integrate
+
+    def poisoned(nu, scale, axes, tol, rtol):
+        ax = axes[0]
+
+        def f_pair(ts, ss):
+            # the node of the smallest gap is in the head of every sigma
+            # block, that of the largest in the tail of the first
+            vals = np.array(ax.f_pair(ts, ss), dtype=float)
+            vals[pick(ax.gap(ts[0], ss[0]))] = bad
+            return vals
+
+        return original(nu, scale, [ax._replace(f_pair=f_pair), *axes[1:]], tol, rtol)
+
+    monkeypatch.setattr(weights, "_mixture_integrate", poisoned)
+    with pytest.raises(QuadratureError, match="mixture axis"):
+        lebesgue_constant(parse_weight_spec("riesz:1.5:2"), ExponentConfig(1, (4.0, 4.0)))
+
+
+def test_taylor_head_halves_the_evaluations():
+    res = lebesgue_constant(parse_weight_spec("riesz:1.5:2"), ExponentConfig(1, (4.0, 4.0)))
+    # every entry computed as an exp took 1,617,664
+    assert res.evaluations <= 808_832
+    exact = CALIBRATED[("lebesgue_constant", "riesz:1.5:2", (4.0, 4.0))]
+    assert res.converged
+    assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
 
 SHARED_AXES = [
     (lebesgue_constant, "riesz:1.5:2", (4.0, 4.0)),
