@@ -144,6 +144,7 @@ def test_taylor_head_halves_the_evaluations():
     assert res.converged
     assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
 
+
 SHARED_AXES = [
     (lebesgue_constant, "riesz:1.5:2", (4.0, 4.0)),
     (cesaro_lebesgue_constant, "cesaro:1.5:2", (4.0, 4.0)),
