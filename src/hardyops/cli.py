@@ -23,8 +23,9 @@ experiment passed; 1 experiment verdict violated or inconclusive; 2
 usage or parameter error.  A flag exists only where a computation reads
 it: `--tol` on all subcommands but `norm` (whose record then has null
 `tolerances`), `--csv` (sweep rows `parameter,value,error`) on the three
-experiment subcommands, `--seed` on `constant` (other records have a null
-`seed`), and `--params-file FILE` (`key=value` defaults) everywhere.
+experiment subcommands and `--params-file FILE` (`key=value` defaults)
+everywhere.  `--seed` on `constant` is only recorded (other records have
+a null `seed`); it changes no result.
 `norm` takes `--p` for `lp` and `morrey`, `--lambda` and `--method` for
 `morrey` and `--q` for `cmo`; a kind rejects the others, and its record
 lists only the ones it read.
@@ -137,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truncation", type=float, default=0.0,
                     help="restrict all axes to (delta, 1)")
     sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the Monte Carlo cube rule (generic m >= 4 "
-                    "integrands; no built-in weight reaches it)")
+                    help="recorded only; no constant reads it, so it changes "
+                    "no result")
     common(sp)
 
     sp = sub.add_parser("apply", help="evaluate an operator pointwise")
@@ -321,7 +322,7 @@ def _cmd_constant(args) -> int:
         args.shift,
         args.truncation,
     )
-    return _emit_quadrature(args, spec.compute(tol=args.tol, seed=args.seed))
+    return _emit_quadrature(args, spec.compute(tol=args.tol))
 
 
 def _cmd_apply(args) -> int:
@@ -364,9 +365,10 @@ def _cmd_norm(args) -> int:
         value = central_morrey_norm(f, args.p, args.lam, args.n, args.method)
         # a sup-search value is the largest bracket the climb from the best
         # of 61 grid radii finds on R in [1e-3, 1e3], a lower bound on the
-        # norm; 1e-8 of it does not bound its distance to the norm.  Closed
-        # forms are exact
-        rel_bound = 1e-14 if (f.descriptor is not None and args.method != "grid") else 1e-8
+        # norm; 1e-8 of it does not bound its distance to the norm.  Only a
+        # pure power (no cut) outside "grid" takes the exact closed form
+        closed = f.descriptor is not None and f.descriptor.pure and args.method != "grid"
+        rel_bound = 1e-14 if closed else 1e-8
     else:
         value = cmo_norm(f, args.q, args.n)
         # the same kind of sup-search lower bound for every symbol but log,

@@ -74,7 +74,6 @@ def weighted_moment(
     log_shift: float = 1.0,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """The moment integral underlying every constant (axes are 1-based in E)."""
     m = weight.arity
@@ -106,12 +105,10 @@ def weighted_moment(
                     weight, exponents, log_axes, log_shift, tol
                 )
 
-    return _plain_moment(
-        weight, exponents, log_axes, log_shift, truncation, tol, seed
-    )
+    return _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol)
 
 
-def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol, seed=0):
+def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol):
     m = weight.arity
     shift_log = math.log(log_shift)
     layers = [
@@ -134,7 +131,7 @@ def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol, seed=
     box = None
     if truncation > 0.0:
         box = ([truncation] * m, [1.0] * m)
-    return _integrate_weighted(weight, layers, behaviors, box, tol=tol, seed=seed)
+    return _integrate_weighted(weight, layers, behaviors, box, tol=tol)
 
 
 def _truncation_growth_probe(weight, exponents, log_axes, log_shift, tol):
@@ -195,7 +192,7 @@ def _family_exponents(family: str, config: ExponentConfig) -> list[float]:
     return [exponent(config.n, p, lam) for p, lam in zip(config.p_i, config.lambda_i)]
 
 
-def _family_constant(family, weight, config, truncation, tol, seed, log_axes=(), log_shift=1.0):
+def _family_constant(family, weight, config, truncation, tol, log_axes=(), log_shift=1.0):
     """The moment of `family`, with the log axes and shift of its table row."""
     _check_arity(weight, config)
     _, axes, shift = _FAMILIES[family]
@@ -206,7 +203,6 @@ def _family_constant(family, weight, config, truncation, tol, seed, log_axes=(),
         log_shift=log_shift if shift is None else shift,
         truncation=truncation,
         tol=tol,
-        seed=seed,
     )
 
 
@@ -215,10 +211,9 @@ def lebesgue_constant(
     config: ExponentConfig,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """L^p-product operator norm: int prod t_i**(-n/p_i) w(t) dt."""
-    return _family_constant("lebesgue", weight, config, truncation, tol, seed)
+    return _family_constant("lebesgue", weight, config, truncation, tol)
 
 
 def morrey_constant(
@@ -226,10 +221,9 @@ def morrey_constant(
     config: ExponentConfig,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """Central-Morrey operator norm: int prod t_i**(n*lambda_i) w(t) dt."""
-    return _family_constant("morrey", weight, config, truncation, tol, seed)
+    return _family_constant("morrey", weight, config, truncation, tol)
 
 
 def log_moment_constant(
@@ -239,7 +233,6 @@ def log_moment_constant(
     log_shift: float = 1.0,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """Morrey moment with log(shift/t_i) factors on the axes in `log_axes`.
 
@@ -247,9 +240,7 @@ def log_moment_constant(
     plain log moment, shift 2 the shifted one; a single axis gives the
     mixed moments that appear in the bilinear expansion.
     """
-    return _family_constant(
-        "log-moment", weight, config, truncation, tol, seed, log_axes, log_shift
-    )
+    return _family_constant("log-moment", weight, config, truncation, tol, log_axes, log_shift)
 
 
 def cesaro_lebesgue_constant(
@@ -257,10 +248,9 @@ def cesaro_lebesgue_constant(
     config: ExponentConfig,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """Cesaro-side L^p operator norm: int prod t_i**(-n(1-1/p_i)) w(t) dt."""
-    return _family_constant("cesaro-lebesgue", weight, config, truncation, tol, seed)
+    return _family_constant("cesaro-lebesgue", weight, config, truncation, tol)
 
 
 def cesaro_log_constant(
@@ -268,10 +258,9 @@ def cesaro_log_constant(
     config: ExponentConfig,
     truncation: float = 0.0,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> QuadratureResult:
     """Cesaro commutator constant: int prod t_i**(-n*lambda_i-n) w log(2/t_i)."""
-    return _family_constant("cesaro-log", weight, config, truncation, tol, seed)
+    return _family_constant("cesaro-log", weight, config, truncation, tol)
 
 
 # kind -> (the weight whose `closed_forms` holds it, built from alpha;
@@ -320,8 +309,8 @@ class ConstantSpec:
         if self.family == "log-moment" and not self.log_axes:
             raise ValueError("log-moment family requires at least one log axis")
 
-    def compute(self, tol: float = 1e-10, seed: int = 0) -> QuadratureResult:
+    def compute(self, tol: float = 1e-10) -> QuadratureResult:
         return _family_constant(
-            self.family, self.weight, self.config, self.truncation, tol, seed,
+            self.family, self.weight, self.config, self.truncation, tol,
             self.log_axes, self.log_shift,
         )

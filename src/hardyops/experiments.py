@@ -80,6 +80,8 @@ DEFAULT_EPS_SEQUENCE = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_R_SEQUENCE = (10.0, 100.0, 1000.0)
 DEFAULT_DELTA_SEQUENCE = (1e-2, 1e-4, 1e-6)
 DEFAULT_DECAY_TOL = 1e-3
+# the largest r of `oscillation_decay_check`, whose grids grow linearly in r
+_MAX_DECAY_R = 1e4
 
 _OVERSHOOT = 1e-6
 
@@ -179,7 +181,7 @@ def _sharpness_sweep(
     _check_arity(weight, config)
     if any(not 0.0 < e < 0.5 for e in eps_sequence):
         raise ValueError("eps values must lie in (0, 1/2)")
-    target = _family_constant(family, weight, config, 0.0, quad_tol, 0)
+    target = _family_constant(family, weight, config, 0.0, quad_tol)
     p, p_m = config.p, config.p_i[-1]
     exponents = _family_exponents(family, config)
 
@@ -408,7 +410,8 @@ def oscillation_decay_check(
     increasing r; the verdict requires |I| at the largest r to be below
     `tol` and not to exceed the earlier magnitudes (within quadrature
     noise: at integer even r the exact value can be 0, so magnitudes are
-    compared against error floors rather than strictly).
+    compared against error floors rather than strictly).  Each r must lie
+    in (0, 1e4].
     """
     axes = tuple(sorted(set(int(i) for i in axes)))
     if not axes:
@@ -417,19 +420,22 @@ def oscillation_decay_check(
     if axes[0] < 1 or axes[-1] > m:
         raise ValueError(f"axes must lie in 1..{m}")
     rs = sorted(float(r) for r in r_sequence)
-    if rs[0] <= 0:
-        raise ValueError("r values must be positive")
+    if not rs:
+        raise ValueError("the r sequence must be nonempty")
+    for r in rs:
+        if not 0.0 < r <= _MAX_DECAY_R:
+            raise ValueError(f"r values must lie in (0, {_MAX_DECAY_R:g}], got r = {r:g}")
 
     entries, errors = [], []
     for r in rs:
         sine = lambda t, s: np.sin(math.pi * r * t)
         # only the oscillating axes need panels on the scale 1/r
-        panels = max(8, int(math.ceil(r)))
+        grid = tuple(np.linspace(0.0, 1.0, max(8, math.ceil(r)) + 1)[1:-1].tolist())
         res = _integrate_weighted(
             weight,
             [[sine if i in axes else None for i in range(1, m + 1)]],
             weight.behaviors,
-            uniform_panels=[panels if i in axes else 0 for i in range(1, m + 1)],
+            breakpoints=[grid if i in axes else () for i in range(1, m + 1)],
             tol=quad_tol,
         )
         if not res.converged:
@@ -492,7 +498,7 @@ def _halfline_nodes(
     bps = [
         (r - r_min) / (1.0 + r - r_min) for r in breakpoints if r > r_min
     ]
-    v, _, w = _cached_axis_rule(beh, depth, order, 0, tuple(bps))
+    v, _, w = _cached_axis_rule(beh, depth, order, tuple(bps))
     om = 1.0 - v
     r = r_min + v / om
     return r, w / (om * om)

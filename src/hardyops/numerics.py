@@ -78,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -180,22 +180,11 @@ def gamma(x: float) -> float:
 # Gauss-Legendre building blocks
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on (0,1), cached."""
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(order)
-        rule = ((x + 1.0) / 2.0, w / 2.0)
-        _GL_CACHE[order] = rule
-    return rule
-
-
-def _check_finite(values: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise QuadratureError(f"integrand returned a non-finite value ({where})")
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 # nodes mapped closer to an endpoint than these clamps carry negligible
@@ -704,16 +693,15 @@ def _axis_rule(
     behavior: EndpointBehavior,
     depth: int,
     order: int,
-    uniform_panels: int,
     breakpoints: Sequence[float] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite GL rule on (0,1) for one axis, after substitution.
 
     Panels are graded geometrically toward both endpoints in u-space
-    (edges at 2^-j down to 2^-(depth+1), mirrored), optionally unioned
-    with a uniform grid when the integrand oscillates.  Returns nodes t,
-    exact complements s = 1 - t, and weights that already contain the
-    substitution Jacobian.
+    (edges at 2^-j down to 2^-(depth+1), mirrored), plus the pullbacks
+    of the t-space breakpoints (kinks, or an oscillation's grid).
+    Returns nodes t, exact complements s = 1 - t, and weights that
+    already contain the substitution Jacobian.
     """
     umap = _UnitMap(behavior)
     edges = {0.0, 0.5, 1.0}
@@ -725,8 +713,6 @@ def _axis_rule(
         edges.add(0.5 ** (j + 1))
     for j in range(1, depth1 + 2):
         edges.add(1.0 - 0.5 ** (j + 1))
-    if uniform_panels > 1:
-        edges.update(np.linspace(0.0, 1.0, uniform_panels + 1).tolist())
     for bp in breakpoints:
         if 0.0 < bp < 1.0:
             edges.add(umap.pullback(float(bp)))
@@ -744,14 +730,13 @@ def _cached_axis_rule(
     behavior: EndpointBehavior,
     depth: int,
     order: int,
-    uniform_panels: int = 0,
     breakpoints: tuple = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_axis_rule`, memoized on its arguments (breakpoints as a tuple).
 
     The arrays are shared between callers, so they are read-only.
     """
-    rule = _axis_rule(behavior, depth, order, uniform_panels, breakpoints)
+    rule = _axis_rule(behavior, depth, order, breakpoints)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -844,7 +829,6 @@ def _tensor_integrate(
     tol: float,
     rtol: float,
     budget: int,
-    uniform_panels: Sequence[int],
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
 ) -> QuadratureResult:
     """Tensor rule escalated one axis at a time (dimension-adaptive).
@@ -874,7 +858,7 @@ def _tensor_integrate(
         if known is not None:
             return known
         rules = [
-            _cached_axis_rule(behaviors[i], *ladder[k], uniform_panels[i], tuple(bps[i]))
+            _cached_axis_rule(behaviors[i], *ladder[k], tuple(bps[i]))
             for i, k in enumerate(level)
         ]
         if used > 0 and used + math.prod([r[0].size for r in rules]) > budget:
@@ -1084,7 +1068,7 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
             bps += [1.0 - e for e in _edge_ladder(hi_scales[rows].min())]
         previous = None
         for k, (depth, order) in enumerate(ladder):
-            rule = _cached_axis_rule(beh, depth if key else 0, order, 0, tuple(bps))
+            rule = _cached_axis_rule(beh, depth if key else 0, order, tuple(bps))
             value, mass = row_sums(rows, rule)
             if previous is not None:
                 delta = np.abs(value - previous)
@@ -1127,7 +1111,6 @@ class MixtureAxis(NamedTuple):
     lo: float
     hi: float
     breakpoints: tuple
-    uniform_panels: int
     gap_at_zero: bool
 
 
@@ -1172,12 +1155,10 @@ def _mixture_inner(axis: MixtureAxis, depth: int, order: int):
     # each half comes from a rule whose own coordinate is exact there: t on
     # the left, and on the right s, from the rule of the mirrored axis (the
     # layer exp(-sigma s**2) needs s to full relative precision)
-    t_l, s_l, w_l = _cached_axis_rule(
-        beh, depth, order, axis.uniform_panels, tuple(b for b in bps if b < 0.5)
-    )
+    t_l, s_l, w_l = _cached_axis_rule(beh, depth, order, tuple(b for b in bps if b < 0.5))
     s_r, t_r, w_r = _cached_axis_rule(
         EndpointBehavior(beh.exponent_at_one, beh.exponent_at_zero), depth, order,
-        axis.uniform_panels, tuple(1.0 - b for b in bps if b > 0.5),
+        tuple(1.0 - b for b in bps if b > 0.5),
     )
     left, right = t_l < 0.5, s_r < 0.5
     u = np.concatenate([t_l[left], t_r[right]])
@@ -1387,7 +1368,8 @@ def _monte_carlo(
         ss.append(s)
         jac = jac * dt
     vals = np.asarray(fp(tuple(ts), tuple(ss)), dtype=float) * jac
-    _check_finite(vals, "hypercube sample")
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("integrand returned a non-finite value (hypercube sample)")
     value = float(np.mean(vals))
     err = float(np.std(vals) / math.sqrt(n))
     converged = err <= max(tol, rtol * abs(value))
@@ -1401,7 +1383,6 @@ def integrate_unit_cube(
     rtol: float = _CUBE_RTOL,
     budget: Optional[int] = None,
     seed: int = 0,
-    uniform_panels: Union[int, Sequence[int]] = 0,
     box: Optional[tuple[Sequence[float], Sequence[float]]] = None,
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
     f_pair: Optional[Callable[[tuple, tuple], np.ndarray]] = None,
@@ -1425,21 +1406,15 @@ def integrate_unit_cube(
 
     `box = (lows, highs)` restricts integration to a sub-box (useful for
     integrands supported there); `axis_breakpoints` pins panel edges at
-    interior kinks, one list per axis; `uniform_panels` enforces at
-    least that many equal panels on an axis, for integrands with interior
-    oscillation of known scale: one count per axis, or an int for every
-    axis.  Integrands that blow up on an interior manifold are out of
-    contract.
+    interior kinks, or a grid on the scale of an integrand's
+    oscillation, one list per axis.  Integrands that blow up on an
+    interior manifold are out of contract.
     """
     m = len(behaviors)
     if m < 1:
         raise ValueError("need at least one axis")
-    if isinstance(uniform_panels, int):
-        uniform_panels = [uniform_panels] * m
-    elif len(uniform_panels) != m:
-        raise ValueError(
-            f"uniform_panels has {len(uniform_panels)} counts for {m} axes"
-        )
+    if axis_breakpoints is not None and len(axis_breakpoints) != m:
+        raise ValueError(f"axis_breakpoints has {len(axis_breakpoints)} lists for {m} axes")
     fp = f_pair if f_pair is not None else (lambda ts, ss: f(*ts))
     if box is not None:
         fp, behaviors, axis_breakpoints = _apply_box(
@@ -1448,6 +1423,4 @@ def integrate_unit_cube(
     if m >= 4:
         return _monte_carlo(fp, behaviors, tol, rtol, budget or 2**20, seed)
     budget = budget or (2**23 if m <= 2 else 2**26)
-    return _tensor_integrate(
-        fp, behaviors, tol, rtol, budget, uniform_panels, axis_breakpoints
-    )
+    return _tensor_integrate(fp, behaviors, tol, rtol, budget, axis_breakpoints)

@@ -163,6 +163,11 @@ class PiecewisePower:
         if self.r_min < 0 or self.r_max <= self.r_min:
             raise ValueError("need 0 <= r_min < r_max")
 
+    @property
+    def pure(self) -> bool:
+        """No cut: r**exponent on all of (0, inf)."""
+        return self.r_min == 0.0 and self.r_max == math.inf
+
 
 @dataclass(frozen=True)
 class RadialFunction:
@@ -224,13 +229,10 @@ def oscillatory_cutoff(freq: float, big_r: float) -> RadialFunction:
 
 def radial_from_callable(
     fn,
-    vectorized: bool = True,
     label: str = "custom",
     breakpoints: Sequence[float] = (),
 ) -> RadialFunction:
-    """Wrap a plain callable; declare its jump/kink radii as breakpoints."""
-    if not vectorized:
-        fn = np.vectorize(fn, otypes=[float])
+    """Wrap a vectorized callable; declare its jump/kink radii as breakpoints."""
     return RadialFunction(fn, "custom", None, tuple(breakpoints), label)
 
 
@@ -504,7 +506,7 @@ def central_morrey_norm(
     """
     _check_morrey(p, lam, n)
     d = f.descriptor
-    pure_power = d is not None and d.r_min == 0.0 and d.r_max == math.inf
+    pure_power = d is not None and d.pure
     if method not in ("auto", "closed", "grid"):
         raise ValueError(f"unknown method {method!r}")
     if method == "closed" and not pure_power:

@@ -211,22 +211,20 @@ def _layer_product(layers, ts, ss, w_pair):
 
 
 def _integrate_weighted(
-    weight: Weight, layers, behaviors, box=None, breakpoints=None,
-    uniform_panels=0, tol: float = 1e-10, seed: int = 0,
+    weight: Weight, layers, behaviors, box=None, breakpoints=None, tol: float = 1e-10,
 ) -> QuadratureResult:
     """int prod(layers) * w over the cube, or over ``box = (lows, highs)``.
 
-    `behaviors`, `breakpoints` and `uniform_panels` are per axis, as for
-    `integrate_unit_cube`.  A factored weight gives the product of one
-    unary integral per axis, each to a 1/m share of the tolerances, with the
-    exact bound E <- E (|v_i| + e_i) + |V| e_i on the running product V
-    plus its rounding.  A mixture weight gives one mixture integral of
-    per-axis unary integrals, each on its own box, breakpoints and
-    panels (`numerics._mixture_integrate`).  Any other weight gives one
-    cube integral.
+    `behaviors` and `breakpoints` (t-space panel edges) are per axis, as
+    for `integrate_unit_cube`.  A factored weight gives the product of
+    one unary integral per axis, each to a 1/m share of the tolerances,
+    with the exact bound E <- E (|v_i| + e_i) + |V| e_i on the running
+    product V plus its rounding.  A mixture weight gives one mixture
+    integral of per-axis unary integrals, each on its own box and
+    breakpoints (`numerics._mixture_integrate`).  Any other weight gives
+    one cube integral.
     """
     m = weight.arity
-    panels = [uniform_panels] * m if isinstance(uniform_panels, int) else uniform_panels
     if weight.mixture is not None:
         mix = weight.mixture
         lows, highs = box if box is not None else ([0.0] * m, [1.0] * m)
@@ -238,15 +236,14 @@ def _integrate_weighted(
                 # the callers' exponents include the weight's own
                 behaviors[i].exponent_at_zero - weight.behaviors[i].exponent_at_zero,
                 behaviors[i].exponent_at_one - weight.behaviors[i].exponent_at_one,
-                float(lows[i]), float(highs[i]), tuple(bps[i]), panels[i], mix.gap_at_zero,
+                float(lows[i]), float(highs[i]), tuple(bps[i]), mix.gap_at_zero,
             )
             for i in range(m)
         ]
         return _mixture_integrate(mix.nu, mix.scale, axes, tol, _CUBE_RTOL)
     if weight.factors is None:
         return integrate_unit_cube(
-            None, behaviors, tol=tol, seed=seed, box=box,
-            uniform_panels=panels, axis_breakpoints=breakpoints,
+            None, behaviors, tol=tol, box=box, axis_breakpoints=breakpoints,
             f_pair=lambda ts, ss: _layer_product(layers, ts, ss, weight.pair),
         )
     value, estimate, evaluations = 1.0, 0.0, 0
@@ -254,7 +251,7 @@ def _integrate_weighted(
         edges = ([box[0][i]], [box[1][i]]) if box is not None else ([0.0], [1.0])
         res = integrate_unit_cube(
             None, [behaviors[i]], tol=tol / m, rtol=_CUBE_RTOL / m,
-            box=None if edges == ([0.0], [1.0]) else edges, uniform_panels=panels[i],
+            box=None if edges == ([0.0], [1.0]) else edges,
             axis_breakpoints=None if breakpoints is None else [breakpoints[i]],
             f_pair=partial(_layer_product, [[layer[i]] for layer in layers], w_pair=w_i.pair),
         )

@@ -113,6 +113,21 @@ class TestNormCommand:
         rec = record_of(out)
         assert rec["result"]["value"] == pytest.approx(2.0**0.75, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "f, method, rel",
+        [("power:-0.25", "auto", 1e-14), ("power:-0.25", "grid", 1e-8),
+         ("cutpow:-0.25:1", "auto", 1e-8)],
+    )
+    def test_morrey_estimate_follows_the_route(self, invoke, f, method, rel):
+        # only a pure power outside "grid" takes the exact closed form; a cut
+        # power gets the sup search's lower bound (cutpow:-0.25:1 reads
+        # 1.65499 at R = 1e3, while its norm is 2**0.75 = 1.68179)
+        code, out, _ = invoke("norm", "morrey", "--f", f, "--p", "2",
+                              "--lambda", "-0.25", "--method", method)
+        assert code == 0
+        rec = record_of(out)
+        assert rec["error_estimate"] == rel * rec["result"]["value"]
+
     def test_cmo_log(self, invoke):
         code, out, _ = invoke("norm", "cmo", "--f", "log", "--q", "2", "--n", "1")
         assert code == 0
@@ -255,6 +270,18 @@ class TestOscillationCommand:
         assert code == 0
         assert record_of(out)["verdict"] == "sharp-confirmed"
 
+    @pytest.mark.parametrize(
+        "radii, named",
+        [(("inf",), "r = inf"), (("nan",), "r = nan"), ((), "--r"),
+         (("10", "1e12"), "r = 1e+12")],
+        ids=["inf", "nan", "empty", "1e12"],
+    )
+    def test_bad_radius_is_a_usage_error(self, invoke, radii, named):
+        code, out, err = invoke("oscillation", "--weight", "const:1", "--axes", "1",
+                                "--r", *radii)
+        assert code == 2 and out == ""
+        assert named in err
+
 
 class TestProtocol:
     def test_usage_error_exits_two(self, invoke):
@@ -381,13 +408,46 @@ class TestFlagSlots:
         assert params["decay_tol"] == DEFAULT_DECAY_TOL
 
 
+README_RECORDS = Path(__file__).parent / "data" / "readme_records.json"
+
+
+def pinned_record(out):
+    """The record `out` holds, without its `timestamp`."""
+    rec = record_of(out)
+    del rec["timestamp"]
+    return rec
+
+
 class TestReadmeCommands:
+    """Each README command exits 0, converges and prints its pinned record.
+
+    `tests/data/readme_records.json` maps every command line to its record
+    without `timestamp`.  After a change that is meant to move a record,
+    regenerate the file with ``PYTHONPATH=src python tests/test_cli.py``
+    and list the moved fields in CHANGES.md.
+    """
+
     def test_all_found(self):
         assert len(README_COMMANDS) == 18
+        assert set(json.loads(README_RECORDS.read_text())) == set(README_COMMANDS)
 
     @pytest.mark.parametrize("line", README_COMMANDS)
     def test_documented_command_passes(self, invoke, line):
         code, out, err = invoke(*shlex.split(line)[1:])
         assert code == 0, err
-        rec = record_of(out)
+        rec = pinned_record(out)
         assert rec.get("converged", True) is True
+        assert rec == json.loads(README_RECORDS.read_text())[line]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    records = {}
+    for line in README_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            run(shlex.split(line)[1:])
+        records[line] = pinned_record(out.getvalue())
+    README_RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,8 @@
 """Sharpness and necessity experiments: verdicts, guards, constructions."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,27 @@ class TestOscillationDecay:
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             oscillation_decay_check(ONE, ())
+
+    @pytest.mark.parametrize(
+        "radii, named",
+        [((10.0, math.inf), "r = inf"), ((10.0, math.nan), "r = nan"),
+         ((), "r sequence must be nonempty"), ((10.0, 1e12), "r = 1e+12"),
+         ((0.0, 10.0), "r = 0")],
+        ids=["inf", "nan", "empty", "1e12", "zero"],
+    )
+    def test_bad_radii_rejected_before_any_grid(self, monkeypatch, radii, named):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before every radius was checked")
+
+        monkeypatch.setattr(experiments, "_integrate_weighted", no_quadrature)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                oscillation_decay_check(ONE, (1,), radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_early_stop_keeps_computed_errors(self):
         # I(12) = 0 exactly, so an absurd absolute tolerance cannot be met there

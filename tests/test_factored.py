@@ -3,8 +3,9 @@
 `constant_weight(c, m)` with m >= 2 factors into one unary weight per
 axis, so every integral against it is a product of one-dimensional
 integrals.  The oracle tests hold that route to the unfactored one, a
-single `integrate_unit_cube` call on the whole product integrand; the
-calibration tests hold it to stdlib closed forms.
+single `integrate_unit_cube` call on the whole product integrand, and
+to closed forms; the calibration tests hold the constant families to
+stdlib closed forms.
 """
 
 import math
@@ -58,7 +59,7 @@ def config(m):
     return ExponentConfig(1, p, tuple(-0.5 / pi for pi in p))
 
 
-def tensor(weight, factors, behaviors, box=None, breakpoints=None, uniform_panels=0):
+def tensor(weight, factors, behaviors, box=None, breakpoints=None):
     """The unfactored route: one cube integral of w * prod_i phi_i(t_i, s_i)."""
 
     def f_pair(ts, ss):
@@ -68,8 +69,7 @@ def tensor(weight, factors, behaviors, box=None, breakpoints=None, uniform_panel
         return acc
 
     return integrate_unit_cube(
-        None, behaviors, box=box, axis_breakpoints=breakpoints,
-        uniform_panels=uniform_panels, f_pair=f_pair,
+        None, behaviors, box=box, axis_breakpoints=breakpoints, f_pair=f_pair
     )
 
 
@@ -81,6 +81,12 @@ def assert_agree(factored, unfactored):
     assert gap <= factored.abs_error_estimate + unfactored.abs_error_estimate
 
 
+def assert_closed_form(value, estimate, weight, per_axis):
+    """`value` is c * prod(per_axis) for const:c, within `estimate` + 4 ulp."""
+    exact = float(weight(*[0.5] * weight.arity)) * math.prod(per_axis)
+    assert abs(value - exact) <= estimate + 4 * math.ulp(exact)
+
+
 @pytest.fixture(params=[(0.75, 2), (2.5, 3)], ids=["const:0.75:2", "const:2.5:3"])
 def weight(request):
     c, m = request.param
@@ -88,7 +94,11 @@ def weight(request):
 
 
 class TestOracle:
-    """The factored route against one cube integral of the whole product."""
+    """The factored route against one cube integral of the whole product.
+
+    Each case but the constant families (see `TestCalibration`) is also
+    held to its closed form, a product over axes times c.
+    """
 
     @pytest.mark.parametrize("family", tuple(FAMILIES))
     def test_constant_families(self, weight, family):
@@ -112,15 +122,20 @@ class TestOracle:
         factors = [lambda t, s, e=e: t**e for e in exps]
         behaviors = [EndpointBehavior()] * m
         assert_agree(res, tensor(weight, factors, behaviors, box=([cut] * m, [1.0] * m)))
+        assert_closed_form(res.value, res.abs_error_estimate, weight,
+                           [(1.0 - cut ** (1.0 + e)) / (1.0 + e) for e in exps])
 
     def test_hardy_apply_cutoff_powers(self, weight):
         m, r, r0 = weight.arity, 2.0, 0.5
-        funcs = tuple(cutoff_power(-0.3 - 0.1 * i, r0) for i in range(m))
+        exps = [-0.3 - 0.1 * i for i in range(m)]
+        funcs = tuple(cutoff_power(a, r0) for a in exps)
         res = hardy_apply(OperatorRequest(weight, funcs, r))
         # f(t r) vanishes for t r <= r0
         factors = [lambda t, s, f=f: f.fn(t * r) for f in funcs]
         box = ([r0 / r] * m, [1.0] * m)
         assert_agree(res, tensor(weight, factors, [EndpointBehavior()] * m, box=box))
+        assert_closed_form(res.value, res.abs_error_estimate, weight,
+                           [r**a * (1.0 - (r0 / r) ** (1.0 + a)) / (1.0 + a) for a in exps])
 
     def test_cesaro_apply_cutoff_powers(self, weight):
         m, r, r0 = weight.arity, 0.4, 0.5
@@ -132,6 +147,9 @@ class TestOracle:
         behaviors = [EndpointBehavior(-a - 1.0, 0.0) for a in exps]
         box = ([0.0] * m, [r / r0] * m)
         assert_agree(res, tensor(weight, factors, behaviors, box=box))
+        # r**a int_0^(r/r0) t**(-a-1) dt, for r <= r0
+        assert_closed_form(res.value, res.abs_error_estimate, weight,
+                           [r0**a / -a for a in exps])
 
     def test_log_symbol_commutator(self, weight):
         m, r = weight.arity, 3.0
@@ -144,6 +162,9 @@ class TestOracle:
         ]
         behaviors = [EndpointBehavior(a, 0.0) for a in exps]
         assert_agree(res, tensor(weight, factors, behaviors))
+        # int_0^1 (t r)**a log(1/t) dt
+        assert_closed_form(res.value, res.abs_error_estimate, weight,
+                           [r**a / (1.0 + a) ** 2 for a in exps])
 
     @pytest.mark.parametrize("axes", ["one", "all"])
     def test_oscillation_integrand(self, weight, axes):
@@ -154,12 +175,16 @@ class TestOracle:
         sine = lambda t, s: np.sin(math.pi * r * t)
         ones = lambda t, s: np.ones_like(t)
         factors = [sine if i in axes else ones for i in range(1, m + 1)]
-        panels = [8 if i in axes else 0 for i in range(1, m + 1)]
-        res = tensor(weight, factors, [EndpointBehavior()] * m, uniform_panels=panels)
+        grid = tuple(np.linspace(0.0, 1.0, 9)[1:-1].tolist())
+        breakpoints = [grid if i in axes else () for i in range(1, m + 1)]
+        res = tensor(weight, factors, [EndpointBehavior()] * m, breakpoints=breakpoints)
         assert res.converged
         assert abs(rep.sweep[0][1] - abs(res.value)) <= (
             rep.sweep_errors[0] + res.abs_error_estimate
         )
+        sine_axis = (1.0 - math.cos(math.pi * r)) / (math.pi * r)
+        assert_closed_form(rep.sweep[0][1], rep.sweep_errors[0], weight,
+                           [sine_axis if i in axes else 1.0 for i in range(1, m + 1)])
 
 
 def axis_closed_form(e, shift):

@@ -55,14 +55,14 @@ def test_oscillation_reaches_every_radius():
     assert [r for r, _ in rep.sweep] == [10.0, 100.0, 200.0]
     assert rep.verdict != "inconclusive"
     assert max(rep.sweep_errors) <= 1e-9
-    # the axes differ in uniform_panels, so each keeps its own exp matrix
+    # the axes differ in breakpoints, so each keeps its own exp matrix
     # and the bits of one matrix product per axis
     assert repr(rep.sweep) == (
-        "((10.0, 0.03335347125654427), (100.0, 0.0036641168886689113), "
-        "(200.0, 0.0018543392261593339))"
+        "((10.0, 0.03335347125654416), (100.0, 0.003664116888668776), "
+        "(200.0, 0.0018543392261593775))"
     )
     assert repr(rep.sweep_errors) == (
-        "(6.05765437811101e-15, 3.345544327681971e-14, 6.83851846677852e-14)"
+        "(5.9119376061289586e-15, 3.358034336709004e-14, 6.75332186006461e-14)"
     )
 
 

@@ -231,19 +231,18 @@ class TestUnitCube:
         with pytest.raises(QuadratureError):
             integrate_unit_cube(f, [EndpointBehavior()] * m)
 
-    def test_uniform_panels_per_axis(self):
+    def test_grid_breakpoints_per_axis(self):
         f = lambda a, b: np.sin(20.0 * math.pi * a) ** 2 * b
         beh = [EndpointBehavior(), EndpointBehavior()]
-        shared = integrate_unit_cube(f, beh, uniform_panels=20)
-        listed = integrate_unit_cube(f, beh, uniform_panels=[20, 20])
-        assert listed == shared  # an int means the same count on every axis
-        lean = integrate_unit_cube(f, beh, uniform_panels=[20, 0])
+        grid = tuple(np.linspace(0.0, 1.0, 21)[1:-1].tolist())
+        shared = integrate_unit_cube(f, beh, axis_breakpoints=[grid, grid])
+        lean = integrate_unit_cube(f, beh, axis_breakpoints=[grid, ()])
         assert lean.value == pytest.approx(0.25, abs=err_bound(lean))
         assert lean.evaluations < shared.evaluations
-        with pytest.raises(ValueError, match="2 counts for 3 axes"):
+        with pytest.raises(ValueError, match="2 lists for 3 axes"):
             integrate_unit_cube(
                 lambda a, b, c: a * b * c, [EndpointBehavior()] * 3,
-                uniform_panels=[4, 4],
+                axis_breakpoints=[(), ()],
             )
 
     def test_monte_carlo_deterministic(self):
