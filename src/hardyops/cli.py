@@ -20,12 +20,14 @@ Function specs: power:a, cutpow:a:r0, log, osccut:r:R, plus the
 
 Output is a single JSON object on stdout.  Exit codes: 0 success or
 experiment passed; 1 experiment verdict violated or inconclusive; 2
-usage or parameter error.  A flag exists only where a computation reads
-it: `--tol` on all subcommands but `norm` (whose record then has null
-`tolerances`), `--csv` (sweep rows `parameter,value,error`) on the three
-experiment subcommands and `--params-file FILE` (`key=value` defaults)
-everywhere.  `--seed` on `constant` is only recorded (other records have
-a null `seed`); it changes no result.
+usage or parameter error; every numeric flag must be finite (`--tol`
+also >= 0), and an error names the flag or parameter at fault.  A flag
+exists only where a computation reads it: `--tol` on all subcommands
+but `norm` (whose record then has null `tolerances`), `--csv` (sweep
+rows `parameter,value,error`) on the three experiment subcommands and
+`--params-file FILE` (`key=value` defaults) everywhere.  `--seed` on
+`constant` is only recorded (other records have a null `seed`); it
+changes no result.
 `norm` takes `--p` for `lp` and `morrey`, `--lambda` and `--method` for
 `morrey` and `--q` for `cmo`; a kind rejects the others, and its record
 lists only the ones it read.
@@ -94,6 +96,24 @@ _NORM_DEFAULTS = {
 }
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; argparse puts the flag's name before the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardyops",
@@ -105,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, tol=True, csv=False):
         if tol:
-            sp.add_argument("--tol", type=float, default=1e-10,
+            sp.add_argument("--tol", type=_tolerance, default=1e-10,
                             help="absolute quadrature tolerance")
         if csv:
             sp.add_argument("--csv", action="store_true",
@@ -117,14 +137,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=1, help="ambient dimension")
         sp.add_argument("--m", type=int, default=None,
                         help="weight arity (cross-checked; defaults a bare const:c)")
-        sp.add_argument("--p", type=float, nargs="+", required=True,
+        sp.add_argument("--p", type=_finite, nargs="+", required=True,
                         metavar="P", help="integrability exponents p_i")
         if lam:
-            sp.add_argument("--lambda", dest="lam", type=float, nargs="+",
+            sp.add_argument("--lambda", dest="lam", type=_finite, nargs="+",
                             default=None, metavar="L",
                             help="Morrey exponents lambda_i (default -1/p_i)")
         if q:
-            sp.add_argument("--q", type=float, nargs="+", default=None,
+            sp.add_argument("--q", type=_finite, nargs="+", default=None,
                             metavar="Q", help="symbol exponents q_i")
 
     sp = sub.add_parser("constant", help="compute a sharp constant")
@@ -133,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     exponents(sp, q=True)
     sp.add_argument("--axes", type=int, nargs="+", default=None,
                     help="log axes (log-moment family)")
-    sp.add_argument("--shift", type=float, default=1.0, choices=(1.0, 2.0),
+    sp.add_argument("--shift", type=_finite, default=1.0, choices=(1.0, 2.0),
                     help="log shift c in log(c/t)")
-    sp.add_argument("--truncation", type=float, default=0.0,
+    sp.add_argument("--truncation", type=_finite, default=0.0,
                     help="restrict all axes to (delta, 1)")
     sp.add_argument("--seed", type=int, default=0,
                     help="recorded only; no constant reads it, so it changes "
@@ -148,11 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="weight spec (hardy/cesaro families)")
     sp.add_argument("--f", nargs="+", required=True, help="input function specs")
     sp.add_argument("--b", nargs="+", default=None, help="symbol specs (commutators)")
-    sp.add_argument("--r", type=float, required=True, help="radius |x|")
+    sp.add_argument("--r", type=_finite, required=True, help="radius |x|")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--m", type=int, default=None,
                     help="weight arity (cross-checked; defaults a bare const:c)")
-    sp.add_argument("--alpha", type=float, default=None,
+    sp.add_argument("--alpha", type=_finite, default=None,
                     help="fractional order (rl/weyl)")
     common(sp)
 
@@ -161,10 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True, help="function spec")
     # flags only some kinds read default to None; _cmd_norm applies
     # _NORM_DEFAULTS
-    sp.add_argument("--p", type=float, default=None, help="integrability exponent (lp, morrey)")
-    sp.add_argument("--q", type=float, default=None, help="oscillation exponent (cmo)")
+    sp.add_argument("--p", type=_finite, default=None, help="integrability exponent (lp, morrey)")
+    sp.add_argument("--q", type=_finite, default=None, help="oscillation exponent (cmo)")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=None,
                     help="Morrey exponent (morrey)")
     sp.add_argument("--method", choices=("auto", "closed", "grid"), default=None,
                     help="Morrey norm route (morrey)")
@@ -174,25 +194,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("experiment", choices=_EXPERIMENTS)
     sp.add_argument("--weight", required=True)
     exponents(sp)
-    sp.add_argument("--eps", type=float, nargs="+", default=None,
+    sp.add_argument("--eps", type=_finite, nargs="+", default=None,
                     help="sweep parameters (lebesgue/cesaro)")
-    sp.add_argument("--experiment-tol", type=float, default=None,
+    sp.add_argument("--experiment-tol", type=_finite, default=None,
                     help="verdict tolerance (default per experiment)")
     common(sp, csv=True)
 
     sp = sub.add_parser("counterexample",
                         help="finite plain moment, divergent log moment")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--delta", type=float, nargs="+", default=DEFAULT_DELTA_SEQUENCE)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--delta", type=_finite, nargs="+", default=DEFAULT_DELTA_SEQUENCE)
     common(sp, csv=True)
 
     sp = sub.add_parser("oscillation", help="Riemann-Lebesgue decay check")
     sp.add_argument("--weight", required=True)
     sp.add_argument("--axes", type=int, nargs="+", required=True)
+    # the radii are checked by the experiment, which names each bad one
     sp.add_argument("--r", type=float, nargs="+", default=DEFAULT_R_SEQUENCE)
-    sp.add_argument("--decay-tol", type=float, default=DEFAULT_DECAY_TOL)
+    sp.add_argument("--decay-tol", type=_finite, default=DEFAULT_DECAY_TOL)
     common(sp, csv=True)
     return parser
 
@@ -259,7 +280,8 @@ def _quadrature_dict(res: QuadratureResult) -> dict:
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    # strict JSON: a NaN or infinity raises (exit 2) instead of printing
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def _record(args, result, error_estimate, converged, verdict=None) -> dict:
@@ -365,9 +387,9 @@ def _cmd_norm(args) -> int:
         value = central_morrey_norm(f, args.p, args.lam, args.n, args.method)
         # a sup-search value is the largest bracket the climb from the best
         # of 61 grid radii finds on R in [1e-3, 1e3], a lower bound on the
-        # norm; 1e-8 of it does not bound its distance to the norm.  Only a
-        # pure power (no cut) outside "grid" takes the exact closed form
-        closed = f.descriptor is not None and f.descriptor.pure and args.method != "grid"
+        # norm; 1e-8 of it does not bound its distance to the norm.  A
+        # piecewise power outside "grid" takes the exact closed form
+        closed = f.descriptor is not None and args.method != "grid"
         rel_bound = 1e-14 if closed else 1e-8
     else:
         value = cmo_norm(f, args.q, args.n)

@@ -1014,9 +1014,13 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
 
     Rows with box ends at 0 or 1 and `_edge_ladder`s at the same ends
     form a group with one rule per rung, whose dyadic ladder reaches the
-    group's smallest scale; rows with interior, ladder-free ends are
-    smooth and take each rung's order at depth 0, without grading.  A
-    rung evaluates a group's unfinished rows at once, in slabs of at
+    group's smallest scale.  Rows with interior, ladder-free ends lie at
+    least a quarter of their width from both singular ends, so their
+    integrand is analytic in a Bernstein ellipse of parameter at least
+    1.5 + sqrt(1.25) about the box, and each rung is one Gauss-Legendre
+    panel of its order (error about that parameter to the power
+    -2 order: 1e-10 of the integrand's scale at order 12, 4e-14 at 16).
+    A rung evaluates a group's unfinished rows at once, in slabs of at
     most `_BOX_SLAB_NODES` nodes.  `fp(ts, ss)` receives 2-D nodes and
     their exact complements, one line per row, and evaluates
     elementwise.  Boxes must be nonempty and lie in [0, 1].  Returns the
@@ -1068,7 +1072,11 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
             bps += [1.0 - e for e in _edge_ladder(hi_scales[rows].min())]
         previous = None
         for k, (depth, order) in enumerate(ladder):
-            rule = _cached_axis_rule(beh, depth if key else 0, order, tuple(bps))
+            if key:
+                rule = _cached_axis_rule(beh, depth, order, tuple(bps))
+            else:
+                x, w = _gl(order)
+                rule = x, 1.0 - x, w
             value, mass = row_sums(rows, rule)
             if previous is not None:
                 delta = np.abs(value - previous)

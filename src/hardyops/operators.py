@@ -78,8 +78,8 @@ class OperatorRequest:
             object.__setattr__(self, "symbols", tuple(self.symbols))
             if len(self.symbols) != self.weight.arity:
                 raise ValueError("need one symbol per weight coordinate")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got r = {self.radius}")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
 

@@ -9,9 +9,10 @@ Three norms are provided:
 * ``lebesgue_norm``: plain L^p, closed-form for piecewise powers,
   half-line quadrature otherwise;
 * ``central_morrey_norm``: sup over R > 0 of the ball average
-  ``(|B(0,R)|**-(1+lam*p) * int_{B(0,R)} |f|^p)**(1/p)``, exact for pure
-  powers ``r**(n*lam)``; otherwise the largest bracket a search of R in
-  [1e-3, 1e3] finds (`_grid_sup`), a lower bound on the norm;
+  ``(|B(0,R)|**-(1+lam*p) * int_{B(0,R)} |f|^p)**(1/p)``, exact for a
+  piecewise power ``r**a`` on (r0, r1), whose sup has a closed form;
+  otherwise the largest bracket a search of R in [1e-3, 1e3] finds
+  (`_grid_sup`), a lower bound on the norm;
 * ``cmo_norm``: sup over R of the central mean oscillation
   ``(|B|**-1 int_B |b - b_B|^q)**(1/q)``; for ``b = log|x|`` the bracket
   is R-invariant and collapses to a single integral, and for any other
@@ -24,8 +25,9 @@ once into a panel profile (`numerics._PanelProfile`), and every ball
 integral of the search reads off it: the 61 grid radii take one batched
 query per ball quantity (the Morrey averages; the CMO means, then their
 oscillations), and each probe of the climb one query of each for one
-radius, plus, for the CMO slope, one loose query of the mean of
-sign(b - b_B) |b - b_B|**(q-1).
+radius, plus, for the CMO slope at q != 2, one loose query of the mean
+of sign(b - b_B) |b - b_B|**(q-1) (at q = 2 that is the mean of b - b_B,
+which is zero).
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -89,8 +91,9 @@ class ExponentConfig:
         if not self.p_i:
             raise ValueError("at least one integrability exponent p_i is required")
         object.__setattr__(self, "p_i", tuple(float(p) for p in self.p_i))
-        if any(not p > 1.0 for p in self.p_i):
-            raise ValueError("every p_i must lie in (1, inf)")
+        for p in self.p_i:
+            if not 1.0 < p < math.inf:
+                raise ValueError(f"every p_i must lie in (1, inf), got p_i = {p}")
         if not self.lambda_i:
             object.__setattr__(self, "lambda_i", tuple(-1.0 / p for p in self.p_i))
         else:
@@ -104,8 +107,9 @@ class ExponentConfig:
             object.__setattr__(self, "q_i", tuple(float(q) for q in self.q_i))
             if len(self.q_i) != len(self.p_i):
                 raise ValueError("q_i must match p_i in length")
-            if any(not q > 1.0 for q in self.q_i):
-                raise ValueError("every q_i must lie in (1, inf)")
+            for q in self.q_i:
+                if not 1.0 < q < math.inf:
+                    raise ValueError(f"every q_i must lie in (1, inf), got q_i = {q}")
         if not self.p > 1.0:
             raise ValueError("derived p must exceed 1; exponents too large")
 
@@ -160,13 +164,11 @@ class PiecewisePower:
     r_max: float = math.inf
 
     def __post_init__(self):
-        if self.r_min < 0 or self.r_max <= self.r_min:
-            raise ValueError("need 0 <= r_min < r_max")
-
-    @property
-    def pure(self) -> bool:
-        """No cut: r**exponent on all of (0, inf)."""
-        return self.r_min == 0.0 and self.r_max == math.inf
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"exponent must be finite, got {self.exponent}")
+        # NaN fails both comparisons; r_max may be inf, r_min may not
+        if not 0.0 <= self.r_min < self.r_max:
+            raise ValueError(f"need 0 <= r_min < r_max, got ({self.r_min}, {self.r_max})")
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,8 @@ def log_radial() -> RadialFunction:
 
 def oscillatory_cutoff(freq: float, big_r: float) -> RadialFunction:
     """sin(pi * freq * r) outside the ball of radius big_r / 2, zero inside."""
+    if not (math.isfinite(freq) and math.isfinite(big_r)):
+        raise ValueError(f"frequency and radius must be finite, got ({freq}, {big_r})")
     cut = big_r / 2.0
 
     def fn(r: np.ndarray) -> np.ndarray:
@@ -263,6 +267,8 @@ def parse_function_spec(spec: str) -> RadialFunction:
             if mparts[0] != "chi" or len(mparts) > 2:
                 raise ValueError(f"unknown function modifier {modifier!r}")
             r1 = float(mparts[1]) if len(mparts) == 2 else 1.0
+            if not math.isfinite(r1):
+                raise ValueError(f"@chi radius must be finite, got {r1}")
             if f.descriptor is None:
                 raise ValueError("@chi applies to power-type functions only")
             d = PiecewisePower(f.descriptor.exponent, f.descriptor.r_min, r1)
@@ -486,37 +492,67 @@ def _check_morrey(p: float, lam: float, n: int) -> None:
         raise ValueError(f"lam must lie in [-1/p, 0], got {lam}")
 
 
+def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> float:
+    """Central Morrey norm of a piecewise power f = r**a on (r0, r1), in closed form.
+
+    With kappa = p a + n and beta = n (1 + lam p) the bracket**p is
+    ``n (w_n/n)**(-lam p) R**-beta int_{r0}^{min(R, r1)} r**(kappa-1) dr``.
+    For beta = 0 (lam = -1/p) it rises to the L^p norm.  Otherwise it
+    falls past r1, rises on all of (r0, r1) when a >= n lam, and else
+    peaks at ``R* = r0 (beta/(beta - kappa))**(1/kappa)`` (r0 e**(1/beta)
+    when kappa = 0), where the integral is R***kappa / beta.  So the sup
+    is the bracket at min(R*, r1), or the R -> inf limit
+    ``(w_n/n)**(-lam) (1 + lam p)**(-1/p)`` when a = n lam and r1 = inf;
+    it is infinite when the bracket is unbounded (a > n lam with
+    r1 = inf, or a < n lam with r0 = 0) or |f|**p is not integrable.
+    """
+    d = f.descriptor
+    a, r0, r1 = d.exponent, d.r_min, d.r_max
+    kappa, beta = p * a + n, n * (1.0 + lam * p)
+    if beta <= 0.0:
+        mass = _power_mass(kappa, r0, r1)
+        return math.inf if math.isinf(mass) else (unit_sphere_volume(n) * mass) ** (1.0 / p)
+    level = abs(a - n * lam) <= 1e-12 * max(1.0, abs(n * lam))
+    if (level or a > n * lam) and r1 == math.inf:
+        return _power_morrey_norm(lam, p, n) if level else math.inf
+    if not level and a < n * lam:
+        if r0 == 0.0:
+            return math.inf
+        log_peak = math.log(r0) + (math.log1p(kappa / (beta - kappa)) / kappa if kappa
+                                   else 1.0 / beta)
+        if log_peak < math.log(r1):
+            # the bracket**p at R*, in logs: R* may lie past the float range
+            scale = n / beta * (unit_sphere_volume(n) / n) ** (-lam * p)
+            return math.exp((math.log(scale) + (kappa - beta) * log_peak) / p)
+    return _morrey_brackets(f, p, lam, n)([r1])[0][0]
+
+
 def central_morrey_norm(
     f: RadialFunction, p: float, lam: float, n: int, method: str = "auto"
 ) -> float:
     """Central Morrey norm of radial f; a sup-search lower bound in general.
 
     Admissible range: -1/p <= lam <= 0 (the boundary lam = -1/p gives
-    back the L^p norm).  For a pure power ``r**(n*lam)`` the bracket is
-    R-invariant and the value is exactly
-    ``(w_n/n)**(-lam) * (1 + lam*p)**(-1/p)``; any other pure power has
-    an infinite norm.  `method` is one of "auto", "closed", "grid".
-    Otherwise the value is the largest bracket `_grid_sup` finds on R in
-    [1e-3, 1e3] (the best of 61 grid radii, then a climb on the exact
-    slope of the bracket's log, ``-n lam + (n/p) (|f(R)|^p - A) / A`` with
-    A the ball average of |f|^p), a lower bound on the sup over all
-    R > 0; the brackets take exact power masses for a piecewise power
-    unless "grid", and else read one panel profile of f
-    (`_morrey_brackets`).
+    back the L^p norm).  `method` is one of "auto", "closed", "grid".  A
+    piecewise power r**a on (r0, r1) takes its closed form
+    (`_piece_morrey_norm`) unless "grid": for a pure power the bracket is
+    R-invariant when a = n lam, with the value
+    ``(w_n/n)**(-lam) * (1 + lam*p)**(-1/p)``, and any other pure power
+    has an infinite norm.  Otherwise the value is the largest bracket
+    `_grid_sup` finds on R in [1e-3, 1e3] (the best of 61 grid radii,
+    then a climb on the exact slope of the bracket's log,
+    ``-n lam + (n/p) (|f(R)|^p - A) / A`` with A the ball average of
+    |f|^p), a lower bound on the sup over all R > 0, whose brackets read
+    one panel profile of f (`_morrey_brackets`).
     """
     _check_morrey(p, lam, n)
     d = f.descriptor
-    pure_power = d is not None and d.pure
     if method not in ("auto", "closed", "grid"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not pure_power:
-        raise ValueError("closed form requires a pure power")
-    if pure_power and method in ("auto", "closed"):
-        if abs(d.exponent - n * lam) > 1e-12 * max(1.0, abs(n * lam)):
-            return math.inf  # bracket ~ R^(a - n lam) is unbounded on one side
-        if 1.0 + lam * p <= 0.0:
-            return math.inf  # boundary lam = -1/p: r^(-n/p) is not p-integrable
-        return _power_morrey_norm(lam, p, n)
+    if method == "closed" and d is None:
+        raise ValueError("closed form requires a piecewise power")
+    if d is not None and method != "grid":
+        return _piece_morrey_norm(f, p, lam, n)
     return _grid_sup(_morrey_brackets(f, p, lam, n, method == "grid"))
 
 
@@ -560,11 +596,13 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
     where G is the ball mean of sign(b - c) |b - c|**(q-1).  G only
     steers, and its integrand has a cusp at b = c for q < 2, so it is
-    queried to 1e-9 absolute or 1e-6 relative and never raises; every
-    returned value comes from the mean and oscillation queries.
+    queried to 1e-9 absolute or 1e-6 relative and never raises; at q = 2
+    it is the ball mean of b - c, which is zero within the mean's own
+    estimate, so it is not queried.  Every returned value comes from the
+    mean and oscillation queries.
     """
-    if not q > 1.0:
-        raise ValueError("q must exceed 1")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"q must exceed 1 and be finite, got q = {q}")
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if b.kind == "log":
@@ -614,13 +652,17 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
         if not slopes:
             return values, None
         # G only steers the climb: a loose goal, and no raise, since its
-        # integrand has a cusp at b = c for q < 2
-        tilts = profile.integral(lambda v: np.sign(v) * np.abs(v) ** (q - 1.0), radii, means,
-                                 tol=1e-9, rtol=1e-6)
+        # integrand has a cusp at b = c for q < 2; at q = 2 it is the ball
+        # mean of b - c, zero within the mean's own estimate
+        if q == 2.0:
+            tilts = [(0.0, c_err) for c_err in mean_errs]
+        else:
+            tilts = [(n * res.value, n * res.abs_error_estimate) for res in profile.integral(
+                lambda v: np.sign(v) * np.abs(v) ** (q - 1.0), radii, means,
+                tol=1e-9, rtol=1e-6)]
         rises = []
-        for o, gap, c_err, o_err, tilt in zip(osc, b.fn(radii) - means, mean_errs, osc_errs,
-                                              tilts):
-            g, g_err = n * tilt.value, n * tilt.abs_error_estimate
+        for o, gap, c_err, o_err, (g, g_err) in zip(osc, b.fn(radii) - means, mean_errs,
+                                                    osc_errs, tilts):
             edge = abs(gap) ** q
             # dO/dx has the sign of the bracket O**(1/q)'s slope; its error
             # bound carries the queries' estimates, plus its own rounding

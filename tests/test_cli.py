@@ -40,10 +40,15 @@ def readme_commands():
 README_COMMANDS = readme_commands()
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def record_of(out):
+    """The one record `out` holds, parsed as strict JSON (no NaN or Infinity)."""
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 1, out
-    return json.loads(lines[0])
+    return json.loads(lines[0], parse_constant=_no_constant)
 
 
 class TestConstantCommand:
@@ -116,12 +121,12 @@ class TestNormCommand:
     @pytest.mark.parametrize(
         "f, method, rel",
         [("power:-0.25", "auto", 1e-14), ("power:-0.25", "grid", 1e-8),
-         ("cutpow:-0.25:1", "auto", 1e-8)],
+         ("cutpow:-0.25:1", "auto", 1e-14), ("cutpow:-0.25:1", "grid", 1e-8)],
     )
     def test_morrey_estimate_follows_the_route(self, invoke, f, method, rel):
-        # only a pure power outside "grid" takes the exact closed form; a cut
-        # power gets the sup search's lower bound (cutpow:-0.25:1 reads
-        # 1.65499 at R = 1e3, while its norm is 2**0.75 = 1.68179)
+        # a piecewise power outside "grid" takes the exact closed form (for
+        # cutpow:-0.25:1 its R -> inf limit 2**0.75 = 1.68179); "grid" gets
+        # the sup search's lower bound (1.65499, the bracket at R = 1e3)
         code, out, _ = invoke("norm", "morrey", "--f", f, "--p", "2",
                               "--lambda", "-0.25", "--method", method)
         assert code == 0
@@ -342,6 +347,54 @@ class TestProtocol:
             "--p", "2", "--seed", "42",
         )
         assert record_of(out)["seed"] == 42
+
+
+# a non-finite or negative number in a flag or function spec, and the
+# name the error gives; each used to print NaN or Infinity, or to fail
+# with an internal message
+_NON_FINITE = [
+    (("constant", "lebesgue", "--weight", "riesz:1.5:2", "--p", "4", "4", "--tol", "nan"),
+     "argument --tol"),
+    (("constant", "lebesgue", "--weight", "const:1", "--p", "2", "--tol", "inf"),
+     "argument --tol"),
+    (("constant", "lebesgue", "--weight", "const:1", "--p", "2", "--tol", "-1"),
+     "argument --tol"),
+    (("constant", "lebesgue", "--weight", "const:1:2", "--p", "4", "inf"), "argument --p"),
+    (("constant", "lebesgue", "--weight", "const:1:2", "--p", "4", "4", "--q", "2", "nan"),
+     "argument --q"),
+    (("apply", "hardy", "--weight", "const:1", "--f", "cutpow:-0.5:1", "--r", "inf"),
+     "argument --r"),
+    (("norm", "cmo", "--f", "osccut:1:2", "--q", "inf"), "argument --q"),
+    (("norm", "lp", "--f", "power:-0.25", "--p", "inf"), "argument --p"),
+    (("oscillation", "--weight", "const:1", "--axes", "1", "--decay-tol", "nan"),
+     "argument --decay-tol"),
+    (("norm", "lp", "--f", "power:nan", "--p", "2"), "invalid function spec 'power:nan'"),
+    (("norm", "lp", "--f", "power:inf", "--p", "2"), "invalid function spec 'power:inf'"),
+    (("norm", "lp", "--f", "cutpow:nan:1", "--p", "2"), "invalid function spec 'cutpow:nan:1'"),
+    (("norm", "lp", "--f", "cutpow:-0.5:nan", "--p", "2"),
+     "invalid function spec 'cutpow:-0.5:nan'"),
+    (("norm", "lp", "--f", "power:0@chi:inf", "--p", "2"),
+     "invalid function spec 'power:0@chi:inf'"),
+    (("norm", "cmo", "--f", "osccut:inf:2", "--q", "2"), "invalid function spec 'osccut:inf:2'"),
+    (("norm", "cmo", "--f", "osccut:1:nan", "--q", "2"), "invalid function spec 'osccut:1:nan'"),
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, named", _NON_FINITE,
+                             ids=[" ".join(argv) for argv, _ in _NON_FINITE])
+    def test_is_a_usage_error_that_names_it(self, invoke, argv, named):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        assert named in err
+        assert "Warning" not in err
+
+    def test_params_file_values_are_checked_too(self, invoke, tmp_path):
+        pf = tmp_path / "bad.params"
+        pf.write_text("tol=nan\n")
+        code, out, err = invoke(*_BASE["constant"], "--params-file", str(pf))
+        assert code == 2 and out == ""
+        assert "argument --tol" in err
 
 
 # one minimal valid invocation per subcommand

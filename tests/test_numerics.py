@@ -361,24 +361,25 @@ def _power_integral(e, lows, highs):
 class TestIntegrateBoxes:
     """Row-batched box integrals of t**e against the closed form."""
 
-    @pytest.mark.parametrize("e", [-0.7, 0.0, 2.5])
-    def test_ungraded_smooth_boxes(self, e, monkeypatch):
-        depths = []
-        rule = numerics._cached_axis_rule
+    @pytest.mark.parametrize("e", [-0.7, 0.0, 2.5, -1.6])
+    def test_ungraded_smooth_boxes(self, e):
+        orders = []
 
-        def recorded(behavior, depth, *args):
-            depths.append(depth)
-            return rule(behavior, depth, *args)
+        def fp(ts, ss):
+            orders.append(ts.shape[1])
+            return ts**e
 
-        monkeypatch.setattr(numerics, "_cached_axis_rule", recorded)
-        # interior boxes at least a quarter of their width from 0 and 1
-        lows = np.array([0.3, 0.31, 0.5, 0.05, 0.6, 0.7])
-        highs = np.array([0.31, 0.4, 0.5 + 1e-9, 0.06, 0.7, 0.75])
+        # interior boxes at least a quarter of their width from 0 and 1;
+        # the last two sit exactly a quarter of their width from t = 0 (a
+        # singular end for e < 0) and from t = 1
+        lows = np.array([0.3, 0.31, 0.5, 0.05, 0.6, 0.7, 0.0625, 0.375])
+        highs = np.array([0.31, 0.4, 0.5 + 1e-9, 0.06, 0.7, 0.75, 0.3125, 0.875])
         values, estimates, converged = numerics._integrate_boxes(
-            lambda ts, ss: ts**e, EndpointBehavior(), lows, highs, 1e-10
+            fp, EndpointBehavior(), lows, highs, 1e-10
         )
         exact = _power_integral(e, lows, highs)
-        assert converged.all() and set(depths) == {0}
+        # one Gauss-Legendre panel per rung: 12 nodes per row, then 16
+        assert converged.all() and orders == [12, 16]
         assert np.all(np.abs(values - exact) <= estimates + 8 * np.spacing(exact))
 
     def test_boxes_at_the_ends_and_with_edge_ladders(self):

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from hardyops import experiments, numerics, operators
+from hardyops.experiments import duality_check
 from hardyops.numerics import gamma
 from hardyops.operators import (
     OperatorRequest,
@@ -63,6 +65,11 @@ class TestHardyApply:
         req = OperatorRequest(ONE, (power(0),), 1.0, symbols=(log_radial(),))
         with pytest.raises(ValueError):
             hardy_apply(req)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            OperatorRequest(ONE, (cutoff_power(-0.5, 1.0),), r)
 
 
 class TestCesaroApply:
@@ -295,6 +302,36 @@ class TestApplyRadii:
             assert c == res.converged, r
         for j, r in enumerate(radii):
             assert values[radii.index(r)] == values[j]
+
+    def test_duality_nodes_match_the_closed_form(self, monkeypatch):
+        # the Hardy side of the const:1, n = 1 duality check: 616 outer
+        # radii, whose boxes (1/r, 1) split (0, 1) into 616 pieces, 613 of
+        # them a quarter of their width from both ends (one Gauss panel
+        # per rung); H f(r) = r**a (1 - lo**(a + 1)) / (a + 1) on the box
+        # (lo, 1) with lo = 1/r, rounded as the box edge is (near r = 1 an
+        # ulp of lo is 1e-7 of the value, and no estimate carries it)
+        f, a = cutoff_power(-0.8, 1.0), -0.8
+        calls = []
+
+        def recorded(weight, inner, radii, n, tol, cesaro):
+            calls.append((np.array(radii), cesaro))
+            return _apply_radii(weight, inner, radii, n, tol, cesaro)
+
+        monkeypatch.setattr(experiments, "_apply_radii", recorded)
+        duality_check(ONE, f, cutoff_power(-0.8, 0.5), 1)
+        radii = next(r for r, cesaro in calls if not cesaro)
+        rows = []
+        boxes = numerics._integrate_boxes
+
+        def counted(fp, behavior, lows, highs, tol):
+            rows.append(np.size(lows))
+            return boxes(fp, behavior, lows, highs, tol)
+
+        monkeypatch.setattr(operators, "_integrate_boxes", counted)
+        values, estimates, converged = _apply_radii(ONE, f, radii, 1, 1e-10, False)
+        exact = radii**a * -np.expm1((a + 1.0) * np.log(1.0 / radii)) / (a + 1.0)
+        assert radii.size == 616 and rows == [616] and converged.all()
+        assert np.all(np.abs(values - exact) <= estimates)
 
     @pytest.mark.parametrize("weight", [ONE, riemann_liouville_weight(0.5)], ids=lambda w: w.label)
     @pytest.mark.parametrize(

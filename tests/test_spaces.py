@@ -201,6 +201,79 @@ class TestCentralMorreyNorm:
             central_morrey_norm(power(-0.25), 2.0, 0.5, 1)
 
 
+class TestPieceMorreyNorm:
+    """The closed-form Morrey norm of r**a on (r0, r1) (p = 2, lam = -1/4 unless named).
+
+    With kappa = p a + n and beta = n (1 + lam p) the bracket**p is
+    n (w_n/n)**(-lam p) R**-beta int_{r0}^{min(R, r1)} r**(kappa-1) dr.
+    """
+
+    @pytest.mark.parametrize(
+        "spec, n, argmax",
+        [
+            # a < n lam: the peak R* = r0 (beta/(beta - kappa))**(1/kappa),
+            # 3e-5 for kappa = -1, beta = 1/2; below the search window
+            ("cutpow:-1:1e-5", 1, 3e-5),
+            ("cutpow:-1.2:0.5", 1, 0.5 * (0.5 / 1.9) ** (1.0 / -1.4)),
+            # kappa = 0: R* = r0 e**(1/beta)
+            ("cutpow:-0.5:2", 1, 2.0 * math.exp(2.0)),
+            ("cutpow:-1.5:1", 2, (1.0 / 2.0) ** -1.0),
+            # R* past the outer edge: the sup sits at r1
+            ("cutpow:-1:1e-5@chi:2e-5", 1, 2e-5),
+            # a >= n lam with a finite r1: the bracket rises to r1
+            ("power:0@chi:2", 2, 2.0),
+            ("cutpow:-0.25:1@chi:3", 1, 3.0),
+        ],
+    )
+    def test_sup_is_the_bracket_at_its_argmax(self, spec, n, argmax):
+        f = parse_function_spec(spec)
+        value = central_morrey_norm(f, 2.0, -0.25, n)
+        (_, at_argmax), = central_morrey_profile(f, 2.0, -0.25, n, [argmax])
+        assert value == pytest.approx(at_argmax, rel=1e-14, abs=0.0)
+        near = argmax * (1.0 + np.linspace(-1e-3, 1e-3, 21))
+        radii = np.concatenate([np.logspace(-7.0, 7.0, 281), near])
+        brackets = [v for _, v in central_morrey_profile(f, 2.0, -0.25, n, radii)]
+        assert max(brackets) <= value * (1.0 + 1e-14)
+
+    def test_sup_past_the_window(self):
+        # cutpow:-1:1e-5 peaks at R = 3e-5 with (2/3e-5)**(3/4); the search
+        # keeps to R >= 1e-3 and returns half of it
+        f = parse_function_spec("cutpow:-1:1e-5")
+        value = central_morrey_norm(f, 2.0, -0.25, 1)
+        assert value == pytest.approx((2.0 / 3e-5) ** 0.75, rel=1e-14)
+        assert central_morrey_norm(f, 2.0, -0.25, 1, method="grid") < 0.51 * value
+
+    def test_limit_at_infinity(self):
+        # a = n lam with r1 = inf: the bracket rises to the pure power's
+        # norm (w_n/n)**(-lam) (1 + lam p)**(-1/p) = 2**(1/4) sqrt(2) and
+        # never reaches it; the search returns the bracket at R = 1e3
+        f = parse_function_spec("cutpow:-0.25:1")
+        value = central_morrey_norm(f, 2.0, -0.25, 1)
+        assert value == 2.0**0.25 * SQRT2
+        (_, far), = central_morrey_profile(f, 2.0, -0.25, 1, [1e12])
+        assert far < value and far == pytest.approx(value, rel=1e-6)
+        assert central_morrey_norm(f, 2.0, -0.25, 1, method="grid") < 0.99 * value
+
+    @pytest.mark.parametrize(
+        "spec", ["cutpow:-0.1:1", "power:-0.5@chi", "cutpow:-0.5:0", "power:-1@chi"],
+    )
+    def test_unbounded_bracket_is_inf(self, spec):
+        # a > n lam out to r1 = inf, or a < n lam down to r0 = 0
+        assert central_morrey_norm(parse_function_spec(spec), 2.0, -0.25, 1) == math.inf
+
+    def test_lebesgue_boundary(self):
+        # lam = -1/p: the bracket rises to the L^p norm, (2 int_1e-5^inf r**-2)**(1/2)
+        f = parse_function_spec("cutpow:-1:1e-5")
+        assert central_morrey_norm(f, 2.0, -0.5, 1) == pytest.approx(math.sqrt(2e5), rel=1e-15)
+
+    def test_closed_method_takes_piecewise_powers_only(self):
+        f = parse_function_spec("cutpow:-1:1e-5")
+        assert central_morrey_norm(f, 2.0, -0.25, 1, method="closed") == central_morrey_norm(
+            f, 2.0, -0.25, 1)
+        with pytest.raises(ValueError, match="closed form requires a piecewise power"):
+            central_morrey_norm(oscillatory_cutoff(1.0, 2.0), 2.0, -0.25, 1, method="closed")
+
+
 class TestDimensionValidation:
     # n = 0 used to raise ZeroDivisionError (log), print 0.0 (osccut) or
     # print "divergent" (Morrey)
@@ -220,6 +293,11 @@ class TestDimensionValidation:
 
 
 class TestCmoNorm:
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_q_must_be_finite(self, q):
+        with pytest.raises(ValueError, match="q must exceed 1 and be finite"):
+            cmo_norm(oscillatory_cutoff(1.0, 2.0), q, 1)
+
     def test_constant_symbol_vanishes(self):
         assert cmo_norm(power(0.0), 2.0, 1) <= 1e-12
 
@@ -302,17 +380,24 @@ class TestCmoNorm:
 
     def test_grid_is_two_batched_queries(self, query_sizes):
         # the 61 grid radii are one mean query and one oscillation query;
-        # each probe of the climb asks for one radius three times (mean,
-        # oscillation and the slope's tilt G)
+        # at q = 2 each probe of the climb asks for one radius twice (mean
+        # and oscillation): the slope's tilt G is the ball mean of b - b_B,
+        # which is zero, and is not queried
         cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
+        assert query_sizes[:2] == [61, 61]
+        assert set(query_sizes[2:]) == {1}
+        # 8 probes: one at R = 1000, three doubling steps down, four
+        # regula falsi steps
+        assert len(query_sizes) == 2 + 2 * 8
+
+    def test_tilt_is_queried_when_q_is_not_two(self, query_sizes):
+        # each probe asks for one radius three times: mean, oscillation
+        # and the tilt G
+        cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.5, 1)
         assert query_sizes[:2] == [61, 61]
         assert set(query_sizes[2:]) == {1}
         assert len(query_sizes[2:]) % 3 == 0
         assert len(query_sizes[2:]) // 3 <= spaces._MAX_PROBES
-        # here the climb takes 9 probes (one at R = 1000, three doubling
-        # steps down, five regula falsi steps); plain regula falsi, with
-        # no Illinois halving, runs into the cap
-        assert len(query_sizes[2:]) // 3 <= 12
 
     def test_flat_bracket_stops_at_the_first_probe(self, query_sizes):
         # 3 log r has an R-invariant bracket: its slope at the best grid
@@ -511,6 +596,23 @@ class TestFunctionGrammar:
         with pytest.raises(ValueError, match=f"^invalid function spec '{spec}': "):
             parse_function_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["power:nan", "power:inf", "power:-inf", "cutpow:nan:1", "cutpow:-0.5:nan",
+         "cutpow:-0.5:inf", "power:0@chi:inf", "power:0@chi:nan", "osccut:inf:2",
+         "osccut:nan:2", "osccut:1:inf"],
+    )
+    def test_non_finite_numbers_are_rejected(self, spec):
+        with pytest.raises(ValueError, match=f"^invalid function spec '{spec}': "):
+            parse_function_spec(spec)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan,), (1.0, math.nan), (1.0, 0.0, math.nan), (1.0, math.inf)]
+    )
+    def test_piecewise_power_rejects_non_finite_numbers(self, args):
+        with pytest.raises(ValueError):
+            spaces.PiecewisePower(*args)
+
 
 class TestExponentConfig:
     def test_target_exponent_sum(self):
@@ -550,3 +652,12 @@ class TestExponentConfig:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             ExponentConfig(1, (1.0,))
+
+    @pytest.mark.parametrize(
+        "p_i, q_i, named",
+        [((4.0, math.inf), None, "p_i = inf"), ((4.0, math.nan), None, "p_i = nan"),
+         ((4.0, 4.0), (8.0, math.inf), "q_i = inf")],
+    )
+    def test_exponents_must_be_finite(self, p_i, q_i, named):
+        with pytest.raises(ValueError, match=named):
+            ExponentConfig(1, p_i, (), q_i)
