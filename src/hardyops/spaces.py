@@ -513,9 +513,10 @@ def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> float
         mass = _power_mass(kappa, r0, r1)
         return math.inf if math.isinf(mass) else (unit_sphere_volume(n) * mass) ** (1.0 / p)
     level = abs(a - n * lam) <= 1e-12 * max(1.0, abs(n * lam))
-    if (level or a > n * lam) and r1 == math.inf:
+    rising = level or a > n * lam  # on all of (r0, r1)
+    if rising and r1 == math.inf:
         return _power_morrey_norm(lam, p, n) if level else math.inf
-    if not level and a < n * lam:
+    if not rising:
         if r0 == 0.0:
             return math.inf
         log_peak = math.log(r0) + (math.log1p(kappa / (beta - kappa)) / kappa if kappa

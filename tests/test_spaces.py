@@ -217,7 +217,8 @@ class TestPieceMorreyNorm:
             ("cutpow:-1.2:0.5", 1, 0.5 * (0.5 / 1.9) ** (1.0 / -1.4)),
             # kappa = 0: R* = r0 e**(1/beta)
             ("cutpow:-0.5:2", 1, 2.0 * math.exp(2.0)),
-            ("cutpow:-1.5:1", 2, (1.0 / 2.0) ** -1.0),
+            # kappa = -1, beta = 1 in two dimensions: R* = (1/2)**-1
+            ("cutpow:-1.5:1", 2, 2.0),
             # R* past the outer edge: the sup sits at r1
             ("cutpow:-1:1e-5@chi:2e-5", 1, 2e-5),
             # a >= n lam with a finite r1: the bracket rises to r1
@@ -237,7 +238,7 @@ class TestPieceMorreyNorm:
 
     def test_sup_past_the_window(self):
         # cutpow:-1:1e-5 peaks at R = 3e-5 with (2/3e-5)**(3/4); the search
-        # keeps to R >= 1e-3 and returns half of it
+        # keeps to R >= 1e-3 and returns about half of it
         f = parse_function_spec("cutpow:-1:1e-5")
         value = central_morrey_norm(f, 2.0, -0.25, 1)
         assert value == pytest.approx((2.0 / 3e-5) ** 0.75, rel=1e-14)
