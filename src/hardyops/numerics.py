@@ -68,6 +68,13 @@ batched sum per distinct axis rule and rung, over all sigma nodes at
 once.  The entries exp(-sigma gap**2) with sigma gap**2 <= 1 are
 summed from Taylor moments of the gaps, as in the fast Gauss transform
 (Greengard and Strain, 1991), and only the others are computed as exp.
+All of a rung that the f_i do not change (the outer and inner rules, the
+sorted gaps, and the blocks and Taylor tables of the sums) is memoized
+per axis rule, nu, lambda, zeta and rung (`_mixture_setup`), up to 8 MiB
+of read-only arrays, the least recently used dropped first.  A memo hit
+does the same arithmetic as a fresh build, so values, estimates and
+`evaluations` (the work of the sums, counted on every call) do not
+depend on it.
 
 Integrands must accept numpy arrays (one per coordinate) and evaluate
 elementwise.
@@ -289,6 +296,8 @@ def _split_panels(
 _PROFILE_NODES = 2**22
 # phi values a profile query holds at once
 _PROFILE_SLAB = 2**14
+# (panel, radius) rows a profile query refines at once, about 12 MiB
+_PROFILE_ROWS = 2**17
 
 
 class _PanelProfile:
@@ -507,6 +516,20 @@ class _PanelProfile:
                 cuts = np.union1d(cuts, bps[(bps > self.edges[-1]) & (bps < big[-1])])
             self._insert(cuts, big[-1])
             counts = self.edges.searchsorted(big)
+        if big.size > 1 and counts.sum() > _PROFILE_ROWS:
+            # consecutive radii in queries of at most _PROFILE_ROWS rows each
+            # (or one radius), counted after the previous ones' refinement,
+            # each charged the new edges as if they were its own
+            results, a, budget = [None] * big.size, 0, max_evals - (self.fresh - start)
+            while a < big.size:
+                rows = self.edges.searchsorted(big[a:]).cumsum()
+                b = a + max(1, int(rows.searchsorted(_PROFILE_ROWS, side="right")))
+                part = self.integral(phi, big[a:b], None if shift is None else shift[a:b],
+                                     tol, rtol, budget)
+                for i, res in zip(order[a:b].tolist(), part):
+                    results[i] = res
+                a = b
+            return results
         # the radii still refining, ascending (`big`, their places in
         # `radii`, the fresh evaluations charged to them, the rows they
         # summed), and their rows, grouped by radius: the rows of radius R
@@ -1197,7 +1220,58 @@ def _mixture_outer(nu: float, lam: float, zeta: float, depth: int, order: int, c
     return sigma[order], np.concatenate([wz, (nu / mu) * wy * right**lam])[order]
 
 
-def _gaussian_sums(sigma: np.ndarray, gap2: np.ndarray, cols: np.ndarray):
+class _SumsPlan(NamedTuple):
+    """The f-independent part of `_gaussian_sums` for one (sigma, gap2)."""
+
+    step: int  # rows per block
+    rows: int  # rows of the blocks with a head, a prefix
+    segments: np.ndarray  # the first gap of each segment between distinct heads
+    at: np.ndarray  # each head block's segment
+    powers: np.ndarray  # g**m, m < _HEAD_TERMS, for the gaps of the longest head
+    coef: np.ndarray  # (-sigma)**m / m!, as (blocks, _HEAD_TERMS, step)
+    tail: tuple  # (first row, first gap, end gap) of each exp block
+    count: int  # the work of one call
+
+
+def _sums_plan(sigma: np.ndarray, gap2: np.ndarray) -> _SumsPlan:
+    """Blocks, head and tail bounds and head tables of `_gaussian_sums`."""
+    step = max(1, min(64, _SLAB_NODES // gap2.size))
+    starts = np.arange(0, sigma.size, step)
+    lasts = sigma[np.minimum(starts + step, sigma.size) - 1]
+    with np.errstate(divide="ignore"):
+        keeps = np.searchsorted(gap2, _EXP_ZERO / sigma[starts], side="right")
+        heads = np.searchsorted(
+            gap2, np.minimum(_HEAD_DELTA / lasts, _HEAD_GAP2_MAX), side="right"
+        )
+    # heads never grow from block to block, so the blocks with one are a prefix
+    heads[lasts > _HEAD_SIGMA_MAX] = 0
+    blocks = int(np.count_nonzero(heads))
+    rows = min(blocks * step, sigma.size)
+    edges, at = np.unique(heads[:blocks], return_inverse=True)
+    top = int(edges[-1]) if blocks else 0
+    powers = np.empty((_HEAD_TERMS, top))
+    coef = np.zeros((_HEAD_TERMS, blocks * step))
+    with np.errstate(under="ignore"):
+        if blocks:
+            powers[0] = 1.0
+            coef[0] = 1.0
+        for m in range(1, _HEAD_TERMS):
+            np.multiply(powers[m - 1], gap2[:top], out=powers[m])
+            np.multiply(coef[m - 1, :rows], sigma[:rows], out=coef[m, :rows])
+            coef[m, :rows] *= -1.0 / m
+    tail = tuple(
+        (a, lo, hi)
+        for a, lo, hi in zip(starts.tolist(), heads.tolist(), keeps.tolist()) if hi > lo
+    )
+    count = _HEAD_TERMS * rows + sum(
+        (min(a + step, sigma.size) - a) * (hi - lo) for a, lo, hi in tail
+    )
+    coef = coef.reshape(_HEAD_TERMS, blocks, step).transpose(1, 0, 2)
+    return _SumsPlan(step, rows, np.r_[0, edges[:-1]], at, powers, coef, tail, count)
+
+
+def _gaussian_sums(sigma: np.ndarray, gap2: np.ndarray, cols: np.ndarray,
+                   plan: Optional[_SumsPlan] = None):
     """exp(-outer(sigma, gap2)) @ cols, and the work it took.
 
     `sigma` and `gap2` are ascending, finite and >= 0.  The rows go in
@@ -1220,61 +1294,104 @@ def _gaussian_sums(sigma: np.ndarray, gap2: np.ndarray, cols: np.ndarray):
       for the block's smallest sigma, evaluated as exp(-sigma g) @ c;
     * the rest, skipped.
 
-    Returns the (sigma.size, cols.shape[1]) sums and the work: the exp
-    entries computed plus `_HEAD_TERMS` per row with a head.
+    Everything but the columns (the blocks, their bounds and the tables
+    g**m and (-sigma)**m / m!) is `plan`, made by `_sums_plan` when not
+    given; a call then scales the columns, sums their head moments and
+    computes the tail's exp entries.
+
+    Returns the (sigma.size, cols.shape[1]) sums and the work, the same
+    whether `plan` is given or not: the exp entries computed plus
+    `_HEAD_TERMS` per row with a head.
     """
-    step = max(1, min(64, _SLAB_NODES // gap2.size))
-    starts = np.arange(0, sigma.size, step)
-    lasts = sigma[np.minimum(starts + step, sigma.size) - 1]
-    with np.errstate(divide="ignore"):
-        keeps = np.searchsorted(gap2, _EXP_ZERO / sigma[starts], side="right")
-        heads = np.searchsorted(
-            gap2, np.minimum(_HEAD_DELTA / lasts, _HEAD_GAP2_MAX), side="right"
-        )
-    # heads never grow from block to block, so the blocks with one are a prefix
-    heads[lasts > _HEAD_SIGMA_MAX] = 0
-    blocks = int(np.count_nonzero(heads))
-    rows = min(blocks * step, sigma.size)
+    if plan is None:
+        plan = _sums_plan(sigma, gap2)
+    step, rows = plan.step, plan.rows
     factor = np.zeros((sigma.size, cols.shape[1]))
-    count = _HEAD_TERMS * rows
     # a NaN or inf in a column reaches the sums, which the caller checks,
     # and moments and exps that underflow to 0 are within the bounds above
     with np.errstate(under="ignore", invalid="ignore"):
-        if blocks:
-            edges, at = np.unique(heads[:blocks], return_inverse=True)
-            top = int(edges[-1])
+        if rows:
             # each column in units of its max |c| over the head, a power of 2
-            c = np.ascontiguousarray(cols[:top].T)
+            c = np.ascontiguousarray(cols[: plan.powers.shape[1]].T)
             _, exps = np.frexp(np.abs(c).max(axis=1))
             c = np.ldexp(c, -exps[:, None])
-            powers = np.empty((_HEAD_TERMS, top))
-            powers[0] = 1.0
-            for m in range(1, _HEAD_TERMS):
-                np.multiply(powers[m - 1], gap2[:top], out=powers[m])
             # the moments up to each distinct head: the sums over the
             # segments between them, then a running sum
-            moments = np.add.reduceat(c[:, None, :] * powers, np.r_[0, edges[:-1]], axis=2)
+            moments = np.add.reduceat(c[:, None, :] * plan.powers, plan.segments, axis=2)
             np.cumsum(moments, axis=2, out=moments)
-            # (-sigma)**m / m! for the rows of the blocks with a head
-            coef = np.zeros((_HEAD_TERMS, blocks * step))
-            coef[0] = 1.0
-            for m in range(1, _HEAD_TERMS):
-                np.multiply(coef[m - 1, :rows], sigma[:rows], out=coef[m, :rows])
-                coef[m, :rows] *= -1.0 / m
-            coef = coef.reshape(_HEAD_TERMS, blocks, step).transpose(1, 0, 2)
-            head = (moments[:, :, at].transpose(2, 0, 1) @ coef).transpose(0, 2, 1)
+            head = (moments[:, :, plan.at].transpose(2, 0, 1) @ plan.coef).transpose(0, 2, 1)
             factor[:rows] = np.ldexp(head.reshape(-1, cols.shape[1])[:rows], exps)
         slab = np.empty(min(_SLAB_NODES, step * gap2.size))
         # an exponent past the largest double is -inf, whose exp is 0
         with np.errstate(over="ignore"):
-            for a, lo, hi in zip(starts.tolist(), heads.tolist(), keeps.tolist()):
-                if hi > lo:
-                    part = sigma[a : a + step]
-                    block = slab[: part.size * (hi - lo)].reshape(part.size, hi - lo)
-                    np.multiply(-part[:, None], gap2[lo:hi], out=block)
-                    factor[a : a + step] += np.exp(block, out=block) @ cols[lo:hi]
-                    count += block.size
-    return factor, count
+            for a, lo, hi in plan.tail:
+                part = sigma[a : a + step]
+                block = slab[: part.size * (hi - lo)].reshape(part.size, hi - lo)
+                np.multiply(-part[:, None], gap2[lo:hi], out=block)
+                factor[a : a + step] += np.exp(block, out=block) @ cols[lo:hi]
+    return factor, plan.count
+
+
+class _Memo:
+    """`build`, memoized on its arguments, least recently used first out.
+
+    `build` returns a tuple of arrays and tuples (one level deep) of
+    arrays and numbers.  The arrays are shared between callers, so they
+    are read-only.  The entries kept hold at most `max_bytes` of arrays;
+    an entry larger than that is returned but not kept.  `hits` and
+    `misses` count the calls.
+    """
+
+    def __init__(self, build: Callable[..., tuple], max_bytes: int):
+        self.build, self.max_bytes = build, max_bytes
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.entries: dict = {}  # key -> (value, bytes), oldest use first
+        self.nbytes = self.hits = self.misses = 0
+
+    def __call__(self, *key):
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            self.misses += 1
+            value = self.build(*key)
+            arrays = [a for v in value for a in (v if isinstance(v, tuple) else (v,))
+                      if isinstance(a, np.ndarray)]
+            for a in arrays:
+                a.flags.writeable = False
+            entry = (value, sum(a.nbytes for a in arrays))
+            if entry[1] > self.max_bytes:
+                return value
+            self.nbytes += entry[1]
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+        else:
+            self.hits += 1
+        self.entries[key] = entry
+        return entry[0]
+
+
+def _build_mixture_setup(rule: MixtureAxis, nu: float, lam: float, zeta: float, rung: int):
+    """Everything of one rung of `_mixture_integrate` that f does not change.
+
+    `rule` is an axis with `f_pair` None.  Returns the outer nodes sigma
+    and weights omega, the inner nodes t, s and weights w, the order that
+    sorts the gaps, the sorted gap**2 and the `_gaussian_sums` plan.
+    """
+    depth_in, order_in, depth_out, order_out = _MIXTURE_RUNGS[rung]
+    sigma, omega = _mixture_outer(nu, lam, zeta, depth_out, order_out, 4.0**depth_in)
+    t, s, w = _mixture_inner(rule, depth_in, order_in)
+    with np.errstate(over="ignore"):
+        gap2 = np.minimum(np.asarray(rule.gap(t, s), dtype=float) ** 2, _GAP2_MAX)
+    order = np.argsort(gap2, kind="stable")
+    gap2 = gap2[order]
+    return sigma, omega, t, s, w, order, gap2, _sums_plan(sigma, gap2)
+
+
+# the set-ups of the rules and rungs used last, up to 8 MiB of arrays: an
+# entry of a Riesz or Cesaro weight on the unit box takes 0.22-0.42 MiB at
+# rungs 1 and 2 and 0.59-0.65 MiB at rung 3; breakpoints add to it
+_mixture_setup = _Memo(_build_mixture_setup, 8 * 2**20)
 
 
 def _mixture_integrate(
@@ -1294,7 +1411,8 @@ def _mixture_integrate(
     in axis order, so axes that all differ give the same bits as one
     group per axis.  `evaluations` counts the work of `_gaussian_sums`,
     the exp entries plus `_HEAD_TERMS` per sigma node summed from
-    moments, each shared group once.
+    moments, each shared group once, also when the group's nodes, gaps
+    and sum plan come from the memo (`_mixture_setup`).
     From the second rung on, the estimate is the change from the
     previous rung plus the rounding floor, and the finer value is
     reported once it meets the goal.
@@ -1312,22 +1430,17 @@ def _mixture_integrate(
         groups.setdefault(ax._replace(f_pair=None), []).append(j)
     used = 0
     previous = None
-    for depth_in, order_in, depth_out, order_out in _MIXTURE_RUNGS:
-        sigma, omega = _mixture_outer(nu, lam, zeta, depth_out, order_out, 4.0**depth_in)
+    for rung in range(len(_MIXTURE_RUNGS)):
         factors = [None] * len(axes)
         for rule, members in groups.items():
-            t, s, w = _mixture_inner(rule, depth_in, order_in)
-            with np.errstate(over="ignore"):
-                gap2 = np.minimum(np.asarray(rule.gap(t, s), dtype=float) ** 2, _GAP2_MAX)
-            order = np.argsort(gap2, kind="stable")
-            gap2 = gap2[order]
+            sigma, omega, t, s, w, order, gap2, plan = _mixture_setup(rule, nu, lam, zeta, rung)
             # columns 2k, 2k + 1: member k's integral and its absolute counterpart
             cols = []
             for j in members:
                 f = (np.asarray(axes[j].f_pair((t,), (s,)), dtype=float) * w)[order]
                 cols += [f, np.abs(f)]
             cols = np.stack(cols, axis=1)
-            factor, count = _gaussian_sums(sigma, gap2, cols)
+            factor, count = _gaussian_sums(sigma, gap2, cols, plan)
             used += count
             for k, j in enumerate(members):
                 factors[j] = factor[:, 2 * k : 2 * k + 2]

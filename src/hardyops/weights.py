@@ -288,6 +288,18 @@ def _log_t(t, s) -> np.ndarray:
         return np.where(t <= 0.5, np.log(t), np.log1p(-s))
 
 
+# the Schwinger gaps, one object each, so that every Riesz (Cesaro) weight
+# names the same gap and the mixture engine's memo keys match across weights
+def _riesz_gap(t, s) -> np.ndarray:
+    """1 - t, from its exact complement."""
+    return s
+
+
+def _cesaro_gap(t, s) -> np.ndarray:
+    """1/t - 1 = s/t."""
+    return s / t
+
+
 def constant_weight(c: float, m: int = 1) -> Weight:
     """w == c on (0,1)**m; all endpoint exponents are 0.
 
@@ -367,7 +379,7 @@ def multilinear_riesz_weight(alpha: float, m: int) -> Weight:
         pair=lambda ts, ss: _euclid_arrays(ss) ** expo / ga,
         behaviors=(EndpointBehavior(0.0, 0.0),) * m,
         label=f"riesz:{alpha:g}:{m} (euclidean)",
-        mixture=_schwinger(alpha, m, lambda t, s: s, gap_at_zero=False),
+        mixture=_schwinger(alpha, m, _riesz_gap, gap_at_zero=False),
     )
 
 
@@ -416,7 +428,7 @@ def multilinear_cesaro_weight(alpha: float, m: int) -> Weight:
         pair=lambda ts, ss: _euclid_arrays([s / t for s, t in zip(ss, ts)]) ** expo / ga,
         behaviors=(EndpointBehavior(float(m) - alpha, 0.0),) * m,
         label=f"cesaro:{alpha:g}:{m} (euclidean)",
-        mixture=_schwinger(alpha, m, lambda t, s: s / t, gap_at_zero=True),
+        mixture=_schwinger(alpha, m, _cesaro_gap, gap_at_zero=True),
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from test_numerics import CORNER_CALIBRATION
 
+import hardyops
 from hardyops import numerics, weights
 from hardyops.cli import run
 from hardyops.constants import cesaro_lebesgue_constant, lebesgue_constant, log_moment_constant
@@ -188,3 +189,104 @@ def test_shared_rules_are_read_only():
     for a in (t, s, w):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+# the f-independent set-up of each rule and rung is memoized
+# (`numerics._mixture_setup`); the stored figures are those of the
+# unmemoized engine
+_RIESZ2 = parse_weight_spec("riesz:1.5:2")
+_POWERS = (hardyops.power(-0.25), hardyops.power(-0.25))
+_LOGS = (hardyops.log_radial(), hardyops.log_radial())
+MEMO_CASES = {
+    "lebesgue riesz:1.5:2": lambda: lebesgue_constant(_RIESZ2, ExponentConfig(1, (4.0, 4.0))),
+    "lebesgue riesz:2.5:3": lambda: lebesgue_constant(
+        parse_weight_spec("riesz:2.5:3"), ExponentConfig(1, (6.0,) * 3)),
+    "cesaro-lebesgue cesaro:1.5:2": lambda: cesaro_lebesgue_constant(
+        parse_weight_spec("cesaro:1.5:2"), ExponentConfig(1, (4.0, 4.0))),
+    **{f"hardy_apply r={r:g}": partial(
+        hardyops.hardy_apply, hardyops.OperatorRequest(_RIESZ2, _POWERS, r))
+       for r in (1.0, 0.25, 8.0)},
+    **{f"hardy_commutator_apply r={r:g}": partial(
+        hardyops.hardy_commutator_apply,
+        hardyops.OperatorRequest(_RIESZ2, _POWERS, r, symbols=_LOGS))
+       for r in (1.0, 0.25, 8.0)},
+    "lebesgue riesz:3.5:4": lambda: lebesgue_constant(
+        parse_weight_spec("riesz:3.5:4"), ExponentConfig(1, (8.0,) * 4)),
+}
+MEMO_STORED = {
+    "lebesgue riesz:3.5:4": ("0.4830769381082612", "1.099120794378905e-14", 399_232, True),
+    "rung 3": ("2.315449210024564", "3.9968028886505635e-15", 893_312, False),
+}
+
+
+def _every_rung(monkeypatch):
+    # no goal: every rung runs
+    original = numerics._mixture_integrate
+    monkeypatch.setattr(weights, "_mixture_integrate",
+                        lambda nu, scale, axes, tol, rtol: original(nu, scale, axes, 0.0, 0.0))
+    return MEMO_CASES["lebesgue riesz:1.5:2"]
+
+
+def _figures(res):
+    return repr(res.value), repr(res.abs_error_estimate), res.evaluations, res.converged
+
+
+@pytest.mark.parametrize("name", [*MEMO_CASES, "rung 3"])
+def test_memo_hits_repeat_every_figure(monkeypatch, name):
+    call = _every_rung(monkeypatch) if name == "rung 3" else MEMO_CASES[name]
+    memo = numerics._mixture_setup
+    memo.cache_clear()
+    cold = _figures(call())
+    misses = memo.misses
+    assert misses > 0
+    warm = _figures(call())
+    assert warm == cold
+    assert memo.misses == misses and memo.hits >= misses
+    if name in MEMO_STORED:
+        assert cold == MEMO_STORED[name]
+
+
+def test_memo_keys_are_shared_across_parsed_weights():
+    config = ExponentConfig(1, (4.0, 4.0))
+    memo = numerics._mixture_setup
+    memo.cache_clear()
+    first = lebesgue_constant(parse_weight_spec("riesz:1.5:2"), config)
+    misses = memo.misses
+    # a second parse of the spec is a new weight with the same gap
+    second = lebesgue_constant(parse_weight_spec("riesz:1.5:2"), config)
+    assert memo.misses == misses
+    assert _figures(first) == _figures(second)
+
+
+def _entry_arrays(value):
+    *arrays, plan = value
+    return arrays + [a for a in plan if isinstance(a, np.ndarray)]
+
+
+def test_memo_arrays_are_read_only():
+    numerics._mixture_setup.cache_clear()
+    lebesgue_constant(_RIESZ2, ExponentConfig(1, (4.0, 4.0)))
+    for value, _ in numerics._mixture_setup.entries.values():
+        for a in _entry_arrays(value):
+            with pytest.raises(ValueError):
+                a.flat[:1] = 0.0
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    memo = numerics._mixture_setup
+    memo.cache_clear()
+    rule = numerics.MixtureAxis(None, weights._riesz_gap, 0.0, 0.0, 0.0, 1.0, (), False)
+    # top-rung entries of distinct boxes, until the oldest ones are dropped
+    for k in range(24):
+        memo(rule._replace(lo=k / 32.0), 0.25, 1.0, 0.0, 2)
+    sizes = [sum(a.nbytes for a in _entry_arrays(value)) for value, _ in memo.entries.values()]
+    assert memo.misses == 24 and len(sizes) < 24
+    assert memo.nbytes == sum(sizes) <= 8 * 2**20
+    # the last entries are kept, the first dropped
+    assert (rule._replace(lo=23 / 32.0), 0.25, 1.0, 0.0, 2) in memo.entries
+    assert (rule._replace(lo=0.0), 0.25, 1.0, 0.0, 2) not in memo.entries
+    # an entry over the bound is made but not kept
+    monkeypatch.setattr(memo, "max_bytes", 1)
+    memo.cache_clear()
+    assert memo(rule, 0.25, 1.0, 0.0, 0)[-1].count > 0
+    assert not memo.entries and memo.nbytes == 0

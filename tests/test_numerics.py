@@ -1,6 +1,7 @@
 """Quadrature engine tests: frozen oracle values and rule invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,6 +579,37 @@ class TestPanelProfile:
             assert np.array_equal(profile.meta[:, :3], widths)
             assert np.array_equal(profile.meta[:, 3], flat.min(axis=1))
             assert np.array_equal(profile.meta[:, 4], flat.max(axis=1))
+
+    def test_long_query_memory_is_bounded(self):
+        # one query of 2,000 radii over a table of about 2,000 panels has a
+        # (panel, radius) row per panel under each radius, about 2M rows;
+        # they are refined in chunks of at most _PROFILE_ROWS (the whole
+        # query at once peaked at 185 MiB)
+        b = hardyops.parse_function_spec("osccut:1:2")
+        radii = np.logspace(-3.0, 3.0, 2000)
+        tracemalloc.start()
+        try:
+            hardyops.central_morrey_profile(b, 2, -0.25, 1, radii, force_quadrature=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_chunked_query_matches_one_radius_queries(self):
+        radii = np.random.default_rng(7).permutation(np.logspace(-3.0, 3.0, 2000))
+        shift = np.full(radii.size, 0.3)
+        # every radius becomes a panel edge, so the k-th smallest has at
+        # least k panels under it: the rows are more than one chunk
+        assert radii.size * (radii.size + 1) // 2 > numerics._PROFILE_ROWS
+        results = numerics._PanelProfile(_osccut, 1, (1.0,)).integral(np.square, radii, shift)
+        assert len(results) == radii.size
+        for i in np.argsort(radii)[[0, 700, 1400, 1800, 1999]]:
+            ref = numerics._PanelProfile(_osccut, 1, (1.0,)).integral(
+                lambda v: np.square(v - 0.3), float(radii[i]))
+            res = results[i]
+            assert res.converged and ref.converged
+            slack = res.abs_error_estimate + ref.abs_error_estimate
+            assert abs(res.value - ref.value) <= slack + 8 * math.ulp(max(1.0, abs(ref.value)))
 
     def test_non_finite_values_rejected(self):
         profile = numerics._PanelProfile(lambda r: np.where(r < 0.3, np.nan, 1.0), 1)
