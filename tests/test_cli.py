@@ -1,8 +1,12 @@
 """CLI contract: JSON records, CSV sweeps, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -461,6 +465,53 @@ class TestFlagSlots:
         assert params["decay_tol"] == DEFAULT_DECAY_TOL
 
 
+CLI_HELP = Path(__file__).parent / "data" / "cli_help.json"
+
+# the seven help screens, then invocations that fail before any computation
+CLI_TEXT_ARGV = [
+    ["--help"],
+    *([command, "--help"] for command in
+      ("constant", "apply", "norm", "sharpness", "counterexample", "oscillation")),
+    [],
+    ["frobnicate"],
+    ["constant", "lebesgue", "--weight", "const:1"],
+    ["constant", "lebesgue", "--weight", "const:1", "--p", "2", "--tol", "nan"],
+    ["constant", "lebesgue", "--weight", "const:1:2", "--m", "3", "--p", "4", "4"],
+    ["apply", "rl", "--f", "power:0@chi", "--r", "2"],
+    ["apply", "hardy-comm", "--f", "power:-0.25", "--r", "1"],
+    ["apply", "weyl", "--alpha", "0.5", "--f", "log", "log", "--r", "1"],
+    ["norm", "cmo", "--f", "log", "--p", "7"],
+    ["norm", "lp", "--f", "power:0@chi", "--rtol", "1e-2"],
+    ["norm", "lp", "--f", "power:0@chi", "--params-file", "missing.params"],
+]
+
+
+def cli_text(argv):
+    """Exit code, stdout and stderr of `run(argv)` on an 80-column terminal."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+class TestCliText:
+    """Help screens and usage errors, byte for byte.
+
+    `tests/data/cli_help.json` maps each argv of `CLI_TEXT_ARGV` to its
+    exit code, stdout and stderr; it is regenerated with the README
+    records (see `TestReadmeCommands`).
+    """
+
+    def test_all_pinned(self):
+        pinned = json.loads(CLI_HELP.read_text())
+        assert list(pinned) == [shlex.join(argv) for argv in CLI_TEXT_ARGV]
+
+    @pytest.mark.parametrize("argv", CLI_TEXT_ARGV, ids=shlex.join)
+    def test_text_is_pinned(self, argv):
+        assert cli_text(argv) == json.loads(CLI_HELP.read_text())[shlex.join(argv)]
+
+
 README_RECORDS = Path(__file__).parent / "data" / "readme_records.json"
 
 
@@ -494,9 +545,6 @@ class TestReadmeCommands:
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
-
     records = {}
     for line in README_COMMANDS:
         out = io.StringIO()
@@ -504,3 +552,5 @@ if __name__ == "__main__":
             run(shlex.split(line)[1:])
         records[line] = pinned_record(out.getvalue())
     README_RECORDS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    texts = {shlex.join(argv): cli_text(argv) for argv in CLI_TEXT_ARGV}
+    CLI_HELP.write_text(json.dumps(texts, indent=1) + "\n")
