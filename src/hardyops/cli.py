@@ -1,15 +1,33 @@
 """Command-line front end: every result as one machine-readable record.
 
-Subcommands
------------
+Subcommands, their kinds and the flags they read
+------------------------------------------------
 constant <family>       sharp-constant quadrature (lebesgue, morrey,
-                        log-moment, cesaro-lebesgue, cesaro-log)
+                        log-moment, cesaro-lebesgue, cesaro-log): --weight
+                        --n --m --p --lambda --q --truncation --seed --tol;
+                        --axes --shift (log-moment)
 apply <operator>        pointwise operator value (hardy, cesaro,
-                        hardy-comm, cesaro-comm, rl, weyl)
-norm <kind>             radial norms (lp, morrey, cmo)
-sharpness <experiment>  lebesgue, morrey, commutator, cesaro
-counterexample          finite plain moment vs divergent log moment
-oscillation             Riemann-Lebesgue decay of the oscillatory integral
+                        hardy-comm, cesaro-comm, rl, weyl): --f --r --tol;
+                        --weight --n --m (all but rl, weyl); --b
+                        (hardy-comm, cesaro-comm; required); --alpha (rl,
+                        weyl; required)
+norm <kind>             radial norms (lp, morrey, cmo): --f --n; --p (lp,
+                        morrey); --lambda --method (morrey); --q (cmo)
+sharpness <experiment>  lebesgue, morrey, commutator, cesaro: --weight --n
+                        --m --p --lambda --experiment-tol --tol --csv;
+                        --eps (lebesgue, cesaro)
+counterexample          finite plain moment vs divergent log moment:
+                        --alpha --n --p --delta --tol --csv
+oscillation             Riemann-Lebesgue decay of the oscillatory
+                        integral: --weight --axes --r --decay-tol --tol --csv
+
+Kinds in parentheses are the only ones that read the flags before them
+("required": they need them).  Any other use of a flag is a usage error,
+and a record lists only the flags its kind read.  Every subcommand takes
+`--params-file FILE` (`key=value` lines read as flag defaults); `--csv`
+prints sweep rows `parameter,value,error`; `--seed` is only recorded
+(other records have a null `seed`) and changes no result; a `norm`
+record, whose norms take no `--tol`, has null `tolerances`.
 
 Weight specs:   const:c[:m], rl:a, riesz:a:m, weyl:a, cesaro:a:m,
                 counter:a:n:p
@@ -21,16 +39,7 @@ Function specs: power:a, cutpow:a:r0, log, osccut:r:R, plus the
 Output is a single JSON object on stdout.  Exit codes: 0 success or
 experiment passed; 1 experiment verdict violated or inconclusive; 2
 usage or parameter error; every numeric flag must be finite (`--tol`
-also >= 0), and an error names the flag or parameter at fault.  A flag
-exists only where a computation reads it: `--tol` on all subcommands
-but `norm` (whose record then has null `tolerances`), `--csv` (sweep
-rows `parameter,value,error`) on the three experiment subcommands and
-`--params-file FILE` (`key=value` defaults) everywhere.  `--seed` on
-`constant` is only recorded (other records have a null `seed`); it
-changes no result.
-`norm` takes `--p` for `lp` and `morrey`, `--lambda` and `--method` for
-`morrey` and `--q` for `cmo`; a kind rejects the others, and its record
-lists only the ones it read.
+also >= 0), and an error names the flag or parameter at fault.
 """
 
 from __future__ import annotations
@@ -77,23 +86,11 @@ from .weights import parse_weight_spec
 
 __all__ = ["main", "run"]
 
-_OPERATORS = ("hardy", "cesaro", "hardy-comm", "cesaro-comm", "rl", "weyl")
-_NORMS = ("lp", "morrey", "cmo")
-_EXPERIMENTS = ("lebesgue", "morrey", "commutator", "cesaro")
+_AVERAGES = ("hardy", "cesaro", "hardy-comm", "cesaro-comm")
 
 
 class _UsageError(Exception):
     pass
-
-
-# the `norm` flags that only some kinds read, as (flag, dest), and each
-# kind's defaults for the ones it reads; it rejects the others
-_NORM_FLAGS = (("--p", "p"), ("--q", "q"), ("--lambda", "lam"), ("--method", "method"))
-_NORM_DEFAULTS = {
-    "lp": {"p": 2.0},
-    "morrey": {"p": 2.0, "lam": 0.0, "method": "auto"},
-    "cmo": {"q": 2.0},
-}
 
 
 def _finite(text: str) -> float:
@@ -114,6 +111,75 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# Every flag declaration once, as (flag, where, argparse options), in the
+# order of each subcommand's help.  `where` maps each subcommand that takes
+# the flag to None, when all its kinds read it, or to the kinds that read
+# it; _apply_kind_rules gives those kinds the default and the requirement
+# and rejects the flag on the others.
+_FLAGS = (
+    ("--weight", {"constant": None}, dict(required=True, help="weight spec")),
+    ("--weight", {"apply": _AVERAGES},
+     dict(default="const:1", help="weight spec (hardy/cesaro families)")),
+    ("--weight", {"sharpness": None, "oscillation": None}, dict(required=True)),
+    ("--f", {"apply": None}, dict(nargs="+", required=True, help="input function specs")),
+    ("--b", {"apply": _AVERAGES[2:]},
+     dict(nargs="+", required=True, help="symbol specs (commutators)")),
+    ("--r", {"apply": None}, dict(type=_finite, required=True, help="radius |x|")),
+    ("--f", {"norm": None}, dict(required=True, help="function spec")),
+    ("--p", {"norm": ("lp", "morrey")},
+     dict(type=_finite, default=2.0, help="integrability exponent (lp, morrey)")),
+    ("--q", {"norm": ("cmo",)},
+     dict(type=_finite, default=2.0, help="oscillation exponent (cmo)")),
+    ("--alpha", {"counterexample": None}, dict(type=_finite, required=True)),
+    ("--n", {"constant": None, "sharpness": None},
+     dict(type=int, default=1, help="ambient dimension")),
+    ("--n", {"apply": _AVERAGES, "norm": None, "counterexample": None}, dict(type=int, default=1)),
+    ("--m", {"constant": None, "apply": _AVERAGES, "sharpness": None},
+     dict(type=int, help="weight arity (cross-checked; defaults a bare const:c)")),
+    ("--p", {"constant": None, "sharpness": None},
+     dict(type=_finite, nargs="+", required=True, metavar="P",
+          help="integrability exponents p_i")),
+    ("--lambda", {"constant": None, "sharpness": None},
+     dict(dest="lam", type=_finite, nargs="+", metavar="L",
+          help="Morrey exponents lambda_i (default -1/p_i)")),
+    ("--q", {"constant": None},
+     dict(type=_finite, nargs="+", metavar="Q", help="symbol exponents q_i")),
+    ("--axes", {"constant": ("log-moment",)},
+     dict(type=int, nargs="+", help="log axes (log-moment family)")),
+    ("--shift", {"constant": ("log-moment",)},
+     dict(type=_finite, default=1.0, choices=(1.0, 2.0), help="log shift c in log(c/t)")),
+    ("--truncation", {"constant": None},
+     dict(type=_finite, default=0.0, help="restrict all axes to (delta, 1)")),
+    ("--seed", {"constant": None},
+     dict(type=int, default=0,
+          help="recorded only; no constant reads it, so it changes no result")),
+    ("--alpha", {"apply": ("rl", "weyl")},
+     dict(type=_finite, required=True, help="fractional order (rl/weyl)")),
+    ("--lambda", {"norm": ("morrey",)},
+     dict(dest="lam", type=_finite, default=0.0, help="Morrey exponent (morrey)")),
+    ("--method", {"norm": ("morrey",)},
+     dict(choices=("auto", "closed", "grid"), default="auto", help="Morrey norm route (morrey)")),
+    ("--p", {"counterexample": None}, dict(type=_finite, required=True)),
+    ("--delta", {"counterexample": None},
+     dict(type=_finite, nargs="+", default=DEFAULT_DELTA_SEQUENCE)),
+    ("--eps", {"sharpness": ("lebesgue", "cesaro")},
+     dict(type=_finite, nargs="+", help="sweep parameters (lebesgue/cesaro)")),
+    ("--experiment-tol", {"sharpness": None},
+     dict(type=_finite, help="verdict tolerance (default per experiment)")),
+    ("--axes", {"oscillation": None}, dict(type=int, nargs="+", required=True)),
+    # the radii are checked by the experiment, which names each bad one
+    ("--r", {"oscillation": None}, dict(type=float, nargs="+", default=DEFAULT_R_SEQUENCE)),
+    ("--decay-tol", {"oscillation": None}, dict(type=_finite, default=DEFAULT_DECAY_TOL)),
+    ("--tol", dict.fromkeys(("constant", "apply", "sharpness", "counterexample", "oscillation")),
+     dict(type=_tolerance, default=1e-10, help="absolute quadrature tolerance")),
+    ("--csv", dict.fromkeys(("sharpness", "counterexample", "oscillation")),
+     dict(action="store_true", help="emit sweep rows as CSV instead of JSON")),
+    ("--params-file",
+     dict.fromkeys(("constant", "apply", "norm", "sharpness", "counterexample", "oscillation")),
+     dict(help="key=value file merged in as defaults")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardyops",
@@ -122,106 +188,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, tol=True, csv=False):
-        if tol:
-            sp.add_argument("--tol", type=_tolerance, default=1e-10,
-                            help="absolute quadrature tolerance")
-        if csv:
-            sp.add_argument("--csv", action="store_true",
-                            help="emit sweep rows as CSV instead of JSON")
-        sp.add_argument("--params-file", type=str, default=None,
-                        help="key=value file merged in as defaults")
-
-    def exponents(sp, lam=True, q=False):
-        sp.add_argument("--n", type=int, default=1, help="ambient dimension")
-        sp.add_argument("--m", type=int, default=None,
-                        help="weight arity (cross-checked; defaults a bare const:c)")
-        sp.add_argument("--p", type=_finite, nargs="+", required=True,
-                        metavar="P", help="integrability exponents p_i")
-        if lam:
-            sp.add_argument("--lambda", dest="lam", type=_finite, nargs="+",
-                            default=None, metavar="L",
-                            help="Morrey exponents lambda_i (default -1/p_i)")
-        if q:
-            sp.add_argument("--q", type=_finite, nargs="+", default=None,
-                            metavar="Q", help="symbol exponents q_i")
-
-    sp = sub.add_parser("constant", help="compute a sharp constant")
-    sp.add_argument("family", choices=tuple(_FAMILIES))
-    sp.add_argument("--weight", required=True, help="weight spec")
-    exponents(sp, q=True)
-    sp.add_argument("--axes", type=int, nargs="+", default=None,
-                    help="log axes (log-moment family)")
-    sp.add_argument("--shift", type=_finite, default=1.0, choices=(1.0, 2.0),
-                    help="log shift c in log(c/t)")
-    sp.add_argument("--truncation", type=_finite, default=0.0,
-                    help="restrict all axes to (delta, 1)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="recorded only; no constant reads it, so it changes "
-                    "no result")
-    common(sp)
-
-    sp = sub.add_parser("apply", help="evaluate an operator pointwise")
-    sp.add_argument("operator", choices=_OPERATORS)
-    sp.add_argument("--weight", default="const:1",
-                    help="weight spec (hardy/cesaro families)")
-    sp.add_argument("--f", nargs="+", required=True, help="input function specs")
-    sp.add_argument("--b", nargs="+", default=None, help="symbol specs (commutators)")
-    sp.add_argument("--r", type=_finite, required=True, help="radius |x|")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=None,
-                    help="weight arity (cross-checked; defaults a bare const:c)")
-    sp.add_argument("--alpha", type=_finite, default=None,
-                    help="fractional order (rl/weyl)")
-    common(sp)
-
-    sp = sub.add_parser("norm", help="compute a radial norm")
-    sp.add_argument("kind", choices=_NORMS)
-    sp.add_argument("--f", required=True, help="function spec")
-    # flags only some kinds read default to None; _cmd_norm applies
-    # _NORM_DEFAULTS
-    sp.add_argument("--p", type=_finite, default=None, help="integrability exponent (lp, morrey)")
-    sp.add_argument("--q", type=_finite, default=None, help="oscillation exponent (cmo)")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", type=_finite, default=None,
-                    help="Morrey exponent (morrey)")
-    sp.add_argument("--method", choices=("auto", "closed", "grid"), default=None,
-                    help="Morrey norm route (morrey)")
-    common(sp, tol=False)
-
-    sp = sub.add_parser("sharpness", help="run a sharpness experiment")
-    sp.add_argument("experiment", choices=_EXPERIMENTS)
-    sp.add_argument("--weight", required=True)
-    exponents(sp)
-    sp.add_argument("--eps", type=_finite, nargs="+", default=None,
-                    help="sweep parameters (lebesgue/cesaro)")
-    sp.add_argument("--experiment-tol", type=_finite, default=None,
-                    help="verdict tolerance (default per experiment)")
-    common(sp, csv=True)
-
-    sp = sub.add_parser("counterexample",
-                        help="finite plain moment, divergent log moment")
-    sp.add_argument("--alpha", type=_finite, required=True)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--p", type=_finite, required=True)
-    sp.add_argument("--delta", type=_finite, nargs="+", default=DEFAULT_DELTA_SEQUENCE)
-    common(sp, csv=True)
-
-    sp = sub.add_parser("oscillation", help="Riemann-Lebesgue decay check")
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--axes", type=int, nargs="+", required=True)
-    # the radii are checked by the experiment, which names each bad one
-    sp.add_argument("--r", type=float, nargs="+", default=DEFAULT_R_SEQUENCE)
-    sp.add_argument("--decay-tol", type=_finite, default=DEFAULT_DECAY_TOL)
-    common(sp, csv=True)
+    for command, (text, positional, kinds, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if positional:
+            sp.add_argument(positional, choices=kinds)
+        for flag, where, options in _FLAGS:
+            if command in where:
+                # a flag that only some kinds read must show whether it was given
+                sp.add_argument(flag, **(options if where[command] is None else
+                                         {**options, "default": None, "required": False}))
     return parser
 
 
+def _apply_kind_rules(args) -> None:
+    """Give each flag its kind's default; reject a flag the kind does not read."""
+    positional = _COMMANDS[args.command][1]
+    for flag, where, options in _FLAGS:
+        kinds = where.get(args.command)
+        if kinds is None:
+            continue
+        kind, dest = getattr(args, positional), options.get("dest", flag[2:].replace("-", "_"))
+        if getattr(args, dest) is not None:
+            if kind not in kinds:
+                raise _UsageError(f"{args.command} {kind} does not read {flag}")
+        elif kind in kinds:
+            if options.get("required"):
+                raise _UsageError(f"{args.command} {kind} requires {flag}")
+            setattr(args, dest, options.get("default"))
+
+
 def _merge_params_file(argv: list[str]) -> list[str]:
-    """Prepend key=value file entries as flags (explicit argv wins)."""
-    if "--params-file" not in argv:
-        return argv
+    """Prepend key=value file entries as flags (explicit argv wins).
+
+    Each key must be a flag that the subcommand, and the kind argv names,
+    reads; an error names the file, the line and the key.
+    """
+    if "--params-file" not in argv or argv[0] not in _COMMANDS:
+        return argv  # argparse names a bad subcommand
+    # insert defaults right after the subcommand words so explicit flags win
+    head = argv[:2] if len(argv) > 1 and not argv[1].startswith("-") else argv[:1]
+    command, kind = head[0], head[-1] if head[-1] in _COMMANDS[head[0]][2] else None
+    label = f"{command} {kind}" if kind else command
+    reads = {flag: (where[command], options)
+             for flag, where, options in _FLAGS if command in where}
     idx = argv.index("--params-file")
     if idx + 1 >= len(argv):
         raise _UsageError("--params-file requires a path")
@@ -231,24 +240,27 @@ def _merge_params_file(argv: list[str]) -> list[str]:
     except OSError as exc:
         raise _UsageError(f"cannot read params file: {exc}") from exc
     extra: list[str] = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise _UsageError(f"malformed params line {line!r}")
-        key, _, value = line.partition("=")
-        extra.append(f"--{key.strip()}")
-        extra.extend(value.strip().split())
-    # insert defaults right after the subcommand words so explicit flags win
-    head = argv[:2] if len(argv) > 1 and not argv[1].startswith("-") else argv[:1]
+        key, eq, value = line.partition("=")
+        at, flag = f"{path} line {number}", f"--{key.strip()}"
+        kinds, options = reads.get(flag, (None, {}))
+        if not eq:
+            raise _UsageError(f"{at}: malformed params line {line!r}")
+        if flag not in reads or kind and kinds is not None and kind not in kinds:
+            raise _UsageError(f"{at}: {label} does not read {flag}")
+        if value.strip() and options.get("action") == "store_true":
+            raise _UsageError(f"{at}: {flag} takes no value")
+        extra.append(flag)
+        extra.extend(value.split())
     return list(head) + extra + argv[len(head):]
 
 
 def _config_from_args(args) -> ExponentConfig:
-    lam = tuple(args.lam) if getattr(args, "lam", None) else ()
-    q = tuple(args.q) if getattr(args, "q", None) else None
-    return ExponentConfig(args.n, tuple(args.p), lam, q)
+    q = getattr(args, "q", None)  # sharpness takes no --q
+    return ExponentConfig(args.n, tuple(args.p), tuple(args.lam or ()), q and tuple(q))
 
 
 def _report_dict(rep: SharpnessReport) -> dict:
@@ -324,34 +336,24 @@ def _emit_report(args, rep: SharpnessReport) -> int:
 
 
 def _parse_weight(args):
-    weight = parse_weight_spec(args.weight, default_m=getattr(args, "m", None))
-    if getattr(args, "m", None) is not None and weight.arity != args.m:
-        raise _UsageError(
-            f"--m {args.m} conflicts with weight arity {weight.arity}"
-        )
+    weight = parse_weight_spec(args.weight, default_m=args.m)
+    if args.m is not None and weight.arity != args.m:
+        raise _UsageError(f"--m {args.m} conflicts with weight arity {weight.arity}")
     return weight
 
 
 def _cmd_constant(args) -> int:
     weight = _parse_weight(args)
     config = _config_from_args(args)
-    spec = ConstantSpec(
-        weight,
-        config,
-        args.family,
-        tuple(args.axes) if args.axes else
-        (tuple(range(1, config.m + 1)) if args.family == "log-moment" else ()),
-        args.shift,
-        args.truncation,
-    )
+    # only log-moment reads --axes and --shift; the other families fix both
+    axes = tuple(args.axes or range(1, config.m + 1)) if args.family == "log-moment" else ()
+    spec = ConstantSpec(weight, config, args.family, axes, args.shift or 1.0, args.truncation)
     return _emit_quadrature(args, spec.compute(tol=args.tol))
 
 
 def _cmd_apply(args) -> int:
     funcs = tuple(parse_function_spec(s) for s in args.f)
     if args.operator in ("rl", "weyl"):
-        if args.alpha is None:
-            raise _UsageError("rl/weyl require --alpha")
         if len(funcs) != 1:
             raise _UsageError("rl/weyl take exactly one input function")
         apply_fn = riemann_liouville_apply if args.operator == "rl" else weyl_apply
@@ -371,13 +373,6 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    defaults = _NORM_DEFAULTS[args.kind]
-    for flag, dest in _NORM_FLAGS:
-        if dest in defaults:
-            if getattr(args, dest) is None:
-                setattr(args, dest, defaults[dest])
-        elif getattr(args, dest) is not None:
-            raise _UsageError(f"norm {args.kind} does not read {flag}")
     f = parse_function_spec(args.f)
     if args.kind == "lp":
         value = lebesgue_norm(f, args.p, args.n)
@@ -411,20 +406,18 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    weight = _parse_weight(args)
-    config = _config_from_args(args)
-    # unset flags fall back to the experiment's own defaults
+    # unset flags fall back to the experiment's own defaults; only the
+    # lebesgue and cesaro sweeps read --eps
     extra = {} if args.experiment_tol is None else {"tol": args.experiment_tol}
-    if args.experiment in ("lebesgue", "cesaro"):
-        sweep = (lebesgue_sharpness_sweep if args.experiment == "lebesgue"
-                 else cesaro_sharpness_sweep)
-        if args.eps is not None:
-            extra["eps_sequence"] = tuple(args.eps)
-        rep = sweep(weight, config, quad_tol=args.tol, **extra)
-    else:
-        check = (morrey_sharpness_check if args.experiment == "morrey"
-                 else commutator_pointwise_check)
-        rep = check(weight, config, quad_tol=args.tol, **extra)
+    if args.eps is not None:
+        extra["eps_sequence"] = tuple(args.eps)
+    experiment = {
+        "lebesgue": lebesgue_sharpness_sweep,
+        "morrey": morrey_sharpness_check,
+        "commutator": commutator_pointwise_check,
+        "cesaro": cesaro_sharpness_sweep,
+    }[args.experiment]
+    rep = experiment(_parse_weight(args), _config_from_args(args), quad_tol=args.tol, **extra)
     return _emit_report(args, rep)
 
 
@@ -442,13 +435,17 @@ def _cmd_oscillation(args) -> int:
     return _emit_report(args, rep)
 
 
-_HANDLERS = {
-    "constant": _cmd_constant,
-    "apply": _cmd_apply,
-    "norm": _cmd_norm,
-    "sharpness": _cmd_sharpness,
-    "counterexample": _cmd_counterexample,
-    "oscillation": _cmd_oscillation,
+# each subcommand: its help, the positional naming its kind, the kinds, the handler
+_COMMANDS = {
+    "constant": ("compute a sharp constant", "family", tuple(_FAMILIES), _cmd_constant),
+    "apply": ("evaluate an operator pointwise", "operator", (*_AVERAGES, "rl", "weyl"),
+              _cmd_apply),
+    "norm": ("compute a radial norm", "kind", ("lp", "morrey", "cmo"), _cmd_norm),
+    "sharpness": ("run a sharpness experiment", "experiment",
+                  ("lebesgue", "morrey", "commutator", "cesaro"), _cmd_sharpness),
+    "counterexample": ("finite plain moment, divergent log moment", None, (),
+                       _cmd_counterexample),
+    "oscillation": ("Riemann-Lebesgue decay check", None, (), _cmd_oscillation),
 }
 
 
@@ -459,7 +456,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _merge_params_file(argv)
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        _apply_kind_rules(args)
+        return _COMMANDS[args.command][3](args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 from unittest import mock
@@ -463,6 +464,141 @@ class TestFlagSlots:
         params = record_of(out)["parameters"]
         assert params["r"] == list(DEFAULT_R_SEQUENCE)
         assert params["decay_tol"] == DEFAULT_DECAY_TOL
+
+
+# one valid invocation per kind that the kind rules below name
+_KIND_BASE = {
+    "apply rl": ("apply", "rl", "--alpha", "0.3", "--f", "power:0@chi", "--r", "2"),
+    "apply weyl": ("apply", "weyl", "--alpha", "0.5", "--f", "power:0@chi", "--r", "0.25"),
+    "apply hardy": _BASE["apply"],
+    "apply cesaro": ("apply", "cesaro", "--f", "power:0@chi", "--r", "0.5"),
+    "apply hardy-comm": ("apply", "hardy-comm", "--f", "power:-0.25", "--b", "log", "--r", "1"),
+    "apply cesaro-comm": ("apply", "cesaro-comm", "--f", "power:-0.25", "--b", "log",
+                          "--r", "1"),
+    "constant lebesgue": _BASE["constant"],
+    "constant morrey": ("constant", "morrey", "--weight", "const:1", "--p", "4",
+                        "--lambda", "-0.125"),
+    "constant cesaro-log": ("constant", "cesaro-log", "--weight", "const:1", "--p", "4",
+                            "--lambda", "-0.125"),
+    "sharpness morrey": ("sharpness", "morrey", "--weight", "const:1:2", "--p", "4", "4",
+                         "--lambda", "-0.125", "-0.125"),
+    "sharpness commutator": ("sharpness", "commutator", "--weight", "const:1:2",
+                             "--p", "4", "4", "--lambda", "-0.125", "-0.125"),
+}
+
+# a flag its subcommand declares, given to a kind that does not read it
+_UNREAD = [
+    *(("apply rl", flag, value) for flag, value in
+      (("--weight", "riesz:1.5:2"), ("--m", "2"), ("--n", "3"), ("--b", "log"))),
+    *(("apply weyl", flag, value) for flag, value in
+      (("--weight", "const:1"), ("--m", "1"), ("--n", "1"), ("--b", "log"))),
+    *((f"apply {op}", "--alpha", "0.3") for op in cli._AVERAGES),
+    ("apply hardy", "--b", "log"),
+    ("apply cesaro", "--b", "log"),
+    *((base, flag, value) for base in ("constant lebesgue", "constant morrey",
+                                       "constant cesaro-log")
+      for flag, value in (("--axes", "1"), ("--shift", "2"))),
+    ("sharpness morrey", "--eps", "0.3"),
+    ("sharpness commutator", "--eps", "0.3"),
+]
+
+
+class TestKindRules:
+    """A flag reaches only the kinds that read it, and only they record it."""
+
+    @pytest.mark.parametrize("base, flag, value", _UNREAD)
+    def test_unread_flag_is_a_usage_error(self, invoke, base, flag, value):
+        code, out, err = invoke(*_KIND_BASE[base], flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {base} does not read {flag}\n"
+
+    @pytest.mark.parametrize(
+        "base, flag",
+        [("apply rl", "--alpha"), ("apply weyl", "--alpha"),
+         ("apply hardy-comm", "--b"), ("apply cesaro-comm", "--b")],
+    )
+    def test_required_flag_is_named(self, invoke, base, flag):
+        argv = list(_KIND_BASE[base])
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {base} requires {flag}\n"
+
+    @pytest.mark.parametrize(
+        "base, parameters",
+        [
+            ("apply rl", {"alpha": 0.3, "f": ["power:0@chi"], "operator": "rl", "r": 2.0}),
+            ("apply hardy", {"f": ["power:0@chi"], "n": 1, "operator": "hardy", "r": 2.0,
+                             "weight": "const:1"}),
+            ("constant cesaro-log", {"family": "cesaro-log", "lam": [-0.125], "n": 1,
+                                     "p": [4.0], "seed": 0, "truncation": 0.0,
+                                     "weight": "const:1"}),
+        ],
+    )
+    def test_record_lists_the_flags_the_kind_reads(self, invoke, base, parameters):
+        code, out, _ = invoke(*_KIND_BASE[base])
+        assert code == 0
+        assert record_of(out)["parameters"] == {**parameters, "tol": 1e-10}
+
+    def test_log_moment_defaults_its_axes_and_shift(self, invoke):
+        code, out, _ = invoke("constant", "log-moment", "--weight", "const:1:2",
+                              "--p", "4", "4", "--lambda", "-0.125", "-0.125")
+        assert code == 0
+        assert record_of(out)["parameters"]["shift"] == 1.0
+        _, explicit, _ = invoke("constant", "log-moment", "--weight", "const:1:2",
+                                "--p", "4", "4", "--lambda", "-0.125", "-0.125",
+                                "--axes", "1", "2", "--shift", "1")
+        assert record_of(explicit)["result"] == record_of(out)["result"]
+
+    @pytest.mark.parametrize("family", list(cli._FAMILIES))
+    def test_every_family_takes_the_seed(self, invoke, family):
+        code, out, _ = invoke("constant", family, "--weight", "const:1", "--p", "4",
+                              "--lambda", "-0.125", "--seed", "0")
+        assert code == 0
+        assert record_of(out)["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "base, text, message",
+        [
+            ("norm", "p=3\n\ntol=1e-9\n", "line 3: norm lp does not read --tol"),
+            ("norm", "q=3\n", "line 1: norm lp does not read --q"),
+            ("constant", "# sweep\nfrob=1\n", "line 2: constant lebesgue does not read --frob"),
+            ("sharpness", "csv=true\n", "line 1: --csv takes no value"),
+            ("counterexample", "seed 1\n", "line 1: malformed params line 'seed 1'"),
+        ],
+        ids=["tol-on-norm", "q-on-lp", "unknown", "csv-value", "malformed"],
+    )
+    def test_params_file_error_names_file_line_and_key(self, invoke, tmp_path, base, text,
+                                                       message):
+        pf = tmp_path / "bad.params"
+        pf.write_text(text)
+        code, out, err = invoke(*_BASE[base], "--params-file", str(pf))
+        assert code == 2 and out == ""
+        assert err == f"error: {pf} {message}\n"
+
+
+def readme_flag_table():
+    """{flag: {(subcommand, kind)}} from README.md's flag table (kind None: every kind)."""
+    table = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 3 and cells[0].startswith("| `--"):
+            flag = re.match(r"\| `(--[a-z-]+)", cells[0]).group(1)
+            table[flag] = {
+                (command, kind)
+                for command, kinds in re.findall(r"`([a-z-]+)`(?: \(([^)]*)\))?", cells[1])
+                for kind in (re.findall(r"`([a-z-]+)`", kinds) or [None])
+            }
+    return table
+
+
+class TestReadmeFlagTable:
+    def test_every_flag_is_read_where_the_table_says(self):
+        declared = {}
+        for flag, where, _ in cli._FLAGS:
+            for command, kinds in where.items():
+                declared.setdefault(flag, set()).update((command, k) for k in kinds or [None])
+        assert readme_flag_table() == declared
 
 
 CLI_HELP = Path(__file__).parent / "data" / "cli_help.json"
