@@ -188,15 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for command, (text, positional, kinds, _) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
+        subparsers[command] = sp = sub.add_parser(command, help=text)
         if positional:
             sp.add_argument(positional, choices=kinds)
-        for flag, where, options in _FLAGS:
-            if command in where:
-                # a flag that only some kinds read must show whether it was given
-                sp.add_argument(flag, **(options if where[command] is None else
-                                         {**options, "default": None, "required": False}))
+    for flag, where, options in _FLAGS:
+        for command, kinds in where.items():
+            # a flag that only some kinds read must show whether it was given
+            subparsers[command].add_argument(flag, **(options if kinds is None else
+                                             {**options, "default": None, "required": False}))
     return parser
 
 
