@@ -4,8 +4,9 @@ Subcommands, their kinds and the flags they read
 ------------------------------------------------
 constant <family>       sharp-constant quadrature (lebesgue, morrey,
                         log-moment, cesaro-lebesgue, cesaro-log): --weight
-                        --n --m --p --lambda --q --truncation --seed --tol;
-                        --axes --shift (log-moment)
+                        --n --m --p --truncation --seed --tol; --lambda
+                        (morrey, log-moment, cesaro-log); --axes --shift
+                        (log-moment)
 apply <operator>        pointwise operator value (hardy, cesaro,
                         hardy-comm, cesaro-comm, rl, weyl): --f --r --tol;
                         --weight --n --m (all but rl, weyl); --b
@@ -14,8 +15,8 @@ apply <operator>        pointwise operator value (hardy, cesaro,
 norm <kind>             radial norms (lp, morrey, cmo): --f --n; --p (lp,
                         morrey); --lambda --method (morrey); --q (cmo)
 sharpness <experiment>  lebesgue, morrey, commutator, cesaro: --weight --n
-                        --m --p --lambda --experiment-tol --tol --csv;
-                        --eps (lebesgue, cesaro)
+                        --m --p --experiment-tol --tol --csv; --lambda
+                        (morrey, commutator); --eps (lebesgue, cesaro)
 counterexample          finite plain moment vs divergent log moment:
                         --alpha --n --p --delta --tol --csv
 oscillation             Riemann-Lebesgue decay of the oscillatory
@@ -139,11 +140,10 @@ _FLAGS = (
     ("--p", {"constant": None, "sharpness": None},
      dict(type=_finite, nargs="+", required=True, metavar="P",
           help="integrability exponents p_i")),
-    ("--lambda", {"constant": None, "sharpness": None},
+    ("--lambda", {"constant": ("morrey", "log-moment", "cesaro-log"),
+                  "sharpness": ("morrey", "commutator")},
      dict(dest="lam", type=_finite, nargs="+", metavar="L",
           help="Morrey exponents lambda_i (default -1/p_i)")),
-    ("--q", {"constant": None},
-     dict(type=_finite, nargs="+", metavar="Q", help="symbol exponents q_i")),
     ("--axes", {"constant": ("log-moment",)},
      dict(type=int, nargs="+", help="log axes (log-moment family)")),
     ("--shift", {"constant": ("log-moment",)},
@@ -260,8 +260,7 @@ def _merge_params_file(argv: list[str]) -> list[str]:
 
 
 def _config_from_args(args) -> ExponentConfig:
-    q = getattr(args, "q", None)  # sharpness takes no --q
-    return ExponentConfig(args.n, tuple(args.p), tuple(args.lam or ()), q and tuple(q))
+    return ExponentConfig(args.n, tuple(args.p), tuple(args.lam or ()))
 
 
 def _report_dict(rep: SharpnessReport) -> dict:

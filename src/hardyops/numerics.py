@@ -26,21 +26,26 @@ shift c per radius, from one table of r-space panels, kept in r order,
 that holds b's values at all three GL15 rules of each panel.  Each panel
 is scored by comparing its 15-point Gauss-Legendre value against the sum
 over its two halves.  Each pass bisects every panel whose error exceeds
-its width's share of the goal (`_split_panels`, in shares of each R),
-or, when only panels at the width floor do, the worst tier of the
-others.  A bisected panel's half values become its children's
-whole-panel values, so only the children's halves are evaluated.  One
-query takes any number of radii: it makes them all panel edges with one
-call of b, so the panels under each R are a prefix of the table, and
-refines those panels in passes shared by all its radii.  Every
-refinement is kept for later queries, so a query near earlier ones
-evaluates b at few new nodes.  A panel whose error is within the
-rounding floor of its integral (the change an ulp of r makes to it) is
-not bisected, and a radius whose floors add up past its goal stops at
-once, so rounding noise in b is never refined as error.  Rule sums are
-added in panel order, so a query repeated on a fresh profile, such as
-`integrate_unit_interval` (one query at R = 1 of a fresh profile, n = 1,
-of the substituted integrand), is bit-identical.
+its width's share of the goal, or, when only panels at the width floor
+do, the worst tier of the others.  A bisected panel's half values become
+its children's whole-panel values, so only the children's halves are
+evaluated.  One query takes any number of radii: it makes them all panel
+edges with one call of b, so the panels under each R are a prefix of the
+table, and refines those panels in passes shared by all its radii.  When
+its radii share one shift (or none), each pass costs O(panels + radii):
+a panel's rule sums are made once, every radius reads its value,
+estimate and rounding floor off prefix sums over the panels, and each
+panel is judged once, against the smallest goal among the radii above
+it.  A shift per radius makes one row per (panel, radius) instead,
+judged per radius (`_split_panels`).  Every refinement is kept for later
+queries, so a query near earlier ones evaluates b at few new nodes.  A
+panel whose error is within the rounding floor of its integral (the
+change an ulp of r makes to it) is not bisected, and a radius whose
+floors add up past its goal stops at once, so rounding noise in b is
+never refined as error.  Rule sums are added in panel order, so a query
+repeated on a fresh profile, such as `integrate_unit_interval` (one
+query at R = 1 of a fresh profile, n = 1, of the substituted integrand),
+is bit-identical.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
@@ -296,8 +301,32 @@ def _split_panels(
 _PROFILE_NODES = 2**22
 # phi values a profile query holds at once
 _PROFILE_SLAB = 2**14
-# (panel, radius) rows a profile query refines at once, about 12 MiB
+# (panel, radius) rows a query with a shift per radius refines at once,
+# about 12 MiB
 _PROFILE_ROWS = 2**17
+# terms a running sum adds at once (`_running_sums`)
+_PREFIX_BLOCK = 32
+# binades a shared query's scale factor (top/R)**n may span
+_SCALE_BITS = 128.0
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """The running sums of `terms` along their last axis, in blocks.
+
+    A running sum inside each block of `_PREFIX_BLOCK` terms, plus the
+    running sum, taken the same way, of the blocks' sums before it: each
+    sum is at most `_PREFIX_BLOCK` additions deep per level of blocks,
+    where one running sum would be as deep as its terms are many.
+    """
+    size = terms.shape[-1]
+    if size <= _PREFIX_BLOCK:
+        return np.cumsum(terms, axis=-1)
+    blocks = -(-size // _PREFIX_BLOCK)
+    padded = np.zeros(terms.shape[:-1] + (blocks * _PREFIX_BLOCK,))
+    padded[..., :size] = terms
+    within = np.cumsum(padded.reshape(terms.shape[:-1] + (blocks, _PREFIX_BLOCK)), axis=-1)
+    within[..., 1:, :] += _running_sums(within[..., :-1, -1])[..., None]
+    return within.reshape(padded.shape)[..., :size]
 
 
 class _PanelProfile:
@@ -312,10 +341,14 @@ class _PanelProfile:
     rules and the least and the greatest of its values of b.  `integral`
     weighs any pointwise function of b at these values against
     ``r**(n-1) dr``, scores each panel by its whole-panel rule against the
-    sum of its halves, refines the panels it needs by the width-share rule
-    (`_split_panels`), and keeps the refinements for later queries.  A
-    bisected panel's half values become its children's whole-panel values,
-    so a child costs 30 fresh evaluations of b.
+    sum of its halves, refines the panels it needs by the width-share rule,
+    and keeps the refinements for later queries.  Radii that share one
+    shift of b (or none) read each panel's rule sums once, off running
+    sums, and a pass judges each panel once (`_shared_query`: O(panels +
+    radii) per pass); one radius, or a shift per radius, keeps a row per
+    (panel, radius) (`_row_query`).  A bisected panel's half values become
+    its children's whole-panel values, so a child costs 30 fresh
+    evaluations of b.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], n: float,
@@ -351,10 +384,16 @@ class _PanelProfile:
         size = self.edges.size - 1
         pos = self.edges.searchsorted(cuts)
         at = pos + np.arange(cuts.size)  # the cuts' places among the new edges
-        edges = np.insert(self.edges, pos, cuts)
+        edges = np.empty(self.edges.size + cuts.size)
+        kept = np.ones(edges.size, dtype=bool)
+        kept[at] = False
+        edges[at], edges[kept] = cuts, self.edges
         grown = edges.size - 1
-        # the pieces: the panels on either side of a new edge
-        pieces = np.union1d(at - 1, at[at < grown])
+        # the pieces: the panels on either side of a new edge, ascending
+        pieces = np.column_stack([at - 1, at]).ravel()
+        new = np.ones(pieces.size, dtype=bool)
+        new[1:] = pieces[1:] != pieces[:-1]
+        pieces = pieces[new & (pieces < grown)]
         nodes, widths = self._nodes(edges[pieces], edges[pieces + 1])
         fresh = nodes if whole is None else nodes[:, 1:]
         if self.fresh + fresh.size > _PROFILE_NODES:
@@ -411,7 +450,7 @@ class _PanelProfile:
         """
         is_slice = isinstance(span, slice)
         k = span.stop - span.start if is_slice else span.size
-        out = np.empty((k, 3))
+        out = []
         step = max(1, _PROFILE_SLAB // 45)
         for a in range(0, k, step):
             b = min(a + step, k)
@@ -426,28 +465,16 @@ class _PanelProfile:
                 rights = self.edges[1:][sub]
                 nodes = self._nodes(self.edges[:-1][sub], rights)[0]
                 vals = vals * (nodes / rights[:, None, None]) ** (self.n - 1)
-            out[a:b] = np.einsum("ijk,k->ij", vals, _gl(15)[1])
-        return out
+            out.append(np.einsum("ijk,k->ij", vals, _gl(15)[1]))
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
-    def _rows(self, phi, panels, radius, shift, span) -> np.ndarray:
+    def _rows(self, phi, panels, radius, shift) -> np.ndarray:
         """Rule sums of phi(b - shift) times R**-n per row, as (rows, 3).
 
-        Row i is panel ``panels[i]`` under the ball of radius ``radius[i]``,
-        shifted by ``shift[i]``, or by `shift` when it is None or one
-        number: then each panel's sums are made once, over `span` (a slice
-        or ascending indices covering `panels`), and shared by its rows.
+        Row i is panel ``panels[i]`` (a slice or indices) under the ball of
+        radius ``radius[i]``; `shift` is None, one number, or one per row.
         """
-        if not isinstance(shift, np.ndarray):
-            sums = self._sums(phi, span, shift)
-            if not isinstance(span, slice):
-                sums = sums[span.searchsorted(panels)]
-            elif panels.size != span.stop - span.start:
-                sums = sums[panels - span.start]
-            else:
-                # the rows are the span itself: read the table by slices
-                panels = span
-        else:
-            sums = self._sums(phi, panels, shift)
+        sums = self._sums(phi, panels, shift)
         return sums * (self.meta[panels, :3] * self._scale(panels, radius)[:, None])
 
     def _scale(self, panels, radius) -> np.ndarray:
@@ -478,34 +505,32 @@ class _PanelProfile:
         """``R**-n int_0^R phi(b(r) - shift) r**(n-1) dr`` for each radius R.
 
         `radii` is one radius, or an array of them in any order and with
-        repeats; `shift` is None (no shift), or one shift per radius.  All
-        radii become panel edges in one call of b: past the table's end the
-        table grows to them, with b's breakpoints as edges; inside, the
-        panels that straddle them are split there.  Each (panel, radius)
-        row keeps its rule sums, and the panels under each radius are
-        refined, in passes shared by all radii, until its estimate meets
-        ``max(tol, rtol |value|)``, none of its panels can be bisected, or
-        it has been charged `max_evals` fresh evaluations of b (the new
-        edges, and the children of each panel it was the smallest radius
-        to mark).  A bisected panel's rows pass to both its children.  A
-        panel whose estimate is within its rounding floor (`_floors`) is
-        not bisected, since halving it cannot lower the rounding noise of b
-        at its nodes, and a radius whose floors add up past its goal stops.
-        Returns one QuadratureResult for one radius, else a list in the
-        order of `radii`; `evaluations` counts the nodes each radius
-        summed.
+        repeats; `shift` is None (no shift), one number shared by all
+        radii, or one number per radius.  All radii become panel edges in
+        one call of b: past the table's end the table grows to them, with
+        b's breakpoints as edges; inside, the panels that straddle them are
+        split there.  The panels under each radius are refined, in passes
+        shared by all radii, until its estimate meets ``max(tol, rtol
+        |value|)``, none of its panels can be bisected, or it has been
+        charged `max_evals` fresh evaluations of b (the new edges, and the
+        children of each panel it was the smallest radius to mark).  A
+        panel whose estimate is within its rounding floor (`_floors`) is not
+        bisected, since halving it cannot lower the rounding noise of b at
+        its nodes, and a radius whose floors add up past its goal stops.
+
+        Several radii sharing one shift (or none) take `_shared_query`,
+        whose passes cost O(panels + radii); one radius, or a shift per
+        radius, takes `_row_query`, one row per (panel, radius).  Returns
+        one QuadratureResult for one radius, else a list in the order of
+        `radii`; `evaluations` counts the nodes each radius summed.
         """
         scalar = np.ndim(radii) == 0
         radii = np.array(radii, dtype=float, ndmin=1)
         order = radii.argsort(kind="stable")
         big = radii[order]
-        # `each`: a shift per radius, so per row; otherwise all rows share
-        # one shift (or none) and each panel's sums are made once
-        each = shift is not None and big.size > 1
         if shift is not None:
-            shift = np.array(shift, dtype=float, ndmin=1)[order]
-            if not each:
-                shift = shift[0]
+            shift = np.array(shift, dtype=float, ndmin=1)
+            shift = shift[order] if shift.size > 1 else float(shift[0])
         start = self.fresh
         counts = self.edges.searchsorted(big)
         if big[-1] > self.edges[-1] or (self.edges[counts] != big).any():
@@ -515,56 +540,230 @@ class _PanelProfile:
             if big[-1] > self.edges[-1] and bps.size:
                 cuts = np.union1d(cuts, bps[(bps > self.edges[-1]) & (bps < big[-1])])
             self._insert(cuts, big[-1])
-            counts = self.edges.searchsorted(big)
+        shared = big.size > 1 and not isinstance(shift, np.ndarray)
+        query = self._shared_query if shared else self._row_query
+        results = query(phi, big, shift, max_evals - (self.fresh - start), tol, rtol)
+        if scalar:
+            return results[0]
+        ordered = [None] * big.size
+        for i, res in zip(order.tolist(), results):
+            ordered[i] = res
+        return ordered
+
+    def _shared_query(self, phi, big, shift, budget: int, tol: float, rtol: float) -> list:
+        """`integral` at the ascending radii `big`, all shifted by `shift`
+        (None or one number), in its order; `budget` is `max_evals` less the
+        new edges.  Each pass costs O(panels + radii).
+
+        Each panel's rule sums are made once.  They are taken at the largest
+        radius T of the panel's group, as `_rows` takes them at R, and a
+        radius R of the group reads them times (T/R)**n: consecutive radii
+        form a group while that factor stays within `_SCALE_BITS` binades,
+        so no power of r leaves the float range, and a group reads those
+        below it through the value at their top.  Each radius reads its
+        value, estimate and rounding floor off running sums over the panels
+        (`_running_sums`); their rounding, at most `_PREFIX_BLOCK` additions
+        deep per level of blocks, is charged to both the estimate and the
+        floor.  A pass judges each panel once, at the smallest radius above
+        it that is still refining: the panel is bisected when its error
+        passes its floor and its width's share of the smallest goal among
+        those radii, or, for a radius that would bisect none of its panels,
+        when the error is at least half the worst under that radius (a
+        prefix maximum).  Each bisection is charged to that smallest
+        radius.
+        """
+        n = self.n
+        radii, inverse = np.unique(big, return_inverse=True)
+        counts = self.edges.searchsorted(radii)
+        # the rows each radius summed: the panels first under it, and both
+        # children of each panel bisected under it since
+        summed = counts.copy()
+        tops, group = [radii.size - 1], np.zeros(radii.size, dtype=int)
+        if math.log2(radii[-1]) - math.log2(radii[0]) > _SCALE_BITS / n:
+            logs, tops, a = np.log2(radii), [], 0
+            while a < radii.size:
+                a = int(logs.searchsorted(logs[a] + _SCALE_BITS / n, side="right"))
+                tops.append(a - 1)
+                group[a:] += 1
+        refs = radii[tops]
+        ratio = (refs[group] / radii) ** n
+
+        def reference(size):
+            """The group top T of each of the first `size` panels."""
+            return refs[counts[tops].searchsorted(np.arange(size), side="right")]
+
+        def read(columns, at):
+            """The prefix sums of `columns` (along their last axis), held at
+            each panel's group top, at the ascending radii `at`, each at its
+            own scale."""
+            if len(tops) == 1:
+                return _running_sums(columns[..., :counts[at[-1]]])[..., counts[at] - 1] * ratio[at]
+            out = np.empty(columns.shape[:-1] + (at.size,))
+            carry = 0.0
+            for g in range(group[at[-1]] + 1):
+                low = counts[tops[g - 1]] if g else 0
+                mine = group[at] == g
+                if mine.any():
+                    ends = counts[at[mine]] - low
+                    out[..., mine] = (_running_sums(columns[..., low:low + ends[-1]])[..., ends - 1]
+                                      * ratio[at[mine]])
+                    if g:
+                        out[..., mine] += carry[..., None] * (refs[g - 1] / radii[at[mine]]) ** n
+                if g < group[at[-1]]:
+                    total = columns[..., low:counts[tops[g]]].sum(axis=-1)
+                    carry = total + carry * (refs[g - 1] / refs[g]) ** n if g else total
+            return out
+
+        def worst(column, at):
+            """The prefix maxima of `column`, as `read` takes its sums."""
+            if len(tops) == 1:
+                return np.maximum.accumulate(column[:counts[at[-1]]])[counts[at] - 1] * ratio[at]
+            # each group's largest term under each radius, at the radius's scale
+            best = np.zeros(at.size)
+            for g in range(group[at[-1]] + 1):
+                low = counts[tops[g - 1]] if g else 0
+                high = np.minimum(counts[at], counts[tops[g]])
+                inside = high > low
+                peak = np.maximum.accumulate(column[low:counts[tops[g]]])[high[inside] - low - 1]
+                best[inside] = np.maximum(best[inside], peak * (refs[g] / radii[at[inside]]) ** n)
+            return best
+
+        def scale(at):
+            """(T/R)**n for each panel p < at.size read by the radius at[p]."""
+            if len(tops) == 1:
+                return ratio[at]
+            return ratio[at] * (ref[:at.size] / refs[group[at]]) ** n
+
+        results = [None] * radii.size
+        live = np.arange(radii.size)
+        charged = np.zeros(radii.size, dtype=int)
+        size = int(counts[-1])
+        ref = reference(size)
+        parts = self._rows(phi, slice(0, size), ref, shift)
+        while True:
+            halves = parts[:, 1] + parts[:, 2]
+            errors = np.abs(parts[:, 0] - halves)
+            floors = self._floors(phi, slice(0, size), ref, shift, parts[:, 0])
+            total, estimate, floor, rounding = read(
+                np.array([halves, errors, floors, np.abs(halves)]), live)
+            levels = math.ceil(math.log(max(size, 2)) / math.log(_PREFIX_BLOCK))
+            rounding *= levels * _PREFIX_BLOCK * 2.0**-53
+            estimate += rounding
+            goal = np.maximum(tol, rtol * np.abs(total))
+            # NaN and inf in any panel's rule sums reach the totals
+            if not np.isfinite(total + estimate).all():
+                raise QuadratureError("integrand returned a non-finite value (panel profile)")
+            # a radius whose rounding floor passes its goal cannot meet it
+            asked = (estimate > goal) & (charged[live] < budget) & (floor + rounding <= goal)
+            done = slice(None)
+            if asked.any():
+                ask = live[asked]
+                top = counts[ask[-1]]
+                # each panel is judged at the smallest asked radius above it
+                star = counts[ask].searchsorted(np.arange(top), side="right")
+                judge = scale(ask[star])
+                err, widths = errors[:top] * judge, self.meta[:top, 0] / radii[ask[star]]
+                # never bisect below the width floor: the interval map
+                # cannot resolve the endpoint distance there anyway, nor
+                # can r resolve a panel that narrow next to the ball radius
+                wide = (widths > 2.0**-48) & (err > floors[:top] * judge)
+                least = np.minimum.accumulate(goal[asked][::-1])[::-1]
+                split = wide & (err > least[star] * widths)
+                marked = np.cumsum(split)[counts[ask] - 1] > 0
+                lacking = ~marked & (np.cumsum(wide)[counts[ask] - 1] > 0)
+                if lacking.any():
+                    # each panel against the worst wide panel under the
+                    # smallest lacking radius above it, the least such worst
+                    lack = ask[lacking]
+                    limit = worst(np.where(wide, errors[:top], 0.0), lack)
+                    m = counts[lack[-1]]
+                    below = counts[lack].searchsorted(np.arange(m), side="right")
+                    split[:m] |= wide[:m] & (errors[:m] * scale(lack[below])
+                                             >= 0.5 * limit[below])
+                    marked = np.cumsum(split)[counts[ask] - 1] > 0
+                asked[asked] = marked
+                done = ~asked
+            finished = live[done]
+            for r, value, error, rows, converged in zip(
+                    finished.tolist(), total[done].tolist(), estimate[done].tolist(),
+                    summed[finished].tolist(), (estimate[done] <= goal[done]).tolist()):
+                results[r] = QuadratureResult(value, error, 45 * rows, converged)
+            if not asked.any():
+                break
+            live = live[asked]
+            parents = np.flatnonzero(split)
+            charged[ask] += 60 * np.bincount(star[parents], minlength=ask.size)
+            mids = 0.5 * (self.edges[parents] + self.edges[parents + 1])
+            self._insert(mids, radii[live[-1]], self.values[parents, 15:].reshape(-1, 15))
+            # a kept panel moves past the children inserted before it
+            kept = np.ones(size, dtype=bool)
+            kept[parents] = False
+            dest = np.arange(size) + parents.searchsorted(np.arange(size))
+            added = parents.searchsorted(counts)
+            counts += added
+            summed += 2 * added
+            children = ((parents + np.arange(parents.size))[:, None] + np.arange(2)).ravel()
+            grown = np.empty((size + parents.size, 3))
+            grown[dest[kept]] = parts[kept]
+            size = int(counts[live[-1]])
+            ref = reference(size)
+            grown[children] = self._rows(phi, children, ref[children], shift)
+            parts = grown[:size]
+        return [results[i] for i in inverse]
+
+    def _row_query(self, phi, big, shift, budget: int, tol: float, rtol: float) -> list:
+        """`integral` at the ascending radii `big`, shifted by the matching
+        `shift`, in its order, or at one radius with any shift; `budget` is
+        `max_evals` less the new edges.
+
+        Each (panel, radius) row keeps its rule sums, a bisected panel's rows
+        pass to both its children, and each radius's panels are judged by
+        `_split_panels`; one radius has one row per panel.  A query of more
+        than `_PROFILE_ROWS` rows is made in consecutive chunks of its
+        radii, each counted after the previous ones' refinement and charged
+        the new edges as if they were its own.
+        """
+        counts = self.edges.searchsorted(big)
+        each = isinstance(shift, np.ndarray)
         if big.size > 1 and counts.sum() > _PROFILE_ROWS:
-            # consecutive radii in queries of at most _PROFILE_ROWS rows each
-            # (or one radius), counted after the previous ones' refinement,
-            # each charged the new edges as if they were its own
-            results, a, budget = [None] * big.size, 0, max_evals - (self.fresh - start)
+            results, a = [], 0
             while a < big.size:
                 rows = self.edges.searchsorted(big[a:]).cumsum()
                 b = a + max(1, int(rows.searchsorted(_PROFILE_ROWS, side="right")))
-                part = self.integral(phi, big[a:b], None if shift is None else shift[a:b],
-                                     tol, rtol, budget)
-                for i, res in zip(order[a:b].tolist(), part):
-                    results[i] = res
+                results += self.integral(phi, big[a:b], shift[a:b], tol, rtol, budget)
                 a = b
             return results
-        # the radii still refining, ascending (`big`, their places in
-        # `radii`, the fresh evaluations charged to them, the rows they
-        # summed), and their rows, grouped by radius: the rows of radius R
-        # are the panels under it, a prefix of the table
-        act = order.tolist()
-        charged = [self.fresh - start] * big.size
+        # the radii still refining, ascending (their places in `big`, the
+        # fresh evaluations charged to them, the rows they summed), and
+        # their rows, grouped by radius: the rows of radius R are the panels
+        # under it, a prefix of the table
+        act = list(range(big.size))
+        charged = [0] * big.size
         summed = counts.tolist()
         offsets = counts.cumsum() - counts
-        panels = np.arange(offsets[-1] + counts[-1])
-        if big.size > 1:
-            panels -= offsets.repeat(counts)
+        panels = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
         radius = big.repeat(counts)
-        sums = self._rows(phi, panels, radius, shift.repeat(counts) if each else shift,
-                          slice(0, int(counts[-1])))
+        # one radius's rows are the table's first panels: read them by a slice
+        rows = slice(0, int(counts[-1])) if big.size == 1 else panels
+        sums = self._rows(phi, rows, radius, shift.repeat(counts) if each else shift)
         results = [None] * big.size
         while True:
             halves = sums[:, 1] + sums[:, 2]
             errors = np.abs(sums[:, 0] - halves)
-            # pairwise sums, as accurate as the goal needs
             total = np.add.reduceat(halves, offsets).tolist()
             total_err = np.add.reduceat(errors, offsets).tolist()
             goal = [max(tol, rtol * abs(t)) for t in total]
             # NaN and inf in any panel's rule sums reach the totals
             if not all(math.isfinite(t + e) for t, e in zip(total, total_err)):
                 raise QuadratureError("integrand returned a non-finite value (panel profile)")
-            asked = [e > g and c < max_evals
-                     for e, g, c in zip(total_err, goal, charged)]
+            asked = [e > g and c < budget for e, g, c in zip(total_err, goal, charged)]
             if any(asked):
                 group = np.arange(big.size).repeat(counts)
                 rows = np.array(asked)[group].nonzero()[0]
                 widths = self.meta[panels[rows], 0] / radius[rows]
                 floors = np.zeros(panels.size)
                 floors[rows] = self._floors(phi, panels[rows], radius[rows],
-                                            shift[group[rows]] if each else shift,
-                                            sums[rows, 0])
+                                            shift[group[rows]] if each else shift, sums[rows, 0])
                 # a radius whose rounding floor passes its goal cannot meet it
                 reachable = np.add.reduceat(floors, offsets) <= np.array(goal)
                 split = np.zeros(panels.size, dtype=bool)
@@ -614,11 +813,9 @@ class _PanelProfile:
             old = sums[~is_parent]
             sums = np.empty((panels.size, 3))
             sums[dest[~is_parent]] = old
-            children = ((parents + np.arange(parents.size))[:, None] + np.arange(2)).ravel()
-            sums[kids] = self._rows(
-                phi, panels[kids], radius[kids], shift.repeat(counts)[kids] if each else shift,
-                children)
-        return results[0] if scalar else results
+            sums[kids] = self._rows(phi, panels[kids], radius[kids],
+                                    shift.repeat(counts)[kids] if each else shift)
+        return results
 
 
 def integrate_unit_interval(

@@ -24,10 +24,13 @@ its ball integrals have no closed form it samples f, or the symbol,
 once into a panel profile (`numerics._PanelProfile`), and every ball
 integral of the search reads off it: the 61 grid radii take one batched
 query per ball quantity (the Morrey averages; the CMO means, then their
-oscillations), and each probe of the climb one query of each for one
-radius, plus, for the CMO slope at q != 2, one loose query of the mean
-of sign(b - b_B) |b - b_B|**(q-1) (at q = 2 that is the mean of b - b_B,
-which is zero).
+oscillations, at q = 2 one query per block of radii that shares a
+reference K, usually one block for all), and each probe of the climb one
+query of each for one radius, plus, for the CMO slope at q != 2, one
+loose query of the mean of sign(b - b_B) |b - b_B|**(q-1) (at q = 2 that
+is the mean of b - b_B, which is zero).  A query of many radii costs
+O(panels + radii) per refinement pass when they share one shift, as all
+but the CMO oscillations at q != 2 do, and O(panels x radii) else.
 
 Divergent norms are reported as ``math.inf``, never NaN.
 """
@@ -401,6 +404,41 @@ def _morrey_brackets(
     return probe
 
 
+def _square_oscillations(ball, radii: np.ndarray, means: np.ndarray, errs: np.ndarray,
+                         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The q = 2 central oscillations at `radii`, and their estimates.
+
+    ``ball(phi, radii, shift)`` gives the ball means of phi(b - shift) and
+    their estimates, as arrays; `means` and `errs` are the ball means c of
+    b and theirs.  A block of consecutive radii shares a reference K, and
+    M2, the mean of (b - K)**2, is one query for all of them, shifted by K
+    alone; the oscillation is M2 - (c - K)**2.  A mean c_i with estimate e_i
+    admits any K within tol / (2 e_i) of it, so that the cancellation
+    2 |c_i - K| e_i stays within `tol`.  A block grows while the admitted
+    intervals of its means still meet, and its K is the middle of its
+    means, clipped into their common interval: a block of one radius takes
+    its own mean, and M2 is the oscillation.  Each estimate adds the
+    cancellation and the rounding of (c - K)**2 to M2's.
+    """
+    osc, osc_errs = np.empty(radii.size), np.empty(radii.size)
+    with np.errstate(divide="ignore"):
+        reach = tol / (2.0 * errs)
+    a = 0
+    while a < radii.size:
+        low, high, b = means[a] - reach[a], means[a] + reach[a], a + 1
+        while (b < radii.size and max(low, means[b] - reach[b])
+               <= min(high, means[b] + reach[b])):
+            low, high, b = max(low, means[b] - reach[b]), min(high, means[b] + reach[b]), b + 1
+        run = means[a:b]
+        ref = min(max(0.5 * (run.min() + run.max()), low), high)
+        m2, m2_errs = ball(np.square, radii[a:b], ref)
+        gap = run - ref
+        osc[a:b] = m2 - gap**2
+        osc_errs[a:b] = m2_errs + 2.0 * np.abs(gap) * errs[a:b] + 4.0 * _EPS * gap**2
+        a = b
+    return osc, osc_errs
+
+
 def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -> float:
     """The largest bracket found on R in [1e-3, 1e3]: a lower bound on the sup.
 
@@ -587,10 +625,17 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     window, while the norm is 1/sqrt(2).  Either way a QuadratureError is
     raised when an integral does not converge.  The generic ball
     integrals all read one panel profile of b (a table of b's values on
-    r-space panels, refined as the radii need and kept across them): for
-    all radii of a probe at once, the means c = b_B with phi = identity,
-    then the oscillations O = n R**-n int_B |b - c|**q with phi = |v|**q
-    shifted by each radius's c, each to 1e-13 absolute or 1e-11 relative.
+    r-space panels, refined as the radii need and kept across them), each
+    to 1e-13 absolute or 1e-11 relative: for all radii of a probe at once,
+    the means c = b_B with phi = identity, then the oscillations
+    O = n R**-n int_B |b - c|**q.  At q != 2 they take phi = |v|**q
+    shifted by each radius's c.  At q = 2 they take O = M2 - (c - K)**2,
+    where M2 is the mean of (b - K)**2, one query for each block of radii
+    sharing a reference K chosen from their means (`_square_oscillations`),
+    so that no query needs a shift per radius.  The cancellation this
+    costs, 2 |c - K| times the mean's estimate plus the rounding of
+    (c - K)**2, is added to O's estimate and kept within 1e-13 by the
+    choice of the blocks; a probe of one radius takes K = c, and M2 is O.
     The climb steers by the slope in x = log R,
 
         dO/dx = n (|b(R) - c|**q - O) - q n (b(R) - c) G,
@@ -648,7 +693,11 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
     def probe(radii, slopes: bool = False) -> tuple[list[float], Optional[list[float]]]:
         means, mean_errs = ball(lambda v: v, radii)  # ball means c = b_B
-        osc, osc_errs = ball(lambda v: np.abs(v) ** q, radii, means)
+        if q == 2.0:
+            # the ball integrals' absolute goal bounds the cancellation
+            osc, osc_errs = _square_oscillations(ball, radii, means, mean_errs, n * 1e-13)
+        else:
+            osc, osc_errs = ball(lambda v: np.abs(v) ** q, radii, means)
         values = [max(float(o), 0.0) ** (1.0 / q) for o in osc]
         if not slopes:
             return values, None

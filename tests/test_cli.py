@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -322,6 +324,14 @@ class TestProtocol:
         r1.pop("timestamp"), r2.pop("timestamp")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_module_runs_the_cli(self):
+        src = Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "hardyops", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.strip() == cli.__version__
+
     def test_every_number_carries_an_error_estimate(self, invoke):
         _, out, _ = invoke(
             "constant", "lebesgue", "--weight", "rl:0.5", "--n", "1", "--p", "2"
@@ -365,8 +375,8 @@ _NON_FINITE = [
     (("constant", "lebesgue", "--weight", "const:1", "--p", "2", "--tol", "-1"),
      "argument --tol"),
     (("constant", "lebesgue", "--weight", "const:1:2", "--p", "4", "inf"), "argument --p"),
-    (("constant", "lebesgue", "--weight", "const:1:2", "--p", "4", "4", "--q", "2", "nan"),
-     "argument --q"),
+    (("constant", "morrey", "--weight", "const:1:2", "--p", "4", "4", "--lambda", "-0.1", "nan"),
+     "argument --lambda"),
     (("apply", "hardy", "--weight", "const:1", "--f", "cutpow:-0.5:1", "--r", "inf"),
      "argument --r"),
     (("norm", "cmo", "--f", "osccut:1:2", "--q", "inf"), "argument --q"),
@@ -414,9 +424,12 @@ _BASE = {
     "oscillation": ("oscillation", "--weight", "const:1", "--axes", "1", "--r", "10"),
 }
 
-# the flags each subcommand declares no longer (14 slots)
+# the flags each subcommand declares no longer (15 slots)
 _REMOVED = [(cmd, "--rtol", "1e-2") for cmd in _BASE] + [
     ("norm", "--tol", "1e-2"),
+    # no constant family reads symbol exponents; --q 1.5 used to fail on a
+    # derived p that no family uses
+    ("constant", "--q", "1.5"),
     ("constant", "--csv", None),
     ("apply", "--csv", None),
     ("norm", "--csv", None),
@@ -476,10 +489,13 @@ _KIND_BASE = {
     "apply cesaro-comm": ("apply", "cesaro-comm", "--f", "power:-0.25", "--b", "log",
                           "--r", "1"),
     "constant lebesgue": _BASE["constant"],
+    "constant cesaro-lebesgue": ("constant", "cesaro-lebesgue", "--weight", "const:1", "--p", "4"),
     "constant morrey": ("constant", "morrey", "--weight", "const:1", "--p", "4",
                         "--lambda", "-0.125"),
     "constant cesaro-log": ("constant", "cesaro-log", "--weight", "const:1", "--p", "4",
                             "--lambda", "-0.125"),
+    "sharpness lebesgue": ("sharpness", "lebesgue", "--weight", "const:1", "--p", "2"),
+    "sharpness cesaro": ("sharpness", "cesaro", "--weight", "const:1", "--p", "2"),
     "sharpness morrey": ("sharpness", "morrey", "--weight", "const:1:2", "--p", "4", "4",
                          "--lambda", "-0.125", "-0.125"),
     "sharpness commutator": ("sharpness", "commutator", "--weight", "const:1:2",
@@ -500,6 +516,11 @@ _UNREAD = [
       for flag, value in (("--axes", "1"), ("--shift", "2"))),
     ("sharpness morrey", "--eps", "0.3"),
     ("sharpness commutator", "--eps", "0.3"),
+    # the Lebesgue-type exponents -n/p_i and -n(1 - 1/p_i) read no lambda_i
+    ("constant lebesgue", "--lambda", "-0.3"),
+    ("constant cesaro-lebesgue", "--lambda", "-0.3"),
+    ("sharpness lebesgue", "--lambda", "-0.1"),
+    ("sharpness cesaro", "--lambda", "-0.1"),
 ]
 
 
@@ -552,8 +573,9 @@ class TestKindRules:
 
     @pytest.mark.parametrize("family", list(cli._FAMILIES))
     def test_every_family_takes_the_seed(self, invoke, family):
-        code, out, _ = invoke("constant", family, "--weight", "const:1", "--p", "4",
-                              "--lambda", "-0.125", "--seed", "0")
+        lam = ("--lambda", "-0.125") if family in ("morrey", "log-moment", "cesaro-log") else ()
+        code, out, _ = invoke("constant", family, "--weight", "const:1", "--p", "4", *lam,
+                              "--seed", "0")
         assert code == 0
         assert record_of(out)["seed"] == 0
 

@@ -581,12 +581,12 @@ class TestPanelProfile:
             assert np.array_equal(profile.meta[:, 4], flat.max(axis=1))
 
     def test_long_query_memory_is_bounded(self):
-        # one query of 2,000 radii over a table of about 2,000 panels has a
-        # (panel, radius) row per panel under each radius, about 2M rows;
-        # they are refined in chunks of at most _PROFILE_ROWS (the whole
-        # query at once peaked at 185 MiB)
+        # one query of 10,000 radii over a table of about 10,000 panels: its
+        # radii share one shift (none), so it holds each panel's sums and
+        # each radius's totals, never a row per (panel, radius) (2,000
+        # radii as rows, all at once, peaked at 185 MiB)
         b = hardyops.parse_function_spec("osccut:1:2")
-        radii = np.logspace(-3.0, 3.0, 2000)
+        radii = np.logspace(-3.0, 3.0, 10_000)
         tracemalloc.start()
         try:
             hardyops.central_morrey_profile(b, 2, -0.25, 1, radii, force_quadrature=True)
@@ -594,6 +594,55 @@ class TestPanelProfile:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_prefix_rounding_is_charged(self, n, offset):
+        # 10,000 radii read their values off running sums over about 10,000
+        # panels, far deeper than one radius's sum.  With b offset by 1e3
+        # the sums do not cancel, and a plain running sum, uncharged, errs
+        # by up to 1.7 times the slack below
+        def b(r):
+            return _osccut(r) + offset
+
+        radii = np.logspace(-3.0, 3.0, 10_000)
+        results = numerics._PanelProfile(b, n, (1.0,)).integral(_identity, radii)
+        for i in range(0, radii.size, 97):
+            ref = numerics._PanelProfile(b, n, (1.0,)).integral(_identity, float(radii[i]))
+            res = results[i]
+            assert res.converged and ref.converged
+            slack = res.abs_error_estimate + ref.abs_error_estimate
+            assert abs(res.value - ref.value) <= slack + 8 * math.ulp(max(1.0, abs(ref.value)))
+
+    def test_radii_past_the_float_range_of_one_scale(self):
+        # at n = 40, (1e40 / 1e-30)**n is far past the float range, so the
+        # query reads its radii in groups, each scaled from its own top
+        def fn(r):
+            return np.sin(r) / (1.0 + r) + np.exp(-r)
+
+        radii = np.array([1e40, 1e-30, 7.0, 1e-9, 0.5, 1e3])
+        results = numerics._PanelProfile(fn, 40, ()).integral(_identity, radii)
+        for radius, res in zip(radii, results):
+            ref = numerics._PanelProfile(fn, 40, ()).integral(_identity, float(radius))
+            assert res.converged and ref.converged
+            slack = res.abs_error_estimate + ref.abs_error_estimate
+            assert abs(res.value - ref.value) <= slack + 8 * math.ulp(max(1.0, abs(ref.value)))
+
+    @pytest.mark.parametrize("radii", [[0.5, 2.0], [1e-60, 1e-20, 1.0, 1e5]])
+    def test_singular_end_is_refined_as_for_the_smallest_radius(self, radii):
+        # r**-0.9 leaves its error in the panels at the width floor next to
+        # 0, so the queries end unconverged, after marking the worst tier of
+        # the other panels; the panels next to 0 are judged at the smallest
+        # radius, so no radius is less accurate than when queried alone
+        def fn(r):
+            return r**-0.9
+
+        results = numerics._PanelProfile(fn, 1, ()).integral(_identity, np.array(radii))
+        for radius, res in zip(radii, results):
+            ref = numerics._PanelProfile(fn, 1, ()).integral(_identity, radius)
+            exact = 10.0 * radius**-0.9
+            assert not res.converged and math.isfinite(res.value)
+            assert abs(res.value - exact) <= abs(ref.value - exact) * (1.0 + 1e-9)
 
     def test_chunked_query_matches_one_radius_queries(self):
         radii = np.random.default_rng(7).permutation(np.logspace(-3.0, 3.0, 2000))

@@ -491,6 +491,34 @@ class TestCmoNorm:
         # integral up to there must converge
         assert cmo_norm(oscillatory_cutoff(1.0, 2.0), q, n) == pytest.approx(exact, rel=1e-11)
 
+    def test_large_offset_keeps_the_norm(self):
+        # at q = 2 the oscillations come from moments about a reference K
+        # near the ball means, so an offset of 1e3 cancels in c - K, not in
+        # the oscillation itself
+        b = oscillatory_cutoff(1.0, 2.0)
+        shifted = radial_from_callable(lambda r: b.fn(r) + 1e3, breakpoints=b.breakpoints)
+        plain = cmo_norm(b, 2.0, 1)
+        assert cmo_norm(shifted, 2.0, 1) == pytest.approx(plain, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e3])
+    def test_square_oscillations_match_shifted_queries(self, offset):
+        # the moment route at the 61 grid radii against one query shifted
+        # by each radius's mean, within the sum of their estimates
+        b = oscillatory_cutoff(1.0, 2.0)
+        profile = numerics._PanelProfile(lambda r: b.fn(r) + offset, 1, b.breakpoints)
+        radii = np.logspace(-3.0, 3.0, 61)
+
+        def ball(phi, radii, shift=None):
+            results = profile.integral(phi, radii, shift)
+            assert all(res.converged for res in results)
+            return np.array([[res.value, res.abs_error_estimate] for res in results]).T
+
+        means, errs = ball(lambda v: v, radii)
+        osc, osc_errs = spaces._square_oscillations(ball, radii, means, errs, 1e-13)
+        ref, ref_errs = ball(np.square, radii, means)
+        rounding = 8 * np.spacing(np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(osc - ref) <= osc_errs + ref_errs + rounding)
+
     def test_custom_log_symbol(self):
         # -2 log r without the closed-form branch: twice the log norm, 2
         b = radial_from_callable(lambda r: -2.0 * np.log(r))
