@@ -555,95 +555,50 @@ class _PanelProfile:
         (None or one number), in its order; `budget` is `max_evals` less the
         new edges.  Each pass costs O(panels + radii).
 
-        Each panel's rule sums are made once.  They are taken at the largest
-        radius T of the panel's group, as `_rows` takes them at R, and a
-        radius R of the group reads them times (T/R)**n: consecutive radii
-        form a group while that factor stays within `_SCALE_BITS` binades,
-        so no power of r leaves the float range, and a group reads those
-        below it through the value at their top.  Each radius reads its
-        value, estimate and rounding floor off running sums over the panels
-        (`_running_sums`); their rounding, at most `_PREFIX_BLOCK` additions
-        deep per level of blocks, is charged to both the estimate and the
-        floor.  A pass judges each panel once, at the smallest radius above
-        it that is still refining: the panel is bisected when its error
-        passes its floor and its width's share of the smallest goal among
-        those radii, or, for a radius that would bisect none of its panels,
-        when the error is at least half the worst under that radius (a
-        prefix maximum).  Each bisection is charged to that smallest
-        radius.
+        Each panel's rule sums are made once, taken at the largest radius T
+        as `_rows` takes them at R, and a radius R reads them times
+        (T/R)**n.  Radii past `_SCALE_BITS` binades of that factor are
+        queried in consecutive runs that stay within it, each charged the
+        new edges as if they were its own, so no power of r leaves the
+        float range.  Each radius reads its value, estimate and rounding
+        floor off running sums over the panels (`_running_sums`); their
+        rounding, at most `_PREFIX_BLOCK` additions deep per level of
+        blocks, is charged to both the estimate and the floor.  A pass
+        judges each panel once, at the smallest radius above it that is
+        still refining: the panel is bisected when its error passes its
+        floor and its width's share of the smallest goal among those
+        radii, or, for a radius that would bisect none of its panels, when
+        the error is at least half the worst under that radius (a prefix
+        maximum).  Each bisection is charged to that smallest radius.
         """
         n = self.n
+        logs = np.log2(big)
+        run = int(logs.searchsorted(logs[0] + _SCALE_BITS / n, side="right"))
+        if run < big.size:
+            return (self._shared_query(phi, big[:run], shift, budget, tol, rtol)
+                    + self._shared_query(phi, big[run:], shift, budget, tol, rtol))
         radii, inverse = np.unique(big, return_inverse=True)
         counts = self.edges.searchsorted(radii)
         # the rows each radius summed: the panels first under it, and both
         # children of each panel bisected under it since
         summed = counts.copy()
-        tops, group = [radii.size - 1], np.zeros(radii.size, dtype=int)
-        if math.log2(radii[-1]) - math.log2(radii[0]) > _SCALE_BITS / n:
-            logs, tops, a = np.log2(radii), [], 0
-            while a < radii.size:
-                a = int(logs.searchsorted(logs[a] + _SCALE_BITS / n, side="right"))
-                tops.append(a - 1)
-                group[a:] += 1
-        refs = radii[tops]
-        ratio = (refs[group] / radii) ** n
-
-        def reference(size):
-            """The group top T of each of the first `size` panels."""
-            return refs[counts[tops].searchsorted(np.arange(size), side="right")]
+        scale = (radii[-1] / radii) ** n
 
         def read(columns, at):
-            """The prefix sums of `columns` (along their last axis), held at
-            each panel's group top, at the ascending radii `at`, each at its
-            own scale."""
-            if len(tops) == 1:
-                return _running_sums(columns[..., :counts[at[-1]]])[..., counts[at] - 1] * ratio[at]
-            out = np.empty(columns.shape[:-1] + (at.size,))
-            carry = 0.0
-            for g in range(group[at[-1]] + 1):
-                low = counts[tops[g - 1]] if g else 0
-                mine = group[at] == g
-                if mine.any():
-                    ends = counts[at[mine]] - low
-                    out[..., mine] = (_running_sums(columns[..., low:low + ends[-1]])[..., ends - 1]
-                                      * ratio[at[mine]])
-                    if g:
-                        out[..., mine] += carry[..., None] * (refs[g - 1] / radii[at[mine]]) ** n
-                if g < group[at[-1]]:
-                    total = columns[..., low:counts[tops[g]]].sum(axis=-1)
-                    carry = total + carry * (refs[g - 1] / refs[g]) ** n if g else total
-            return out
-
-        def worst(column, at):
-            """The prefix maxima of `column`, as `read` takes its sums."""
-            if len(tops) == 1:
-                return np.maximum.accumulate(column[:counts[at[-1]]])[counts[at] - 1] * ratio[at]
-            # each group's largest term under each radius, at the radius's scale
-            best = np.zeros(at.size)
-            for g in range(group[at[-1]] + 1):
-                low = counts[tops[g - 1]] if g else 0
-                high = np.minimum(counts[at], counts[tops[g]])
-                inside = high > low
-                peak = np.maximum.accumulate(column[low:counts[tops[g]]])[high[inside] - low - 1]
-                best[inside] = np.maximum(best[inside], peak * (refs[g] / radii[at[inside]]) ** n)
-            return best
-
-        def scale(at):
-            """(T/R)**n for each panel p < at.size read by the radius at[p]."""
-            if len(tops) == 1:
-                return ratio[at]
-            return ratio[at] * (ref[:at.size] / refs[group[at]]) ** n
+            """The prefix sums of `columns` (held at T, along their last
+            axis) at the ascending radii `at`, each at its own scale."""
+            return _running_sums(columns[..., :counts[at[-1]]])[..., counts[at] - 1] * scale[at]
 
         results = [None] * radii.size
         live = np.arange(radii.size)
         charged = np.zeros(radii.size, dtype=int)
         size = int(counts[-1])
-        ref = reference(size)
-        parts = self._rows(phi, slice(0, size), ref, shift)
+        parts = self._rows(phi, slice(0, size), np.full(size, radii[-1]), shift)
         while True:
             halves = parts[:, 1] + parts[:, 2]
             errors = np.abs(parts[:, 0] - halves)
-            floors = self._floors(phi, slice(0, size), ref, shift, parts[:, 0])
+            floors = self._floors(phi, slice(0, size), np.full(size, radii[-1]), shift,
+                                  parts[:, 0])
             total, estimate, floor, rounding = read(
                 np.array([halves, errors, floors, np.abs(halves)]), live)
             levels = math.ceil(math.log(max(size, 2)) / math.log(_PREFIX_BLOCK))
@@ -660,26 +615,26 @@ class _PanelProfile:
                 ask = live[asked]
                 top = counts[ask[-1]]
                 # each panel is judged at the smallest asked radius above it
-                star = counts[ask].searchsorted(np.arange(top), side="right")
-                judge = scale(ask[star])
-                err, widths = errors[:top] * judge, self.meta[:top, 0] / radii[ask[star]]
+                place = counts[ask].searchsorted(np.arange(top), side="right")
+                star = ask[place]
+                err, widths = errors[:top] * scale[star], self.meta[:top, 0] / radii[star]
                 # never bisect below the width floor: the interval map
                 # cannot resolve the endpoint distance there anyway, nor
                 # can r resolve a panel that narrow next to the ball radius
-                wide = (widths > 2.0**-48) & (err > floors[:top] * judge)
+                wide = (widths > 2.0**-48) & (err > floors[:top] * scale[star])
                 least = np.minimum.accumulate(goal[asked][::-1])[::-1]
-                split = wide & (err > least[star] * widths)
+                split = wide & (err > least[place] * widths)
                 marked = np.cumsum(split)[counts[ask] - 1] > 0
                 lacking = ~marked & (np.cumsum(wide)[counts[ask] - 1] > 0)
                 if lacking.any():
                     # each panel against the worst wide panel under the
                     # smallest lacking radius above it, the least such worst
                     lack = ask[lacking]
-                    limit = worst(np.where(wide, errors[:top], 0.0), lack)
                     m = counts[lack[-1]]
+                    worst = np.maximum.accumulate(np.where(wide[:m], errors[:m], 0.0))
+                    limit = worst[counts[lack] - 1]
                     below = counts[lack].searchsorted(np.arange(m), side="right")
-                    split[:m] |= wide[:m] & (errors[:m] * scale(lack[below])
-                                             >= 0.5 * limit[below])
+                    split[:m] |= wide[:m] & (errors[:m] >= 0.5 * limit[below])
                     marked = np.cumsum(split)[counts[ask] - 1] > 0
                 asked[asked] = marked
                 done = ~asked
@@ -692,7 +647,7 @@ class _PanelProfile:
                 break
             live = live[asked]
             parents = np.flatnonzero(split)
-            charged[ask] += 60 * np.bincount(star[parents], minlength=ask.size)
+            charged += 60 * np.bincount(star[parents], minlength=radii.size)
             mids = 0.5 * (self.edges[parents] + self.edges[parents + 1])
             self._insert(mids, radii[live[-1]], self.values[parents, 15:].reshape(-1, 15))
             # a kept panel moves past the children inserted before it
@@ -705,9 +660,8 @@ class _PanelProfile:
             children = ((parents + np.arange(parents.size))[:, None] + np.arange(2)).ravel()
             grown = np.empty((size + parents.size, 3))
             grown[dest[kept]] = parts[kept]
+            grown[children] = self._rows(phi, children, np.full(children.size, radii[-1]), shift)
             size = int(counts[live[-1]])
-            ref = reference(size)
-            grown[children] = self._rows(phi, children, ref[children], shift)
             parts = grown[:size]
         return [results[i] for i in inverse]
 

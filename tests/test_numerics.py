@@ -616,7 +616,7 @@ class TestPanelProfile:
 
     def test_radii_past_the_float_range_of_one_scale(self):
         # at n = 40, (1e40 / 1e-30)**n is far past the float range, so the
-        # query reads its radii in groups, each scaled from its own top
+        # radii are queried in runs, each scaled from its own largest radius
         def fn(r):
             return np.sin(r) / (1.0 + r) + np.exp(-r)
 
