@@ -634,8 +634,9 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     sharing a reference K chosen from their means (`_square_oscillations`),
     so that no query needs a shift per radius.  The cancellation this
     costs, 2 |c - K| times the mean's estimate plus the rounding of
-    (c - K)**2, is added to O's estimate and kept within 1e-13 by the
-    choice of the blocks; a probe of one radius takes K = c, and M2 is O.
+    (c - K)**2, is added to O's estimate and kept within the absolute goal
+    by the choice of the blocks; a probe of one radius takes K = c, and M2
+    is O.
     The climb steers by the slope in x = log R,
 
         dO/dx = n (|b(R) - c|**q - O) - q n (b(R) - c) G,
