@@ -34,10 +34,11 @@ edges with one call of b, so the panels under each R are a prefix of the
 table, and refines those panels in passes shared by all its radii.  When
 its radii share one shift (or none), each pass costs O(panels + radii):
 a panel's rule sums are made once, every radius reads its value,
-estimate and rounding floor off prefix sums over the panels, and each
-panel is judged once, against the smallest goal among the radii above
-it.  A shift per radius makes one row per (panel, radius) instead,
-judged per radius (`_split_panels`).  Every refinement is kept for later
+estimate and rounding floor off compensated prefix sums over the panels
+(`_running_sums`, the package's one running sum), and each panel is
+judged once, against the smallest goal among the radii above it.  A
+shift per radius makes one row per (panel, radius) instead, judged per
+radius (`_split_panels`).  Every refinement is kept for later
 queries, so a query near earlier ones evaluates b at few new nodes.  A
 panel whose error is within the rounding floor of its integral (the
 change an ulp of r makes to it) is not bisected, and a radius whose
@@ -49,8 +50,10 @@ is bit-identical.
 
 The cube integrator is a deterministic tensor product of per-axis
 composite Gauss-Legendre rules on panels graded geometrically toward both
-endpoints (after the same substitutions).  Each axis climbs its own
-ladder of refinement rungs (dimension-adaptive, after Gerstner and
+endpoints (after the same substitutions), memoized up to 8 MiB
+(`_cached_axis_rule`).  A sub-box maps onto the unit cube by one node
+map and one end rule (`_box_nodes`, `_box_ends`).  Each axis climbs its
+own ladder of refinement rungs (dimension-adaptive, after Gerstner and
 Griebel): a step raises each axis one rung on its own, the changes
 estimate the per-axis errors, and only the axes whose change exceeds
 their share of the tolerance go up.  The reported value comes from the
@@ -304,29 +307,25 @@ _PROFILE_SLAB = 2**14
 # (panel, radius) rows a query with a shift per radius refines at once,
 # about 12 MiB
 _PROFILE_ROWS = 2**17
-# terms a running sum adds at once (`_running_sums`)
-_PREFIX_BLOCK = 32
 # binades a shared query's scale factor (top/R)**n may span
 _SCALE_BITS = 128.0
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:
-    """The running sums of `terms` along their last axis, in blocks.
+    """The running sums of `terms` along their last axis, compensated.
 
-    A running sum inside each block of `_PREFIX_BLOCK` terms, plus the
-    running sum, taken the same way, of the blocks' sums before it: each
-    sum is at most `_PREFIX_BLOCK` additions deep per level of blocks,
-    where one running sum would be as deep as its terms are many.
+    Each step's rounding error, recovered exactly (TwoSum), is added back
+    as a second running sum: the k-th sum is Sum2 (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", 2005) of the first k terms, within
+    u |S| + gamma(k - 1)**2 sum |x| of their exact sum S, u = 2**-53 and
+    gamma(j) = j u / (1 - j u).  A NaN or inf term makes the rest NaN.
     """
-    size = terms.shape[-1]
-    if size <= _PREFIX_BLOCK:
-        return np.cumsum(terms, axis=-1)
-    blocks = -(-size // _PREFIX_BLOCK)
-    padded = np.zeros(terms.shape[:-1] + (blocks * _PREFIX_BLOCK,))
-    padded[..., :size] = terms
-    within = np.cumsum(padded.reshape(terms.shape[:-1] + (blocks, _PREFIX_BLOCK)), axis=-1)
-    within[..., 1:, :] += _running_sums(within[..., :-1, -1])[..., None]
-    return within.reshape(padded.shape)[..., :size]
+    run = np.cumsum(terms, axis=-1)
+    before = np.zeros_like(run)
+    before[..., 1:] = run[..., :-1]
+    back = run - before
+    lost = (before - (run - back)) + (terms - back)
+    return run + np.cumsum(lost, axis=-1)
 
 
 class _PanelProfile:
@@ -561,15 +560,18 @@ class _PanelProfile:
         queried in consecutive runs that stay within it, each charged the
         new edges as if they were its own, so no power of r leaves the
         float range.  Each radius reads its value, estimate and rounding
-        floor off running sums over the panels (`_running_sums`); their
-        rounding, at most `_PREFIX_BLOCK` additions deep per level of
-        blocks, is charged to both the estimate and the floor.  A pass
-        judges each panel once, at the smallest radius above it that is
-        still refining: the panel is bisected when its error passes its
-        floor and its width's share of the smallest goal among those
-        radii, or, for a radius that would bisect none of its panels, when
-        the error is at least half the worst under that radius (a prefix
-        maximum).  Each bisection is charged to that smallest radius.
+        floor off compensated running sums over the panels
+        (`_running_sums`).  Both its estimate and its floor are charged the
+        rounding of its value over k panels: the bound of those sums,
+        u |value| + gamma(k - 1)**2 sum |halves| (u = 2**-53, gamma(j) =
+        j u / (1 - j u)), plus `_ROUNDING_ULPS` ulps of sum |halves| for
+        the panels' own rule sums.  A pass judges each panel once, at the
+        smallest radius above it that is still refining: the panel is
+        bisected when its error passes its floor and its width's share of
+        the smallest goal among those radii, or, for a radius that would
+        bisect none of its panels, when the error is at least half the
+        worst under that radius (a prefix maximum).  Each bisection is
+        charged to that smallest radius.
         """
         n = self.n
         logs = np.log2(big)
@@ -583,6 +585,7 @@ class _PanelProfile:
         # children of each panel bisected under it since
         summed = counts.copy()
         scale = (radii[-1] / radii) ** n
+        u = 2.0**-53
 
         def read(columns, at):
             """The prefix sums of `columns` (held at T, along their last
@@ -599,10 +602,12 @@ class _PanelProfile:
             errors = np.abs(parts[:, 0] - halves)
             floors = self._floors(phi, slice(0, size), np.full(size, radii[-1]), shift,
                                   parts[:, 0])
-            total, estimate, floor, rounding = read(
+            total, estimate, floor, mass = read(
                 np.array([halves, errors, floors, np.abs(halves)]), live)
-            levels = math.ceil(math.log(max(size, 2)) / math.log(_PREFIX_BLOCK))
-            rounding *= levels * _PREFIX_BLOCK * 2.0**-53
+            # Sum2's bound on the running sums, and `_ROUNDING_ULPS` ulps of
+            # the mass for the rounding of the panels' own rule sums
+            gamma_k = (counts[live] - 1) * u / (1.0 - (counts[live] - 1) * u)
+            rounding = u * np.abs(total) + gamma_k**2 * mass + _ROUNDING_ULPS * np.spacing(mass)
             estimate += rounding
             goal = np.maximum(tol, rtol * np.abs(total))
             # NaN and inf in any panel's rule sums reach the totals
@@ -899,21 +904,49 @@ def _axis_rule(
     return t, s, uw * dt
 
 
-@lru_cache(maxsize=64)
-def _cached_axis_rule(
-    behavior: EndpointBehavior,
-    depth: int,
-    order: int,
-    breakpoints: tuple = (),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_axis_rule`, memoized on its arguments (breakpoints as a tuple).
+class _Memo:
+    """`build`, memoized on its arguments, least recently used first out.
 
-    The arrays are shared between callers, so they are read-only.
+    `build` returns a tuple of arrays and tuples (one level deep) of
+    arrays and numbers.  The arrays are shared between callers, so they
+    are read-only.  The entries kept hold at most `max_bytes` of arrays;
+    an entry larger than that is returned but not kept.  `hits` and
+    `misses` count the calls.
     """
-    rule = _axis_rule(behavior, depth, order, breakpoints)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+
+    def __init__(self, build: Callable[..., tuple], max_bytes: int):
+        self.build, self.max_bytes = build, max_bytes
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.entries: dict = {}  # key -> (value, bytes), oldest use first
+        self.nbytes = self.hits = self.misses = 0
+
+    def __call__(self, *key):
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            self.misses += 1
+            value = self.build(*key)
+            arrays = [a for v in value for a in (v if isinstance(v, tuple) else (v,))
+                      if isinstance(a, np.ndarray)]
+            for a in arrays:
+                a.flags.writeable = False
+            entry = (value, sum(a.nbytes for a in arrays))
+            if entry[1] > self.max_bytes:
+                return value
+            self.nbytes += entry[1]
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+        else:
+            self.hits += 1
+        self.entries[key] = entry
+        return entry[0]
+
+
+# `_axis_rule` memoized on its arguments (breakpoints as a tuple), up to
+# 8 MiB (an axis of a 1e4-radius oscillation check takes up to 4.6 MiB);
+# a miss looks `_axis_rule` up anew, so a wrapper in its place sees it
+_cached_axis_rule = _Memo(lambda *key: _axis_rule(*key), 8 * 2**20)
 
 
 # per-axis rung ladders (depth, order), coarse to fine, by dimension m
@@ -1090,80 +1123,75 @@ def _tensor_integrate(
 # ---------------------------------------------------------------------------
 
 
+def _box_ends(behavior: EndpointBehavior, lo_scale: float, hi_scale: float):
+    """The endpoint behavior and panel edges of an axis restricted to a box.
+
+    The scales are the box's distances from t = 0 and t = 1 in units of its
+    width w, lo/w and (1 - hi)/w.  A behavior survives only at a box end on
+    the original endpoint (scale 0).  An integrand steep at an endpoint
+    varies on the u-scale of a box end closer to it than w/4, so that end
+    gets the dyadic ladder c, 2 c, 4 c, ... below 1/4 (c: its scale
+    rounded down to 2^k >= 2^-50; mirrored at t = 1): the graded rule
+    resolves it, and boxes of similar scales share their rules.
+    """
+    beh = EndpointBehavior(
+        behavior.exponent_at_zero if lo_scale == 0.0 else 0.0,
+        behavior.exponent_at_one if hi_scale == 0.0 else 0.0,
+    )
+    edges = []
+    for scale, mirror in ((lo_scale, False), (hi_scale, True)):
+        # a scale of 0 or at least 1/4 starts at or past 1/4: no ladder
+        edge = max(math.ldexp(0.5, math.frexp(scale)[1]), 2.0**-50)
+        while edge < 0.25:
+            edges.append(1.0 - edge if mirror else edge)
+            edge *= 2.0
+    return beh, edges
+
+
+def _box_nodes(lo, hi, u, su):
+    """Nodes u of (0, 1), with complements su = 1 - u, mapped onto (lo, hi).
+
+    Returns t = lo + w u and s = (1 - hi) + w su, both clipped into (0, 1)
+    (rounding can land t on a singular end; s is exact, never 1 - t), and
+    the width w = hi - lo.  The ends may be arrays that broadcast against
+    the nodes.
+    """
+    w = hi - lo
+    return (np.clip(lo + w * u, _T_FLOOR, _T_CEIL),
+            np.clip((1.0 - hi) + w * su, _T_FLOOR, _T_CEIL), w)
+
+
 def _box_axes(behaviors, axis_breakpoints, lows, highs):
     """Behaviors and breakpoints of the unit-cube axes that a sub-box maps to.
 
-    Endpoint behaviors survive only on axes whose box edge coincides
-    with the original endpoint.
+    Each axis keeps its breakpoints inside the box, mapped onto (0, 1),
+    followed by its edge ladder, and its behavior follows `_box_ends`.
     """
-    m = len(behaviors)
-    widths = [hi - lo for lo, hi in zip(lows, highs)]
-    new_beh = tuple(
-        EndpointBehavior(
-            behaviors[i].exponent_at_zero if lows[i] == 0.0 else 0.0,
-            behaviors[i].exponent_at_one if highs[i] == 1.0 else 0.0,
-        )
-        for i in range(m)
-    )
-    bps = axis_breakpoints or [()] * m
-    new_bps = [
-        [(bp - lo) / w for bp in bp_i if lo < bp < hi]
-        for bp_i, lo, w, hi in zip(bps, lows, widths, highs)
-    ]
-    for i in range(m):
-        extra = []
-        lo_scale = lows[i] / widths[i]
-        hi_scale = (1.0 - highs[i]) / widths[i]
-        if 0.0 < lo_scale < 0.25:
-            extra.extend(_edge_ladder(lo_scale))
-        if 0.0 < hi_scale < 0.25:
-            extra.extend(1.0 - e for e in _edge_ladder(hi_scale))
-        if extra:
-            new_bps[i] = list(new_bps[i]) + extra
-    return new_beh, new_bps
-
-
-def _edge_ladder(scale: float) -> list[float]:
-    """Panel edges c, 2 c, 4 c, ... below 1/4 (c: scale rounded down to 2^k >= 2^-50).
-
-    Integrands steep at the original endpoints vary on the u-scale lo/w
-    near u = 0 (resp. (1-hi)/w near u = 1) inside a box of width w;
-    pinning this dyadic ladder down to that scale lets the graded rule
-    resolve it, and lets boxes of similar scales share their rules.
-    """
-    edges = []
-    edge = max(math.ldexp(0.5, math.frexp(scale)[1]), 2.0**-50)
-    while edge < 0.25:
-        edges.append(edge)
-        edge *= 2.0
-    return edges
+    new_beh, new_bps = [], []
+    for beh, bps, lo, hi in zip(behaviors, axis_breakpoints or [()] * len(behaviors),
+                                lows, highs):
+        w = hi - lo
+        end_beh, ladder = _box_ends(beh, lo / w, (1.0 - hi) / w)
+        new_beh.append(end_beh)
+        new_bps.append([(bp - lo) / w for bp in bps if lo < bp < hi] + ladder)
+    return tuple(new_beh), new_bps
 
 
 def _apply_box(fp, behaviors, axis_breakpoints, lows, highs):
     """Restrict a pair-form integrand to a sub-box on the unit cube.
 
-    Behaviors and breakpoints follow `_box_axes`.
+    Nodes map as in `_box_nodes`; behaviors and breakpoints follow
+    `_box_axes`.
     """
     lows = [float(x) for x in lows]
     highs = [float(x) for x in highs]
     for lo, hi in zip(lows, highs):
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"invalid box edge ({lo}, {hi})")
-    widths = [hi - lo for lo, hi in zip(lows, highs)]
-    gaps = [1.0 - hi for hi in highs]
-    scale = math.prod(widths)
+    scale = math.prod(hi - lo for lo, hi in zip(lows, highs))
 
     def fb(us, sus):
-        # rounding of lo + w*u can land exactly on a singular endpoint,
-        # and s is propagated exactly: 1 - (lo + w*u) = gap + w*(1 - u)
-        ts = tuple(
-            np.clip(lo + w * u, _T_FLOOR, _T_CEIL)
-            for lo, w, u in zip(lows, widths, us)
-        )
-        ss = tuple(
-            np.clip(gap + w * su, _T_FLOOR, _T_CEIL)
-            for gap, w, su in zip(gaps, widths, sus)
-        )
+        ts, ss, _ = zip(*map(_box_nodes, lows, highs, us, sus))
         return fp(ts, ss) * scale
 
     return (fb, *_box_axes(behaviors, axis_breakpoints, lows, highs))
@@ -1180,20 +1208,21 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
 
     Row j is ``int_{lows[j]}^{highs[j]} fp(t, s) dt`` for an integrand
     with the endpoint powers `behavior` at t = 0 and t = 1.  The box maps
-    onto (0,1) as in `_apply_box`; the value comes from the finer of the
+    onto (0,1) as in `_box_nodes`; the value comes from the finer of the
     first two rungs of `_AXIS_RUNGS[1]` that agree within
     ``max(tol, _CUBE_RTOL |value|)`` (else from the top rung), and the
     estimate is their difference, floored at the rounding error of the
     sum.
 
-    Rows with box ends at 0 or 1 and `_edge_ladder`s at the same ends
-    form a group with one rule per rung, whose dyadic ladder reaches the
-    group's smallest scale.  Rows with interior, ladder-free ends lie at
-    least a quarter of their width from both singular ends, so their
-    integrand is analytic in a Bernstein ellipse of parameter at least
-    1.5 + sqrt(1.25) about the box, and each rung is one Gauss-Legendre
-    panel of its order (error about that parameter to the power
-    -2 order: 1e-10 of the integrand's scale at order 12, 4e-14 at 16).
+    Rows alike at both ends (at 0 or 1, with an edge ladder of
+    `_box_ends`, or neither) form a group with one rule per rung, whose
+    ladders reach the group's smallest scales.  Rows with interior,
+    ladder-free ends lie at least a quarter of their width from both
+    singular ends, so their integrand is analytic in a Bernstein ellipse
+    of parameter at least 1.5 + sqrt(1.25) about the box, and each rung
+    is one Gauss-Legendre panel of its order (error about that parameter
+    to the power -2 order: 1e-10 of the integrand's scale at order 12,
+    4e-14 at 16).
     A rung evaluates a group's unfinished rows at once, in slabs of at
     most `_BOX_SLAB_NODES` nodes.  `fp(ts, ss)` receives 2-D nodes and
     their exact complements, one line per row, and evaluates
@@ -1203,8 +1232,7 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
     widths = highs - lows
-    gaps = 1.0 - highs
-    lo_scales, hi_scales = lows / widths, gaps / widths
+    lo_scales, hi_scales = lows / widths, (1.0 - highs) / widths
     values = np.empty(lows.size)
     estimates = np.empty(lows.size)
     converged = np.empty(lows.size, dtype=bool)
@@ -1216,10 +1244,7 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
         for start in range(0, rows.size, chunk):
             part = slice(start, start + chunk)
             j = rows[part]
-            w = widths[j][:, None]
-            # as in `_apply_box`: clipped nodes, complements propagated exactly
-            ts = np.clip(lows[j][:, None] + w * u, _T_FLOOR, _T_CEIL)
-            ss = np.clip(gaps[j][:, None] + w * su, _T_FLOOR, _T_CEIL)
+            ts, ss, w = _box_nodes(lows[j][:, None], highs[j][:, None], u, su)
             vals = np.asarray(fp(ts, ss), dtype=float) * w
             value[part] = np.einsum("ij,j->i", vals, wts)
             mass[part] = np.einsum("ij,j->i", np.abs(vals), wts)
@@ -1227,23 +1252,15 @@ def _integrate_boxes(fp, behavior: EndpointBehavior, lows, highs, tol: float):
             raise QuadratureError("integrand returned a non-finite value (box rows)")
         return value, mass
 
-    at_zero, at_one = lows == 0.0, highs == 1.0
-    lo_ladders = (0.0 < lo_scales) & (lo_scales < 0.25)
-    hi_ladders = (0.0 < hi_scales) & (hi_scales < 0.25)
-    # key 0: both ends interior and ladder-free, a smooth group
-    keys = at_zero + 2 * at_one + 4 * lo_ladders + 8 * hi_ladders
+    # per end: at the endpoint, with a ladder, or neither; key 0 is the
+    # smooth group, neither at both ends
+    keys = ((lo_scales == 0.0) + 2 * (lo_scales < 0.25)
+            + 4 * (hi_scales == 0.0) + 8 * (hi_scales < 0.25))
     ladder = _AXIS_RUNGS[1]
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
-        j = rows[0]
-        beh = EndpointBehavior(
-            behavior.exponent_at_zero if at_zero[j] else 0.0,
-            behavior.exponent_at_one if at_one[j] else 0.0,
-        )
         # an end's ladder starts at the group's smallest scale there
-        bps = _edge_ladder(lo_scales[rows].min()) if lo_ladders[j] else []
-        if hi_ladders[j]:
-            bps += [1.0 - e for e in _edge_ladder(hi_scales[rows].min())]
+        beh, bps = _box_ends(behavior, lo_scales[rows].min(), hi_scales[rows].min())
         previous = None
         for k, (depth, order) in enumerate(ladder):
             if key:
@@ -1346,10 +1363,8 @@ def _mixture_inner(axis: MixtureAxis, depth: int, order: int):
     u = np.concatenate([t_l[left], t_r[right]])
     su = np.concatenate([s_l[left], s_r[right]])
     wu = np.concatenate([w_l[left], w_r[right]])
-    width = axis.hi - axis.lo
-    t = np.clip(axis.lo + width * u, _T_FLOOR, _T_CEIL)
-    s = np.clip((1.0 - axis.hi) + width * su, _T_FLOOR, _T_CEIL)
-    return t, s, width * wu
+    t, s, w = _box_nodes(axis.lo, axis.hi, u, su)
+    return t, s, w * wu
 
 
 def _mixture_outer(nu: float, lam: float, zeta: float, depth: int, order: int, cap: float):
@@ -1481,45 +1496,6 @@ def _gaussian_sums(sigma: np.ndarray, gap2: np.ndarray, cols: np.ndarray,
                 np.multiply(-part[:, None], gap2[lo:hi], out=block)
                 factor[a : a + step] += np.exp(block, out=block) @ cols[lo:hi]
     return factor, plan.count
-
-
-class _Memo:
-    """`build`, memoized on its arguments, least recently used first out.
-
-    `build` returns a tuple of arrays and tuples (one level deep) of
-    arrays and numbers.  The arrays are shared between callers, so they
-    are read-only.  The entries kept hold at most `max_bytes` of arrays;
-    an entry larger than that is returned but not kept.  `hits` and
-    `misses` count the calls.
-    """
-
-    def __init__(self, build: Callable[..., tuple], max_bytes: int):
-        self.build, self.max_bytes = build, max_bytes
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self.entries: dict = {}  # key -> (value, bytes), oldest use first
-        self.nbytes = self.hits = self.misses = 0
-
-    def __call__(self, *key):
-        entry = self.entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            value = self.build(*key)
-            arrays = [a for v in value for a in (v if isinstance(v, tuple) else (v,))
-                      if isinstance(a, np.ndarray)]
-            for a in arrays:
-                a.flags.writeable = False
-            entry = (value, sum(a.nbytes for a in arrays))
-            if entry[1] > self.max_bytes:
-                return value
-            self.nbytes += entry[1]
-            while self.nbytes > self.max_bytes:
-                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
-        else:
-            self.hits += 1
-        self.entries[key] = entry
-        return entry[0]
 
 
 def _build_mixture_setup(rule: MixtureAxis, nu: float, lam: float, zeta: float, rung: int):

@@ -42,6 +42,7 @@ from .numerics import (
     _CUBE_RTOL,
     _ROUNDING_ULPS,
     _integrate_boxes,
+    _running_sums,
     gamma,
     integrate_unit_cube,
 )
@@ -126,9 +127,10 @@ def _axis(
         pull = _pull(r, cesaro)
         bps = tuple(pull(b) for b in f.breakpoints if 0.0 < pull(b) < 1.0)
         if cesaro:
-            # unknown decay of f at infinity: hint the raw t^-n growth capped
-            # at an integrable exponent, and let the quadrature decide
-            zero = max(weight_beh.exponent_at_zero - n, -0.9)
+            # unknown decay of f at infinity: hint the raw t^-n growth where
+            # it is integrable, else -0.9, and let the quadrature decide
+            zero = weight_beh.exponent_at_zero - n
+            zero = zero if zero > -1.0 else -0.9
             return _Axis(0.0, 1.0, zero, weight_beh.exponent_at_one, bps, certain=False)
         return _Axis(0.0, 1.0, weight_beh.exponent_at_zero, weight_beh.exponent_at_one, bps)
     # r/t < r_max  <=>  t > r/r_max on the Cesaro side
@@ -277,11 +279,12 @@ def _apply_radii(
     and e = -a - n on the Cesaro side.  This one profile is integrated
     once (`numerics._integrate_boxes`) over the pieces between the
     distinct box ends.  A radius takes the difference, at its box ends,
-    of the compensated prefix or suffix sums (whichever has the smaller
-    larger end, so a box at t = 0 or 1 reads its own sum), the same
-    difference of the piece estimates plus the sums' rounding as its
-    estimate, and is converged when all its pieces are and its estimate
-    is within ``max(tol, _CUBE_RTOL |value|)``, as a scalar apply.
+    of the compensated prefix or suffix sums (`numerics._running_sums`;
+    whichever has the smaller larger end, so a box at t = 0 or 1 reads
+    its own sum), the same difference of the piece estimates plus the
+    sums' rounding as its estimate, and is converged when all its pieces
+    are and its estimate is within ``max(tol, _CUBE_RTOL |value|)``, as a
+    scalar apply.
     Log-form weights take one scalar apply (in s = log(1/t)) per radius.
     """
     radii = np.asarray(radii, dtype=float)
@@ -315,37 +318,24 @@ def _apply_radii(
     )
 
     i, k = np.searchsorted(ends, lows), np.searchsorted(ends, highs)
-
-    def running_sums(x):
-        # compensated: each step's rounding error (TwoSum, exact) is added
-        # back as a second running sum, so every sum is within about an ulp
-        run = np.cumsum(x)
-        before = np.append(0.0, run[:-1])
-        lost = (before - (run - (run - before))) + (x - (run - before))
-        return np.append(0.0, run + np.cumsum(lost))
-
-    def end_sums(x):
-        # the prefix and the suffix sums of x at every box's two ends
-        x = np.asarray(x, dtype=float)
-        prefix, suffix = running_sums(x), running_sums(x[::-1])[::-1]
-        return prefix[i], prefix[k], suffix[i], suffix[k]
-
-    def box_sums(sums):
-        p_lo, p_hi, s_lo, s_hi = sums
-        return np.where(from_prefix, p_hi - p_lo, s_lo - s_hi)
-
-    sums = end_sums(piece_values)
-    big_p = np.maximum(abs(sums[0]), abs(sums[1]))
-    big_s = np.maximum(abs(sums[2]), abs(sums[3]))
+    # the pieces' values, estimates and unconverged flags, one row each,
+    # after a 0: their compensated prefix and suffix sums at the box ends
+    rows = np.zeros((3, ends.size))
+    rows[:, 1:] = piece_values, piece_estimates, ~piece_converged
+    prefix = _running_sums(rows)
+    suffix = _running_sums(np.hstack([rows[:, :1], rows[:, :0:-1]]))[:, ::-1]
+    p_lo, p_hi, s_lo, s_hi = prefix[:, i], prefix[:, k], suffix[:, i], suffix[:, k]
+    big_p = np.maximum(abs(p_lo[0]), abs(p_hi[0]))
+    big_s = np.maximum(abs(s_lo[0]), abs(s_hi[0]))
     # a box reads the sums whose larger end is smaller: one at t = 0 its
     # own prefix sum, one at t = 1 its own suffix sum
-    from_prefix = big_p <= big_s
+    box_sums = np.where(big_p <= big_s, p_hi - p_lo, s_lo - s_hi)
     rounding = _ROUNDING_ULPS * np.spacing(np.minimum(big_p, big_s))
     scale = radii[live] ** f.descriptor.exponent
-    box_values = scale * box_sums(sums)
-    box_estimates = scale * (np.maximum(box_sums(end_sums(piece_estimates)), 0.0) + rounding)
+    box_values = scale * box_sums[0]
+    box_estimates = scale * (np.maximum(box_sums[1], 0.0) + rounding)
     goal = np.maximum(tol, _CUBE_RTOL * np.abs(box_values))
-    converged[live] = (box_sums(end_sums(~piece_converged)) == 0) & (box_estimates <= goal)
+    converged[live] = (box_sums[2] == 0) & (box_estimates <= goal)
     values[live], estimates[live] = box_values, box_estimates
     return values, estimates, converged
 

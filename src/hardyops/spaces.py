@@ -75,10 +75,9 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ExponentConfig:
-    """Exponent tuple (n, p_i, lambda_i, optional q_i) with admissibility checks.
+    """Exponent tuple (n, p_i, lambda_i) with admissibility checks.
 
-    The target exponent p is derived from ``1/p = sum 1/p_i`` (plus
-    ``sum 1/q_i`` when symbol exponents are present), and
+    The target exponent p is derived from ``1/p = sum 1/p_i``, and
     ``lam = sum lambda_i``.  When `lambda_i` is omitted it defaults to
     the Lebesgue boundary ``-1/p_i``.
     """
@@ -86,7 +85,6 @@ class ExponentConfig:
     n: int
     p_i: tuple[float, ...]
     lambda_i: tuple[float, ...] = ()
-    q_i: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -106,13 +104,6 @@ class ExponentConfig:
         for lam, p in zip(self.lambda_i, self.p_i):
             if not (-1.0 / p <= lam <= 0.0):
                 raise ValueError(f"lambda_i={lam} outside [-1/p_i, 0] for p_i={p}")
-        if self.q_i is not None:
-            object.__setattr__(self, "q_i", tuple(float(q) for q in self.q_i))
-            if len(self.q_i) != len(self.p_i):
-                raise ValueError("q_i must match p_i in length")
-            for q in self.q_i:
-                if not 1.0 < q < math.inf:
-                    raise ValueError(f"every q_i must lie in (1, inf), got q_i = {q}")
         if not self.p > 1.0:
             raise ValueError("derived p must exceed 1; exponents too large")
 
@@ -122,10 +113,7 @@ class ExponentConfig:
 
     @property
     def p(self) -> float:
-        inv = sum(1.0 / p for p in self.p_i)
-        if self.q_i is not None:
-            inv += sum(1.0 / q for q in self.q_i)
-        return 1.0 / inv
+        return 1.0 / sum(1.0 / p for p in self.p_i)
 
     @property
     def lam(self) -> float:
@@ -140,17 +128,16 @@ class ExponentConfig:
     def require_strict_morrey(self) -> None:
         """Enforce -1/p_i < lambda_i < 0, and p < p_i where that can hold.
 
-        For m = 1 without symbol exponents p equals p_1 by definition, so
-        the strict ordering only binds for m >= 2 or when q_i is present.
+        For m = 1, p equals p_1 by definition, so the strict ordering only
+        binds for m >= 2.
         """
         for lam, p in zip(self.lambda_i, self.p_i):
             if not (-1.0 / p < lam < 0.0):
                 raise ValueError(
                     f"strict regime needs -1/p_i < lambda_i < 0, got lambda_i={lam}, p_i={p}"
                 )
-        if self.m > 1 or self.q_i is not None:
-            if any(not self.p < p for p in self.p_i):
-                raise ValueError("strict regime needs p < p_i for every i")
+        if self.m > 1 and any(not self.p < p for p in self.p_i):
+            raise ValueError("strict regime needs p < p_i for every i")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +408,8 @@ def _square_oscillations(ball, radii: np.ndarray, means: np.ndarray, errs: np.nd
     cancellation and the rounding of (c - K)**2 to M2's.
     """
     osc, osc_errs = np.empty(radii.size), np.empty(radii.size)
-    with np.errstate(divide="ignore"):
+    # a zero or subnormal estimate admits any K: its reach is inf
+    with np.errstate(divide="ignore", over="ignore"):
         reach = tol / (2.0 * errs)
     a = 0
     while a < radii.size:

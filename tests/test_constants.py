@@ -32,8 +32,8 @@ ONE2 = constant_weight(1, 2)
 LOG2 = math.log(2.0)
 
 
-def cfg(n, *p, lam=None, q=None):
-    return ExponentConfig(n, tuple(p), tuple(lam) if lam else (), q)
+def cfg(n, *p, lam=None):
+    return ExponentConfig(n, tuple(p), tuple(lam) if lam else ())
 
 
 class TestLebesgueConstant:

@@ -359,6 +359,24 @@ def _power_integral(e, lows, highs):
     return lows ** (e + 1.0) * np.expm1((e + 1.0) * np.log1p((highs - lows) / lows)) / (e + 1.0)
 
 
+class TestAxisRuleMemo:
+    def test_memo_is_bounded_by_its_bytes(self):
+        # one axis of an r = 1e4 oscillation check takes 2.75, 3.68 and 4.60
+        # MiB over its rungs, so the memo drops rules to stay within 8 MiB,
+        # and what the checks keep besides it stays under 1 MiB
+        numerics._cached_axis_rule.cache_clear()
+        weight = hardyops.parse_weight_spec("const:1")
+        tracemalloc.start()
+        try:
+            for r in (1e4, 9e3, 8e3):
+                hardyops.oscillation_decay_check(weight, (1,), r_sequence=(r,))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert numerics._cached_axis_rule.nbytes <= 8 * 2**20
+        assert kept <= 9 * 2**20
+
+
 class TestIntegrateBoxes:
     """Row-batched box integrals of t**e against the closed form."""
 

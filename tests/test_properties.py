@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardyops import numerics
 from hardyops.numerics import EndpointBehavior, gamma, integrate_unit_interval
 from hardyops.operators import OperatorRequest, hardy_apply
 from hardyops.spaces import cutoff_power, lebesgue_norm, radial_from_callable
@@ -24,6 +26,32 @@ class TestGammaProperties:
     def test_reflection(self, x):
         lhs = gamma(x) * gamma(1.0 - x)
         assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-11)
+
+
+class TestRunningSums:
+    @LIGHT
+    @given(st.integers(1, 5_000), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_every_prefix_is_within_the_sum2_bound(self, size, rows, seed):
+        # |sum - S| <= u |S| + gamma(k - 1)**2 sum |x| for every prefix of k
+        # terms, u = 2**-53 and gamma(j) = j u / (1 - j u), checked in
+        # integers: terms of magnitude 1e-8 to 1e8, and every sum and
+        # rounding error of them, are whole multiples of 2**-80.  rows = 0
+        # is one 1-D array, else a 2-D one summed along its rows
+        rng = np.random.default_rng(seed)
+        shape = (rows, size) if rows else (size,)
+        terms = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        sums = numerics._running_sums(terms)
+        unit = 2**53
+        for xs, got in zip(np.atleast_2d(terms * 2.0**80).tolist(),
+                           np.atleast_2d(sums * 2.0**80).tolist()):
+            exact = mass = 0
+            for j, (x, g) in enumerate(zip(xs, got)):
+                assert g == int(g)
+                exact += int(x)
+                mass += abs(int(x))
+                # times unit (unit - j)**2, both sides whole numbers
+                assert (abs(int(g) - exact) * unit * (unit - j) ** 2
+                        <= abs(exact) * (unit - j) ** 2 + j * j * mass * unit)
 
 
 class TestQuadratureProperties:

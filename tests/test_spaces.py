@@ -519,6 +519,22 @@ class TestCmoNorm:
         rounding = 8 * np.spacing(np.maximum(1.0, np.abs(ref)))
         assert np.all(np.abs(osc - ref) <= osc_errs + ref_errs + rounding)
 
+    def test_square_oscillations_take_a_subnormal_estimate(self):
+        # tol / (2 e) overflows for e = 5e-324: the reach is inf, which
+        # admits any reference, so both radii share one M2 query
+        calls = []
+
+        def ball(phi, radii, shift=None):
+            calls.append((radii.size, shift))
+            return np.ones(radii.size), np.zeros(radii.size)
+
+        means, errs = np.array([0.5, 0.25]), np.array([5e-324, 1e-20])
+        osc, osc_errs = spaces._square_oscillations(ball, np.array([1.0, 2.0]), means, errs,
+                                                    1e-13)
+        assert calls == [(2, 0.375)]
+        assert osc.tolist() == [1.0 - 0.125**2] * 2
+        assert np.all(osc_errs < 1e-16)
+
     def test_custom_log_symbol(self):
         # -2 log r without the closed-form branch: twice the log norm, 2
         b = radial_from_callable(lambda r: -2.0 * np.log(r))
@@ -564,6 +580,28 @@ class TestHomogeneity:
         assert cmo_norm(shifted, 2.0, 1) == pytest.approx(
             abs(c) * cmo_norm(b, 2.0, 1), rel=1e-6
         )
+
+
+class TestHomogeneityFaults:
+    """The norms scale exactly, ||c b|| = |c| ||b||, but the grid searches
+    judge every ball integral against an absolute goal (n 1e-13), which does
+    not scale with the symbol (ROADMAP item 3)."""
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, QuadratureError),
+                       reason="absolute goal: small c stops early, c = 2**20 cannot meet it")
+    @pytest.mark.parametrize("c", [2.0**-20, 1e-30, 1e-300, 2.0**20],
+                             ids=["2**-20", "1e-30", "1e-300", "2**20"])
+    def test_cmo_norm(self, c):
+        b = oscillatory_cutoff(1.0, 2.0)
+        scaled = radial_from_callable(lambda r: c * b.fn(r), breakpoints=b.breakpoints)
+        assert cmo_norm(scaled, 2.0, 1) / c == pytest.approx(OSCCUT_WINDOW_SUP, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="absolute goal: 2.8% low at c = 1e-60")
+    def test_central_morrey_norm(self):
+        b = oscillatory_cutoff(1.0, 2.0)
+        scaled = radial_from_callable(lambda r: 1e-60 * b.fn(r), breakpoints=b.breakpoints)
+        assert central_morrey_norm(scaled, 2.0, -0.25, 1) / 1e-60 == pytest.approx(
+            central_morrey_norm(b, 2.0, -0.25, 1), rel=1e-12)
 
 
 class TestRadialFunctions:
@@ -650,10 +688,6 @@ class TestExponentConfig:
         assert cfg.m == 2
         assert cfg.lam == pytest.approx(-0.5)
 
-    def test_commutator_sum_rule(self):
-        cfg = ExponentConfig(1, (4.0, 4.0), (-0.125, -0.125), (8.0, 8.0))
-        assert cfg.p == pytest.approx(1.0 / (0.25 + 0.25 + 0.125 + 0.125))
-
     def test_balanced_flag(self):
         assert ExponentConfig(1, (4.0, 4.0), (-0.125, -0.125)).balanced
         assert ExponentConfig(1, (4.0, 2.0), (-0.125, -0.25)).balanced
@@ -683,10 +717,10 @@ class TestExponentConfig:
             ExponentConfig(1, (1.0,))
 
     @pytest.mark.parametrize(
-        "p_i, q_i, named",
+        "p_i, lambda_i, named",
         [((4.0, math.inf), None, "p_i = inf"), ((4.0, math.nan), None, "p_i = nan"),
-         ((4.0, 4.0), (8.0, math.inf), "q_i = inf")],
+         ((4.0,), (math.nan,), "lambda_i=nan")],
     )
-    def test_exponents_must_be_finite(self, p_i, q_i, named):
+    def test_exponents_must_be_finite(self, p_i, lambda_i, named):
         with pytest.raises(ValueError, match=named):
-            ExponentConfig(1, p_i, (), q_i)
+            ExponentConfig(1, p_i, lambda_i or ())
