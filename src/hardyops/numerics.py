@@ -26,9 +26,9 @@ shift c per radius, from one table of r-space panels, kept in r order,
 that holds b's values at all three GL15 rules of each panel.  Each panel
 is scored by comparing its 15-point Gauss-Legendre value against the sum
 over its two halves.  Each pass bisects every panel whose error exceeds
-its width's share of the goal, or, when only panels at the width floor
-do, the worst tier of the others.  A bisected panel's half values become
-its children's whole-panel values, so only the children's halves are
+its width's share of the goal (`_split_panels`, the one refinement rule
+of both query paths).  A bisected panel's half values become its
+children's whole-panel values, so only the children's halves are
 evaluated.  One query takes any number of radii: it makes them all panel
 edges with one call of b, so the panels under each R are a prefix of the
 table, and refines those panels in passes shared by all its radii.  When
@@ -37,8 +37,8 @@ a panel's rule sums are made once, every radius reads its value,
 estimate and rounding floor off compensated prefix sums over the panels
 (`_running_sums`, the package's one running sum), and each panel is
 judged once, against the smallest goal among the radii above it.  A
-shift per radius makes one row per (panel, radius) instead, judged per
-radius (`_split_panels`).  Every refinement is kept for later
+shift per radius makes one row per (panel, radius) instead, judged
+against its radius's goal.  Every refinement is kept for later
 queries, so a query near earlier ones evaluates b at few new nodes.  A
 panel whose error is within the rounding floor of its integral (the
 change an ulp of r makes to it) is not bisected, and a radius whose
@@ -272,32 +272,31 @@ class _UnitMap:
         return max(3, int(48.0 / self.g1) - 2)
 
 
-def _split_panels(
-    errors: np.ndarray, widths: np.ndarray, goals: np.ndarray, floors, groups: np.ndarray
-) -> np.ndarray:
+def _split_panels(errors: np.ndarray, widths: np.ndarray, thresholds: np.ndarray,
+                  floors: np.ndarray) -> np.ndarray:
     """Mark the panels one refinement pass bisects.
 
-    The panels belong to one or more integrals: group j holds integral
-    j's panels, with goal ``goals[j]``, and `widths` are shares of its
-    interval.  A panel can be bisected when it is above the width floor
-    and its error exceeds its rounding floor (`floors`).  Every such panel
-    whose error exceeds its width's share of its goal, error > goal *
-    width, is marked; an integral with no such panel marks the worst tier
-    of its panels instead (error at least half its largest).  An integral
-    with no marked panel cannot be refined further.
+    A panel is bisected when it is above the width floor, its error
+    exceeds its rounding floor (`floors`), and its error exceeds its
+    width's share of its threshold, error > threshold * width (`widths`
+    are shares of the ball radius).  A radius with no marked panel cannot
+    be refined further.
     """
     # never bisect below the width floor: the interval map cannot resolve
     # the endpoint distance there anyway, nor can r resolve a panel that
     # narrow next to the ball radius
-    wide = (widths > 2.0**-48) & (errors > floors)
-    split = wide & (errors > goals[groups] * widths)
-    lacking = np.bincount(groups[wide], minlength=goals.size) > 0
-    lacking &= np.bincount(groups[split], minlength=goals.size) == 0
-    if np.any(lacking):
-        worst = np.zeros(goals.size)
-        np.maximum.at(worst, groups[wide], errors[wide])
-        split |= wide & lacking[groups] & (errors >= 0.5 * worst[groups])
-    return split
+    return (widths > 2.0**-48) & (errors > floors) & (errors > thresholds * widths)
+
+
+def _scored(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's value, the sum of its halves' rule sums, and its error
+    against its whole-panel rule sum, from rule sums as `_PanelProfile._rows`
+    makes them.  Raises QuadratureError when any rule sum is NaN or inf,
+    before an inf can meet another in a difference."""
+    if not np.isfinite(parts).all():
+        raise QuadratureError("integrand returned a non-finite value (panel profile)")
+    halves = parts[:, 1] + parts[:, 2]
+    return halves, np.abs(parts[:, 0] - halves)
 
 
 # fresh evaluations one panel profile may make over its lifetime
@@ -566,12 +565,10 @@ class _PanelProfile:
         u |value| + gamma(k - 1)**2 sum |halves| (u = 2**-53, gamma(j) =
         j u / (1 - j u)), plus `_ROUNDING_ULPS` ulps of sum |halves| for
         the panels' own rule sums.  A pass judges each panel once, at the
-        smallest radius above it that is still refining: the panel is
-        bisected when its error passes its floor and its width's share of
-        the smallest goal among those radii, or, for a radius that would
-        bisect none of its panels, when the error is at least half the
-        worst under that radius (a prefix maximum).  Each bisection is
-        charged to that smallest radius.
+        smallest radius above it that is still refining, by `_split_panels`
+        against the smallest goal among those radii; a radius with no
+        marked panel under it stops.  Each bisection is charged to that
+        smallest radius.
         """
         n = self.n
         logs = np.log2(big)
@@ -598,8 +595,7 @@ class _PanelProfile:
         size = int(counts[-1])
         parts = self._rows(phi, slice(0, size), np.full(size, radii[-1]), shift)
         while True:
-            halves = parts[:, 1] + parts[:, 2]
-            errors = np.abs(parts[:, 0] - halves)
+            halves, errors = _scored(parts)
             floors = self._floors(phi, slice(0, size), np.full(size, radii[-1]), shift,
                                   parts[:, 0])
             total, estimate, floor, mass = read(
@@ -610,9 +606,6 @@ class _PanelProfile:
             rounding = u * np.abs(total) + gamma_k**2 * mass + _ROUNDING_ULPS * np.spacing(mass)
             estimate += rounding
             goal = np.maximum(tol, rtol * np.abs(total))
-            # NaN and inf in any panel's rule sums reach the totals
-            if not np.isfinite(total + estimate).all():
-                raise QuadratureError("integrand returned a non-finite value (panel profile)")
             # a radius whose rounding floor passes its goal cannot meet it
             asked = (estimate > goal) & (charged[live] < budget) & (floor + rounding <= goal)
             done = slice(None)
@@ -622,26 +615,10 @@ class _PanelProfile:
                 # each panel is judged at the smallest asked radius above it
                 place = counts[ask].searchsorted(np.arange(top), side="right")
                 star = ask[place]
-                err, widths = errors[:top] * scale[star], self.meta[:top, 0] / radii[star]
-                # never bisect below the width floor: the interval map
-                # cannot resolve the endpoint distance there anyway, nor
-                # can r resolve a panel that narrow next to the ball radius
-                wide = (widths > 2.0**-48) & (err > floors[:top] * scale[star])
                 least = np.minimum.accumulate(goal[asked][::-1])[::-1]
-                split = wide & (err > least[place] * widths)
-                marked = np.cumsum(split)[counts[ask] - 1] > 0
-                lacking = ~marked & (np.cumsum(wide)[counts[ask] - 1] > 0)
-                if lacking.any():
-                    # each panel against the worst wide panel under the
-                    # smallest lacking radius above it, the least such worst
-                    lack = ask[lacking]
-                    m = counts[lack[-1]]
-                    worst = np.maximum.accumulate(np.where(wide[:m], errors[:m], 0.0))
-                    limit = worst[counts[lack] - 1]
-                    below = counts[lack].searchsorted(np.arange(m), side="right")
-                    split[:m] |= wide[:m] & (errors[:m] >= 0.5 * limit[below])
-                    marked = np.cumsum(split)[counts[ask] - 1] > 0
-                asked[asked] = marked
+                split = _split_panels(errors[:top] * scale[star], self.meta[:top, 0] / radii[star],
+                                      least[place], floors[:top] * scale[star])
+                asked[asked] = np.cumsum(split)[counts[ask] - 1] > 0
                 done = ~asked
             finished = live[done]
             for r, value, error, rows, converged in zip(
@@ -707,14 +684,10 @@ class _PanelProfile:
         sums = self._rows(phi, rows, radius, shift.repeat(counts) if each else shift)
         results = [None] * big.size
         while True:
-            halves = sums[:, 1] + sums[:, 2]
-            errors = np.abs(sums[:, 0] - halves)
+            halves, errors = _scored(sums)
             total = np.add.reduceat(halves, offsets).tolist()
             total_err = np.add.reduceat(errors, offsets).tolist()
             goal = [max(tol, rtol * abs(t)) for t in total]
-            # NaN and inf in any panel's rule sums reach the totals
-            if not all(math.isfinite(t + e) for t, e in zip(total, total_err)):
-                raise QuadratureError("integrand returned a non-finite value (panel profile)")
             asked = [e > g and c < budget for e, g, c in zip(total_err, goal, charged)]
             if any(asked):
                 group = np.arange(big.size).repeat(counts)
@@ -726,8 +699,8 @@ class _PanelProfile:
                 # a radius whose rounding floor passes its goal cannot meet it
                 reachable = np.add.reduceat(floors, offsets) <= np.array(goal)
                 split = np.zeros(panels.size, dtype=bool)
-                split[rows] = _split_panels(errors[rows], widths, np.array(goal), floors[rows],
-                                            group[rows]) & reachable[group[rows]]
+                split[rows] = _split_panels(errors[rows], widths, np.array(goal)[group[rows]],
+                                            floors[rows]) & reachable[group[rows]]
                 asked = (np.add.reduceat(split, offsets) > 0).tolist()
             for i, refine in enumerate(asked):
                 if not refine:
@@ -956,9 +929,9 @@ _AXIS_RUNGS = {
     3: ((4, 6), (8, 8), (12, 10), (15, 12)),
 }
 
-# nodes per m = 3 slab: a slab's temporaries (2 MiB each) stay on the heap
-# of a warm process and are reused from slab to slab; 8 MiB and larger
-# ones are mapped and faulted in again on every slab
+# nodes per tensor slab (m >= 2): a slab's temporaries (2 MiB each) stay
+# on the heap of a warm process and are reused from slab to slab; 8 MiB
+# and larger ones are mapped and faulted in again on every slab
 _SLAB_NODES = 2**18
 
 # the error estimate never goes below this many ulps of the absolute sum
@@ -982,7 +955,7 @@ def _tensor_value(
 
     Returns the sum, the sum of absolute terms (the scale of its rounding
     error) and the node count.  The contractions stay on the calling
-    thread, and m = 3 is evaluated in slabs of the first axis to bound
+    thread, and m >= 2 is evaluated in slabs of the first axis to bound
     memory.
     """
     m = len(rules)
@@ -994,35 +967,29 @@ def _tensor_value(
         value = float(vals @ weights[0])
         mass = float(np.abs(vals) @ weights[0])
         count = vals.size
-    elif m == 2:
-        ts = (nodes[0][:, None], nodes[1][None, :])
-        ss = (comps[0][:, None], comps[1][None, :])
-        vals = np.asarray(fp(ts, ss), dtype=float)
-        # einsum and numpy's own sums keep the contraction off the BLAS
-        # threads
-        rows = np.einsum("ij,j->i", vals, weights[1])
-        abs_rows = np.einsum("ij,j->i", np.abs(vals), weights[1])
-        value = float((weights[0] * rows).sum())
-        mass = float((weights[0] * abs_rows).sum())
-        count = vals.size
     else:
         value = mass = 0.0
         count = 0
-        shape23 = (1, nodes[1].size, nodes[2].size)
-        t2 = np.broadcast_to(nodes[1][None, :, None], shape23)
-        t3 = np.broadcast_to(nodes[2][None, None, :], shape23)
-        s2 = np.broadcast_to(comps[1][None, :, None], shape23)
-        s3 = np.broadcast_to(comps[2][None, None, :], shape23)
-        w23 = weights[1][:, None] * weights[2][None, :]
-        chunk = max(1, _SLAB_NODES // (nodes[1].size * nodes[2].size))
+        # the other axes at full size, (1, n_2, ..., n_m), against a slab
+        # of the first, so fp's values come out at full size
+        shape = (1, *(x.size for x in nodes[1:]))
+
+        def rest(axes):
+            return [np.broadcast_to(x[None], shape)
+                    for x in np.meshgrid(*axes[1:], indexing="ij", sparse=True)]
+
+        ts, ss = rest(nodes), rest(comps)
+        w_rest = math.prod(np.meshgrid(*weights[1:], indexing="ij", sparse=True))
+        # einsum keeps the contraction off the BLAS threads
+        contract = "ijk"[:m] + "," + "jk"[:m - 1] + "->i"
+        chunk = max(1, _SLAB_NODES // w_rest.size)
         for start in range(0, nodes[0].size, chunk):
-            t1 = nodes[0][start : start + chunk][:, None, None]
-            s1 = comps[0][start : start + chunk][:, None, None]
-            vals = np.asarray(fp((t1, t2, t3), (s1, s2, s3)), dtype=float)
+            lead = (slice(start, start + chunk),) + (None,) * (m - 1)
+            vals = np.asarray(fp((nodes[0][lead], *ts), (comps[0][lead], *ss)), dtype=float)
             count += vals.size
             w1 = weights[0][start : start + chunk]
-            value += float(w1 @ np.einsum("ijk,jk->i", vals, w23))
-            mass += float(w1 @ np.einsum("ijk,jk->i", np.abs(vals), w23))
+            value += float(w1 @ np.einsum(contract, vals, w_rest))
+            mass += float(w1 @ np.einsum(contract, np.abs(vals), w_rest))
     # rule weights are positive: the absolute sum is finite exactly when
     # every integrand value is
     if not math.isfinite(mass):

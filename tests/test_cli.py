@@ -364,10 +364,12 @@ class TestProtocol:
         assert record_of(out)["seed"] == 42
 
 
-# a non-finite or negative number in a flag or function spec, and the
-# name the error gives; each used to print NaN or Infinity, or to fail
-# with an internal message
+# a non-finite or negative number in a flag or function spec, or a flag
+# value that is no number, and the name the error gives; each used to
+# print NaN or Infinity, or to fail with an internal message
 _NON_FINITE = [
+    (("constant", "lebesgue", "--weight", "const:1", "--p", "abc"),
+     "argument --p: not a number: 'abc'"),
     (("constant", "lebesgue", "--weight", "riesz:1.5:2", "--p", "4", "4", "--tol", "nan"),
      "argument --tol"),
     (("constant", "lebesgue", "--weight", "const:1", "--p", "2", "--tol", "inf"),
@@ -597,6 +599,11 @@ class TestKindRules:
         code, out, err = invoke(*_BASE[base], "--params-file", str(pf))
         assert code == 2 and out == ""
         assert err == f"error: {pf} {message}\n"
+
+    def test_params_file_without_a_path(self, invoke):
+        code, out, err = invoke(*_BASE["constant"], "--params-file")
+        assert code == 2 and out == ""
+        assert err == "error: --params-file requires a path\n"
 
 
 def readme_flag_table():

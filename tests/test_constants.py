@@ -17,9 +17,10 @@ from hardyops.constants import (
     morrey_constant,
     weighted_moment,
 )
-from hardyops.numerics import gamma
+from hardyops.numerics import EndpointBehavior, gamma
 from hardyops.spaces import ExponentConfig
 from hardyops.weights import (
+    Weight,
     constant_weight,
     counterexample_weight,
     multilinear_riesz_weight,
@@ -59,6 +60,16 @@ class TestLebesgueConstant:
         assert r1.value == r2.value
         expect = (8.0 / 7.0) ** 5
         assert abs(r1.value - expect) <= 10.0 * r1.abs_error_estimate
+
+    def test_borderline_exponent_that_does_not_grow(self):
+        # t**2 declared flat at 0 puts the axis exponent at -1, the border
+        # of integrability; the integrand is t, so the truncated values
+        # do not grow and the probe settles the constant, 1/2
+        w = Weight(1, lambda ts, ss: ts[0] ** 2, (EndpointBehavior(0.0, 0.0),), "t^2 as flat")
+        res = lebesgue_constant(w, cfg(2, 2.0))
+        assert res.converged
+        assert res.diagnosis == "borderline exponent settled by truncation probe"
+        assert abs(res.value - 0.5) <= res.abs_error_estimate
 
     def test_divergent_exponent_flagged(self):
         # n/p = 1.5 makes the axis exponent -1.5

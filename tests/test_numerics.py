@@ -232,6 +232,19 @@ class TestUnitCube:
         with pytest.raises(QuadratureError):
             integrate_unit_cube(f, [EndpointBehavior()] * m)
 
+    def test_m2_grid_memory_is_bounded(self):
+        # 398 breakpoints per axis make grids of a few million nodes; they
+        # are summed in slabs of the first axis (171 MiB at once, unslabbed)
+        grid = np.linspace(0.0, 1.0, 400)[1:-1].tolist()
+        tracemalloc.start()
+        try:
+            integrate_unit_cube(lambda x, y: np.sin(50.0 * x) * np.sin(50.0 * y),
+                                [EndpointBehavior()] * 2, axis_breakpoints=[grid, grid])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     def test_grid_breakpoints_per_axis(self):
         f = lambda a, b: np.sin(20.0 * math.pi * a) ** 2 * b
         beh = [EndpointBehavior(), EndpointBehavior()]
@@ -649,8 +662,8 @@ class TestPanelProfile:
     @pytest.mark.parametrize("radii", [[0.5, 2.0], [1e-60, 1e-20, 1.0, 1e5]])
     def test_singular_end_is_refined_as_for_the_smallest_radius(self, radii):
         # r**-0.9 leaves its error in the panels at the width floor next to
-        # 0, so the queries end unconverged, after marking the worst tier of
-        # the other panels; the panels next to 0 are judged at the smallest
+        # 0, so the queries end unconverged once no panel passes its width's
+        # share of the goal; the panels next to 0 are judged at the smallest
         # radius, so no radius is less accurate than when queried alone
         def fn(r):
             return r**-0.9
@@ -706,6 +719,43 @@ class TestPanelProfile:
         with pytest.raises(QuadratureError, match="radius 200 would pass 2000"):
             profile.integral(_identity, 200.0)
         assert profile.fresh <= 2000
+
+
+def _riesz_gap(t, s):
+    return s
+
+
+# every engine, each handed an integrand that is `bad` for t (or r) in
+# (0.3, 0.4) and finite elsewhere
+_ENGINES = {
+    "interval": lambda g: integrate_unit_interval(g),
+    "half line": lambda g: integrate_halfline(lambda r: g(r) * np.exp(-r)),
+    "two-radius profile": lambda g: numerics._PanelProfile(g, 1).integral(
+        _identity, np.array([0.5, 2.0])),
+    "cube m=1": lambda g: integrate_unit_cube(g, [EndpointBehavior()]),
+    "cube m=1 box": lambda g: integrate_unit_cube(g, [EndpointBehavior()], box=([0.2], [0.9])),
+    "cube m=2": lambda g: integrate_unit_cube(lambda x, y: g(x) * y, [EndpointBehavior()] * 2),
+    "Monte Carlo m=4": lambda g: integrate_unit_cube(
+        lambda a, b, c, d: g(a) * b * c * d, [EndpointBehavior()] * 4, budget=4096),
+    "boxes": lambda g: numerics._integrate_boxes(
+        lambda ts, ss: g(ts), EndpointBehavior(), [0.1, 0.25], [0.5, 0.45], 1e-10),
+    "mixture": lambda g: numerics._mixture_integrate(
+        0.25, 1.0, [numerics.MixtureAxis(lambda ts, ss: g(ts[0]), _riesz_gap, 0.0, 0.0,
+                                         0.0, 1.0, (), False)], 1e-10, 1e-8),
+}
+
+
+class TestNonFiniteIntegrands:
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_is_a_quadrature_error(self, engine, bad):
+        # an inf must be caught before two of them meet in a difference,
+        # whose "invalid value" warning would escape first
+        def g(t):
+            return np.where((t > 0.3) & (t < 0.4), bad, 1.0 + t)
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            _ENGINES[engine](g)
 
 
 class TestResultTypes:
