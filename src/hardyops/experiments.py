@@ -488,17 +488,10 @@ def _radial_pairing(outer, inner, cesaro, weight, n, lo, tail, edges, quad_tol) 
     return unit_sphere_volume(n) * float(vals @ weights)
 
 
-def _halfline_nodes(
-    r_min: float, tail_exponent: float, depth: int, order: int,
-    breakpoints: Sequence[float] = (),
-):
+def _halfline_nodes(r_min: float, tail_exponent: float, depth: int, order: int):
     """Fixed composite rule for int_{r_min}^inf, via r = r_min + v/(1-v)."""
     b1 = -tail_exponent - 2.0  # raises below if the pairing is not integrable
-    beh = EndpointBehavior(0.0, b1)
-    bps = [
-        (r - r_min) / (1.0 + r - r_min) for r in breakpoints if r > r_min
-    ]
-    v, _, w = _cached_axis_rule(beh, depth, order, tuple(bps))
+    v, _, w = _cached_axis_rule(EndpointBehavior(0.0, b1), depth, order, ())
     om = 1.0 - v
     r = r_min + v / om
     return r, w / (om * om)

@@ -1002,7 +1002,7 @@ def _tensor_integrate(
     behaviors: Sequence[EndpointBehavior],
     tol: float,
     rtol: float,
-    budget: int,
+    budget: Optional[int],
     axis_breakpoints: Optional[Sequence[Sequence[float]]] = None,
 ) -> QuadratureResult:
     """Tensor rule escalated one axis at a time (dimension-adaptive).
@@ -1016,9 +1016,11 @@ def _tensor_integrate(
     rounding error of that grid's sum.  Otherwise the axes whose d_i
     exceeds goal / m go one rung up and the step repeats.  With m = 1
     this is plain level escalation: the finer value, with its difference
-    to the coarser one as the estimate.
+    to the coarser one as the estimate.  `budget` is as in
+    `integrate_unit_cube`.
     """
     m = len(behaviors)
+    default = 2**23 if m <= 2 else 2**26
     bps = axis_breakpoints or [()] * m
     ladder = _AXIS_RUNGS[m]
     top = len(ladder) - 1
@@ -1035,8 +1037,12 @@ def _tensor_integrate(
             _cached_axis_rule(behaviors[i], *ladder[k], tuple(bps[i]))
             for i, k in enumerate(level)
         ]
-        if used > 0 and used + math.prod([r[0].size for r in rules]) > budget:
-            return None
+        size = math.prod([r[0].size for r in rules])
+        if used + size > (budget or default):
+            if used:
+                return None
+            if budget is not None:
+                raise ValueError(f"budget {budget} is below the first grid's {size} nodes")
         value, mass, n = _tensor_value(fp, rules)
         used += n
         grids[level] = (value, mass)
@@ -1624,12 +1630,20 @@ def integrate_unit_cube(
     interior kinks, or a grid on the scale of an integrand's
     oscillation, one list per axis.  Integrands that blow up on an
     interior manifold are out of contract.
+
+    `budget` caps the evaluations: for m <= 3 a budget below the first
+    grid's nodes is a ValueError, and the result is unconverged when the
+    next grid would pass it (by default, 2**23 or at m = 3 2**26 cap the
+    grids after the first); for m >= 4 it is the sample count (default
+    2**20, at least 16).  A budget below 1 is a ValueError.
     """
     m = len(behaviors)
     if m < 1:
         raise ValueError("need at least one axis")
     if axis_breakpoints is not None and len(axis_breakpoints) != m:
         raise ValueError(f"axis_breakpoints has {len(axis_breakpoints)} lists for {m} axes")
+    if budget is not None and not budget >= 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     fp = f_pair if f_pair is not None else (lambda ts, ss: f(*ts))
     if box is not None:
         fp, behaviors, axis_breakpoints = _apply_box(
@@ -1637,5 +1651,4 @@ def integrate_unit_cube(
         )
     if m >= 4:
         return _monte_carlo(fp, behaviors, tol, rtol, budget or 2**20, seed)
-    budget = budget or (2**23 if m <= 2 else 2**26)
     return _tensor_integrate(fp, behaviors, tol, rtol, budget, axis_breakpoints)

@@ -7,12 +7,12 @@ For radial inputs every operator value depends on ``r = |x|`` alone:
 * commutators:  the same integrals with the extra factor
   ``prod_i (b_i(r) - b_i(t_i r))`` (resp. ``b_i(r) - b_i(r/t_i)``)
 
-plus the unary fractional integrals
+plus the unary fractional integrals, which are such averages scaled:
 
-* left-sided:   ``I_a f(x) = Gamma(a)^-1 int_0^x f(t) (x-t)^(a-1) dt``
-* right-sided:  ``J_a f(x) = Gamma(a)^-1 int_x^inf f(t) (t-x)^(a-1) dt/t``
-
-evaluated by the same singular quadrature after mapping onto (0,1).
+* left-sided:   ``I_a f(x) = Gamma(a)^-1 int_0^x f(t) (x-t)^(a-1) dt``,
+  the Hardy average with the ``rl:a`` weight times ``x**a``
+* right-sided:  ``J_a f(x) = Gamma(a)^-1 int_x^inf f(t) (t-x)^(a-1) dt/t``,
+  the Cesaro average (n = 1) with the ``weyl:a`` weight times ``x**(a-1)``
 
 Cutoff supports of the inputs are turned into box restrictions of the
 integration domain (never integrated across as jumps), and piecewise
@@ -43,11 +43,10 @@ from .numerics import (
     _ROUNDING_ULPS,
     _integrate_boxes,
     _running_sums,
-    gamma,
-    integrate_unit_cube,
 )
 from .spaces import RadialFunction
 from .weights import Weight, _integrate_in_s, _integrate_weighted, _layer_product
+from .weights import riemann_liouville_weight, weyl_weight
 
 __all__ = [
     "OperatorRequest",
@@ -366,48 +365,16 @@ def cesaro_commutator_apply(req: OperatorRequest) -> QuadratureResult:
     return _apply(req, cesaro=True, commutator=True)
 
 
-def _fractional_apply(
-    alpha: float, f: RadialFunction, x: float, tol: float, right: bool
-) -> QuadratureResult:
-    """Shared body of the left- and right-sided fractional integrals.
-
-    Both become ``x**(a-k)/Gamma(a) * int_0^1 f(arg(u)) (1-u)**(a-1)
-    u**(-k) du`` with arg(u) = x u, k = 0 on the left and arg(u) = x/u,
-    k = a on the right.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if not x > 0.0:
-        raise ValueError("x must be positive")
-    ga = gamma(alpha)
-    ax = _axis(f, x, 0, EndpointBehavior(0.0, alpha - 1.0), right)
-    if ax.lo >= ax.hi:
-        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
-    # the u**(-a) of the right side is part of the integrand at u = 0
-    zero_exp = ax.zero_exp - alpha if right else ax.zero_exp
-    if not zero_exp > -1.0:
-        return QuadratureResult.divergent(
-            "input tail not integrable against the kernel" if right
-            else "input not integrable at the origin"
-        )
-
-    def integrand_pair(ts, ss):
-        u = ts[0]
-        val = f.fn(x / u if right else x * u) * ss[0] ** (alpha - 1.0)
-        return (val * u ** (-alpha) if right else val) / ga
-
-    res = integrate_unit_cube(
-        None,
-        [EndpointBehavior(zero_exp, ax.one_exp)],
-        tol=tol,
-        box=([ax.lo], [ax.hi]) if (ax.lo, ax.hi) != (0.0, 1.0) else None,
-        axis_breakpoints=[ax.breakpoints],
-        f_pair=integrand_pair,
-    )
-    scale = x ** (alpha - 1.0) if right else x**alpha
+def _scaled(res: QuadratureResult, scale: float) -> QuadratureResult:
+    """res with its value and estimate times scale."""
     return replace(
         res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale
     )
+
+
+def _check_x(x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got x = {x}")
 
 
 def riemann_liouville_apply(
@@ -415,11 +382,12 @@ def riemann_liouville_apply(
 ) -> QuadratureResult:
     """Left-sided fractional integral of order alpha at x > 0.
 
-    Mapped as ``x**a / Gamma(a) * int_0^1 f(x u) (1-u)**(a-1) du``; the
-    value satisfies ``I_a f(x) = x**a * (Hardy average with the
-    fractional weight)``.
+    ``I_a f(x) = x**a * (Hardy average with the rl:a weight)``: with
+    t = x u, ``I_a f(x) = x**a / Gamma(a) * int_0^1 f(x u) (1-u)**(a-1) du``.
     """
-    return _fractional_apply(alpha, f, x, tol, right=False)
+    weight = riemann_liouville_weight(alpha)
+    _check_x(x)
+    return _scaled(hardy_apply(OperatorRequest(weight, (f,), x, tol=tol)), x**alpha)
 
 
 def weyl_apply(
@@ -427,11 +395,11 @@ def weyl_apply(
 ) -> QuadratureResult:
     """Right-sided fractional integral (dt/t measure) at x > 0.
 
-    Substituting t = x/u maps it onto the unit interval:
+    ``J_a f(x) = x**(a-1) * (Cesaro average with the weyl:a weight, n = 1)``:
+    with t = x/u,
 
         J_a f(x) = x**(a-1)/Gamma(a) * int_0^1 f(x/u) (1-u)**(a-1) u**(-a) du
-
-    so that ``(.)**(1-a) J_a f`` is the Cesaro average with the
-    complementary fractional weight.
     """
-    return _fractional_apply(alpha, f, x, tol, right=True)
+    weight = weyl_weight(alpha)
+    _check_x(x)
+    return _scaled(cesaro_apply(OperatorRequest(weight, (f,), x, tol=tol)), x ** (alpha - 1.0))

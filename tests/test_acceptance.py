@@ -271,7 +271,7 @@ def _hardy_lp_norm(weight, config, funcs):
         moment_rate = a + 1.0 + wb.exponent_at_zero
         tails.append(a if moment_rate > 0 else -(1.0 + wb.exponent_at_zero))
     tail = p * sum(tails) + n - 1.0
-    radii, wts = _halfline_nodes(lo, tail, 12, 10, [])
+    radii, wts = _halfline_nodes(lo, tail, 12, 10)
     if len(funcs) == 1:
         profile = _hardy_profile_m1(weight, funcs[0], n, radii)
     else:
@@ -347,7 +347,7 @@ def test_criterion_13_property_suites():
             elif not coupled_hoelder_done:
                 # one full nested check for a genuinely coupled weight
                 radii, wts = _halfline_nodes(
-                    max(f.descriptor.r_min for f in funcs), -2.5, 6, 6, []
+                    max(f.descriptor.r_min for f in funcs), -2.5, 6, 6
                 )
                 prof = np.array(
                     [

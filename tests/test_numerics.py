@@ -276,6 +276,30 @@ class TestUnitCube:
         r2 = integrate_unit_cube(f, beh, seed=2, budget=4096, tol=1e-2)
         assert r1.value != r2.value
 
+    @pytest.mark.parametrize(
+        "m, budget, first_grid", [(1, 100, 432), (2, 1000, 25600), (3, 1000, 373248)]
+    )
+    def test_budget_below_the_first_grid_is_rejected(self, m, budget, first_grid):
+        # checked before the first grid is evaluated, so nothing runs
+        calls = []
+        with pytest.raises(ValueError, match=f"budget {budget} .* {first_grid} nodes"):
+            integrate_unit_cube(lambda *ts: calls.append(1) or np.exp(ts[0] * ts[-1]),
+                                [EndpointBehavior()] * m, budget=budget)
+        assert not calls
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, m, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            integrate_unit_cube(lambda *ts: ts[0], [EndpointBehavior()] * m, budget=budget)
+
+    def test_budget_of_the_first_grid_alone(self):
+        res = integrate_unit_cube(
+            lambda x, y: np.exp(x * y), [EndpointBehavior()] * 2, budget=25600
+        )
+        assert res.evaluations == 25600
+        assert not res.converged
+
 
 # mpmath values of the corner-weight constants, to 20 significant digits,
 # by the polar (m = 2) or spherical (m = 3) cubature of bench/references.py

@@ -172,6 +172,45 @@ class TestFractionalIntegrals:
         with pytest.raises(ValueError):
             weyl_apply(0.5, power(0), -1.0)
 
+    @pytest.mark.parametrize("apply", [riemann_liouville_apply, weyl_apply])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan])
+    def test_x_must_be_positive_and_finite(self, apply, x):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            apply(0.5, indicator_ball(1.0), x)
+
+    # the oracles below are independent of the Hardy and Cesaro averages
+    # that both integrals are computed as
+
+    @pytest.mark.parametrize("a, alpha, x", [(-0.5, 0.3, 2.0), (0.4, 0.8, 3.0), (-0.9, 0.05, 1e-3)])
+    def test_left_sided_of_power(self, a, alpha, x):
+        # I_a[r**a](x) = Gamma(a+1) / Gamma(a+alpha+1) x**(a+alpha)
+        res = riemann_liouville_apply(alpha, power(a), x)
+        exact = math.gamma(a + 1.0) / math.gamma(a + alpha + 1.0) * x ** (a + alpha)
+        assert abs(res.value - exact) <= res.abs_error_estimate + 8 * math.ulp(exact)
+
+    @pytest.mark.parametrize(
+        "a, alpha, x", [(-0.5, 0.3, 2.0), (-1.5, 0.5, 0.7), (0.2, 0.5, 3.0), (-2.0, 0.95, 1e3)]
+    )
+    def test_right_sided_of_power(self, a, alpha, x):
+        # J_a[r**a](x) = Gamma(1-a-alpha) / Gamma(1-a) x**(a+alpha-1)
+        res = weyl_apply(alpha, power(a), x)
+        exact = math.gamma(1.0 - a - alpha) / math.gamma(1.0 - a) * x ** (a + alpha - 1.0)
+        assert abs(res.value - exact) <= res.abs_error_estimate + 8 * math.ulp(exact)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.9])
+    @pytest.mark.parametrize("x", [1.5, 3.0, 10.0])
+    def test_left_sided_of_cutoff_power(self, alpha, x):
+        # I_a[cutpow:-0.8:1](x) = x**(alpha-0.8) B(1/x, 1; 0.2, alpha) / Gamma(alpha),
+        # the incomplete Beta integral; mpmath.quad would not resolve the
+        # (x - t)**(alpha-1) end to the estimates' size
+        mpmath = pytest.importorskip("mpmath")
+        res = riemann_liouville_apply(alpha, cutoff_power(-0.8, 1.0), x)
+        with mpmath.workdps(30):
+            a, t = mpmath.mpf(alpha), mpmath.mpf(x)
+            exact = float(t ** (a - mpmath.mpf("0.8")) * mpmath.betainc(0.2, a, 1 / t, 1)
+                          / mpmath.gamma(a))
+        assert abs(res.value - exact) <= res.abs_error_estimate + 8 * math.ulp(exact)
+
 
 class TestLogFormWeightRoute:
     """Unary log-substituted weights integrate in s = log(1/t).
