@@ -39,8 +39,9 @@ Function specs: power:a, cutpow:a:r0, log, osccut:r:R, plus the
 
 Output is a single JSON object on stdout.  Exit codes: 0 success or
 experiment passed; 1 experiment verdict violated or inconclusive; 2
-usage or parameter error; every numeric flag must be finite (`--tol`
-also >= 0), and an error names the flag or parameter at fault.
+usage or parameter error; every numeric flag must be finite (`--tol`,
+`--experiment-tol` and `--decay-tol` also >= 0), and an error names the
+flag or parameter at fault.
 """
 
 from __future__ import annotations
@@ -165,11 +166,11 @@ _FLAGS = (
     ("--eps", {"sharpness": ("lebesgue", "cesaro")},
      dict(type=_finite, nargs="+", help="sweep parameters (lebesgue/cesaro)")),
     ("--experiment-tol", {"sharpness": None},
-     dict(type=_finite, help="verdict tolerance (default per experiment)")),
+     dict(type=_tolerance, help="verdict tolerance (default per experiment)")),
     ("--axes", {"oscillation": None}, dict(type=int, nargs="+", required=True)),
     # the radii are checked by the experiment, which names each bad one
     ("--r", {"oscillation": None}, dict(type=float, nargs="+", default=DEFAULT_R_SEQUENCE)),
-    ("--decay-tol", {"oscillation": None}, dict(type=_finite, default=DEFAULT_DECAY_TOL)),
+    ("--decay-tol", {"oscillation": None}, dict(type=_tolerance, default=DEFAULT_DECAY_TOL)),
     ("--tol", dict.fromkeys(("constant", "apply", "sharpness", "counterexample", "oscillation")),
      dict(type=_tolerance, default=1e-10, help="absolute quadrature tolerance")),
     ("--csv", dict.fromkeys(("sharpness", "counterexample", "oscillation")),
@@ -180,7 +181,8 @@ _FLAGS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: Optional[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with flags on `only`'s subparser alone (if any)."""
     parser = argparse.ArgumentParser(
         prog="hardyops",
         description="weighted Hardy/Cesaro averaging operators: constants, "
@@ -188,6 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand gets its subparser: their names make the top-level
+    # usage line, which argparse also prints for an unrecognized argument
     subparsers = {}
     for command, (text, positional, kinds, _) in _COMMANDS.items():
         subparsers[command] = sp = sub.add_parser(command, help=text)
@@ -195,9 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(positional, choices=kinds)
     for flag, where, options in _FLAGS:
         for command, kinds in where.items():
-            # a flag that only some kinds read must show whether it was given
-            subparsers[command].add_argument(flag, **(options if kinds is None else
-                                             {**options, "default": None, "required": False}))
+            if command == only:
+                # a flag that only some kinds read must show whether it was given
+                subparsers[command].add_argument(flag, **(options if kinds is None else
+                                                 {**options, "default": None, "required": False}))
     return parser
 
 
@@ -450,9 +455,13 @@ _COMMANDS = {
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    """Parse argv, execute, print one record; returns the exit code."""
+    """Parse argv, execute, print one record; returns the exit code.
+
+    Only the subcommand that argv[0] names gets its flags; the top-level
+    parser reads no flag of a subcommand.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         argv = _merge_params_file(argv)
         args = parser.parse_args(argv)

@@ -413,6 +413,26 @@ class TestNonFiniteInput:
         assert code == 2 and out == ""
         assert "argument --tol" in err
 
+    @pytest.mark.parametrize("via", ["argv", "params-file"])
+    @pytest.mark.parametrize(
+        "base, key",
+        [(("sharpness", "lebesgue", "--weight", "const:1", "--p", "2"), "experiment-tol"),
+         (("oscillation", "--weight", "const:1:2", "--axes", "1"), "decay-tol")],
+        ids=["experiment-tol", "decay-tol"],
+    )
+    def test_negative_verdict_tolerance_is_a_usage_error(self, invoke, tmp_path, base, key,
+                                                         via):
+        # each used to run and exit 1 with a "violated" record
+        if via == "argv":
+            extra = (f"--{key}", "-1")
+        else:
+            pf = tmp_path / "neg.params"
+            pf.write_text(f"{key}=-1\n")
+            extra = ("--params-file", str(pf))
+        code, out, err = invoke(*base, *extra)
+        assert code == 2 and out == ""
+        assert f"argument --{key}: must be >= 0, got '-1'" in err
+
 
 # one minimal valid invocation per subcommand
 _BASE = {
@@ -648,6 +668,12 @@ CLI_TEXT_ARGV = [
     ["norm", "cmo", "--f", "log", "--p", "7"],
     ["norm", "lp", "--f", "power:0@chi", "--rtol", "1e-2"],
     ["norm", "lp", "--f", "power:0@chi", "--params-file", "missing.params"],
+    # the parser paths the per-subcommand build splits: no subcommand, a
+    # flag after a subcommand, and a flag another subcommand declares
+    ["--version"],
+    ["--version", "constant"],
+    ["constant", "lebesgue", "--weight", "const:1", "--p", "2", "--version"],
+    ["constant", "lebesgue", "--weight", "const:1", "--p", "2", "--decay-tol", "1"],
 ]
 
 
