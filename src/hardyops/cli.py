@@ -394,11 +394,10 @@ def _cmd_norm(args) -> int:
     else:
         value = cmo_norm(f, args.q, args.n)
         # the same kind of sup-search lower bound for every symbol but log,
-        # whose bracket is R-invariant and one half-line integral to 1e-13
-        # relative; 1e-8 is recorded for both (e.g. osccut:1:2 with q = 2,
-        # n = 1 gives 0.70680915170901 at R = 999.75, while the norm is
-        # 1/sqrt(2))
-        rel_bound = 1e-8
+        # whose bracket is R-invariant and takes its exact closed form
+        # (e.g. osccut:1:2 with q = 2, n = 1 gives 0.70680915170901 at
+        # R = 999.75, while the norm is 1/sqrt(2))
+        rel_bound = 1e-14 if f.kind == "log" else 1e-8
     finite = math.isfinite(value)
     record = _record(
         args,

@@ -262,14 +262,15 @@ class _UnitMap:
         return 1.0 - 0.5 * (2.0 * (1.0 - t)) ** (1.0 / self.g1)
 
     def max_depth_at_zero(self) -> int:
-        # under/overflow is the only limit: t itself is exact at this end
-        return max(1, int(900.0 / self.g0))
+        # under/overflow is the only limit: t itself is exact at this end;
+        # the cap keeps a huge declared exponent (g0 -> 0) finite
+        return max(1, int(min(900.0 / self.g0, 2.0**31)))
 
     def max_depth_at_one(self) -> int:
         # s is exact too (pair-form integrands), but plain integrands
         # recompute 1 - t, which saturates at the 2^-53 cancellation
         # cliff; stay above it
-        return max(3, int(48.0 / self.g1) - 2)
+        return max(3, int(min(48.0 / self.g1, 2.0**31)) - 2)
 
 
 def _split_panels(errors: np.ndarray, widths: np.ndarray, thresholds: np.ndarray,

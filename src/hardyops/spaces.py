@@ -15,8 +15,8 @@ Three norms are provided:
   (`_grid_sup`), a lower bound on the norm;
 * ``cmo_norm``: sup over R of the central mean oscillation
   ``(|B|**-1 int_B |b - b_B|^q)**(1/q)``; for ``b = log|x|`` the bracket
-  is R-invariant and collapses to a single integral, and for any other
-  symbol it is the largest bracket the same search finds.
+  is R-invariant and takes its closed form, and for any other symbol it
+  is the largest bracket the same search finds.
 
 A search (`_grid_sup`) takes the bracket on a 61-point grid of R and
 climbs from its best point on the bracket's exact slope in log R.  When
@@ -66,6 +66,9 @@ __all__ = [
 # one-radius probes a sup search climbs with at most (`_grid_sup`)
 _MAX_PROBES = 20
 _EPS = np.finfo(float).eps
+# Stirling's series: log Gamma(q + 1) = (q + 1/2) log q - q + log(2 pi) / 2
+# + sum_j c_j q**(1 - 2j), c_j = B_2j / (2j (2j - 1)) (DLMF 5.11.1)
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +604,17 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
 
     For ``b = log|x|`` the bracket is independent of R and reduces to
     ``(n int_0^1 u**(n-1) |log u + 1/n|**q du)**(1/q)``; the substitution
-    u = exp(-x/n) makes it ``(int_0^inf exp(-x) |1 - x|**q dx)**(1/q) / n``,
-    which is what is evaluated, divided by the integrand's peak value
-    ``q**q exp(-q-1)`` at x = 1 + q (put back as a factor of the root), so
-    that no q overflows the moment itself; panel edges pin the peak.
-    The moment's goal is 1e-13 relative, floored at the rounding its
-    half-line nodes make near the peak (about q**1.5 2**-57).  Other
-    symbols return the largest bracket `_grid_sup` finds on R in
-    [1e-3, 1e3], a lower bound on the norm: for ``osccut:1:2`` with
+    u = exp(-x/n) makes it M**(1/q) / n with the moment
+    ``M = int_0^inf exp(-x) |1 - x|**q dx = (Gamma(q + 1) + S) / e`` and
+    ``S = int_0^1 exp(y) y**q dy = sum_k 1 / (k! (q + k + 1))``.  It is
+    evaluated in logs, so that no q overflows: below q = 20 from lgamma
+    and 20 terms of S, above it from Stirling's series for
+    log Gamma(q + 1) with S dropped, within a few ulps for every finite
+    q > 1.  Other symbols return the largest bracket `_grid_sup` finds on
+    R in [1e-3, 1e3], a lower bound on the norm: for ``osccut:1:2`` with
     q = 2, n = 1 that is 0.70680915170901 at R = 999.75, the sup over the
-    window, while the norm is 1/sqrt(2).  Either way a QuadratureError is
-    raised when an integral does not converge.  The generic ball
+    window, while the norm is 1/sqrt(2); a QuadratureError is raised
+    when one of its integrals does not converge.  The generic ball
     integrals all read one panel profile of b (a table of b's values on
     r-space panels, refined as the radii need and kept across them), each
     to 1e-13 absolute or 1e-11 relative: for all radii of a probe at once,
@@ -641,31 +644,19 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if b.kind == "log":
-        # e^(-x) |1 - x|^q over its peak value q^q e^(-q-1) at x = 1 + q,
-        # as exp(q log(|x - 1|/q) - (x - 1 - q)) with the log taken by log1p
-        # near the peak; the peak is a Gamma(q + 1) density of width sqrt(q),
-        # so panel edges pin it one width apart out to eight widths
-        def moment(x):
-            y = x - 1.0
-            with np.errstate(divide="ignore"):
-                return np.exp(q * np.log1p((np.abs(y) - q) / q) - (y - q))
-
-        width = math.sqrt(q)
-        peak = [1.0 + q + k * width for k in range(-8, 9) if k * width > -q]
-        # the half-line nodes of the peak sit near u = 1 - 1/q, where the
-        # u-space integrand is q**2 times taller, so rounding a node moves
-        # it by up to about q**1.5 2**-54 of the moment; the whole-versus-
-        # halves estimate settles near 2**-59 q**1.5 (measured for q = 1e3
-        # to 1e5), so the goal is floored at four times that
-        rtol = max(1e-13, q**1.5 * 2.0**-57)
-        res = integrate_halfline(moment, tol=1e-13, rtol=rtol, breakpoints=[1.0] + peak)
-        if not res.converged:
-            raise QuadratureError(
-                f"CMO log moment did not converge (value {res.value:.6g}, "
-                f"error estimate {res.abs_error_estimate:.2g})"
-            )
-        # the moment is q^q e^(-q-1) times res.value
-        return res.value ** (1.0 / q) * q * math.exp(-1.0 - 1.0 / q) / n
+        if q < 20.0:
+            # M = Gamma(q + 1) (1 + S / Gamma(q + 1)) / e; 20 terms of S leave
+            # the rest below 2**-60 of it
+            lg = math.lgamma(q + 1.0)
+            s = math.fsum(1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(20))
+            return math.exp((lg + math.log1p(s * math.exp(-lg)) - 1.0) / q) / n
+        # lgamma errs by an ulp of q log q, which the root keeps: Stirling's
+        # series for log Gamma(q + 1) instead, whose first omitted term over q
+        # and S / Gamma(q + 1) are below 2**-60 from q = 20; log 2 pi + log q,
+        # since 2 pi q overflows near the top of the double range
+        tail = sum(c * q ** (1 - 2 * j) for j, c in enumerate(_STIRLING, 1))
+        return q * math.exp((0.5 * (math.log(2.0 * math.pi) + math.log(q)) + tail - 1.0) / q
+                            - 1.0) / n
 
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 

@@ -280,6 +280,9 @@ def _check_order(alpha: float, m: int) -> None:
         raise ValueError("m must be >= 1")
     if not 0.0 < alpha < m:
         raise ValueError(f"alpha must lie in (0,{m}), got {alpha}")
+    if alpha < 2.0**-53:
+        # the weights' exponent alpha - 1 would round to -1
+        raise ValueError(f"alpha must be at least 2**-53, got {alpha}")
 
 
 def _log_t(t, s) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -144,6 +145,17 @@ class TestNormCommand:
         code, out, _ = invoke("norm", "cmo", "--f", "log", "--q", "2", "--n", "1")
         assert code == 0
         assert record_of(out)["result"]["value"] == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("q", ["2", "1e308"])
+    def test_cmo_log_is_a_closed_form(self, invoke, q):
+        # the log symbol's bracket is exact for every finite q > 1, up to
+        # q**(1/q) ~ q near the top of the double range
+        code, out, _ = invoke("norm", "cmo", "--f", "log", "--q", q)
+        assert code == 0
+        rec = record_of(out)
+        value = rec["result"]["value"]
+        assert math.isfinite(value) and value > 0.0
+        assert rec["error_estimate"] == 1e-14 * value
 
     def test_cmo_unconverged_fails_with_reason(self, invoke):
         code, out, err = invoke("norm", "cmo", "--f", "osccut:200:2")
@@ -395,6 +407,29 @@ _NON_FINITE = [
     (("norm", "cmo", "--f", "osccut:inf:2", "--q", "2"), "invalid function spec 'osccut:inf:2'"),
     (("norm", "cmo", "--f", "osccut:1:nan", "--q", "2"), "invalid function spec 'osccut:1:nan'"),
 ]
+
+
+# numbers at the edge of the double range, and the usage error each gives;
+# each used to fail with an internal error
+_EXTREME = [
+    (("apply", "rl", "--alpha", "1e-300", "--f", "power:0@chi", "--r", "0.5"),
+     "alpha must be at least 2**-53"),
+    (("apply", "weyl", "--alpha", "1e-300", "--f", "power:0@chi", "--r", "0.5"),
+     "alpha must be at least 2**-53"),
+    (("counterexample", "--alpha", "1e-300", "--n", "1", "--p", "2"),
+     "alpha must be at least 2**-53"),
+    (("constant", "lebesgue", "--weight", "rl:1e-300", "--p", "2"),
+     "alpha must be at least 2**-53"),
+    (("apply", "hardy", "--f", "power:1e308", "--r", "2"),
+     "integrand returned a non-finite value"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _EXTREME, ids=[" ".join(argv) for argv, _ in _EXTREME])
+def test_extreme_input_is_a_usage_error(invoke, argv, named):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert named in err
 
 
 class TestNonFiniteInput:

@@ -300,3 +300,17 @@ def test_family_table_matches_beta_closed_forms(family, capsys):
     assert rec["converged"]
     assert rec["result"]["value"] == res.value
     assert abs(rec["result"]["value"] - exact) <= rec["error_estimate"] + slack
+
+
+class TestMomentValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(weight=constant_weight(1.0, 2), exponents=[0.0]),
+          "one exponent per weight coordinate is required"),
+         (dict(weight=constant_weight(1.0), exponents=[0.0], truncation=1.0),
+          r"truncation must lie in \[0, 1\)")],
+        ids=["exponent-count", "truncation"],
+    )
+    def test_rejected_with_its_reason(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            weighted_moment(**kwargs)

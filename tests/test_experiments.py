@@ -344,3 +344,9 @@ class TestDuality:
         assert _cached_axis_rule.misses <= 16
         assert scalar_calls == []
         assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,)])
+def test_oscillation_axes_must_lie_in_the_weight(axes):
+    with pytest.raises(ValueError, match=r"axes must lie in 1\.\.1"):
+        oscillation_decay_check(ONE, axes)

@@ -323,7 +323,8 @@ class TestCmoNorm:
     def test_log_large_q(self, q, n, exact):
         assert cmo_norm(log_radial(), q, n) == pytest.approx(exact, rel=1e-14)
 
-    @pytest.mark.parametrize("q", [2.0, 3.0, 40.0, 169.0, 200.0, 500.0, 5000.0, 1e5])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 19.999999, 20.0, 40.0, 169.0, 200.0, 500.0,
+                                   5000.0, 1e5, 1e7, 1e12, 1e300, 1.7976931348623157e308])
     def test_log_matches_mpmath(self, q):
         # past q ~ 169 the moment, about q!/e, exceeds the double range
         mpmath = pytest.importorskip("mpmath")
@@ -331,10 +332,20 @@ class TestCmoNorm:
             # int_0^inf e^(-x) |1 - x|^q dx = (Gamma(q + 1) + int_0^1 e^y y^q dy) / e
             qm = mpmath.mpf(q)
             moment = mpmath.gamma(qm + 1) + mpmath.quad(lambda y: mpmath.exp(y) * y**qm, [0, 1])
-            exact = float((moment / mpmath.e) ** (1 / qm))
-        value = cmo_norm(log_radial(), q, 1)
-        # the moment's goal is 1e-13 relative, so its q-th root's is 1e-13 / q
-        assert abs(value - exact) <= 1e-13 / q * exact + 4 * math.ulp(exact)
+            root = (moment / mpmath.e) ** (1 / qm)
+        for n in (1, 3):
+            exact = float(root / n)
+            value = cmo_norm(log_radial(), q, n)
+            assert abs(value - exact) <= 1e-13 / q * exact + 4 * math.ulp(exact)
+
+    def test_log_takes_no_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the log symbol's norm is a closed form")
+
+        monkeypatch.setattr(spaces, "integrate_halfline", forbidden)
+        monkeypatch.setattr(spaces, "_PanelProfile", forbidden)
+        assert cmo_norm(log_radial(), 2.0, 1) == pytest.approx(1.0, rel=1e-15)
+        assert cmo_norm(log_radial(), 1e7, 3) > 0.0
 
     def test_oscillatory_cutoff_finite(self):
         val = cmo_norm(oscillatory_cutoff(1.0, 2.0), 2.0, 1)
@@ -724,3 +735,24 @@ class TestExponentConfig:
     def test_exponents_must_be_finite(self, p_i, lambda_i, named):
         with pytest.raises(ValueError, match=named):
             ExponentConfig(1, p_i, lambda_i or ())
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: ExponentConfig(0, (2.0,)), "dimension n must be >= 1"),
+         (lambda: ExponentConfig(1, ()), "at least one integrability exponent p_i is required"),
+         (lambda: ExponentConfig(1, (4.0, 4.0), (-0.125,)),
+          "lambda_i and p_i must have equal length"),
+         # 1/4 + 1e-300 rounds to 1/4, so the derived p equals p_1
+         (lambda: ExponentConfig(1, (4.0, 1e300), (-0.125, -1e-301)).require_strict_morrey(),
+          "strict regime needs p < p_i for every i"),
+         (lambda: unit_sphere_volume(0), "n must be >= 1"),
+         (lambda: lebesgue_norm(power(0.0), 0.0, 1), "p must be positive"),
+         (lambda: central_morrey_norm(power(-0.25), 2.0, -0.25, 1, method="bogus"),
+          "unknown method 'bogus'")],
+        ids=["n", "p_i", "lambda_i", "strict-order", "sphere-n", "lp-p", "method"],
+    )
+    def test_rejected_with_its_reason(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

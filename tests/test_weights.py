@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hardyops.numerics import gamma
+from hardyops.constants import weighted_moment
+from hardyops.numerics import EndpointBehavior, gamma
 from hardyops.weights import (
+    Weight,
     constant_weight,
     counterexample_weight,
     multilinear_cesaro_weight,
@@ -217,3 +219,51 @@ class TestGrammar:
     def test_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_weight_spec(spec)
+
+
+def _outcome(call):
+    """The message a call raises, or else the diagnosis of its result."""
+    try:
+        return call().diagnosis
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+
+
+def _flat(ts, ss):
+    return np.ones_like(ts[0])
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: weighted_moment(counterexample_weight(0.5, 1, 2), [-1.0]),
+          "exponentially growing substituted integrand"),
+         (lambda: constant_weight(1.0)(0.5, 0.5), "const:1 takes 1 coordinates, got 2"),
+         (lambda: Weight(0, _flat, (), "w"), "arity must be >= 1"),
+         (lambda: Weight(1, _flat, (), "w"), "one EndpointBehavior per axis is required"),
+         (lambda: Weight(2, _flat, (EndpointBehavior(),) * 2, "w",
+                         factors=(constant_weight(1.0, 2),) * 2),
+          "factors must be one unary weight per axis"),
+         (lambda: Weight(1, lambda ts, ss: ts[0] * np.nan, (EndpointBehavior(),), "w"),
+          "w: non-finite value on probe grid"),
+         (lambda: Weight(1, lambda ts, ss: -ts[0], (EndpointBehavior(),), "w"),
+          "w: negative value on probe grid"),
+         (lambda: multilinear_riesz_weight(0.5, 0), "m must be >= 1"),
+         (lambda: constant_weight(1.0, 0), "m must be >= 1"),
+         (lambda: counterexample_weight(0.5, 0, 2), "n must be >= 1")],
+        ids=["growing-tail", "coordinates", "arity", "behaviors", "factors", "non-finite",
+             "negative", "order-m", "constant-m", "counter-n"],
+    )
+    def test_rejected_with_its_reason(self, call, message):
+        assert _outcome(call) == message
+
+    @pytest.mark.parametrize("make", [riemann_liouville_weight, weyl_weight,
+                                      lambda a: multilinear_riesz_weight(a, 2),
+                                      lambda a: counterexample_weight(a, 1, 2)],
+                             ids=["rl", "weyl", "riesz", "counter"])
+    def test_alpha_whose_exponent_rounds_to_minus_one(self, make):
+        # alpha - 1 rounds to -1 below 2**-53, which the endpoint map rejected
+        # as an internal "exponent_at_one must be > -1"
+        with pytest.raises(ValueError, match=r"^alpha must be at least 2\*\*-53, got 1e-300$"):
+            make(1e-300)
+        make(2.0**-53)
