@@ -281,7 +281,7 @@ def _check_order(alpha: float, m: int) -> None:
     if not 0.0 < alpha < m:
         raise ValueError(f"alpha must lie in (0,{m}), got {alpha}")
     if alpha < 2.0**-53:
-        # the weights' exponent alpha - 1 would round to -1
+        # the weights' exponent alpha - m would round to -m
         raise ValueError(f"alpha must be at least 2**-53, got {alpha}")
 
 

@@ -148,8 +148,8 @@ class TestNormCommand:
 
     @pytest.mark.parametrize("q", ["2", "1e308"])
     def test_cmo_log_is_a_closed_form(self, invoke, q):
-        # the log symbol's bracket is exact for every finite q > 1, up to
-        # q**(1/q) ~ q near the top of the double range
+        # the log symbol's norm is a closed form for every finite q > 1; at
+        # q = 1e308 it is about q / e, still finite
         code, out, _ = invoke("norm", "cmo", "--f", "log", "--q", q)
         assert code == 0
         rec = record_of(out)

@@ -262,8 +262,8 @@ class TestValidation:
                                       lambda a: counterexample_weight(a, 1, 2)],
                              ids=["rl", "weyl", "riesz", "counter"])
     def test_alpha_whose_exponent_rounds_to_minus_one(self, make):
-        # alpha - 1 rounds to -1 below 2**-53, which the endpoint map rejected
-        # as an internal "exponent_at_one must be > -1"
+        # alpha - m rounds to -m below 2**-53: the rl and weyl exponent -1 was
+        # rejected by the endpoint map as "exponent_at_one must be > -1"
         with pytest.raises(ValueError, match=r"^alpha must be at least 2\*\*-53, got 1e-300$"):
             make(1e-300)
         make(2.0**-53)
