@@ -16,9 +16,8 @@ A per-axis exponent at or below -1 (after adding the weight's endpoint
 exponent) makes the integral diverge; such calls return a structured
 divergent verdict rather than a float infinity.  Exactly-borderline
 exponents are settled by a truncation-growth probe (the integral over
-(delta, 1) versus (delta/100, 1)), and weights carrying a logarithmic
-substitution form are integrated in ``s = log(1/t)`` where the borderline
-case is decided by the branch tail exponent.
+(delta, 1) versus (delta/100, 1)).  Weights carrying a logarithmic
+substitution form take `weights._integrate_log_form`.
 
 `truncation` restricts every axis to (delta, 1); this is how divergent
 log moments are reported as growing families.
@@ -30,16 +29,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .numerics import EndpointBehavior, QuadratureResult
 from .spaces import ExponentConfig
 from .weights import (
     Weight,
     _BORDER_EPS,
-    _integrate_in_s,
+    _LogFactor,
+    _integrate_log_form,
     _integrate_weighted,
-    _log_t,
     constant_weight,
     counterexample_weight,
     riemann_liouville_weight,
@@ -88,10 +85,13 @@ def weighted_moment(
     if log_shift not in (1.0, 2.0):
         raise ValueError("log shift must be 1 or 2")
 
-    if weight.log_form is not None and m == 1:
-        return _log_substituted_moment(
-            weight, exponents[0], bool(log_axes), log_shift, truncation, tol
-        )
+    layers = [
+        [lambda t, s, e=e: t**e for e in exponents],
+        [_LogFactor(math.log(log_shift), 1.0) if i in log_axes else None
+         for i in range(1, m + 1)],
+    ]
+    if weight.log_form is not None:
+        return _integrate_log_form(weight, layers, exponents[0], (truncation, 1.0), tol=tol)
 
     if truncation == 0.0:
         for i in range(m):
@@ -101,21 +101,13 @@ def weighted_moment(
                     f"axis {i + 1} exponent {eff:g} is not integrable at 0"
                 )
             if abs(eff + 1.0) <= _BORDER_EPS:
-                return _truncation_growth_probe(
-                    weight, exponents, log_axes, log_shift, tol
-                )
+                return _truncation_growth_probe(weight, layers, exponents, tol)
 
-    return _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol)
+    return _plain_moment(weight, layers, exponents, truncation, tol)
 
 
-def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol):
+def _plain_moment(weight, layers, exponents, truncation, tol):
     m = weight.arity
-    shift_log = math.log(log_shift)
-    layers = [
-        [lambda t, s, e=e: t**e for e in exponents],
-        [(lambda t, s: shift_log - _log_t(t, s)) if i in log_axes else None
-         for i in range(1, m + 1)],
-    ]
     # under truncation the zero end is outside the domain, so its declared
     # exponent is irrelevant (and may be <= -1 for deliberately divergent
     # truncated families)
@@ -134,11 +126,11 @@ def _plain_moment(weight, exponents, log_axes, log_shift, truncation, tol):
     return _integrate_weighted(weight, layers, behaviors, box, tol=tol)
 
 
-def _truncation_growth_probe(weight, exponents, log_axes, log_shift, tol):
+def _truncation_growth_probe(weight, layers, exponents, tol):
     """Settle a borderline exponent by comparing truncations delta, delta/100."""
     delta = 1e-5
-    near = _plain_moment(weight, exponents, log_axes, log_shift, delta, tol)
-    far = _plain_moment(weight, exponents, log_axes, log_shift, delta / 100.0, tol)
+    near = _plain_moment(weight, layers, exponents, delta, tol)
+    far = _plain_moment(weight, layers, exponents, delta / 100.0, tol)
     growth = far.value - near.value
     evals = near.evaluations + far.evaluations
     if growth > 10.0 * max(tol, 1e-12 * abs(far.value)):
@@ -154,30 +146,6 @@ def _truncation_growth_probe(weight, exponents, log_axes, log_shift, tol):
         far.converged,
         "borderline exponent settled by truncation probe",
     )
-
-
-def _log_substituted_moment(weight, exponent, with_log, log_shift, truncation, tol):
-    """Moment of a log-form weight, integrated in s = log(1/t).
-
-    With w(t) = exp(-s*rate_shift) branch(s) the moment becomes
-
-        int_0^S exp(-rate*s) * branch(s) * extra(s) ds,
-
-    rate = exponent + 1 + rate_shift, S = log(1/truncation), and
-    extra(s) = log(shift) + s for a log factor.
-    """
-    lf = weight.log_form
-    rate = exponent + 1.0 + lf.rate_shift
-    shift_log = math.log(log_shift)
-
-    def integrand(s):
-        vals = np.exp(-rate * s) * lf.branch(s)
-        if with_log:
-            vals = vals * (shift_log + s)
-        return vals
-
-    s_max = math.log(1.0 / truncation) if truncation > 0.0 else math.inf
-    return _integrate_in_s(lf, integrand, 0.0, s_max, tol, [1.0], rate, int(with_log))
 
 
 def _check_arity(weight: Weight, config: ExponentConfig) -> None:

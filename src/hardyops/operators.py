@@ -45,7 +45,7 @@ from .numerics import (
     _running_sums,
 )
 from .spaces import RadialFunction
-from .weights import Weight, _integrate_in_s, _integrate_weighted, _layer_product
+from .weights import Weight, _LogFactor, _integrate_log_form, _integrate_weighted
 from .weights import riemann_liouville_weight, weyl_weight
 
 __all__ = [
@@ -149,52 +149,16 @@ def _axis(
 def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[float]:
     """Power of t that b(r) - b(argument) grows like as t -> 0 (0 when bounded).
 
-    None for a symbol without a power descriptor (such as log), whose
-    growth is not declared.
+    0 for log, whose one power of s its `_LogFactor` layer declares; None
+    for any other symbol without a power descriptor, whose growth is not
+    declared.  Only the log route reads these.
     """
+    if b.kind == "log":
+        return 0.0
     if b.descriptor is None:
         return None
     ax = _axis(b, r, 0, EndpointBehavior(), cesaro)
     return min(0.0, ax.zero_exp) if ax.lo == 0.0 else 0.0
-
-
-def _integrate_log_axis(
-    weight: Weight, ax: _Axis, layers, tol: float, symbol_exps: Sequence = (),
-    t_power: float = 0.0,
-) -> QuadratureResult:
-    """Unary log-form weights integrate in s = log(1/t).
-
-    The weight's natural variable makes its slowly varying (logarithmic)
-    structure a plain power in s, which the endpoint machinery then
-    handles at full accuracy.  An input power t**kappa declared down to
-    t = 0 joins the exponential, and so does a symbol growing like a
-    negative power of t there (`symbol_exps`, from `_symbol_exponent`),
-    so convergence at s = inf is decided on the exact rate; a bounded
-    symbol adds nothing there, and one with undeclared growth (log) may
-    add one power of s.  `t_power` is the power of 1/t that a layer
-    factor carries on its own (n for the Cesaro side's t^-n).
-    """
-    lf = weight.log_form
-    s_lo = -math.log(ax.hi) if ax.hi < 1.0 else 0.0
-    s_hi = -math.log(ax.lo) if ax.lo > 0.0 else math.inf
-    kappa = ax.zero_exp - lf.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
-    kappa += math.fsum(e for e in symbol_exps if e is not None)
-    rate = 1.0 + lf.rate_shift + kappa
-    # t is frozen where exp(-s) would leave the float range of t**kappa
-    # or of a layer's own t**-t_power (whose input factor underflows to 0
-    # there, so the product would be inf * 0); past that point the layers
-    # over t**kappa are constant for power inputs, and exponentially
-    # negligible otherwise
-    s_cap = 690.0 / max(1.0, 2.0 * abs(kappa), t_power)
-
-    def g(s):
-        t = np.exp(-np.minimum(s, s_cap))
-        branch = _layer_product(layers, (t,), (1.0 - t,), lambda ts, ss: lf.branch(s))
-        return branch * t ** -kappa * np.exp(-rate * s)
-
-    bps = [1.0] + [-math.log(b) for b in ax.breakpoints if 0.0 < b < 1.0]
-    log_powers = sum(e is None for e in symbol_exps)
-    return _integrate_in_s(lf, g, s_lo, s_hi, tol, bps, rate, log_powers)
 
 
 def _integrate_axes(
@@ -203,12 +167,23 @@ def _integrate_axes(
 ) -> QuadratureResult:
     """Integrate the factor `layers` times w(t) over the product of axis boxes.
 
-    `t_power` is passed on to `_integrate_log_axis`.
+    A log-form weight takes `weights._integrate_log_form`.  The layers'
+    power at t = 0 is the input's power, declared down to t = 0, plus
+    each symbol's (`symbol_exps`, from `_symbol_exponent`), so the rate
+    at s = inf is exact; a symbol of undeclared growth (None) may add one
+    power of s.  `t_power` is the power of 1/t that a layer factor
+    carries on its own (n for the Cesaro side's t^-n).
     """
     if any(ax.lo >= ax.hi for ax in axes):
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
-    if weight.arity == 1 and weight.log_form is not None:
-        return _integrate_log_axis(weight, axes[0], layers, tol, symbol_exps, t_power)
+    if weight.log_form is not None:
+        ax = axes[0]
+        kappa = ax.zero_exp - weight.log_form.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
+        kappa += math.fsum(e for e in symbol_exps if e is not None)
+        return _integrate_log_form(
+            weight, layers, kappa, (ax.lo, ax.hi), ax.breakpoints, tol,
+            sum(e is None for e in symbol_exps), t_power,
+        )
     for ax in axes:
         if ax.certain and ax.lo == 0.0 and not ax.zero_exp > -1.0:
             return QuadratureResult.divergent(
@@ -259,7 +234,12 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
     layers = [[partial(term, f) for f in req.functions]]
     symbol_exps = ()
     if commutator:
-        layers.append([partial(symbol, b) for b in req.symbols])
+        # on the log route the log symbol's b(r) - b(argument) is +-log(1/t)
+        as_log = req.weight.log_form is not None
+        layers.append([
+            _LogFactor(0.0, -1.0 if cesaro else 1.0) if as_log and b.kind == "log"
+            else partial(symbol, b) for b in req.symbols
+        ])
         symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols]
     return _integrate_axes(
         req.weight, axes, layers, req.tol, symbol_exps, float(n) if cesaro else 0.0

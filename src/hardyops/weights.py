@@ -27,6 +27,11 @@ Constructors cover the families used throughout the package:
 
 Vector norms inside the multilinear Riesz and Cesaro weights are
 Euclidean; the choice is recorded in the label.
+
+Integrals against a log-form weight are taken in ``s = log(1/t)`` by
+`_integrate_log_form`, the one route that reads its branch: there the
+weight's logarithmic structure is a plain power of s, and a layer factor
+``c0 + c1 log(1/t)`` (a `_LogFactor`) is evaluated from s.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from operator import mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,8 +75,7 @@ __all__ = [
 class LogSubstitution:
     """Weight written as ``w(t) = exp(-s*rate_shift) * branch(s)``, s = log(1/t).
 
-    Moments ``int t**e w(t) dt`` become half-line integrals of
-    ``exp(-s*(e + 1 + rate_shift)) * branch(s)``; `zero_exponent` and
+    Integrals against it take `_integrate_log_form`; `zero_exponent` and
     `tail_exponent` describe ``branch`` at ``s -> 0`` and ``s -> inf``.
     """
 
@@ -101,40 +105,73 @@ class GaussianMixture:
 _BORDER_EPS = 1e-12
 
 
-def _integrate_in_s(
-    lf: LogSubstitution, g, s_lo: float, s_hi: float, tol: float,
-    breakpoints: Sequence[float], rate: float, log_powers: int = 0,
-) -> QuadratureResult:
-    """int_{s_lo}^{s_hi} g(s) ds for ``g ~ exp(-rate*s) * branch(s) * s**log_powers``.
+class _LogFactor(NamedTuple):
+    """The layer factor c0 + c1 log(1/t); the log route takes it from s."""
 
-    `lf.zero_exponent` describes g at s = 0.  `s_hi` may be infinite: the
-    integral then diverges for rate < 0, and at rate 0 converges only
-    when the branch tail times ``s**log_powers`` decays faster than 1/s.
+    c0: float
+    c1: float
+
+    def __call__(self, t, s) -> np.ndarray:
+        return self.c0 - self.c1 * _log_t(t, s)
+
+
+def _integrate_log_form(
+    weight: Weight, layers, kappa: float, box, breakpoints=(),
+    tol: float = 1e-10, undeclared: int = 0, t_power: float = 0.0,
+) -> QuadratureResult:
+    """int_lo^hi prod(layers) w(t) dt for a unary log-form weight, in s = log(1/t).
+
+    With ``w(t) = exp(-s*rate_shift) branch(s)`` and dt = exp(-s) ds,
+    layers that carry the power t**kappa at t = 0 give
+
+        int_{s_lo}^{s_hi} prod(layers) t**-kappa branch(s) exp(-rate*s) ds,
+
+    rate = kappa + 1 + rate_shift, s_lo = log(1/hi), s_hi = log(1/lo).
+    The weight's logarithmic structure becomes a plain power of s, and
+    convergence at s = inf is decided on the exact rate: the integral
+    diverges for rate < 0, and at rate 0 converges only when the branch
+    tail times s**k decays faster than 1/s, where k counts the
+    `_LogFactor` layers and the `undeclared` ones that may add a power of s.
+
+    t is frozen past s_cap, where exp(-s) would leave the float range of
+    t**kappa or of a layer's own t**-t_power (the Cesaro side's t**-n,
+    whose input factor underflows to 0 there, giving inf * 0).  Past it
+    the layers over t**kappa are constant for power inputs and
+    exponentially negligible otherwise; a `_LogFactor` is taken from s,
+    so it keeps growing.  `breakpoints` are t-space panel edges.
     """
+    lf = weight.log_form
+    s_lo = -math.log(box[1]) if box[1] < 1.0 else 0.0
+    s_hi = -math.log(box[0]) if box[0] > 0.0 else math.inf
+    rate = kappa + 1.0 + lf.rate_shift
+    s_cap = 690.0 / max(1.0, 2.0 * abs(kappa), t_power)
+    factors = [phi for layer in layers for phi in layer if phi is not None]
+    log_powers = undeclared + sum(isinstance(phi, _LogFactor) for phi in factors)
+
+    def g(s):
+        t = np.exp(-np.minimum(s, s_cap))
+        vals = [phi.c0 + phi.c1 * s if isinstance(phi, _LogFactor) else phi(t, 1.0 - t)
+                for phi in factors]
+        return reduce(mul, vals + [lf.branch(s)]) * t**-kappa * np.exp(-rate * s)
+
     zero = lf.zero_exponent if s_lo == 0.0 else 0.0
-    if s_hi == math.inf:
-        tail_exponent = None
-        if rate < -_BORDER_EPS:
-            return QuadratureResult.divergent("exponentially growing substituted integrand")
-        if abs(rate) <= _BORDER_EPS:
-            tail_exponent = lf.tail_exponent + log_powers
-            if tail_exponent >= -1.0:
-                return QuadratureResult.divergent(
-                    f"substituted tail exponent {tail_exponent:g} is not integrable"
-                )
-        return integrate_halfline(
-            lambda u: g(u + s_lo),
-            tol=tol,
-            zero_exponent=zero,
-            tail_exponent=tail_exponent,
-            breakpoints=[b - s_lo for b in breakpoints if b > s_lo],
+    # the branch's kink at s = 1 is always a panel edge
+    bps = [1.0] + [-math.log(b) for b in breakpoints if 0.0 < b < 1.0]
+    if s_hi < math.inf:
+        span = s_hi - s_lo
+        return integrate_unit_interval(
+            lambda u: g(s_lo + span * u) * span, EndpointBehavior(zero, 0.0), tol=tol,
+            breakpoints=[(b - s_lo) / span for b in bps if s_lo < b < s_hi],
         )
-    span = s_hi - s_lo
-    return integrate_unit_interval(
-        lambda u: g(s_lo + span * u) * span,
-        EndpointBehavior(zero, 0.0),
-        tol=tol,
-        breakpoints=[(b - s_lo) / span for b in breakpoints if s_lo < b < s_hi],
+    if rate < -_BORDER_EPS:
+        return QuadratureResult.divergent("exponentially growing substituted integrand")
+    tail_exponent = lf.tail_exponent + log_powers if rate <= _BORDER_EPS else None
+    if tail_exponent is not None and tail_exponent >= -1.0:
+        return QuadratureResult.divergent(
+            f"substituted tail exponent {tail_exponent:g} is not integrable")
+    return integrate_halfline(
+        lambda u: g(u + s_lo), tol=tol, zero_exponent=zero, tail_exponent=tail_exponent,
+        breakpoints=[b - s_lo for b in bps if b > s_lo],
     )
 
 
@@ -178,6 +215,8 @@ class Weight:
             raise ValueError("one EndpointBehavior per axis is required")
         if self.factors is not None and [w.arity for w in self.factors] != [1] * self.arity:
             raise ValueError("factors must be one unary weight per axis")
+        if self.log_form is not None and self.arity != 1:
+            raise ValueError("a log form is unary")
         self._coarse_check()
 
     def _coarse_check(self):
@@ -221,10 +260,18 @@ def _integrate_weighted(
     with the exact bound E <- E (|v_i| + e_i) + |V| e_i on the running
     product V plus its rounding.  A mixture weight gives one mixture
     integral of per-axis unary integrals, each on its own box and
-    breakpoints (`numerics._mixture_integrate`).  Any other weight gives
-    one cube integral.
+    breakpoints (`numerics._mixture_integrate`).  A log-form weight takes
+    `_integrate_log_form`.  Any other weight gives one cube integral.
     """
     m = weight.arity
+    if weight.log_form is not None:
+        return _integrate_log_form(
+            weight, layers,
+            # the callers' exponents include the weight's own
+            behaviors[0].exponent_at_zero - weight.behaviors[0].exponent_at_zero,
+            (box[0][0], box[1][0]) if box is not None else (0.0, 1.0),
+            breakpoints[0] if breakpoints else (), tol,
+        )
     if weight.mixture is not None:
         mix = weight.mixture
         lows, highs = box if box is not None else ([0.0] * m, [1.0] * m)

@@ -294,6 +294,14 @@ class TestOscillationCommand:
         assert code == 0
         assert record_of(out)["verdict"] == "sharp-confirmed"
 
+    def test_log_form_weight_converges(self, invoke):
+        # |I(100)| = 0.066 > 1e-3, so the verdict is violated (exit 1)
+        code, out, _ = invoke("oscillation", "--weight", "counter:0.5:1:2", "--axes", "1",
+                              "--r", "10", "100")
+        rec = record_of(out)
+        assert code == 1 and rec["verdict"] == "violated"
+        assert rec["converged"] is True
+
     @pytest.mark.parametrize(
         "radii, named",
         [(("inf",), "r = inf"), (("nan",), "r = nan"), ((), "--r"),

@@ -170,6 +170,16 @@ class TestCounterexampleMoments:
         assert not res.converged
         assert math.isinf(res.value)
 
+    @pytest.mark.xfail(strict=True, reason="a rate within _BORDER_EPS of 0 is taken as 0, "
+                       "which drops the exp(-1e-13 s) cut of the s**-1.5 tail")
+    def test_rate_next_to_zero(self):
+        # int exp(-c s) branch(s) ds, c = 1e-13 in the exponent's float
+        # arithmetic: 4 - 2 sqrt(pi c) + ... (mpmath, dps 30)
+        exact = 3.9999988791387534
+        res = weighted_moment(counterexample_weight(0.5, 1, 2), [-0.5 + 1e-13])
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
 
 class TestIdentities:
     @pytest.mark.parametrize(

@@ -210,6 +210,15 @@ class TestOscillationDecay:
         assert len(rep.sweep_errors) == 1
         assert abs(rep.sweep[0][1] - 2.0 / (math.pi * 11.0)) <= rep.sweep_errors[0] + 1e-15
 
+    def test_log_form_weight(self):
+        # I(r) in s = log(1/t), in mpmath (dps 25, split at every grid point);
+        # the s**-1/2 branch at t = 1 slows the decay to ~ r**-1/2
+        rep = oscillation_decay_check(counterexample_weight(0.5, 1, 2), (1,), (10.0, 100.0))
+        assert rep.verdict == "violated"
+        exact = [0.20015736057196076, 0.066130970988672079]
+        for (_, value), err, ref in zip(rep.sweep, rep.sweep_errors, exact):
+            assert abs(value - ref) <= err
+
     def test_fractional_weight(self):
         # the (1-t)^(-1/2) endpoint slows the decay to ~ r^(-1/2)
         rep = oscillation_decay_check(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hardyops import experiments, numerics, operators
+from hardyops.constants import log_moment_constant
 from hardyops.experiments import duality_check
 from hardyops.numerics import gamma
 from hardyops.operators import (
@@ -20,6 +21,7 @@ from hardyops.operators import (
     weyl_apply,
 )
 from hardyops.spaces import (
+    ExponentConfig,
     cutoff_power,
     indicator_ball,
     log_radial,
@@ -298,6 +300,41 @@ class TestLogFormWeightRoute:
             OperatorRequest(self.w, (power(-0.5),), 1.0, symbols=(log_radial(),))
         )
         assert res.value == math.inf and not res.converged and res.diagnosis
+
+    @pytest.mark.parametrize("apply, a, exact", [
+        (hardy_commutator_apply, -0.49, 16.39386613866797),
+        (hardy_commutator_apply, -0.499, 54.71684544018032),
+        (cesaro_commutator_apply, -0.51, -16.39386613866797),
+        (cesaro_commutator_apply, -0.501, -54.71684544018032),
+    ])
+    def test_slow_decay_log_symbol(self, apply, a, exact):
+        # +-int s exp(-c s) branch(s) ds at the rate c = 1/2 + a (Hardy) or
+        # -1/2 - a (Cesaro), in mpmath: the tail reaches far past the float
+        # range of t, where the log symbol must keep growing
+        res = apply(OperatorRequest(self.w, (power(a),), 1.0, symbols=(log_radial(),)))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("lam", [-0.3, -0.45, -0.49, -0.499])
+    def test_log_symbol_matches_the_log_moment(self, lam):
+        # the commutator with log at r = 1 is the log moment of t**lam
+        moment = log_moment_constant(self.w, ExponentConfig(1, (2.0,), (lam,)), (1,))
+        res = hardy_commutator_apply(
+            OperatorRequest(self.w, (power(lam),), 1.0, symbols=(log_radial(),))
+        )
+        assert moment.converged and res.converged
+        assert abs(res.value - moment.value) <= res.abs_error_estimate + moment.abs_error_estimate
+
+    @pytest.mark.xfail(strict=True, reason="past the freeze of t the symbol 1 - t**0.001 "
+                       "stops growing, and at rate 0.001 that loses 4% of the value")
+    def test_small_power_symbol_at_slow_decay(self):
+        # int (exp(-s/1000) - exp(-s/500)) branch(s) ds (mpmath, dps 30)
+        exact = 0.045100334109654872
+        res = hardy_commutator_apply(
+            OperatorRequest(self.w, (power(-0.499),), 1.0, symbols=(power(0.001),))
+        )
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
 
 
 class TestApplyRadii:
