@@ -28,7 +28,9 @@ and a record lists only the flags its kind read.  Every subcommand takes
 `--params-file FILE` (`key=value` lines read as flag defaults); `--csv`
 prints sweep rows `parameter,value,error`; `--seed` is only recorded
 (other records have a null `seed`) and changes no result; a `norm`
-record, whose norms take no `--tol`, has null `tolerances`.
+record, whose norms take no `--tol`, has null `tolerances`.  Like
+`constant` and `apply`, `norm` prints the library's `QuadratureResult`:
+a sup-search norm is unconverged, with a null estimate.
 
 Weight specs:   const:c[:m], rl:a, riesz:a:m, weyl:a, cesaro:a:m,
                 counter:a:n:p
@@ -79,9 +81,9 @@ from .operators import (
 )
 from .spaces import (
     ExponentConfig,
-    central_morrey_norm,
-    cmo_norm,
-    lebesgue_norm,
+    _central_morrey_norm,
+    _cmo_norm,
+    _lebesgue_norm,
     parse_function_spec,
 )
 from .weights import parse_weight_spec
@@ -380,33 +382,12 @@ def _cmd_apply(args) -> int:
 def _cmd_norm(args) -> int:
     f = parse_function_spec(args.f)
     if args.kind == "lp":
-        value = lebesgue_norm(f, args.p, args.n)
-        # closed form for piecewise powers, 1e-12-tolerance quadrature else
-        rel_bound = 1e-14 if f.descriptor is not None else 1e-9
+        res = _lebesgue_norm(f, args.p, args.n)
     elif args.kind == "morrey":
-        value = central_morrey_norm(f, args.p, args.lam, args.n, args.method)
-        # a sup-search value is the largest bracket the climb from the best
-        # of 61 grid radii finds on R in [1e-3, 1e3], a lower bound on the
-        # norm; 1e-8 of it does not bound its distance to the norm.  A
-        # piecewise power outside "grid" takes the exact closed form
-        closed = f.descriptor is not None and args.method != "grid"
-        rel_bound = 1e-14 if closed else 1e-8
+        res = _central_morrey_norm(f, args.p, args.lam, args.n, args.method)
     else:
-        value = cmo_norm(f, args.q, args.n)
-        # the same kind of sup-search lower bound for every symbol but log,
-        # whose bracket is R-invariant and takes its exact closed form
-        # (e.g. osccut:1:2 with q = 2, n = 1 gives 0.70680915170901 at
-        # R = 999.75, while the norm is 1/sqrt(2))
-        rel_bound = 1e-14 if f.kind == "log" else 1e-8
-    finite = math.isfinite(value)
-    record = _record(
-        args,
-        {"value": value if finite else None, "divergent": not finite},
-        rel_bound * abs(value) if finite else None,
-        True,
-    )
-    _emit(record)
-    return 0
+        res = _cmo_norm(f, args.q, args.n)
+    return _emit_quadrature(args, res)
 
 
 def _cmd_sharpness(args) -> int:

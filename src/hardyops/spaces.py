@@ -4,7 +4,9 @@ All functions here are radial, so every n-dimensional integral reduces
 to one dimension against the surface measure ``w_n r**(n-1) dr`` with
 ``w_n = n pi^(n/2) / Gamma(1 + n/2)``.
 
-Three norms are provided:
+Three norms are provided, each the value of one internal function
+(`_lebesgue_norm`, `_central_morrey_norm`, `_cmo_norm`) that returns a
+`QuadratureResult`, which the CLI records:
 
 * ``lebesgue_norm``: plain L^p, closed-form for piecewise powers,
   half-line quadrature otherwise;
@@ -32,7 +34,14 @@ is the mean of b - b_B, which is zero).  A query of many radii costs
 O(panels + radii) per refinement pass when they share one shift, as all
 but the CMO oscillations at q != 2 do, and O(panels x radii) else.
 
-Divergent norms are reported as ``math.inf``, never NaN.
+A piecewise power's closed form is summed in logs, so that it holds
+wherever the norm is a double, and carries the rounding bound of the
+logs it sums (the CMO norm of log carries 1e-14), with one evaluation.
+A divergent norm is ``math.inf``, never NaN, and only a
+piecewise power's is: its result names the end where the mass is
+infinite or the bracket unbounded.  A sup search's result is
+unconverged, with an infinite estimate, since nothing bounds its
+distance to the sup.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureError, _PanelProfile, gamma, integrate_halfline
+from .numerics import QuadratureError, QuadratureResult, _PanelProfile, gamma, integrate_halfline
 
 __all__ = [
     "ExponentConfig",
@@ -288,30 +297,71 @@ def unit_sphere_volume(n: int) -> float:
     return n * math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
 
 
-def _power_mass(kappa: float, r_min: float, r_max: float) -> float:
-    """int_{r_min}^{r_max} r**(kappa-1) dr, inf if divergent."""
-    if r_max == math.inf:
-        if kappa >= 0.0 or r_min <= 0.0:
-            return math.inf
-        return -(r_min**kappa) / kappa
-    if r_min == 0.0:
-        if kappa <= 0.0:
-            return math.inf
-        return r_max**kappa / kappa
+def _divergence(kappa: float, r_min: float, r_max: float) -> Optional[str]:
+    """Why int_{r_min}^{r_max} r**(kappa-1) dr is infinite, naming each end; None if finite."""
+    ends = [end for end, infinite in (("0", r_min == 0.0 and kappa <= 0.0),
+                                      ("infinity", r_max == math.inf and kappa >= 0.0))
+            if infinite]
+    return f"r**{kappa - 1.0:g} is not integrable at {' or '.join(ends)}" if ends else None
+
+
+def _mass_terms(pa: float, n: int, r_min: float, r_max: float) -> tuple[list[float], float]:
+    """log int_{r_min}^{r_max} r**(pa + n - 1) dr as terms to sum, and their input error.
+
+    The mass must be finite (`_divergence`).  With x = log r it is the
+    integral of e**(kappa x), kappa = pa + n, over (x0, x1): log(x1 - x0)
+    at kappa = 0, else ``kappa x_top + log(1 - e**(-|kappa| (x1 - x0))) -
+    log|kappa|`` with x_top the end where e**(kappa x) is largest.  The
+    error, over eps, counts what the inputs carry: kappa's rounding, within
+    |pa| + n ulps, moves the log by the mean of x under e**(kappa x), at
+    most the largest finite |x| (plus 1/|kappa| on a half line), per unit;
+    each end's log moves it by at most |kappa| + 1/(x1 - x0) per unit; and
+    the expm1 argument's two roundings add 2.
+    """
+    kappa = pa + n
+    x0 = math.log(r_min) if r_min > 0.0 else -math.inf
+    x1 = math.log(r_max)
+    span = x1 - x0
+    ends = [abs(x) for x in (x0, x1) if math.isfinite(x)]
     if kappa == 0.0:
-        return math.log(r_max / r_min)
-    return (r_max**kappa - r_min**kappa) / kappa
+        terms, drift = [math.log(span)], max(ends)
+    else:
+        terms = [kappa * (x1 if kappa > 0.0 else x0),
+                 math.log(-math.expm1(-abs(kappa) * span)), -math.log(abs(kappa))]
+        drift = max(ends) + (0.0 if math.isfinite(span) else 1.0 / abs(kappa))
+    return terms, (abs(pa) + n) * drift + (abs(kappa) + 1.0 / span) * sum(ends) + 2.0
 
 
-def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
-    """||f||_{L^p(R^n)} for radial f; math.inf when divergent."""
+def _closed_form(terms: list[float], slack: float, p: float) -> QuadratureResult:
+    """exp(sum(terms) / p), a norm summed in logs, with its rounding bound.
+
+    `slack` eps bounds the error the terms carry from their inputs.  Each
+    term adds two roundings of its magnitude (its last operation's and its
+    share of the sum), the division by p one of the log, and exp an ulp of
+    the value.  A norm past the float range is a ValueError.
+    """
+    log_value = math.fsum(terms) / p
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"the norm, exp({log_value:.6g}), exceeds the float range") from None
+    slack = (slack + 2.0 * sum(map(abs, terms))) / p + abs(log_value)
+    return QuadratureResult(value, value * math.expm1(_EPS * slack) + math.ulp(value), 1, True)
+
+
+def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
+    """The result behind `lebesgue_norm`; an unconverged half line raises QuadratureError."""
     if not p > 0:
         raise ValueError("p must be positive")
     wn = unit_sphere_volume(n)
     d = f.descriptor
     if d is not None:
-        mass = _power_mass(p * d.exponent + n, d.r_min, d.r_max)
-        return math.inf if math.isinf(mass) else (wn * mass) ** (1.0 / p)
+        why = _divergence(p * d.exponent + n, d.r_min, d.r_max)
+        if why:
+            return QuadratureResult.divergent(f"|f|**p r**(n-1) = {why}")
+        terms, slack = _mass_terms(p * d.exponent, n, d.r_min, d.r_max)
+        # w_n is within a few ulps per dimension (pi**(n/2), math.gamma)
+        return _closed_form([math.log(wn)] + terms, slack + 4.0 + n, p)
 
     def integrand(r):
         return np.abs(f.fn(r)) ** p * r ** (n - 1)
@@ -320,62 +370,91 @@ def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
         integrand, tol=1e-12, rtol=1e-10, breakpoints=f.breakpoints
     )
     if not res.converged:
-        return math.inf
-    return (wn * max(res.value, 0.0)) ** (1.0 / p)
+        raise QuadratureError(
+            f"L^p half-line integral did not converge (value {res.value:.6g}, "
+            f"error estimate {res.abs_error_estimate:.2g})"
+        )
+    mass, err = wn * max(res.value, 0.0), wn * res.abs_error_estimate
+    value = mass ** (1.0 / p)
+    # the root moves most at the interval's lower end
+    estimate = (value * -math.expm1(math.log1p(-err / mass) / p) if err < mass
+                else (mass + err) ** (1.0 / p))
+    return QuadratureResult(value, estimate, res.evaluations, True)
 
 
-def _ball_average(f: RadialFunction, p: float, n: int, radius: float) -> float:
-    """(n / R^n) int_0^R |f|^p r^(n-1) dr for a piecewise power f, exactly."""
-    d = f.descriptor
-    if d.r_min >= radius:
-        return 0.0
-    mass = _power_mass(p * d.exponent + n, d.r_min, min(d.r_max, radius))
-    return math.inf if math.isinf(mass) else n * mass / radius**n
+def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
+    """||f||_{L^p(R^n)} for radial f; math.inf when divergent (`_lebesgue_norm`)."""
+    return _lebesgue_norm(f, p, n).value
+
+
+def _morrey_scale(p: float, lam: float, n: int) -> list[float]:
+    """log(n (w_n/n)**(-lam p)) as terms; w_n/n is within 5 + n ulps and |lam p| <= 1."""
+    return [math.log(n), -lam * p * math.log(unit_sphere_volume(n) / n)]
+
+
+def _bracket_terms(d: PiecewisePower, p: float, lam: float, n: int,
+                   radius: float) -> tuple[list[float], float]:
+    """A piecewise power's bracket**p at `radius` > r_min as log terms, and their input error.
+
+    The bracket**p is ``n (w_n/n)**(-lam p) R**-beta int_{r0}^{min(R, r1)}
+    r**(kappa-1) dr`` with beta = n (1 + lam p), rounded from summands of
+    magnitude n (1 + |lam p|); its mass must be finite.
+    """
+    x = math.log(radius)
+    beta = n * (1.0 + lam * p)
+    terms, slack = _mass_terms(p * d.exponent, n, d.r_min, min(d.r_max, radius))
+    return (_morrey_scale(p, lam, n) + [-beta * x] + terms,
+            slack + 5.0 + n + (n * (1.0 + abs(lam * p)) + beta) * abs(x))
 
 
 def _morrey_brackets(
     f: RadialFunction, p: float, lam: float, n: int, force_quadrature: bool = False
-) -> Callable[..., tuple[list[float], Optional[list[float]]]]:
+) -> tuple[Callable[..., tuple[list[float], Optional[list[float]]]], Optional[_PanelProfile]]:
     """The ball expression ( |B|^-(1+lam p) int_B |f|^p )^(1/p) as a probe of radii.
 
     The probe maps radii to the bracket at each and, if asked, its slope
-    in x = log R (see `_grid_sup`).  A piecewise power takes its exact
-    power mass unless `force_quadrature`; otherwise f is sampled into one
-    panel profile, and each call is one query with phi = |v|**p.  A power
-    end ``|f|^p r^(n-1) ~ r**(kappa-1)`` at 0 with kappa = p a + n < 1 is
+    in x = log R (see `_grid_sup`); it comes with the panel profile it
+    reads, if any.  A piecewise power takes its exact bracket in logs
+    (`_bracket_terms`), and no slopes, unless `force_quadrature` and its
+    ball integrals are finite; otherwise f is sampled into one panel
+    profile, and each call is one query with phi = |v|**p.  A power end
+    ``|f|^p r^(n-1) ~ r**(kappa-1)`` at 0 with kappa = p a + n < 1 is
     sampled as b(v) = f(v**(1/kappa)), in dimension n/kappa and bounded at
-    0, and queried at R**kappa, which gives kappa R**-n int_0^R.  An
-    unconverged ball integral gives inf.  With A the ball average of
-    |f|^p, dA/dx = n (|f(R)|^p - A), so the bracket's log has the slope
-    ``-n lam + (n/p) (|f(R)|^p - A) / A``.
+    0, and queried at R**kappa, which gives kappa R**-n int_0^R.  A ball
+    integral that does not converge raises QuadratureError.  With A the
+    ball average of |f|^p, dA/dx = n (|f(R)|^p - A), so the bracket's log
+    has the slope ``-n lam + (n/p) (|f(R)|^p - A) / A``.
     """
     d = f.descriptor
+    # a power whose |f|^p r^(n-1) is not integrable at 0 has every bracket inf
+    if d is not None and (not force_quadrature or d.r_min == 0.0 and p * d.exponent + n <= 0.0):
+        def closed(radii, slopes: bool = False) -> tuple[list[float], None]:
+            kappa = p * d.exponent + n
+            return [0.0 if R <= d.r_min else math.inf if _divergence(kappa, d.r_min, R)
+                    else _closed_form(*_bracket_terms(d, p, lam, n, R), p).value
+                    for R in map(float, radii)], None
+
+        return closed, None
     kappa = min(p * d.exponent + n, 1.0) if d is not None and d.r_min == 0.0 else 1.0
-    if d is not None and not force_quadrature:
-        def averages(radii):
-            return [(_ball_average(f, p, n, float(R)), 0.0) for R in radii]
-    elif kappa <= 0.0:
-        def averages(radii):
-            return [(math.inf, 0.0)] * len(radii)
-    else:
-        profile = _PanelProfile(lambda v: f.fn(v ** (1.0 / kappa)), n / kappa,
-                                [bp**kappa for bp in f.breakpoints])
+    profile = _PanelProfile(lambda v: f.fn(v ** (1.0 / kappa)), n / kappa,
+                            [bp**kappa for bp in f.breakpoints])
 
-        def average(res):
-            if not res.converged and res.abs_error_estimate > 1e-6 * max(abs(res.value), 1.0):
-                return math.inf, 0.0
-            return n / kappa * max(res.value, 0.0), n / kappa * res.abs_error_estimate
-
-        def averages(radii):
-            radii = np.asarray(radii) ** kappa
-            return [average(res) for res in profile.integral(lambda v: np.abs(v) ** p, radii)]
+    def averages(radii):
+        results = profile.integral(lambda v: np.abs(v) ** p, np.asarray(radii) ** kappa)
+        for radius, res in zip(radii, results):
+            if not res.converged:
+                raise QuadratureError(
+                    f"Morrey ball integral at radius {radius:.6g} did not converge "
+                    f"(value {res.value:.6g}, error estimate {res.abs_error_estimate:.2g})"
+                )
+        return [(n / kappa * max(res.value, 0.0), n / kappa * res.abs_error_estimate)
+                for res in results]
 
     def probe(radii, slopes: bool = False) -> tuple[list[float], Optional[list[float]]]:
         # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p)
         ball = unit_sphere_volume(n) / n
         avgs = averages(radii)
-        values = [math.inf if math.isinf(avg) else (ball * R**n) ** (-lam) * avg ** (1.0 / p)
-                  for R, (avg, _) in zip(radii, avgs)]
+        values = [(ball * R**n) ** (-lam) * avg ** (1.0 / p) for R, (avg, _) in zip(radii, avgs)]
         if not slopes:
             return values, None
         rises = []
@@ -391,7 +470,7 @@ def _morrey_brackets(
             rises.append(value * rise if abs(rise) > noise else 0.0)
         return values, rises
 
-    return probe
+    return probe, profile
 
 
 def _square_oscillations(ball, radii: np.ndarray, means: np.ndarray, errs: np.ndarray,
@@ -430,7 +509,8 @@ def _square_oscillations(ball, radii: np.ndarray, means: np.ndarray, errs: np.nd
     return osc, osc_errs
 
 
-def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -> float:
+def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]],
+              profile: Optional[_PanelProfile]) -> QuadratureResult:
     """The largest bracket found on R in [1e-3, 1e3]: a lower bound on the sup.
 
     ``probe(radii, slopes)`` maps an array of radii to the bracket at each
@@ -443,22 +523,31 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -
     sign, then Illinois regula falsi (Dowell and Jarratt, 1971) on the
     slope until the sign change is pinned to 1e-10 in x.  A zero slope,
     an uphill slope at the neighbouring grid point, or `_MAX_PROBES`
-    one-radius calls end the climb.  It returns the largest bracket seen,
-    grid points included.
+    one-radius calls end the climb.  The result holds the largest bracket
+    seen, grid points included, unconverged and with an infinite estimate,
+    since nothing bounds its distance to the sup; its evaluations are the
+    fresh ones of the `profile` the probe reads.
 
     The climb finds the local maximum next to the best grid point, not
     the sup over the window, and never looks past the window: for
     ``osccut:1:2`` with q = 2, n = 1 the CMO bracket approaches 1/sqrt(2)
     from below as R grows, and the search returns 0.70680915170901 at
-    R = 999.75, the sup over the window.  An infinite bracket gives inf.
+    R = 999.75, the sup over the window.  An infinite bracket on the grid
+    makes the result divergent.
     """
     radii = np.logspace(-3.0, 3.0, 61)
     xs = np.log(radii)
     values = [float(v) for v in probe(radii)[0]]
-    if any(math.isinf(v) for v in values):
-        return math.inf
+    if math.inf in values:
+        radius = radii[values.index(math.inf)]
+        return QuadratureResult.divergent(f"the bracket at R = {radius:.6g} is infinite")
     k = int(np.argmax(values))
     best, probes = values[k], 0
+
+    def window() -> QuadratureResult:
+        return QuadratureResult(best, math.inf, profile.fresh, False,
+                                "the largest bracket on R in [1e-3, 1e3]: a lower bound on "
+                                "the norm, with no bound on its distance to it")
 
     def at(radius: np.ndarray) -> float:
         nonlocal best, probes
@@ -472,7 +561,7 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -
     slope = at(radii[k:k + 1])
     up = 1 if slope > 0.0 else -1
     if slope == 0.0 or not 0 <= k + up < radii.size:
-        return best
+        return window()
     neighbour = float(xs[k + up])
     # doubling steps uphill until the slope changes sign
     step = float(xs[1] - xs[0]) * 2.0**-12
@@ -482,7 +571,7 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -
         if nxt_slope * up < 0.0:
             break
         if nxt_slope == 0.0 or nxt == neighbour or probes >= _MAX_PROBES:
-            return best
+            return window()
         x, slope, step = nxt, nxt_slope, 2.0 * step
     # Illinois regula falsi on the slope over [a, b]: an end kept twice
     # in a row has its slope halved, so both ends close in
@@ -503,7 +592,7 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]]) -
             if kept > 0:
                 fb *= 0.5
             kept = 1
-    return best
+    return window()
 
 
 def _power_morrey_norm(lam: float, p: float, n: int) -> float:
@@ -521,7 +610,7 @@ def _check_morrey(p: float, lam: float, n: int) -> None:
         raise ValueError(f"lam must lie in [-1/p, 0], got {lam}")
 
 
-def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> float:
+def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> QuadratureResult:
     """Central Morrey norm of a piecewise power f = r**a on (r0, r1), in closed form.
 
     With kappa = p a + n and beta = n (1 + lam p) the bracket**p is
@@ -529,32 +618,55 @@ def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> float
     For beta = 0 (lam = -1/p) it rises to the L^p norm.  Otherwise it
     falls past r1, rises on all of (r0, r1) when a >= n lam, and else
     peaks at ``R* = r0 (beta/(beta - kappa))**(1/kappa)`` (r0 e**(1/beta)
-    when kappa = 0), where the integral is R***kappa / beta.  So the sup
-    is the bracket at min(R*, r1), or the R -> inf limit
-    ``(w_n/n)**(-lam) (1 + lam p)**(-1/p)`` when a = n lam and r1 = inf;
-    it is infinite when the bracket is unbounded (a > n lam with
-    r1 = inf, or a < n lam with r0 = 0) or |f|**p is not integrable.
+    when kappa = 0), where the integral is r0**kappa / (beta - kappa).  So
+    the sup is the bracket at min(R*, r1), summed in logs, or the R -> inf
+    limit ``(w_n/n)**(-lam) (1 + lam p)**(-1/p)`` when a = n lam and
+    r1 = inf; it is divergent when the bracket is unbounded (a > n lam
+    with r1 = inf, or a < n lam with r0 = 0) or |f|**p is not integrable.
     """
     d = f.descriptor
     a, r0, r1 = d.exponent, d.r_min, d.r_max
     kappa, beta = p * a + n, n * (1.0 + lam * p)
     if beta <= 0.0:
-        mass = _power_mass(kappa, r0, r1)
-        return math.inf if math.isinf(mass) else (unit_sphere_volume(n) * mass) ** (1.0 / p)
+        return _lebesgue_norm(f, p, n)
     level = abs(a - n * lam) <= 1e-12 * max(1.0, abs(n * lam))
     rising = level or a > n * lam  # on all of (r0, r1)
     if rising and r1 == math.inf:
-        return _power_morrey_norm(lam, p, n) if level else math.inf
+        if not level:
+            return QuadratureResult.divergent("the bracket grows without bound as R -> infinity")
+        value = _power_morrey_norm(lam, p, n)
+        # two powers of rounded bases, w_n/n and 1 + lam p, and a product
+        slack = abs(lam) * (5.0 + n) + (abs(lam * p) + 1.0) / (p * (1.0 + lam * p)) + 3.0
+        return QuadratureResult(value, value * math.expm1(_EPS * slack), 1, True)
     if not rising:
         if r0 == 0.0:
-            return math.inf
-        log_peak = math.log(r0) + (math.log1p(kappa / (beta - kappa)) / kappa if kappa
-                                   else 1.0 / beta)
-        if log_peak < math.log(r1):
-            # the bracket**p at R*, in logs: R* may lie past the float range
-            scale = n / beta * (unit_sphere_volume(n) / n) ** (-lam * p)
-            return math.exp((math.log(scale) + (kappa - beta) * log_peak) / p)
-    return _morrey_brackets(f, p, lam, n)([r1])[0][0]
+            return QuadratureResult.divergent("the bracket grows without bound as R -> 0")
+        x0, gap = math.log(r0), beta - kappa
+        g = math.log1p(kappa / gap) / kappa if kappa else 1.0 / beta  # log(R* / r0)
+        if x0 + g < math.log(r1):
+            # at the peak the sup moves with kappa by the mean of log r over
+            # (r0, R*), with beta by log R*, with log r0 by beta - kappa, and
+            # with the roundings of g by 1 + beta |g|
+            slack = ((abs(p * a) + n) * (abs(x0) + abs(g)) + n * (1.0 + abs(lam * p))
+                     * abs(x0 + g) + gap * abs(x0) + 6.0 + n)
+            return _closed_form(_morrey_scale(p, lam, n)
+                                + [(kappa - beta) * x0, -beta * g, -math.log(gap)], slack, p)
+    return _closed_form(*_bracket_terms(d, p, lam, n, r1), p)
+
+
+def _central_morrey_norm(
+    f: RadialFunction, p: float, lam: float, n: int, method: str = "auto"
+) -> QuadratureResult:
+    """The result behind `central_morrey_norm`: a closed form or a window sup."""
+    _check_morrey(p, lam, n)
+    d = f.descriptor
+    if method not in ("auto", "closed", "grid"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed" and d is None:
+        raise ValueError("closed form requires a piecewise power")
+    if d is not None and method != "grid":
+        return _piece_morrey_norm(f, p, lam, n)
+    return _grid_sup(*_morrey_brackets(f, p, lam, n, method == "grid"))
 
 
 def central_morrey_norm(
@@ -575,27 +687,19 @@ def central_morrey_norm(
     |f|^p), a lower bound on the sup over all R > 0, whose brackets read
     one panel profile of f (`_morrey_brackets`).
     """
-    _check_morrey(p, lam, n)
-    d = f.descriptor
-    if method not in ("auto", "closed", "grid"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and d is None:
-        raise ValueError("closed form requires a piecewise power")
-    if d is not None and method != "grid":
-        return _piece_morrey_norm(f, p, lam, n)
-    return _grid_sup(_morrey_brackets(f, p, lam, n, method == "grid"))
+    return _central_morrey_norm(f, p, lam, n, method).value
 
 
 def central_morrey_profile(
     f: RadialFunction, p: float, lam: float, n: int, radii: Sequence[float],
     force_quadrature: bool = False,
 ) -> list[tuple[float, float]]:
-    """The Morrey bracket at given positive, finite radii (diagnostics/CLI)."""
+    """The Morrey bracket at given positive, finite radii, to inspect a norm's sup."""
     _check_morrey(p, lam, n)
     radii = np.array(radii, dtype=float, ndmin=1)
     if not np.all((radii > 0.0) & np.isfinite(radii)):
         raise ValueError("every radius must be positive and finite")
-    values = _morrey_brackets(f, p, lam, n, force_quadrature)(radii)[0]
+    values = _morrey_brackets(f, p, lam, n, force_quadrature)[0](radii)[0]
     return [(float(R), v) for R, v in zip(radii, values)]
 
 
@@ -639,6 +743,11 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
     estimate, so it is not queried.  Every returned value comes from the
     mean and oscillation queries.
     """
+    return _cmo_norm(b, q, n).value
+
+
+def _cmo_norm(b: RadialFunction, q: float, n: int) -> QuadratureResult:
+    """The result behind `cmo_norm`: the log symbol's closed form, or a window sup."""
     if not 1.0 < q < math.inf:
         raise ValueError(f"q must exceed 1 and be finite, got q = {q}")
     if n < 1:
@@ -649,14 +758,16 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
             # the rest below 2**-60 of it
             lg = math.lgamma(q + 1.0)
             s = math.fsum(1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(20))
-            return math.exp((lg + math.log1p(s * math.exp(-lg)) - 1.0) / q) / n
-        # lgamma errs by an ulp of q log q, which the root keeps: Stirling's
-        # series for log Gamma(q + 1) instead, whose first omitted term over q
-        # and S / Gamma(q + 1) are below 2**-60 from q = 20; log 2 pi + log q,
-        # since 2 pi q overflows near the top of the double range
-        tail = sum(c * q ** (1 - 2 * j) for j, c in enumerate(_STIRLING, 1))
-        return q * math.exp((0.5 * (math.log(2.0 * math.pi) + math.log(q)) + tail - 1.0) / q
-                            - 1.0) / n
+            value = math.exp((lg + math.log1p(s * math.exp(-lg)) - 1.0) / q) / n
+        else:
+            # lgamma errs by an ulp of q log q, which the root keeps: Stirling's
+            # series for log Gamma(q + 1) instead, whose first omitted term over
+            # q and S / Gamma(q + 1) are below 2**-60 from q = 20; log 2 pi +
+            # log q, since 2 pi q overflows near the top of the double range
+            tail = sum(c * q ** (1 - 2 * j) for j, c in enumerate(_STIRLING, 1))
+            value = q * math.exp((0.5 * (math.log(2.0 * math.pi) + math.log(q)) + tail - 1.0)
+                                 / q - 1.0) / n
+        return QuadratureResult(value, 1e-14 * value, 1, True)
 
     profile = _PanelProfile(b.fn, n, b.breakpoints)
 
@@ -703,4 +814,4 @@ def cmo_norm(b: RadialFunction, q: float, n: int) -> float:
             rises.append(rise if abs(rise) > noise and o > 0.0 else 0.0)
         return values, rises
 
-    return _grid_sup(probe)
+    return _grid_sup(probe, profile)

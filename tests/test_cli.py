@@ -127,19 +127,29 @@ class TestNormCommand:
         assert rec["result"]["value"] == pytest.approx(2.0**0.75, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "f, method, rel",
-        [("power:-0.25", "auto", 1e-14), ("power:-0.25", "grid", 1e-8),
-         ("cutpow:-0.25:1", "auto", 1e-14), ("cutpow:-0.25:1", "grid", 1e-8)],
+        "f, method",
+        [("power:-0.25", "auto"), ("power:-0.25", "grid"),
+         ("cutpow:-0.25:1", "auto"), ("cutpow:-0.25:1", "grid")],
     )
-    def test_morrey_estimate_follows_the_route(self, invoke, f, method, rel):
+    def test_morrey_estimate_follows_the_route(self, invoke, f, method):
         # a piecewise power outside "grid" takes the exact closed form (for
-        # cutpow:-0.25:1 its R -> inf limit 2**0.75 = 1.68179); "grid" gets
-        # the sup search's lower bound (1.65499, the bracket at R = 1e3)
+        # cutpow:-0.25:1 its R -> inf limit 2**0.75 = 1.68179) with its
+        # rounding bound; "grid" gets the sup search's lower bound (1.65499
+        # for cutpow:-0.25:1, the bracket at R = 1e3), which nothing bounds
         code, out, _ = invoke("norm", "morrey", "--f", f, "--p", "2",
                               "--lambda", "-0.25", "--method", method)
         assert code == 0
         rec = record_of(out)
-        assert rec["error_estimate"] == rel * rec["result"]["value"]
+        value = rec["result"]["value"]
+        if method == "auto":
+            assert abs(value - 2.0**0.75) <= rec["error_estimate"] <= 1e-14 * value
+            assert rec["converged"] and rec["result"]["evaluations"] == 1
+            assert rec["result"]["diagnosis"] is None
+        else:
+            assert value == pytest.approx(2.0**0.75, rel=2e-2)
+            assert not rec["converged"] and rec["error_estimate"] is None
+            assert rec["result"]["evaluations"] > 1
+            assert "a lower bound on the norm" in rec["result"]["diagnosis"]
 
     def test_cmo_log(self, invoke):
         code, out, _ = invoke("norm", "cmo", "--f", "log", "--q", "2", "--n", "1")
@@ -179,7 +189,63 @@ class TestNormCommand:
     def test_divergent_norm(self, invoke):
         code, out, _ = invoke("norm", "lp", "--f", "power:-0.25", "--p", "2")
         assert code == 0
-        assert record_of(out)["result"]["divergent"] is True
+        rec = record_of(out)
+        assert rec["result"]["divergent"] is True and rec["converged"] is False
+        assert rec["result"]["diagnosis"] == (
+            "|f|**p r**(n-1) = r**-0.5 is not integrable at infinity")
+
+    def test_cmo_window_sup_is_not_converged(self, invoke):
+        # 0.70680915170901 at R = 999.75, while the norm is 1/sqrt(2)
+        code, out, _ = invoke("norm", "cmo", "--f", "osccut:1:2")
+        assert code == 0
+        rec = record_of(out)
+        assert rec["result"]["value"] < 1.0 / math.sqrt(2.0)
+        assert rec["converged"] is False and rec["error_estimate"] is None
+        assert "a lower bound on the norm" in rec["result"]["diagnosis"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lp", "--f", "power:-0.25"),
+            ("lp", "--f", "cutpow:-1:1"),
+            ("morrey", "--f", "cutpow:-1:0.5", "--lambda", "-0.25"),
+            ("morrey", "--f", "power:-0.3", "--lambda", "-0.25"),
+            ("morrey", "--f", "cutpow:-1:0.5", "--lambda", "-0.25", "--method", "grid"),
+            ("morrey", "--f", "power:-0.6", "--lambda", "-0.25", "--method", "grid"),
+            ("morrey", "--f", "osccut:1:2", "--lambda", "-0.25"),
+            ("cmo", "--f", "log"),
+            ("cmo", "--f", "osccut:1:2"),
+        ],
+        ids=shlex.join,
+    )
+    def test_record_is_consistent(self, invoke, argv):
+        code, out, _ = invoke("norm", *argv)
+        assert code == 0
+        rec = record_of(out)
+        if rec["result"]["divergent"]:
+            assert not rec["converged"] and rec["result"]["diagnosis"]
+        if rec["converged"]:
+            assert math.isfinite(rec["error_estimate"])
+        else:
+            assert rec["result"]["diagnosis"]
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("lp", "--f", "cutpow:-3:1e-100", "--p", "1.5"), 1.4835697433860297e233),
+            (("morrey", "--f", "power:0@chi:1e80", "--p", "2", "--lambda", "-0.1", "--n", "4"),
+             1.1730782293246186e32),
+            (("lp", "--f", "power:0@chi:1e100", "--p", "2", "--n", "4"), 2.2214414690791832e200),
+        ],
+        ids=["lp-cutpow", "morrey-ball", "lp-ball"],
+    )
+    def test_norm_past_the_power_range(self, invoke, argv, value):
+        # each died with an OverflowError traceback (exit 1)
+        code, out, _ = invoke("norm", *argv)
+        assert code == 0
+        rec = record_of(out)
+        assert rec["converged"] and rec["result"]["value"] == pytest.approx(value, rel=1e-12)
+        assert abs(rec["result"]["value"] - value) <= rec["error_estimate"]
 
     @pytest.mark.parametrize(
         "kind, flag, value",

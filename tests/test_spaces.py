@@ -1,6 +1,7 @@
 """Radial norms and exponent bookkeeping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,30 @@ class TestLebesgueNorm:
         assert lebesgue_norm(g, 2.0, 1) == pytest.approx(
             lebesgue_norm(f, 2.0, 1), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "fn, value",
+        [
+            # the undeclared tail r**-1.1 stops the half line at 8.43, estimate
+            # 0.11, against int_0^inf (1 + r)**-1.1 dr = 10
+            (lambda r: (1.0 + r) ** -0.55, "8.42679"),
+            # the half line reaches 0.2499999975001 (exact 0.24999999750000002),
+            # but its estimate 2.8e-9 misses the goal
+            (lambda r: np.exp(-r) * np.sin(1e4 * r), "0.25"),
+        ],
+        ids=["slow-tail", "fast-oscillation"],
+    )
+    def test_unconverged_half_line_raises(self, fn, value):
+        # not inf: only a piecewise power with an infinite mass is divergent
+        with pytest.raises(QuadratureError, match=f"did not converge \\(value {value}, error"):
+            lebesgue_norm(radial_from_callable(fn), 2.0, 1)
+
+    def test_half_line_estimate_passes_through_the_root(self):
+        # 2 int_0^inf e**(-2r) dr = 1: the norm is 1, and its estimate is the
+        # half line's through the square root
+        res = spaces._lebesgue_norm(radial_from_callable(lambda r: np.exp(-r)), 2.0, 1)
+        assert res.converged and res.diagnosis is None and res.evaluations > 1
+        assert abs(res.value - 1.0) <= res.abs_error_estimate < 1e-10
 
 
 class TestCentralMorreyNorm:
@@ -185,6 +210,13 @@ class TestCentralMorreyNorm:
     def test_mismatched_power_is_inf(self):
         assert math.isinf(central_morrey_norm(power(-0.3), 2.0, -0.25, 1))
 
+    def test_unconverged_ball_integral_raises(self):
+        # |f|**2 = r**-1.2 is not integrable at 0, but nothing declares it:
+        # the search's ball integral fails, which is no proof of divergence
+        f = radial_from_callable(lambda r: r**-0.6)
+        with pytest.raises(QuadratureError, match="ball integral at radius 0.001 did not converge"):
+            central_morrey_norm(f, 2.0, -0.25, 1)
+
     def test_lebesgue_boundary_recovers_lp_norm(self):
         # lam = -1/q turns the Morrey norm into the L^q norm (steep decay
         # keeps the sup inside the search grid)
@@ -273,6 +305,99 @@ class TestPieceMorreyNorm:
             f, 2.0, -0.25, 1)
         with pytest.raises(ValueError, match="closed form requires a piecewise power"):
             central_morrey_norm(oscillatory_cutoff(1.0, 2.0), 2.0, -0.25, 1, method="closed")
+
+
+def exact_piece_norm(spec, p, n, lam=None):
+    """The L^p norm (lam None) or closed-form Morrey norm of a piecewise power, by mpmath.
+
+    Exact arithmetic on the double inputs at dps 60, following the cases
+    of `spaces._piece_morrey_norm`; an mpf, inf for an infinite mass.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    d = parse_function_spec(spec).descriptor
+    with mpmath.workdps(60):
+        a, r0, p = mpmath.mpf(d.exponent), mpmath.mpf(d.r_min), mpmath.mpf(p)
+        r1 = mpmath.mpf(d.r_max)
+        kappa, wn = p * a + n, n * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(1 + n / 2)
+
+        def mass(top):
+            if top == mpmath.inf:
+                return -r0**kappa / kappa if kappa < 0 else mpmath.inf
+            return (top**kappa - r0**kappa) / kappa
+
+        if lam is None:
+            return (wn * mass(r1)) ** (1 / p)
+        lam = mpmath.mpf(lam)
+        beta = n * (1 + lam * p)
+        peak = r0 * (beta / (beta - kappa)) ** (1 / kappa) if a < n * lam else r1
+        radius = min(peak, r1)
+        return (n * (wn / n) ** (-lam * p) * radius**-beta * mass(radius)) ** (1 / p)
+
+
+class TestClosedFormsInLogs:
+    """Closed forms past the power range of doubles, and their estimates."""
+
+    def test_finite_norm_below_the_power_range(self):
+        # r0**kappa = 1e-350 underflows, and the norm read 0.0 (the CLI's
+        # overflow cases are in test_cli)
+        assert lebesgue_norm(cutoff_power(-3.0, 1e100), 1.5, 1) == pytest.approx(
+            3.1962541202325621e-234, rel=1e-12, abs=0.0)
+
+    def test_norm_past_the_float_range_is_an_error(self):
+        # (2 (1e-300)**-3.5 / 3.5)**(1/1.5) = exp(1611.9)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            lebesgue_norm(cutoff_power(-3.0, 1e-300), 1.5, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 7.0])
+    @pytest.mark.parametrize("a", [-3.0, -1.2, -0.9, -0.6])
+    def test_estimate_bounds_the_error(self, a, p, n):
+        # over r0 = 1e-300 ... 1e100, for the half line (the Morrey peak) and
+        # for (r0, 1.2 r0), past the peak (the Morrey bracket at r1); the
+        # comparison is in mpmath
+        for r0 in [10.0**k for k in range(-300, 101, 50)]:
+            for spec in (f"cutpow:{a}:{r0!r}", f"cutpow:{a}:{r0!r}@chi:{1.2 * r0!r}"):
+                f = parse_function_spec(spec)
+                for lam in (None, -0.05):
+                    exact = exact_piece_norm(spec, p, n, lam)
+                    norm = (spaces._lebesgue_norm if lam is None
+                            else lambda f, p, n: spaces._piece_morrey_norm(f, p, lam, n))
+                    if exact == math.inf:
+                        assert "not integrable" in norm(f, p, n).diagnosis
+                        continue
+                    if exact > sys.float_info.max:
+                        with pytest.raises(ValueError, match="exceeds the float range"):
+                            norm(f, p, n)
+                        continue
+                    res = norm(f, p, n)
+                    assert res.converged and res.evaluations == 1, spec
+                    assert abs(res.value - exact) <= res.abs_error_estimate, (spec, lam)
+
+    def test_morrey_peak_estimate(self):
+        # 8.9e-14 from mpmath, nine times the 1e-14 once recorded
+        spec = "cutpow:-0.3:1e-100"
+        res = spaces._central_morrey_norm(parse_function_spec(spec), 1.5, -0.05, 3)
+        exact = exact_piece_norm(spec, 1.5, 3, -0.05)
+        assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-12 * res.value
+
+    @pytest.mark.parametrize(
+        "norm, diagnosis",
+        [
+            (lambda: spaces._lebesgue_norm(power(-0.5), 2.0, 1),
+             "r**-1 is not integrable at 0 or infinity"),
+            (lambda: spaces._lebesgue_norm(cutoff_power(-0.1, 1.0), 2.0, 1),
+             "is not integrable at infinity"),
+            (lambda: spaces._central_morrey_norm(power(-0.3), 2.0, -0.25, 1),
+             "as R -> 0"),
+            (lambda: spaces._central_morrey_norm(power(-0.6), 2.0, -0.25, 1, "grid"),
+             "the bracket at R = 0.001 is infinite"),
+        ],
+        ids=["lp-both-ends", "lp-tail", "morrey", "morrey-grid"],
+    )
+    def test_divergent_names_its_cause(self, norm, diagnosis):
+        res = norm()
+        assert res.value == math.inf and not res.converged
+        assert diagnosis in res.diagnosis
 
 
 class TestDimensionValidation:
@@ -426,7 +551,7 @@ class TestCmoNorm:
         search = spaces._grid_sup
         tops = []
 
-        def recorded(probe):
+        def recorded(probe, profile):
             seen = []
 
             def logged(radii, slopes=False):
@@ -434,9 +559,9 @@ class TestCmoNorm:
                 seen.extend(zip(np.atleast_1d(radii), values))
                 return values, rises
 
-            value = search(logged)
+            result = search(logged, profile)
             tops.append(max(seen, key=lambda pair: pair[1]))
-            return value
+            return result
 
         monkeypatch.setattr(spaces, "_grid_sup", recorded)
         plain, moved = cmo_norm(b, 2.0, 1), cmo_norm(shifted, 2.0, 1)
