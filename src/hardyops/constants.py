@@ -12,12 +12,11 @@ for a family-specific exponent vector, read from one family table:
 * ``cesaro_lebesgue_constant``: e_i = -n(1 - 1/p_i)
 * ``cesaro_log_constant``:      e_i = -n*lambda_i - n, log(2/t_i) on all axes
 
-A per-axis exponent at or below -1 (after adding the weight's endpoint
-exponent) makes the integral diverge; such calls return a structured
-divergent verdict rather than a float infinity.  Exactly-borderline
-exponents are settled by a truncation-growth probe (the integral over
-(delta, 1) versus (delta/100, 1)).  Weights carrying a logarithmic
-substitution form take `weights._integrate_log_form`.
+Each moment is one `weights._integrate_weighted` call, which picks the
+route and returns a divergent verdict for an exponent that is not
+integrable at 0.  Exponents within 1e-12 of that border (after adding
+the weight's own exponent) are settled first by a truncation-growth probe
+(the integral over (delta, 1) versus (delta/100, 1)).
 
 `truncation` restricts every axis to (delta, 1); this is how divergent
 log moments are reported as growing families.
@@ -29,13 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .numerics import EndpointBehavior, QuadratureResult
+from .numerics import QuadratureResult
 from .spaces import ExponentConfig
 from .weights import (
     Weight,
     _BORDER_EPS,
+    _Axis,
     _LogFactor,
-    _integrate_log_form,
     _integrate_weighted,
     constant_weight,
     counterexample_weight,
@@ -90,40 +89,16 @@ def weighted_moment(
         [_LogFactor(math.log(log_shift), 1.0) if i in log_axes else None
          for i in range(1, m + 1)],
     ]
-    if weight.log_form is not None:
-        return _integrate_log_form(weight, layers, exponents[0], (truncation, 1.0), tol=tol)
-
-    if truncation == 0.0:
-        for i in range(m):
-            eff = exponents[i] + weight.behaviors[i].exponent_at_zero
-            if eff < -1.0 - _BORDER_EPS:
-                return QuadratureResult.divergent(
-                    f"axis {i + 1} exponent {eff:g} is not integrable at 0"
-                )
-            if abs(eff + 1.0) <= _BORDER_EPS:
-                return _truncation_growth_probe(weight, layers, exponents, tol)
-
+    # the first exponent not clear of -1 decides: within _BORDER_EPS of it, the probe
+    effs = [e + beh.exponent_at_zero for e, beh in zip(exponents, weight.behaviors)]
+    edge = next((e for e in effs if not e > -1.0 + _BORDER_EPS), 0.0)
+    if truncation == 0.0 and weight.log_form is None and abs(edge + 1.0) <= _BORDER_EPS:
+        return _truncation_growth_probe(weight, layers, exponents, tol)
     return _plain_moment(weight, layers, exponents, truncation, tol)
 
 
 def _plain_moment(weight, layers, exponents, truncation, tol):
-    m = weight.arity
-    # under truncation the zero end is outside the domain, so its declared
-    # exponent is irrelevant (and may be <= -1 for deliberately divergent
-    # truncated families)
-    behaviors = [
-        EndpointBehavior(
-            exponents[i] + weight.behaviors[i].exponent_at_zero
-            if truncation == 0.0
-            else 0.0,
-            weight.behaviors[i].exponent_at_one,
-        )
-        for i in range(m)
-    ]
-    box = None
-    if truncation > 0.0:
-        box = ([truncation] * m, [1.0] * m)
-    return _integrate_weighted(weight, layers, behaviors, box, tol=tol)
+    return _integrate_weighted(weight, layers, [_Axis(truncation, 1.0, e) for e in exponents], tol)
 
 
 def _truncation_growth_probe(weight, layers, exponents, tol):

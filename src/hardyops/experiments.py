@@ -63,7 +63,7 @@ from .spaces import (
     power,
     unit_sphere_volume,
 )
-from .weights import Weight, _integrate_weighted, counterexample_weight
+from .weights import Weight, _Axis, _integrate_weighted, counterexample_weight
 
 __all__ = [
     "SharpnessReport",
@@ -434,9 +434,8 @@ def oscillation_decay_check(
         res = _integrate_weighted(
             weight,
             [[sine if i in axes else None for i in range(1, m + 1)]],
-            weight.behaviors,
-            breakpoints=[grid if i in axes else () for i in range(1, m + 1)],
-            tol=quad_tol,
+            [_Axis(0.0, 1.0, 0.0, grid if i in axes else ()) for i in range(1, m + 1)],
+            quad_tol,
         )
         if not res.converged:
             return _inconclusive(

@@ -14,11 +14,12 @@ plus the unary fractional integrals, which are such averages scaled:
 * right-sided:  ``J_a f(x) = Gamma(a)^-1 int_x^inf f(t) (t-x)^(a-1) dt/t``,
   the Cesaro average (n = 1) with the ``weyl:a`` weight times ``x**(a-1)``
 
-Cutoff supports of the inputs are turned into box restrictions of the
-integration domain (never integrated across as jumps), and piecewise
-power descriptors feed the per-axis endpoint exponents.  Products whose
-per-axis exponent reaches -1 are reported as divergent, not ground
-through the quadrature.
+Each value is one `weights._integrate_weighted` call, on axes that this
+module only describes: cutoff supports of the inputs become box
+restrictions of the integration domain (never integrated across as
+jumps), and piecewise power descriptors give the power of t the layers
+carry at t = 0, from which that call picks the route and the divergence
+verdict.
 
 `_apply_radii` evaluates a unary Hardy or Cesaro average at many radii
 at once, for the duality check's inner values: on its box a piecewise
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .numerics import (
     _running_sums,
 )
 from .spaces import RadialFunction
-from .weights import Weight, _LogFactor, _integrate_log_form, _integrate_weighted
+from .weights import Weight, _Axis, _LogFactor, _integrate_weighted
 from .weights import riemann_liouville_weight, weyl_weight
 
 __all__ = [
@@ -84,23 +85,6 @@ class OperatorRequest:
             raise ValueError("dimension n must be >= 1")
 
 
-class _Axis(NamedTuple):
-    """Integration data for one t_i axis: box edges, exponents, kinks.
-
-    `certain` marks exponents derived from a descriptor; only those are
-    allowed to short-circuit the evaluation as divergent (a custom input
-    with unknown decay gets the benefit of the doubt and fails through
-    quadrature non-convergence instead).
-    """
-
-    lo: float
-    hi: float
-    zero_exp: float
-    one_exp: float
-    breakpoints: tuple = ()
-    certain: bool = True
-
-
 def _pull(r: float, cesaro: bool):
     """x -> the t whose argument (t r, or r/t on the Cesaro side) is x."""
     if cesaro:
@@ -113,25 +97,19 @@ def _power_exponent(f: RadialFunction, n: float, cesaro: bool) -> float:
     return -f.descriptor.exponent - n if cesaro else f.descriptor.exponent
 
 
-def _axis(
-    f: RadialFunction, r, n: float, weight_beh: EndpointBehavior, cesaro: bool
-) -> _Axis:
-    """Support and exponents of t -> f(t r), or f(r/t) t^-n, on the weight axis.
+def _axis(f: RadialFunction, r, n: float, cesaro: bool) -> _Axis:
+    """Box and power at t = 0 of t -> f(t r), or f(r/t) t^-n, on the weight axis.
 
     For an f with a descriptor, `r` may be an array of radii; the box
-    ends and exponents are then arrays too, one entry per radius.
+    ends and powers are then arrays too, one entry per radius.  Without
+    one the power is a hint: 0 on the Hardy side, and on the Cesaro side
+    the raw t^-n growth, since f's decay at infinity is unknown.
     """
     d = f.descriptor
     if d is None:
         pull = _pull(r, cesaro)
         bps = tuple(pull(b) for b in f.breakpoints if 0.0 < pull(b) < 1.0)
-        if cesaro:
-            # unknown decay of f at infinity: hint the raw t^-n growth where
-            # it is integrable, else -0.9, and let the quadrature decide
-            zero = weight_beh.exponent_at_zero - n
-            zero = zero if zero > -1.0 else -0.9
-            return _Axis(0.0, 1.0, zero, weight_beh.exponent_at_one, bps, certain=False)
-        return _Axis(0.0, 1.0, weight_beh.exponent_at_zero, weight_beh.exponent_at_one, bps)
+        return _Axis(0.0, 1.0, -float(n) if cesaro else 0.0, bps, certain=not cesaro)
     # r/t < r_max  <=>  t > r/r_max on the Cesaro side
     if cesaro:
         # r * inf: the end r/0 without a divide warning
@@ -139,11 +117,10 @@ def _axis(
     else:
         ends = (d.r_min / r, d.r_max / r)
     lo, hi = np.minimum(ends, 1.0)
-    zero = weight_beh.exponent_at_zero + np.where(lo == 0.0, _power_exponent(f, n, cesaro), 0.0)
-    one = np.where(hi == 1.0, weight_beh.exponent_at_one, 0.0)
+    power = np.where(lo == 0.0, _power_exponent(f, n, cesaro), 0.0)
     if isinstance(r, np.ndarray):
-        return _Axis(lo, hi, zero, one)
-    return _Axis(float(lo), float(hi), float(zero), float(one))
+        return _Axis(lo, hi, power)
+    return _Axis(float(lo), float(hi), float(power))
 
 
 def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[float]:
@@ -151,52 +128,13 @@ def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[floa
 
     0 for log, whose one power of s its `_LogFactor` layer declares; None
     for any other symbol without a power descriptor, whose growth is not
-    declared.  Only the log route reads these.
+    declared.
     """
     if b.kind == "log":
         return 0.0
     if b.descriptor is None:
         return None
-    ax = _axis(b, r, 0, EndpointBehavior(), cesaro)
-    return min(0.0, ax.zero_exp) if ax.lo == 0.0 else 0.0
-
-
-def _integrate_axes(
-    weight: Weight, axes: Sequence[_Axis], layers, tol: float, symbol_exps: Sequence = (),
-    t_power: float = 0.0,
-) -> QuadratureResult:
-    """Integrate the factor `layers` times w(t) over the product of axis boxes.
-
-    A log-form weight takes `weights._integrate_log_form`.  The layers'
-    power at t = 0 is the input's power, declared down to t = 0, plus
-    each symbol's (`symbol_exps`, from `_symbol_exponent`), so the rate
-    at s = inf is exact; a symbol of undeclared growth (None) may add one
-    power of s.  `t_power` is the power of 1/t that a layer factor
-    carries on its own (n for the Cesaro side's t^-n).
-    """
-    if any(ax.lo >= ax.hi for ax in axes):
-        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
-    if weight.log_form is not None:
-        ax = axes[0]
-        kappa = ax.zero_exp - weight.log_form.rate_shift if (ax.certain and ax.lo == 0.0) else 0.0
-        kappa += math.fsum(e for e in symbol_exps if e is not None)
-        return _integrate_log_form(
-            weight, layers, kappa, (ax.lo, ax.hi), ax.breakpoints, tol,
-            sum(e is None for e in symbol_exps), t_power,
-        )
-    for ax in axes:
-        if ax.certain and ax.lo == 0.0 and not ax.zero_exp > -1.0:
-            return QuadratureResult.divergent(
-                f"axis exponent {ax.zero_exp:g} at t=0 is not integrable"
-            )
-
-    behaviors = [EndpointBehavior(ax.zero_exp, ax.one_exp) for ax in axes]
-    box = ([ax.lo for ax in axes], [ax.hi for ax in axes])
-    if all(ax.lo == 0.0 and ax.hi == 1.0 for ax in axes):
-        box = None
-    return _integrate_weighted(
-        weight, layers, behaviors, box, [ax.breakpoints for ax in axes], tol=tol
-    )
+    return min(0.0, _axis(b, r, 0, cesaro).power)
 
 
 def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureResult:
@@ -204,7 +142,8 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
 
     The two sides differ in the argument map (t r or r/t), the t^-n
     factor and the axis supports; a commutator multiplies in the symbol
-    product ``prod_i (b_i(r) - b_i(argument_i))`` and pins its kinks.
+    product ``prod_i (b_i(r) - b_i(argument_i))``, pins its kinks and adds
+    each symbol's power at t = 0 to its axis.
     """
     if commutator and req.symbols is None:
         raise ValueError("commutator evaluation requires symbols")
@@ -214,15 +153,14 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
     r, n = req.radius, req.n
     arg = (lambda t: r / t) if cesaro else (lambda t: t * r)
     pull = _pull(r, cesaro)
-    axes = [
-        _axis(f, r, n, b, cesaro) for f, b in zip(req.functions, req.weight.behaviors)
-    ]
+    axes = [_axis(f, r, n, cesaro) for f in req.functions]
+    symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols or ()]
     if commutator:
         axes = [
-            ax._replace(breakpoints=ax.breakpoints + tuple(
+            ax._replace(power=ax.power + (e or 0.0), breakpoints=ax.breakpoints + tuple(
                 pull(x) for x in b.breakpoints if ax.lo < pull(x) < ax.hi
             ))
-            for ax, b in zip(axes, req.symbols)
+            for ax, b, e in zip(axes, req.symbols, symbol_exps)
         ]
 
     def term(f, t, s):
@@ -232,7 +170,6 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
         return b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))
 
     layers = [[partial(term, f) for f in req.functions]]
-    symbol_exps = ()
     if commutator:
         # on the log route the log symbol's b(r) - b(argument) is +-log(1/t)
         as_log = req.weight.log_form is not None
@@ -240,10 +177,9 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
             _LogFactor(0.0, -1.0 if cesaro else 1.0) if as_log and b.kind == "log"
             else partial(symbol, b) for b in req.symbols
         ])
-        symbol_exps = [_symbol_exponent(b, r, cesaro) for b in req.symbols]
-    return _integrate_axes(
-        req.weight, axes, layers, req.tol, symbol_exps, float(n) if cesaro else 0.0
-    )
+    # a symbol of undeclared growth may add a power of s on the log route
+    return _integrate_weighted(req.weight, layers, axes, req.tol, symbol_exps.count(None),
+                               float(n) if cesaro else 0.0)
 
 
 def _apply_radii(
@@ -279,18 +215,17 @@ def _apply_radii(
         )
     values, estimates = np.zeros(radii.size), np.zeros(radii.size)
     converged = np.ones(radii.size, dtype=bool)
-    lows, highs, zero_exps, one_exps = _axis(f, radii, n, weight.behaviors[0], cesaro)[:4]
+    lows, highs = _axis(f, radii, n, cesaro)[:2]
+    beh, e = weight.behaviors[0], _power_exponent(f, n, cesaro)
     # an empty box is exactly 0; one reaching t = 0 may diverge there
-    divergent = (lows == 0.0) & (lows < highs) & ~(zero_exps > -1.0)
+    divergent = (lows == 0.0) & (lows < highs) & (not e + beh.exponent_at_zero > -1.0)
     values[divergent] = estimates[divergent] = math.inf
     converged[divergent] = False
     live = (lows < highs) & ~divergent
     lows, highs = lows[live], highs[live]
     # the pieces at t = 0 and t = 1 take the exponents of the boxes there
-    at_zero, at_one = zero_exps[live][lows == 0.0], one_exps[live][highs == 1.0]
-    piece_beh = EndpointBehavior(at_zero[0] if at_zero.size else 0.0,
-                                 at_one[0] if at_one.size else 0.0)
-    e = _power_exponent(f, n, cesaro)
+    piece_beh = EndpointBehavior(e + beh.exponent_at_zero if np.any(lows == 0.0) else 0.0,
+                                 beh.exponent_at_one if np.any(highs == 1.0) else 0.0)
     ends = np.unique(np.concatenate([lows, highs]))
     piece_values, piece_estimates, piece_converged = _integrate_boxes(
         lambda ts, ss: ts**e * weight.pair((ts,), (ss,)), piece_beh, ends[:-1], ends[1:], tol

@@ -286,15 +286,35 @@ def parse_function_spec(spec: str) -> RadialFunction:
 # ---------------------------------------------------------------------------
 
 
+# math.gamma(1 + n/2) overflows from this dimension on
+_GAMMA_DIMS = 342
+
+
 def unit_sphere_volume(n: int) -> float:
     """w_n = n pi^(n/2) / Gamma(1 + n/2), the measure of the unit sphere.
 
     This is the constant with ``int_{R^n} f(|x|) dx = w_n int_0^inf
-    f(r) r^(n-1) dr``; w_1 = 2, w_2 = 2 pi, w_3 = 4 pi.
+    f(r) r^(n-1) dr``; w_1 = 2, w_2 = 2 pi, w_3 = 4 pi.  From n = 342 on
+    it is the exp of `_log_sphere_terms`, which underflows to 0 from n = 456.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n >= _GAMMA_DIMS:
+        return math.exp(math.fsum(_log_sphere_terms(n)))
     return n * math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+
+
+def _log_sphere_terms(n: int, per_n: bool = False) -> list[float]:
+    """log w_n, or log(w_n / n) if `per_n`, as terms to sum.
+
+    From n = 342 on they are log n, (n/2) log pi and -lgamma(1 + n/2).
+    Their inputs (pi**(n/2) and Gamma, or log pi) move w_n by at most
+    4 + n ulps, and each term is within an ulp of its own value.
+    """
+    if n < _GAMMA_DIMS:
+        return [math.log(unit_sphere_volume(n) / (n if per_n else 1))]
+    return ([] if per_n else [math.log(n)]) + [n / 2.0 * math.log(math.pi),
+                                              -math.lgamma(1.0 + n / 2.0)]
 
 
 def _divergence(kappa: float, r_min: float, r_max: float) -> Optional[str]:
@@ -353,15 +373,13 @@ def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
     """The result behind `lebesgue_norm`; an unconverged half line raises QuadratureError."""
     if not p > 0:
         raise ValueError("p must be positive")
-    wn = unit_sphere_volume(n)
     d = f.descriptor
     if d is not None:
         why = _divergence(p * d.exponent + n, d.r_min, d.r_max)
         if why:
             return QuadratureResult.divergent(f"|f|**p r**(n-1) = {why}")
         terms, slack = _mass_terms(p * d.exponent, n, d.r_min, d.r_max)
-        # w_n is within a few ulps per dimension (pi**(n/2), math.gamma)
-        return _closed_form([math.log(wn)] + terms, slack + 4.0 + n, p)
+        return _closed_form(_log_sphere_terms(n) + terms, slack + 4.0 + n, p)
 
     def integrand(r):
         return np.abs(f.fn(r)) ** p * r ** (n - 1)
@@ -374,6 +392,7 @@ def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
             f"L^p half-line integral did not converge (value {res.value:.6g}, "
             f"error estimate {res.abs_error_estimate:.2g})"
         )
+    wn = unit_sphere_volume(n)
     mass, err = wn * max(res.value, 0.0), wn * res.abs_error_estimate
     value = mass ** (1.0 / p)
     # the root moves most at the interval's lower end
@@ -389,7 +408,7 @@ def lebesgue_norm(f: RadialFunction, p: float, n: int) -> float:
 
 def _morrey_scale(p: float, lam: float, n: int) -> list[float]:
     """log(n (w_n/n)**(-lam p)) as terms; w_n/n is within 5 + n ulps and |lam p| <= 1."""
-    return [math.log(n), -lam * p * math.log(unit_sphere_volume(n) / n)]
+    return [math.log(n)] + [-lam * p * t for t in _log_sphere_terms(n, per_n=True)]
 
 
 def _bracket_terms(d: PiecewisePower, p: float, lam: float, n: int,
@@ -629,7 +648,8 @@ def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> Quadr
     kappa, beta = p * a + n, n * (1.0 + lam * p)
     if beta <= 0.0:
         return _lebesgue_norm(f, p, n)
-    level = abs(a - n * lam) <= 1e-12 * max(1.0, abs(n * lam))
+    # level within the rounding of n lam and of the decimal inputs
+    level = abs(a - n * lam) <= 4.0 * math.ulp(n * lam)
     rising = level or a > n * lam  # on all of (r0, r1)
     if rising and r1 == math.inf:
         if not level:

@@ -28,7 +28,12 @@ Constructors cover the families used throughout the package:
 Vector norms inside the multilinear Riesz and Cesaro weights are
 Euclidean; the choice is recorded in the label.
 
-Integrals against a log-form weight are taken in ``s = log(1/t)`` by
+Every integral against a weight, of a product of factor layers over a
+box, goes through `_integrate_weighted`.  Its callers describe each axis
+(an `_Axis`: the box, the power of t the layers carry at t = 0 and the
+panel edges); it alone picks the route (log substitution, Gaussian
+mixture, factored or cube) and decides whether the integral diverges at
+t = 0.  A log-form weight is integrated in ``s = log(1/t)`` by
 `_integrate_log_form`, the one route that reads its branch: there the
 weight's logarithmic structure is a plain power of s, and a layer factor
 ``c0 + c1 log(1/t)`` (a `_LogFactor`) is evaluated from s.
@@ -115,14 +120,28 @@ class _LogFactor(NamedTuple):
         return self.c0 - self.c1 * _log_t(t, s)
 
 
+class _Axis(NamedTuple):
+    """One axis of `_integrate_weighted`: its box, the power of t the
+    layers carry at t = 0 (not counting the weight's own exponent; it may
+    be -1 or below) and its panel edges.  `certain` is False for a power
+    that is only a hint, for an input without a descriptor.
+    """
+
+    lo: float
+    hi: float
+    power: float = 0.0
+    breakpoints: tuple = ()
+    certain: bool = True
+
+
 def _integrate_log_form(
-    weight: Weight, layers, kappa: float, box, breakpoints=(),
-    tol: float = 1e-10, undeclared: int = 0, t_power: float = 0.0,
+    weight: Weight, layers, axis: _Axis, tol: float, undeclared: int, t_power: float
 ) -> QuadratureResult:
     """int_lo^hi prod(layers) w(t) dt for a unary log-form weight, in s = log(1/t).
 
     With ``w(t) = exp(-s*rate_shift) branch(s)`` and dt = exp(-s) ds,
-    layers that carry the power t**kappa at t = 0 give
+    layers that carry the power t**kappa at t = 0 (the axis power, 0 for
+    a hint) give
 
         int_{s_lo}^{s_hi} prod(layers) t**-kappa branch(s) exp(-rate*s) ds,
 
@@ -138,11 +157,11 @@ def _integrate_log_form(
     whose input factor underflows to 0 there, giving inf * 0).  Past it
     the layers over t**kappa are constant for power inputs and
     exponentially negligible otherwise; a `_LogFactor` is taken from s,
-    so it keeps growing.  `breakpoints` are t-space panel edges.
+    so it keeps growing.  The axis's breakpoints are t-space panel edges.
     """
-    lf = weight.log_form
-    s_lo = -math.log(box[1]) if box[1] < 1.0 else 0.0
-    s_hi = -math.log(box[0]) if box[0] > 0.0 else math.inf
+    lf, kappa = weight.log_form, axis.power if axis.certain else 0.0
+    s_lo = -math.log(axis.hi) if axis.hi < 1.0 else 0.0
+    s_hi = -math.log(axis.lo) if axis.lo > 0.0 else math.inf
     rate = kappa + 1.0 + lf.rate_shift
     s_cap = 690.0 / max(1.0, 2.0 * abs(kappa), t_power)
     factors = [phi for layer in layers for phi in layer if phi is not None]
@@ -156,7 +175,7 @@ def _integrate_log_form(
 
     zero = lf.zero_exponent if s_lo == 0.0 else 0.0
     # the branch's kink at s = 1 is always a panel edge
-    bps = [1.0] + [-math.log(b) for b in breakpoints if 0.0 < b < 1.0]
+    bps = [1.0] + [-math.log(b) for b in axis.breakpoints if 0.0 < b < 1.0]
     if s_hi < math.inf:
         span = s_hi - s_lo
         return integrate_unit_interval(
@@ -250,56 +269,63 @@ def _layer_product(layers, ts, ss, w_pair):
 
 
 def _integrate_weighted(
-    weight: Weight, layers, behaviors, box=None, breakpoints=None, tol: float = 1e-10,
+    weight: Weight, layers, axes, tol: float = 1e-10, undeclared: int = 0,
+    t_power: float = 0.0,
 ) -> QuadratureResult:
-    """int prod(layers) * w over the cube, or over ``box = (lows, highs)``.
+    """int prod(layers) * w over the product of the `axes`' boxes, one `_Axis` each.
 
-    `behaviors` and `breakpoints` (t-space panel edges) are per axis, as
-    for `integrate_unit_cube`.  A factored weight gives the product of
-    one unary integral per axis, each to a 1/m share of the tolerances,
-    with the exact bound E <- E (|v_i| + e_i) + |V| e_i on the running
-    product V plus its rounding.  A mixture weight gives one mixture
-    integral of per-axis unary integrals, each on its own box and
-    breakpoints (`numerics._mixture_integrate`).  A log-form weight takes
-    `_integrate_log_form`.  Any other weight gives one cube integral.
+    The one entry for an integral against a weight.  An empty box gives
+    0, and a log-form weight takes `_integrate_log_form`, the only route
+    that reads `undeclared` (layers that may add a power of s) and
+    `t_power` (a layer's own power of 1/t).  Otherwise a box reaching
+    t = 0 where a certain power plus the weight's own exponent is <= -1 is
+    divergent; a hint there is taken as -0.9, for the quadrature to judge.
+    The endpoint behaviors are that sum at a box end on t = 0, the
+    weight's exponent at one on t = 1, and 0 elsewhere.  A mixture weight
+    gives one mixture integral of per-axis unary integrals
+    (`numerics._mixture_integrate`) whose axes take the layers' power
+    alone, a hint at least -1, which cannot make the mixture diverge.  A
+    factored weight gives the product of one unary integral per axis, each
+    to a 1/m share of the tolerances, with the exact bound E <- E (|v_i| +
+    e_i) + |V| e_i on the running product V plus its rounding.  Any other
+    weight gives one cube integral.
     """
-    m = weight.arity
+    if any(ax.lo >= ax.hi for ax in axes):
+        return QuadratureResult(0.0, 0.0, 1, True, "empty support")
     if weight.log_form is not None:
-        return _integrate_log_form(
-            weight, layers,
-            # the callers' exponents include the weight's own
-            behaviors[0].exponent_at_zero - weight.behaviors[0].exponent_at_zero,
-            (box[0][0], box[1][0]) if box is not None else (0.0, 1.0),
-            breakpoints[0] if breakpoints else (), tol,
-        )
+        return _integrate_log_form(weight, layers, axes[0], tol, undeclared, t_power)
+    exps = [ax.power + beh.exponent_at_zero for ax, beh in zip(axes, weight.behaviors)]
+    for i, (ax, e) in enumerate(zip(axes, exps), 1):
+        if ax.certain and ax.lo == 0.0 and not e > -1.0:
+            return QuadratureResult.divergent(f"axis {i} exponent {e:g} at t=0 is not integrable")
+    axes = [ax if ax.certain or e > -1.0 else ax._replace(power=-0.9 - beh.exponent_at_zero)
+            for ax, e, beh in zip(axes, exps, weight.behaviors)]
+    behaviors = [EndpointBehavior(ax.power + beh.exponent_at_zero if ax.lo == 0.0 else 0.0,
+                                  beh.exponent_at_one if ax.hi == 1.0 else 0.0)
+                 for ax, beh in zip(axes, weight.behaviors)]
     if weight.mixture is not None:
         mix = weight.mixture
-        lows, highs = box if box is not None else ([0.0] * m, [1.0] * m)
-        bps = breakpoints or [()] * m
-        axes = [
+        return _mixture_integrate(mix.nu, mix.scale, [
             MixtureAxis(
                 partial(_layer_product, [[layer[i]] for layer in layers], w_pair=_unit_pair),
-                mix.gap,
-                # the callers' exponents include the weight's own
-                behaviors[i].exponent_at_zero - weight.behaviors[i].exponent_at_zero,
-                behaviors[i].exponent_at_one - weight.behaviors[i].exponent_at_one,
-                float(lows[i]), float(highs[i]), tuple(bps[i]), mix.gap_at_zero,
+                mix.gap, ax.power if ax.certain else max(ax.power, -1.0), 0.0, ax.lo, ax.hi,
+                ax.breakpoints, mix.gap_at_zero,
             )
-            for i in range(m)
-        ]
-        return _mixture_integrate(mix.nu, mix.scale, axes, tol, _CUBE_RTOL)
+            for i, ax in enumerate(axes)
+        ], tol, _CUBE_RTOL)
     if weight.factors is None:
         return integrate_unit_cube(
-            None, behaviors, tol=tol, box=box, axis_breakpoints=breakpoints,
+            None, behaviors, tol=tol, axis_breakpoints=[ax.breakpoints for ax in axes],
+            box=None if all((ax.lo, ax.hi) == (0.0, 1.0) for ax in axes)
+            else ([ax.lo for ax in axes], [ax.hi for ax in axes]),
             f_pair=lambda ts, ss: _layer_product(layers, ts, ss, weight.pair),
         )
-    value, estimate, evaluations = 1.0, 0.0, 0
-    for i, w_i in enumerate(weight.factors):
-        edges = ([box[0][i]], [box[1][i]]) if box is not None else ([0.0], [1.0])
+    m, value, estimate, evaluations = weight.arity, 1.0, 0.0, 0
+    for i, (w_i, ax) in enumerate(zip(weight.factors, axes)):
         res = integrate_unit_cube(
             None, [behaviors[i]], tol=tol / m, rtol=_CUBE_RTOL / m,
-            box=None if edges == ([0.0], [1.0]) else edges,
-            axis_breakpoints=None if breakpoints is None else [breakpoints[i]],
+            box=None if (ax.lo, ax.hi) == (0.0, 1.0) else ([ax.lo], [ax.hi]),
+            axis_breakpoints=[ax.breakpoints],
             f_pair=partial(_layer_product, [[layer[i]] for layer in layers], w_pair=w_i.pair),
         )
         estimate = (estimate * (abs(res.value) + res.abs_error_estimate)

@@ -236,8 +236,11 @@ class TestNormCommand:
             (("morrey", "--f", "power:0@chi:1e80", "--p", "2", "--lambda", "-0.1", "--n", "4"),
              1.1730782293246186e32),
             (("lp", "--f", "power:0@chi:1e100", "--p", "2", "--n", "4"), 2.2214414690791832e200),
+            # math.gamma(1 + n/2) overflowed; the second norm, 1.75e-443, underflows
+            (("lp", "--f", "power:0@chi", "--n", "400"), 1.8473234762529635e-138),
+            (("lp", "--f", "power:0@chi", "--n", "1000"), 0.0),
         ],
-        ids=["lp-cutpow", "morrey-ball", "lp-ball"],
+        ids=["lp-cutpow", "morrey-ball", "lp-ball", "lp-dimension-400", "lp-dimension-1000"],
     )
     def test_norm_past_the_power_range(self, invoke, argv, value):
         # each died with an OverflowError traceback (exit 1)

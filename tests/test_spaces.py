@@ -61,6 +61,26 @@ class TestUnitSphereVolume:
     def test_low_dimensions(self, n, expect):
         assert unit_sphere_volume(n) == pytest.approx(expect, rel=1e-13)
 
+    def test_gamma_form_below_its_overflow(self):
+        assert unit_sphere_volume(341) == 341 * math.pi**170.5 / math.gamma(171.5)
+
+    @pytest.mark.parametrize("n", [342, 400])
+    def test_past_the_gamma_range(self, n):
+        # math.gamma(1 + n/2) overflows from n = 342 on, and every norm there
+        # died with an OverflowError; w_342 = 2.8371103724302628e-222 (mpmath)
+        if n == 342:
+            assert unit_sphere_volume(n) == pytest.approx(2.8371103724302628e-222, rel=1e-13)
+        for lam in (None, -0.05):
+            exact = exact_piece_norm("power:0@chi", 2.0, n, lam)
+            res = (spaces._lebesgue_norm(indicator_ball(1.0), 2.0, n) if lam is None
+                   else spaces._piece_morrey_norm(indicator_ball(1.0), 2.0, lam, n))
+            assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
+
+    def test_norm_that_underflows(self):
+        # (w_1000 / 1000)**(1/2) = 1.75e-443
+        assert unit_sphere_volume(1000) == 0.0
+        assert lebesgue_norm(indicator_ball(1.0), 2.0, 1000) == 0.0
+
 
 class TestLebesgueNorm:
     def test_extremal_family_norm(self):
@@ -293,6 +313,15 @@ class TestPieceMorreyNorm:
     def test_unbounded_bracket_is_inf(self, spec):
         # a > n lam out to r1 = inf, or a < n lam down to r0 = 0
         assert central_morrey_norm(parse_function_spec(spec), 2.0, -0.25, 1) == math.inf
+
+    def test_level_only_within_the_rounding(self):
+        # a 1e-13 above n lam on (1, inf): the bracket keeps growing (it is
+        # 1.681792830623293 at R = 1e300), so the norm is infinite
+        res = spaces._central_morrey_norm(cutoff_power(-0.25 + 1e-13, 1.0), 2.0, -0.25, 1)
+        assert res.value == math.inf
+        assert res.diagnosis == "the bracket grows without bound as R -> infinity"
+        # n lam = -0.30000000000000004 is one ulp from a = -0.3: level
+        assert central_morrey_norm(power(-0.3), 2.0, -0.1, 3) == 1.2902202903236928
 
     def test_lebesgue_boundary(self):
         # lam = -1/p: the bracket rises to the L^p norm, (2 int_1e-5^inf r**-2)**(1/2)

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from hardyops.constants import weighted_moment
+from hardyops.constants import lebesgue_constant, weighted_moment
 from hardyops.numerics import EndpointBehavior, gamma
+from hardyops.operators import (
+    OperatorRequest,
+    cesaro_apply,
+    cesaro_commutator_apply,
+    hardy_apply,
+    hardy_commutator_apply,
+)
+from hardyops.spaces import ExponentConfig, cutoff_power, power, radial_from_callable
 from hardyops.weights import (
     Weight,
     constant_weight,
@@ -267,3 +275,55 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^alpha must be at least 2\*\*-53, got 1e-300$"):
             make(1e-300)
         make(2.0**-53)
+
+
+class TestIntegralOwner:
+    """`weights._integrate_weighted` decides the route and the verdict at t = 0 for every caller."""
+
+    ONE = constant_weight(1.0)
+
+    def test_constants_and_operators_share_the_diagnosis(self):
+        # t**-1.5: -n/p for n = 3, p = 2, and the input r**-1.5 at r = 1
+        constant = lebesgue_constant(self.ONE, ExponentConfig(3, (2.0,)))
+        apply = hardy_apply(OperatorRequest(self.ONE, (power(-1.5),), 1.0))
+        assert constant.value == apply.value == math.inf
+        assert constant.diagnosis == apply.diagnosis == "axis 1 exponent -1.5 at t=0 is not integrable"
+
+    def test_divergence_names_its_axis(self):
+        res = hardy_apply(OperatorRequest(
+            parse_weight_spec("const:1:2"), (power(-0.5), power(-1.5)), 1.0))
+        assert res.value == math.inf
+        assert res.diagnosis == "axis 2 exponent -1.5 at t=0 is not integrable"
+
+    def test_power_below_minus_one_off_zero_integrates(self):
+        # int_0.1^1 t**-1.5 dt = 2 (sqrt(10) - 1)
+        res = weighted_moment(self.ONE, [-1.5], truncation=0.1)
+        exact = 2.0 * (math.sqrt(10.0) - 1.0)
+        assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
+
+    def test_hint_is_never_divergent(self):
+        # r**-2 on r > 1 without a descriptor: its hint t**-1 at t = 0 is no
+        # verdict, and int_0^(1/2) (t/r)**2 t**-1 dt = 1/2 at r = 1/2
+        f = radial_from_callable(lambda r: np.where(r > 1.0, 1.0 / r**2, 0.0), breakpoints=(1.0,))
+        res = cesaro_apply(OperatorRequest(self.ONE, (f,), 0.5))
+        assert res.diagnosis is None and abs(res.value - 0.5) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("apply, f, b, exact", [
+        # int_0^1 t**-0.5 (1 - t**-0.2) dt
+        (hardy_commutator_apply, power(-0.5), power(-0.2), 2.0 - 1.0 / 0.3),
+        # int_0^1 t**0.8 t**-1 (1 - t**-0.6) dt
+        (cesaro_commutator_apply, cutoff_power(-0.8, 1.0), power(0.6), 1.25 - 5.0),
+    ], ids=["hardy", "cesaro"])
+    def test_symbol_power_is_declared(self, apply, f, b, exact):
+        # a symbol's power at t = 0 adds to the input's; without it the
+        # graded rule missed the symbol's growth and stopped unconverged
+        res = apply(OperatorRequest(self.ONE, (f,), 1.0, symbols=(b,)))
+        assert res.converged
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
+    def test_symbol_power_can_make_the_integral_diverge(self):
+        # t**-0.9 times 1 - t**-0.2: t**-1.1 at t = 0
+        res = hardy_commutator_apply(OperatorRequest(
+            self.ONE, (power(-0.9),), 1.0, symbols=(power(-0.2),)))
+        assert res.value == math.inf
+        assert res.diagnosis == "axis 1 exponent -1.1 at t=0 is not integrable"
