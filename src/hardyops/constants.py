@@ -89,7 +89,7 @@ def weighted_moment(
         [_LogFactor(math.log(log_shift), 1.0) if i in log_axes else None
          for i in range(1, m + 1)],
     ]
-    # the first exponent not clear of -1 decides: within _BORDER_EPS of it, the probe
+    # the first axis not clear of -1 decides: the probe settles it within _BORDER_EPS
     effs = [e + beh.exponent_at_zero for e, beh in zip(exponents, weight.behaviors)]
     edge = next((e for e in effs if not e > -1.0 + _BORDER_EPS), 0.0)
     if truncation == 0.0 and weight.log_form is None and abs(edge + 1.0) <= _BORDER_EPS:

@@ -301,12 +301,19 @@ class TestIntegralOwner:
         exact = 2.0 * (math.sqrt(10.0) - 1.0)
         assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
 
-    def test_hint_is_never_divergent(self):
-        # r**-2 on r > 1 without a descriptor: its hint t**-1 at t = 0 is no
-        # verdict, and int_0^(1/2) (t/r)**2 t**-1 dt = 1/2 at r = 1/2
-        f = radial_from_callable(lambda r: np.where(r > 1.0, 1.0 / r**2, 0.0), breakpoints=(1.0,))
-        res = cesaro_apply(OperatorRequest(self.ONE, (f,), 0.5))
-        assert res.diagnosis is None and abs(res.value - 0.5) <= res.abs_error_estimate
+    @pytest.mark.parametrize("weight, fn, n, r, exact", [
+        # r**-2 on r > 1: int_0^(1/2) (t/r)**2 t**-1 dt = 1/2 at r = 1/2
+        ("const:1", lambda r: np.where(r > 1.0, 1.0 / r**2, 0.0), 1, 0.5, 0.5),
+        # e**-r on a Cesaro mixture weight, which read divergent (scipy's
+        # dblquad gives 0.1577139245461355 with error 3.5e-11)
+        ("cesaro:1.3:2", lambda r: np.exp(-r), 2, 1.0, 0.1577139245461355),
+    ], ids=["const", "mixture"])
+    def test_hint_is_never_divergent(self, weight, fn, n, r, exact):
+        # an input without a descriptor: its hint t**-n at t = 0 is no verdict
+        w = parse_weight_spec(weight)
+        f = radial_from_callable(fn, breakpoints=(1.0,))
+        res = cesaro_apply(OperatorRequest(w, (f,) * w.arity, r, n))
+        assert res.converged and res.value == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("apply, f, b, exact", [
         # int_0^1 t**-0.5 (1 - t**-0.2) dt
