@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .numerics import (
-    EndpointBehavior,
     QuadratureResult,
     _CUBE_RTOL,
     _ROUNDING_ULPS,
@@ -46,7 +45,7 @@ from .numerics import (
     _running_sums,
 )
 from .spaces import RadialFunction
-from .weights import Weight, _Axis, _LogFactor, _integrate_weighted
+from .weights import Weight, _Axis, _LogFactor, _endpoint_verdict, _integrate_weighted
 from .weights import riemann_liouville_weight, weyl_weight
 
 __all__ = [
@@ -204,28 +203,23 @@ def _apply_radii(
     """
     radii = np.asarray(radii, dtype=float)
     if weight.log_form is not None:
-        results = [
-            _apply(OperatorRequest(weight, (f,), float(r), n, tol=tol), cesaro, False)
-            for r in radii
-        ]
-        return (
-            np.array([res.value for res in results]),
-            np.array([res.abs_error_estimate for res in results]),
-            np.array([res.converged for res in results]),
-        )
+        results = [_apply(OperatorRequest(weight, (f,), float(r), n, tol=tol), cesaro, False)
+                   for r in radii]
+        return tuple(np.array([getattr(res, name) for res in results])
+                     for name in ("value", "abs_error_estimate", "converged"))
     values, estimates = np.zeros(radii.size), np.zeros(radii.size)
     converged = np.ones(radii.size, dtype=bool)
     lows, highs = _axis(f, radii, n, cesaro)[:2]
     beh, e = weight.behaviors[0], _power_exponent(f, n, cesaro)
     # an empty box is exactly 0; one reaching t = 0 may diverge there
-    divergent = (lows == 0.0) & (lows < highs) & (not e + beh.exponent_at_zero > -1.0)
+    at_zero = _endpoint_verdict(e, beh, True, False)[1]
+    divergent = (lows == 0.0) & (lows < highs) & (at_zero is None)
     values[divergent] = estimates[divergent] = math.inf
     converged[divergent] = False
     live = (lows < highs) & ~divergent
     lows, highs = lows[live], highs[live]
     # the pieces at t = 0 and t = 1 take the exponents of the boxes there
-    piece_beh = EndpointBehavior(e + beh.exponent_at_zero if np.any(lows == 0.0) else 0.0,
-                                 beh.exponent_at_one if np.any(highs == 1.0) else 0.0)
+    piece_beh = _endpoint_verdict(e, beh, np.any(lows == 0.0), np.any(highs == 1.0))[1]
     ends = np.unique(np.concatenate([lows, highs]))
     piece_values, piece_estimates, piece_converged = _integrate_boxes(
         lambda ts, ss: ts**e * weight.pair((ts,), (ss,)), piece_beh, ends[:-1], ends[1:], tol
@@ -282,9 +276,7 @@ def cesaro_commutator_apply(req: OperatorRequest) -> QuadratureResult:
 
 def _scaled(res: QuadratureResult, scale: float) -> QuadratureResult:
     """res with its value and estimate times scale."""
-    return replace(
-        res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale
-    )
+    return replace(res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale)
 
 
 def _check_x(x: float) -> None:

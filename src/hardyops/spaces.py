@@ -295,13 +295,17 @@ def unit_sphere_volume(n: int) -> float:
 
     This is the constant with ``int_{R^n} f(|x|) dx = w_n int_0^inf
     f(r) r^(n-1) dr``; w_1 = 2, w_2 = 2 pi, w_3 = 4 pi.  From n = 342 on
-    it is the exp of `_log_sphere_terms`, which underflows to 0 from n = 456.
+    it is the exp of `_log_sphere_terms`, a ValueError once that leaves the
+    normal range (n >= 439), where it would lose digits and then read 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n >= _GAMMA_DIMS:
-        return math.exp(math.fsum(_log_sphere_terms(n)))
-    return n * math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+    if n < _GAMMA_DIMS:
+        return n * math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
+    wn = math.exp(math.fsum(_log_sphere_terms(n)))
+    if wn < np.finfo(float).tiny:
+        raise ValueError(f"w_n leaves the normal float range at n = {n}")
+    return wn
 
 
 def _log_sphere_terms(n: int, per_n: bool = False) -> list[float]:
@@ -384,6 +388,7 @@ def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
     def integrand(r):
         return np.abs(f.fn(r)) ** p * r ** (n - 1)
 
+    wn = unit_sphere_volume(n)
     res = integrate_halfline(
         integrand, tol=1e-12, rtol=1e-10, breakpoints=f.breakpoints
     )
@@ -392,7 +397,6 @@ def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
             f"L^p half-line integral did not converge (value {res.value:.6g}, "
             f"error estimate {res.abs_error_estimate:.2g})"
         )
-    wn = unit_sphere_volume(n)
     mass, err = wn * max(res.value, 0.0), wn * res.abs_error_estimate
     value = mass ** (1.0 / p)
     # the root moves most at the interval's lower end
@@ -654,6 +658,9 @@ def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> Quadr
     if rising and r1 == math.inf:
         if not level:
             return QuadratureResult.divergent("the bracket grows without bound as R -> infinity")
+        if n >= _GAMMA_DIMS:  # the limit n (w_n/n)**(-lam p) / beta, in logs
+            slack = abs(lam * p) * (5.0 + n) + (abs(lam * p) + 1.0) / (1.0 + lam * p) + 1.0
+            return _closed_form(_morrey_scale(p, lam, n) + [-math.log(beta)], slack, p)
         value = _power_morrey_norm(lam, p, n)
         # two powers of rounded bases, w_n/n and 1 + lam p, and a product
         slack = abs(lam) * (5.0 + n) + (abs(lam * p) + 1.0) / (p * (1.0 + lam * p)) + 3.0

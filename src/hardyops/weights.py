@@ -268,6 +268,16 @@ def _layer_product(layers, ts, ss, w_pair):
     )) * w_pair(ts, ss)
 
 
+def _endpoint_verdict(power, beh: EndpointBehavior, at_zero, at_one):
+    """(e, `EndpointBehavior`) of an axis whose layers carry t**power; e is power plus the
+    weight's exponent at 0.  The behavior takes e at a box end on 0 (`at_zero`), the weight's
+    at one on 1 (`at_one`), else 0; it is None, divergent, if an end on 0 has e <= -1.
+    """
+    e = power + beh.exponent_at_zero
+    return e, (None if at_zero and not e > -1.0 else
+               EndpointBehavior(e if at_zero else 0.0, beh.exponent_at_one if at_one else 0.0))
+
+
 def _integrate_weighted(
     weight: Weight, layers, axes, tol: float = 1e-10, undeclared: int = 0,
     t_power: float = 0.0,
@@ -277,14 +287,12 @@ def _integrate_weighted(
     The one entry for an integral against a weight.  An empty box gives
     0, and a log-form weight takes `_integrate_log_form`, the only route
     that reads `undeclared` (layers that may add a power of s) and
-    `t_power` (a layer's own power of 1/t).  Otherwise a box reaching
-    t = 0 where a certain power plus the weight's own exponent is <= -1 is
-    divergent; a hint there is taken as -0.9, for the quadrature to judge.
-    The endpoint behaviors are that sum at a box end on t = 0, the
-    weight's exponent at one on t = 1, and 0 elsewhere.  A mixture weight
-    gives one mixture integral of per-axis unary integrals
-    (`numerics._mixture_integrate`) whose axes take the layers' power
-    alone, a hint at least -1, which cannot make the mixture diverge.  A
+    `t_power` (a layer's own power of 1/t).  Otherwise each axis takes its
+    t = 0 verdict and endpoint behaviors from `_endpoint_verdict`, after a
+    hint whose sum with the weight's exponent is <= -1 is taken as -0.9,
+    for the quadrature to judge.  A mixture weight gives one mixture
+    integral of per-axis unary integrals (`numerics._mixture_integrate`)
+    whose axes take the layers' power alone, a hint at least -1.  A
     factored weight gives the product of one unary integral per axis, each
     to a 1/m share of the tolerances, with the exact bound E <- E (|v_i| +
     e_i) + |V| e_i on the running product V plus its rounding.  Any other
@@ -294,15 +302,15 @@ def _integrate_weighted(
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
     if weight.log_form is not None:
         return _integrate_log_form(weight, layers, axes[0], tol, undeclared, t_power)
-    exps = [ax.power + beh.exponent_at_zero for ax, beh in zip(axes, weight.behaviors)]
-    for i, (ax, e) in enumerate(zip(axes, exps), 1):
-        if ax.certain and ax.lo == 0.0 and not e > -1.0:
+    axes = [ax if ax.certain or ax.power + beh.exponent_at_zero > -1.0
+            else ax._replace(power=-0.9 - beh.exponent_at_zero)
+            for ax, beh in zip(axes, weight.behaviors)]
+    verdicts = [_endpoint_verdict(ax.power, beh, ax.lo == 0.0, ax.hi == 1.0)
+                for ax, beh in zip(axes, weight.behaviors)]
+    for i, (e, beh) in enumerate(verdicts, 1):
+        if beh is None:
             return QuadratureResult.divergent(f"axis {i} exponent {e:g} at t=0 is not integrable")
-    axes = [ax if ax.certain or e > -1.0 else ax._replace(power=-0.9 - beh.exponent_at_zero)
-            for ax, e, beh in zip(axes, exps, weight.behaviors)]
-    behaviors = [EndpointBehavior(ax.power + beh.exponent_at_zero if ax.lo == 0.0 else 0.0,
-                                  beh.exponent_at_one if ax.hi == 1.0 else 0.0)
-                 for ax, beh in zip(axes, weight.behaviors)]
+    behaviors = [beh for _, beh in verdicts]
     if weight.mixture is not None:
         mix = weight.mixture
         return _mixture_integrate(mix.nu, mix.scale, [
@@ -342,10 +350,7 @@ def _unit_pair(ts, ss) -> float:
 
 
 def _euclid_arrays(vs) -> np.ndarray:
-    acc = vs[0] * vs[0]
-    for v in vs[1:]:
-        acc = acc + v * v
-    return np.sqrt(acc)
+    return np.sqrt(sum(v * v for v in vs))
 
 
 def _check_order(alpha: float, m: int) -> None:

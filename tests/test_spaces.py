@@ -76,10 +76,27 @@ class TestUnitSphereVolume:
                    else spaces._piece_morrey_norm(indicator_ball(1.0), 2.0, lam, n))
             assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("n", [400, 500])
+    def test_level_morrey_limit_past_the_gamma_range(self, n):
+        # r**(n lam) is level, and its norm is the R -> inf limit
+        # (w_n/n)**(-lam) (1 + lam p)**(-1/2); w_500 is below the float range
+        mpmath = pytest.importorskip("mpmath")
+        lam = -0.1
+        res = spaces._piece_morrey_norm(power(n * lam), 2.0, lam, n)
+        with mpmath.workdps(60):
+            wn = n * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(1 + mpmath.mpf(n) / 2)
+            exact = (wn / n) ** (-mpmath.mpf(lam)) * (1 + 2 * mpmath.mpf(lam)) ** -0.5
+        assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
+
     def test_norm_that_underflows(self):
-        # (w_1000 / 1000)**(1/2) = 1.75e-443
-        assert unit_sphere_volume(1000) == 0.0
+        # (w_1000 / 1000)**(1/2) = 1.75e-443; w_n itself leaves the normal
+        # float range at n = 439, so a norm by quadrature is an error there
         assert lebesgue_norm(indicator_ball(1.0), 2.0, 1000) == 0.0
+        assert unit_sphere_volume(438) == pytest.approx(3.1699277898265398e-308, rel=1e-12)
+        with pytest.raises(ValueError, match="normal float range at n = 439"):
+            unit_sphere_volume(439)
+        with pytest.raises(ValueError, match="normal float range"):
+            lebesgue_norm(radial_from_callable(lambda r: (r < 1.0) * 1.0), 2.0, 500)
 
 
 class TestLebesgueNorm:
