@@ -58,7 +58,7 @@ from .operators import (
 from .spaces import (
     ExponentConfig,
     RadialFunction,
-    _power_morrey_norm,
+    _piece_morrey_norm,
     log_radial,
     power,
     unit_sphere_volume,
@@ -251,9 +251,10 @@ def _power_family(apply, weight, config, target, radii, quad_tol, as_ratio, symb
     """
     n, ratio = config.n, None
     if config.balanced:
-        numer = _power_morrey_norm(config.lam, config.p, n)
+        numer = _piece_morrey_norm(power(n * config.lam), config.p, config.lam, n).value
         denom = math.prod(
-            _power_morrey_norm(lam, p, n) for lam, p in zip(config.lambda_i, config.p_i)
+            _piece_morrey_norm(power(n * lam), p, lam, n).value
+            for lam, p in zip(config.lambda_i, config.p_i)
         )
         ratio = lambda v: v * numer / denom
     funcs = tuple(power(n * lam) for lam in config.lambda_i)

@@ -276,7 +276,9 @@ def cesaro_commutator_apply(req: OperatorRequest) -> QuadratureResult:
 
 def _scaled(res: QuadratureResult, scale: float) -> QuadratureResult:
     """res with its value and estimate times scale."""
-    return replace(res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale)
+    return replace(
+        res, value=res.value * scale, abs_error_estimate=res.abs_error_estimate * scale
+    )
 
 
 def _check_x(x: float) -> None:

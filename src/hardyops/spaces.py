@@ -618,12 +618,6 @@ def _grid_sup(probe: Callable[..., tuple[list[float], Optional[list[float]]]],
     return window()
 
 
-def _power_morrey_norm(lam: float, p: float, n: int) -> float:
-    """Central Morrey norm of r**(n*lam): (w_n/n)**(-lam) (1 + lam p)**(-1/p)."""
-    wn = unit_sphere_volume(n)
-    return (wn / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
-
-
 def _check_morrey(p: float, lam: float, n: int) -> None:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
@@ -661,7 +655,7 @@ def _piece_morrey_norm(f: RadialFunction, p: float, lam: float, n: int) -> Quadr
         if n >= _GAMMA_DIMS:  # the limit n (w_n/n)**(-lam p) / beta, in logs
             slack = abs(lam * p) * (5.0 + n) + (abs(lam * p) + 1.0) / (1.0 + lam * p) + 1.0
             return _closed_form(_morrey_scale(p, lam, n) + [-math.log(beta)], slack, p)
-        value = _power_morrey_norm(lam, p, n)
+        value = (unit_sphere_volume(n) / n) ** (-lam) * (1.0 + lam * p) ** (-1.0 / p)
         # two powers of rounded bases, w_n/n and 1 + lam p, and a product
         slack = abs(lam) * (5.0 + n) + (abs(lam * p) + 1.0) / (p * (1.0 + lam * p)) + 3.0
         return QuadratureResult(value, value * math.expm1(_EPS * slack), 1, True)

@@ -185,7 +185,7 @@ class TestCentralMorreyNorm:
         prof = central_morrey_profile(
             power(-0.6), 2.0, -0.3, 2, np.logspace(-3, 3, 7), force_quadrature=True,
         )
-        exact = spaces._power_morrey_norm(-0.3, 2.0, 2)
+        exact = central_morrey_norm(power(-0.6), 2.0, -0.3, 2)
         assert all(abs(v - exact) <= 1e-9 * exact for _, v in prof)
 
     def test_grid_is_one_batched_query(self, query_sizes):
@@ -201,7 +201,7 @@ class TestCentralMorreyNorm:
         # point is zero within its error bound, and the climb ends there
         value = central_morrey_norm(power(-0.1), 3.0, -0.1, 1, method="grid")
         assert query_sizes == [61, 1]
-        assert value == pytest.approx(spaces._power_morrey_norm(-0.1, 3.0, 1), rel=1e-13)
+        assert value == pytest.approx(central_morrey_norm(power(-0.1), 3.0, -0.1, 1), rel=1e-13)
 
     def test_grid_shares_one_profile(self):
         # every ball average reads one panel table of f: sin(pi r) is
