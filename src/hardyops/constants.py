@@ -14,9 +14,9 @@ for a family-specific exponent vector, read from one family table:
 
 Each moment is one `weights._integrate_weighted` call, which picks the
 route and returns a divergent verdict for an exponent that is not
-integrable at 0.  Exponents within 1e-12 of that border (after adding
-the weight's own exponent) are settled first by a truncation-growth probe
-(the integral over (delta, 1) versus (delta/100, 1)).
+integrable at 0.  That verdict counts an exponent within 1e-12 above -1
+(after adding the weight's own exponent) as -1, divergent, for constants
+and operator applies alike.
 
 `truncation` restricts every axis to (delta, 1); this is how divergent
 log moments are reported as growing families.
@@ -32,7 +32,6 @@ from .numerics import QuadratureResult
 from .spaces import ExponentConfig
 from .weights import (
     Weight,
-    _BORDER_EPS,
     _Axis,
     _LogFactor,
     _integrate_weighted,
@@ -89,38 +88,7 @@ def weighted_moment(
         [_LogFactor(math.log(log_shift), 1.0) if i in log_axes else None
          for i in range(1, m + 1)],
     ]
-    # the first axis not clear of -1 decides: the probe settles it within _BORDER_EPS
-    effs = [e + beh.exponent_at_zero for e, beh in zip(exponents, weight.behaviors)]
-    edge = next((e for e in effs if not e > -1.0 + _BORDER_EPS), 0.0)
-    if truncation == 0.0 and weight.log_form is None and abs(edge + 1.0) <= _BORDER_EPS:
-        return _truncation_growth_probe(weight, layers, exponents, tol)
-    return _plain_moment(weight, layers, exponents, truncation, tol)
-
-
-def _plain_moment(weight, layers, exponents, truncation, tol):
     return _integrate_weighted(weight, layers, [_Axis(truncation, 1.0, e) for e in exponents], tol)
-
-
-def _truncation_growth_probe(weight, layers, exponents, tol):
-    """Settle a borderline exponent by comparing truncations delta, delta/100."""
-    delta = 1e-5
-    near = _plain_moment(weight, layers, exponents, delta, tol)
-    far = _plain_moment(weight, layers, exponents, delta / 100.0, tol)
-    growth = far.value - near.value
-    evals = near.evaluations + far.evaluations
-    if growth > 10.0 * max(tol, 1e-12 * abs(far.value)):
-        return QuadratureResult.divergent(
-            f"borderline exponent: truncated value grows by {growth:g} "
-            f"from delta={delta:g} to delta={delta / 100:g}",
-            evaluations=evals,
-        )
-    return QuadratureResult(
-        far.value,
-        max(far.abs_error_estimate, abs(growth)),
-        evals,
-        far.converged,
-        "borderline exponent settled by truncation probe",
-    )
 
 
 def _check_arity(weight: Weight, config: ExponentConfig) -> None:

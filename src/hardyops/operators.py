@@ -163,7 +163,11 @@ def _apply(req: OperatorRequest, cesaro: bool, commutator: bool) -> QuadratureRe
         ]
 
     def term(f, t, s):
-        return f.fn(arg(t)) * t ** (-float(n)) if cesaro else f.fn(arg(t))
+        v = f.fn(arg(t))
+        if not cesaro:
+            return v
+        with np.errstate(over="ignore", invalid="ignore"):  # t**-n may overflow where f is 0
+            return np.where(v == 0.0, 0.0, v * t ** (-float(n)))
 
     def symbol(b, t, s):
         return b.fn(np.asarray(r, dtype=float)) - b.fn(arg(t))

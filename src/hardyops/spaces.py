@@ -474,10 +474,13 @@ def _morrey_brackets(
                 for res in results]
 
     def probe(radii, slopes: bool = False) -> tuple[list[float], Optional[list[float]]]:
-        # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p)
-        ball = unit_sphere_volume(n) / n
+        # int_B |f|^p = |B| * avg, so the bracket is |B|^(-lam) * avg^(1/p),
+        # summed in logs: |B| = (w_n/n) R**n leaves the float range from n ~ 100
+        log_ball = math.fsum(_log_sphere_terms(n, per_n=True))
         avgs = averages(radii)
-        values = [(ball * R**n) ** (-lam) * avg ** (1.0 / p) for R, (avg, _) in zip(radii, avgs)]
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.exp(-lam * (log_ball + n * np.log(radii))
+                            + np.log([avg for avg, _ in avgs]) / p).tolist()
         if not slopes:
             return values, None
         rises = []

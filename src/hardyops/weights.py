@@ -147,9 +147,10 @@ def _integrate_log_form(
 
     rate = kappa + 1 + rate_shift, s_lo = log(1/hi), s_hi = log(1/lo).
     The weight's logarithmic structure becomes a plain power of s, and
-    convergence at s = inf is decided on the exact rate: the integral
-    diverges for rate < 0, and at rate 0 converges only when the branch
-    tail times s**k decays faster than 1/s, where k counts the
+    convergence at s = inf is decided on the rate: the integral diverges
+    for a rate below 0 by more than the rounding of its three terms, and
+    at a rate taken as 0 (up to _BORDER_EPS) converges only when the
+    branch tail times s**k decays faster than 1/s, where k counts the
     `_LogFactor` layers and the `undeclared` ones that may add a power of s.
 
     t is frozen past s_cap, where exp(-s) would leave the float range of
@@ -182,7 +183,7 @@ def _integrate_log_form(
             lambda u: g(s_lo + span * u) * span, EndpointBehavior(zero, 0.0), tol=tol,
             breakpoints=[(b - s_lo) / span for b in bps if s_lo < b < s_hi],
         )
-    if rate < -_BORDER_EPS:
+    if rate < -_rounding_floor(1.0 + abs(kappa) + abs(lf.rate_shift)):
         return QuadratureResult.divergent("exponentially growing substituted integrand")
     tail_exponent = lf.tail_exponent + log_powers if rate <= _BORDER_EPS else None
     if tail_exponent is not None and tail_exponent >= -1.0:
@@ -271,10 +272,11 @@ def _layer_product(layers, ts, ss, w_pair):
 def _endpoint_verdict(power, beh: EndpointBehavior, at_zero, at_one):
     """(e, `EndpointBehavior`) of an axis whose layers carry t**power; e is power plus the
     weight's exponent at 0.  The behavior takes e at a box end on 0 (`at_zero`), the weight's
-    at one on 1 (`at_one`), else 0; it is None, divergent, if an end on 0 has e <= -1.
+    at one on 1 (`at_one`), else 0; it is None, divergent, if an end on 0 has e <= -1 +
+    _BORDER_EPS, the rounding of -1, which no quadrature can tell from -1.
     """
     e = power + beh.exponent_at_zero
-    return e, (None if at_zero and not e > -1.0 else
+    return e, (None if at_zero and not e > -1.0 + _BORDER_EPS else
                EndpointBehavior(e if at_zero else 0.0, beh.exponent_at_one if at_one else 0.0))
 
 
@@ -289,20 +291,20 @@ def _integrate_weighted(
     that reads `undeclared` (layers that may add a power of s) and
     `t_power` (a layer's own power of 1/t).  Otherwise each axis takes its
     t = 0 verdict and endpoint behaviors from `_endpoint_verdict`, after a
-    hint whose sum with the weight's exponent is <= -1 is taken as -0.9,
-    for the quadrature to judge.  A mixture weight gives one mixture
-    integral of per-axis unary integrals (`numerics._mixture_integrate`)
-    whose axes take the layers' power alone, a hint at least -1.  A
-    factored weight gives the product of one unary integral per axis, each
-    to a 1/m share of the tolerances, with the exact bound E <- E (|v_i| +
-    e_i) + |V| e_i on the running product V plus its rounding.  Any other
-    weight gives one cube integral.
+    hint that it would call divergent at t = 0 is taken as -0.9 (with the
+    weight's exponent), for the quadrature to judge.  A mixture weight gives
+    one mixture integral of per-axis unary integrals
+    (`numerics._mixture_integrate`) whose axes take the layers' power
+    alone, a hint at least -1.  A factored weight gives the product of one
+    unary integral per axis, each to a 1/m share of the tolerances, with
+    the exact bound E <- E (|v_i| + e_i) + |V| e_i on the running product
+    V plus its rounding.  Any other weight gives one cube integral.
     """
     if any(ax.lo >= ax.hi for ax in axes):
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
     if weight.log_form is not None:
         return _integrate_log_form(weight, layers, axes[0], tol, undeclared, t_power)
-    axes = [ax if ax.certain or ax.power + beh.exponent_at_zero > -1.0
+    axes = [ax if ax.certain or _endpoint_verdict(ax.power, beh, True, False)[1] is not None
             else ax._replace(power=-0.9 - beh.exponent_at_zero)
             for ax, beh in zip(axes, weight.behaviors)]
     verdicts = [_endpoint_verdict(ax.power, beh, ax.lo == 0.0, ax.hi == 1.0)

@@ -63,13 +63,21 @@ class TestLebesgueConstant:
 
     def test_borderline_exponent_that_does_not_grow(self):
         # t**2 declared flat at 0 puts the axis exponent at -1, the border
-        # of integrability; the integrand is t, so the truncated values
-        # do not grow and the probe settles the constant, 1/2
+        # of integrability; the integrand is t, but the verdict is read from
+        # the declaration, which says t**-1
         w = Weight(1, lambda ts, ss: ts[0] ** 2, (EndpointBehavior(0.0, 0.0),), "t^2 as flat")
         res = lebesgue_constant(w, cfg(2, 2.0))
-        assert res.converged
-        assert res.diagnosis == "borderline exponent settled by truncation probe"
-        assert abs(res.value - 0.5) <= res.abs_error_estimate
+        assert res.value == math.inf and not res.converged
+        assert res.diagnosis == "axis 1 exponent -1 at t=0 is not integrable"
+
+    @pytest.mark.parametrize("c", [1.0, 1e-11, 1e-20])
+    def test_border_is_divergent_at_any_scale(self, c):
+        # int c t**-1 dt = inf for every c > 0: the verdict comes from the
+        # exponent alone, with no quadrature, so it cannot read the scale
+        res = lebesgue_constant(constant_weight(c), cfg(2, 2.0))
+        assert res.value == math.inf and not res.converged
+        assert res.diagnosis == "axis 1 exponent -1 at t=0 is not integrable"
+        assert res.evaluations == 1
 
     def test_divergent_exponent_flagged(self):
         # n/p = 1.5 makes the axis exponent -1.5
@@ -131,10 +139,10 @@ class TestCesaroConstants:
         assert res.value == pytest.approx(16.0, rel=1e-12)
 
     def test_boundary_exponent_divergence_flagged(self):
-        # n(1 - 1/p) = 1 exactly: borderline, settled by truncation growth
+        # n(1 - 1/p) = 1 exactly: the border, divergent at t = 0
         res = cesaro_lebesgue_constant(ONE, cfg(2, 2.0))
         assert not res.converged
-        assert "grows" in (res.diagnosis or "")
+        assert res.diagnosis == "axis 1 exponent -1 at t=0 is not integrable"
 
     def test_weyl_weight_beta_closed_form(self):
         # Gamma(1 + 1/p - a)/Gamma(1 + 1/p) = 2/sqrt(pi) at p=2, a=1/2
@@ -169,6 +177,14 @@ class TestCounterexampleMoments:
         res = log_moment_constant(w, cfg(1, 2.0), (1,), 2.0)
         assert not res.converged
         assert math.isinf(res.value)
+
+    def test_rate_below_zero_is_divergent(self):
+        # rate -1e-13: exp(1e-13 s) s**-1.5 is not integrable at s = inf
+        res = weighted_moment(counterexample_weight(0.5, 1, 2), [-0.5 - 1e-13])
+        assert res.value == math.inf and not res.converged
+        assert res.diagnosis == "exponentially growing substituted integrand"
+        exact = weighted_moment(counterexample_weight(0.5, 1, 2), [-0.5])
+        assert exact.converged and abs(exact.value - 4.0) <= exact.abs_error_estimate
 
     @pytest.mark.xfail(strict=True, reason="a rate within _BORDER_EPS of 0 is taken as 0, "
                        "which drops the exp(-1e-13 s) cut of the s**-1.5 tail")

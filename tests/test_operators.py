@@ -85,6 +85,16 @@ class TestCesaroApply:
         assert not res.converged
         assert res.diagnosis is not None
 
+    @pytest.mark.parametrize("r, exact", [
+        # scipy's dblquad, with error estimates 4e-12, 3e-13 and 1e-13
+        (0.3, 7.346892190091974), (1.0, 0.21020992353153456), (3.0, 0.0006139613695654035),
+    ])
+    def test_mixture_input_that_vanishes_next_to_zero(self, r, exact):
+        # e**(-r/t) is 0 where t**-2 overflows: the term is 0 there, not inf * 0
+        f = radial_from_callable(lambda x: np.exp(-x))
+        res = cesaro_apply(OperatorRequest(multilinear_riesz_weight(1.5, 2), (f, f), r, n=2))
+        assert abs(res.value - exact) <= res.abs_error_estimate
+
     def test_weyl_reduction_cross_check(self):
         # value equals r^(1-a) J_a f(r) with the matching weight
         w = weyl_weight(0.5)
@@ -253,6 +263,13 @@ class TestLogFormWeightRoute:
         )
         assert res.converged
         assert res.value == pytest.approx(2.2748285951765824, rel=1e-10)
+
+    def test_negative_rate_is_divergent(self):
+        # r**-0.5000000000001 puts the rate at -1e-13: the s-integrand grows
+        # like e**(1e-13 s), which a rate taken as 0 would cut off
+        res = hardy_apply(OperatorRequest(self.w, (power(-0.5000000000001),), 1.0))
+        assert res.value == math.inf and not res.converged
+        assert res.diagnosis == "exponentially growing substituted integrand"
 
     def test_cesaro_cutoff_input(self):
         res = cesaro_apply(OperatorRequest(self.w, (cutoff_power(-2.0, 1.0),), 1.0))

@@ -171,6 +171,15 @@ class TestCentralMorreyNorm:
         grid = central_morrey_norm(f, 4.0, -0.125, 1, method="grid")
         assert grid == pytest.approx(closed, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [100, 102, 103, 110, 200])
+    def test_grid_in_high_dimension(self, n):
+        # |B| = (w_n/n) R**n overflows at R = 1e3 from n = 103; the grid
+        # bracket is summed in logs, so it meets the closed form
+        f = indicator_ball(1.0)
+        grid = central_morrey_norm(f, 2.0, -0.1, n, method="grid")
+        closed = spaces._piece_morrey_norm(f, 2.0, -0.1, n).value
+        assert grid == pytest.approx(closed, rel=1e-13)
+
     def test_r_invariance_seven_decades(self):
         prof = central_morrey_profile(
             power(-0.25), 2.0, -0.25, 1, np.logspace(-3, 3, 7),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyops.constants import lebesgue_constant, weighted_moment
+from hardyops.constants import lebesgue_constant, morrey_constant, weighted_moment
 from hardyops.numerics import EndpointBehavior, gamma
 from hardyops.operators import (
     OperatorRequest,
@@ -283,11 +283,18 @@ class TestIntegralOwner:
     ONE = constant_weight(1.0)
 
     def test_constants_and_operators_share_the_diagnosis(self):
-        # t**-1.5: -n/p for n = 3, p = 2, and the input r**-1.5 at r = 1
-        constant = lebesgue_constant(self.ONE, ExponentConfig(3, (2.0,)))
-        apply = hardy_apply(OperatorRequest(self.ONE, (power(-1.5),), 1.0))
-        assert constant.value == apply.value == math.inf
-        assert constant.diagnosis == apply.diagnosis == "axis 1 exponent -1.5 at t=0 is not integrable"
+        # t**-1.5: -n/p for n = 3, p = 2, and the input r**-1.5 at r = 1; and
+        # the border: n lambda for n = 3, lambda = -0.333..., and r**-0.999...,
+        # both the rounding of -1
+        for constant, f, e in [
+            (lebesgue_constant(self.ONE, ExponentConfig(3, (2.0,))), power(-1.5), "-1.5"),
+            (morrey_constant(self.ONE, ExponentConfig(3, (3.0,), (-0.3333333333333333,))),
+             power(-0.9999999999999999), "-1"),
+        ]:
+            apply = hardy_apply(OperatorRequest(self.ONE, (f,), 1.0))
+            assert constant.value == apply.value == math.inf
+            diagnosis = f"axis 1 exponent {e} at t=0 is not integrable"
+            assert constant.diagnosis == apply.diagnosis == diagnosis
 
     def test_divergence_names_its_axis(self):
         res = hardy_apply(OperatorRequest(
