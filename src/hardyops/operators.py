@@ -101,14 +101,14 @@ def _axis(f: RadialFunction, r, n: float, cesaro: bool) -> _Axis:
 
     For an f with a descriptor, `r` may be an array of radii; the box
     ends and powers are then arrays too, one entry per radius.  Without
-    one the power is a hint: 0 on the Hardy side, and on the Cesaro side
-    the raw t^-n growth, since f's decay at infinity is unknown.
+    one the power is 0 on the Hardy side and a hint t^-n on the Cesaro
+    side (f's decay is unknown), certain for log, which grows like t**0.
     """
     d = f.descriptor
     if d is None:
         pull = _pull(r, cesaro)
         bps = tuple(pull(b) for b in f.breakpoints if 0.0 < pull(b) < 1.0)
-        return _Axis(0.0, 1.0, -float(n) if cesaro else 0.0, bps, certain=not cesaro)
+        return _Axis(0.0, 1.0, -float(n) if cesaro else 0.0, bps, not cesaro or f.kind == "log")
     # r/t < r_max  <=>  t > r/r_max on the Cesaro side
     if cesaro:
         # r * inf: the end r/0 without a divide warning
@@ -125,11 +125,11 @@ def _axis(f: RadialFunction, r, n: float, cesaro: bool) -> _Axis:
 def _symbol_exponent(b: RadialFunction, r: float, cesaro: bool) -> Optional[float]:
     """Power of t that b(r) - b(argument) grows like as t -> 0 (0 when bounded).
 
-    0 for log, whose one power of s its `_LogFactor` layer declares; None
-    for any other symbol without a power descriptor, whose growth is not
-    declared.
+    0 for log, whose one power of s its `_LogFactor` layer declares, and
+    for osccut, which is bounded; None for any other symbol without a
+    power descriptor, whose growth is not declared.
     """
-    if b.kind == "log":
+    if b.kind in ("log", "oscillatory-cutoff"):
         return 0.0
     if b.descriptor is None:
         return None

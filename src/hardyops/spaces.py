@@ -386,7 +386,10 @@ def _lebesgue_norm(f: RadialFunction, p: float, n: int) -> QuadratureResult:
         return _closed_form(_log_sphere_terms(n) + terms, slack + 4.0 + n, p)
 
     def integrand(r):
-        return np.abs(f.fn(r)) ** p * r ** (n - 1)
+        # r**(n - 1) alone overflows from n ~ 100 where |f|**p has underflowed to 0
+        v = np.abs(f.fn(r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(v == 0.0, 0.0, (v * r ** ((n - 1) / p)) ** p)
 
     wn = unit_sphere_volume(n)
     res = integrate_halfline(

@@ -123,8 +123,8 @@ class _LogFactor(NamedTuple):
 class _Axis(NamedTuple):
     """One axis of `_integrate_weighted`: its box, the power of t the
     layers carry at t = 0 (not counting the weight's own exponent; it may
-    be -1 or below) and its panel edges.  `certain` is False for a power
-    that is only a hint, for an input without a descriptor.
+    be -1 or below) and its panel edges.  `certain` is False for a hint,
+    a power that may grade a cube or factored rule but decides nothing.
     """
 
     lo: float
@@ -140,7 +140,7 @@ def _integrate_log_form(
     """int_lo^hi prod(layers) w(t) dt for a unary log-form weight, in s = log(1/t).
 
     With ``w(t) = exp(-s*rate_shift) branch(s)`` and dt = exp(-s) ds,
-    layers that carry the power t**kappa at t = 0 (the axis power, 0 for
+    layers that carry the power t**kappa at t = 0 (the axis power, never
     a hint) give
 
         int_{s_lo}^{s_hi} prod(layers) t**-kappa branch(s) exp(-rate*s) ds,
@@ -160,7 +160,7 @@ def _integrate_log_form(
     exponentially negligible otherwise; a `_LogFactor` is taken from s,
     so it keeps growing.  The axis's breakpoints are t-space panel edges.
     """
-    lf, kappa = weight.log_form, axis.power if axis.certain else 0.0
+    lf, kappa = weight.log_form, axis.power
     s_lo = -math.log(axis.hi) if axis.hi < 1.0 else 0.0
     s_hi = -math.log(axis.lo) if axis.lo > 0.0 else math.inf
     rate = kappa + 1.0 + lf.rate_shift
@@ -286,27 +286,28 @@ def _integrate_weighted(
 ) -> QuadratureResult:
     """int prod(layers) * w over the product of the `axes`' boxes, one `_Axis` each.
 
-    The one entry for an integral against a weight.  An empty box gives
-    0, and a log-form weight takes `_integrate_log_form`, the only route
-    that reads `undeclared` (layers that may add a power of s) and
-    `t_power` (a layer's own power of 1/t).  Otherwise each axis takes its
-    t = 0 verdict and endpoint behaviors from `_endpoint_verdict`, after a
-    hint that it would call divergent at t = 0 is taken as -0.9 (with the
-    weight's exponent), for the quadrature to judge.  A mixture weight gives
-    one mixture integral of per-axis unary integrals
-    (`numerics._mixture_integrate`) whose axes take the layers' power
-    alone, a hint at least -1.  A factored weight gives the product of one
-    unary integral per axis, each to a 1/m share of the tolerances, with
-    the exact bound E <- E (|v_i| + e_i) + |V| e_i on the running product
-    V plus its rounding.  Any other weight gives one cube integral.
+    The one entry for an integral against a weight; an empty box gives 0.
+    A hint (`_Axis.certain` False) keeps its power only on the cube and
+    factored routes, where `_endpoint_verdict` accepts it, to grade the
+    rule; it is 0 on every other axis, so it never decides a verdict.  A
+    log-form weight takes `_integrate_log_form`, the only route that reads
+    `undeclared` (layers that may add a power of s) and `t_power` (a
+    layer's own power of 1/t).  Otherwise each axis takes its t = 0 verdict
+    and endpoint behaviors from `_endpoint_verdict`.  A mixture weight
+    gives one mixture integral (`numerics._mixture_integrate`) of per-axis
+    unary integrals whose axes take the layers' power alone.  A factored
+    weight gives the product of one unary integral per axis, each to a 1/m
+    share of the tolerances, with the exact bound E <- E (|v_i| + e_i) +
+    |V| e_i on the running product V plus its rounding; a product past the
+    float range is a ValueError.  Any other weight gives one cube integral.
     """
     if any(ax.lo >= ax.hi for ax in axes):
         return QuadratureResult(0.0, 0.0, 1, True, "empty support")
+    graded = weight.log_form is None and weight.mixture is None
+    axes = [ax if ax.certain or graded and _endpoint_verdict(ax.power, beh, True, False)[1]
+            else ax._replace(power=0.0) for ax, beh in zip(axes, weight.behaviors)]
     if weight.log_form is not None:
         return _integrate_log_form(weight, layers, axes[0], tol, undeclared, t_power)
-    axes = [ax if ax.certain or _endpoint_verdict(ax.power, beh, True, False)[1] is not None
-            else ax._replace(power=-0.9 - beh.exponent_at_zero)
-            for ax, beh in zip(axes, weight.behaviors)]
     verdicts = [_endpoint_verdict(ax.power, beh, ax.lo == 0.0, ax.hi == 1.0)
                 for ax, beh in zip(axes, weight.behaviors)]
     for i, (e, beh) in enumerate(verdicts, 1):
@@ -318,8 +319,7 @@ def _integrate_weighted(
         return _mixture_integrate(mix.nu, mix.scale, [
             MixtureAxis(
                 partial(_layer_product, [[layer[i]] for layer in layers], w_pair=_unit_pair),
-                mix.gap, ax.power if ax.certain else max(ax.power, -1.0), 0.0, ax.lo, ax.hi,
-                ax.breakpoints, mix.gap_at_zero,
+                mix.gap, ax.power, 0.0, ax.lo, ax.hi, ax.breakpoints, mix.gap_at_zero,
             )
             for i, ax in enumerate(axes)
         ], tol, _CUBE_RTOL)
@@ -342,6 +342,8 @@ def _integrate_weighted(
                     + abs(value) * res.abs_error_estimate)
         value *= res.value
         evaluations += res.evaluations
+    if not math.isfinite(value):
+        raise ValueError(f"the product of the {m} axis integrals exceeds the float range")
     estimate += _rounding_floor(value)
     return QuadratureResult(value, estimate, evaluations,
                             estimate <= max(tol, _CUBE_RTOL * abs(value)))

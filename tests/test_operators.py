@@ -93,6 +93,7 @@ class TestCesaroApply:
         # e**(-r/t) is 0 where t**-2 overflows: the term is 0 there, not inf * 0
         f = radial_from_callable(lambda x: np.exp(-x))
         res = cesaro_apply(OperatorRequest(multilinear_riesz_weight(1.5, 2), (f, f), r, n=2))
+        assert res.converged
         assert abs(res.value - exact) <= res.abs_error_estimate
 
     def test_weyl_reduction_cross_check(self):
@@ -166,8 +167,8 @@ class TestFractionalIntegrals:
 
     @pytest.mark.parametrize(
         "x, alpha, f",
-        # log has no descriptor: the Cesaro side hints its t = 0 exponent,
-        # -alpha, which must not be capped at -0.9 when alpha is larger
+        # log has no descriptor but declares its Cesaro t = 0 exponent, -1
+        # plus the weight's 1 - alpha, which is integrable for every alpha
         [(0.25, 0.5, indicator_ball(1.0)), (0.5, 0.5, indicator_ball(1.0)),
          (1.0, 0.95, log_radial())],
         ids=["0.25", "0.5", "log-0.95"],

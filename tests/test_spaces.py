@@ -153,6 +153,17 @@ class TestLebesgueNorm:
         assert res.converged and res.diagnosis is None and res.evaluations > 1
         assert abs(res.value - 1.0) <= res.abs_error_estimate < 1e-10
 
+    @pytest.mark.parametrize("n", [102, 110])
+    def test_sampled_norm_in_high_dimension(self, n):
+        # r**(n - 1) overflowed where e**(-2r) had already underflowed to 0;
+        # the norm is (w_n Gamma(n) / 2**n)**(1/2), w_n = 2 pi**(n/2) / Gamma(n/2)
+        mpmath = pytest.importorskip("mpmath")
+        res = spaces._lebesgue_norm(radial_from_callable(lambda r: np.exp(-r)), 2.0, n)
+        with mpmath.workdps(40):
+            wn = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            exact = float(mpmath.sqrt(wn * mpmath.gamma(n) / mpmath.mpf(2) ** n))
+        assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
+
 
 class TestCentralMorreyNorm:
     def test_pure_power_closed_form(self):

@@ -14,7 +14,14 @@ from hardyops.operators import (
     hardy_apply,
     hardy_commutator_apply,
 )
-from hardyops.spaces import ExponentConfig, cutoff_power, power, radial_from_callable
+from hardyops.spaces import (
+    ExponentConfig,
+    cutoff_power,
+    log_radial,
+    oscillatory_cutoff,
+    power,
+    radial_from_callable,
+)
 from hardyops.weights import (
     Weight,
     constant_weight,
@@ -314,9 +321,16 @@ class TestIntegralOwner:
         # e**-r on a Cesaro mixture weight, which read divergent (scipy's
         # dblquad gives 0.1577139245461355 with error 3.5e-11)
         ("cesaro:1.3:2", lambda r: np.exp(-r), 2, 1.0, 0.1577139245461355),
-    ], ids=["const", "mixture"])
+        # int_0^1 e**(-1/t) t**-1 dt = E1(1): the hint, read as t**-0.9,
+        # graded the rule, which stopped unconverged at 3e-8
+        ("const:1", lambda r: np.exp(-r), 1, 1.0, lambda mpmath: mpmath.e1(1)),
+        # int_0^1 t**-1 w(t) dt = Gamma(1/2): here the hint grades the rule
+        ("weyl:0.5", np.ones_like, 1, 2.0, math.sqrt(math.pi)),
+    ], ids=["const", "mixture", "decaying", "weyl"])
     def test_hint_is_never_divergent(self, weight, fn, n, r, exact):
         # an input without a descriptor: its hint t**-n at t = 0 is no verdict
+        if callable(exact):
+            exact = float(exact(pytest.importorskip("mpmath")))
         w = parse_weight_spec(weight)
         f = radial_from_callable(fn, breakpoints=(1.0,))
         res = cesaro_apply(OperatorRequest(w, (f,) * w.arity, r, n))
@@ -334,6 +348,40 @@ class TestIntegralOwner:
         res = apply(OperatorRequest(self.ONE, (f,), 1.0, symbols=(b,)))
         assert res.converged
         assert abs(res.value - exact) <= res.abs_error_estimate + 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("weight, n, e", [("const:1", 1, "-1"), ("riesz:1.5:2", 2, "-2")],
+                             ids=["cube", "mixture"])
+    def test_log_input_declares_its_cesaro_power(self, weight, n, e):
+        # log(r/t) t**-n grows like t**-n: no hint, a verdict (the mixture
+        # route raised QuadratureError, the cube route read 41463.7 unconverged)
+        w = parse_weight_spec(weight)
+        res = cesaro_apply(OperatorRequest(w, (log_radial(),) * w.arity, 2.0, n))
+        assert res.value == math.inf
+        assert res.diagnosis == f"axis 1 exponent {e} at t=0 is not integrable"
+
+    def test_bounded_symbol_on_the_log_route(self):
+        # |b(3) - b(3t)| <= 2 adds no power of s, so the tail s**-1.5 of the
+        # weight decides; it read "substituted tail exponent -0.5 is not
+        # integrable".  In s = log(1/t) the value is 3**-0.5 times the
+        # integral of (-1 - sin(1.5 pi e**-s) [s < log 3]) against the branch
+        mpmath = pytest.importorskip("mpmath")
+        res = hardy_commutator_apply(OperatorRequest(
+            counterexample_weight(0.5, 1, 2), (power(-0.5),), 3.0,
+            symbols=(oscillatory_cutoff(0.5, 2.0),)))
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(
+                lambda s: (-1 - (mpmath.sin(1.5 * mpmath.pi * mpmath.exp(-s))
+                                 if s < mpmath.log(3) else 0))
+                * (s**-0.5 if s <= 1 else s**-1.5),
+                [0, 1, mpmath.log(3), mpmath.inf]) / mpmath.sqrt(3))
+        assert res.converged and abs(res.value - exact) <= res.abs_error_estimate
+
+    def test_factored_product_past_the_float_range(self):
+        # each axis integral is 1e200; the product read inf, converged
+        f = radial_from_callable(lambda r: 1e200 * np.ones_like(r))
+        with pytest.raises(ValueError, match="^the product of the 2 axis integrals exceeds "
+                           "the float range$"):
+            hardy_apply(OperatorRequest(constant_weight(1.0, 2), (f, f), 1.0))
 
     def test_symbol_power_can_make_the_integral_diverge(self):
         # t**-0.9 times 1 - t**-0.2: t**-1.1 at t = 0
